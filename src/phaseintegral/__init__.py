@@ -6,8 +6,8 @@ Library layout:
     expressions  analytic expression language (parse / diff / jet evaluation)
     problem      reduction to u'' + R u = 0 and the split R = G/lambda^2 + a I
     spectral     eigenvalue branches, gauges, Schwartzian, eps0
-    scalar       scalar-case corrections Y_2n, waves, singularity models
-    vector       the four coupled-system theories and wave assembly
+    scalar       scalar corrections Y_2n, Wave containers, singularity models
+    vector       the four coupled-system theories and wave assembly (any N)
     verify       currents, Wronskians, residuals, reference integration
     cli          command line front end (`pia`)
 """
@@ -19,9 +19,8 @@ from .problem import (ProblemSpec, ReducedProblem, langer_auxiliary,
                       load_problem, reduce_first_derivative, split_R)
 from .spectral import (BranchField, EigenBranch, eigen_n2_closed_form,
                        eigen_track, epsilon0, kato_gauge, schwartzian)
-from .scalar import (ScalarCorrections, Wave, WaveSample,
-                     assemble_scalar_wave, model_epsilon00,
-                     scalar_corrections, truncate_q)
+from .scalar import (ScalarCorrections, Wave, WaveSample, model_epsilon00,
+                     scalar_corrections)
 from .vector import (CorrectionEngine, CorrectionSet, assemble_vector_wave,
                      p_coefficients, vector_corrections)
 
@@ -32,8 +31,8 @@ __all__ = [
     "reduce_first_derivative", "split_R",
     "BranchField", "EigenBranch", "eigen_n2_closed_form", "eigen_track",
     "epsilon0", "kato_gauge", "schwartzian",
-    "ScalarCorrections", "Wave", "WaveSample", "assemble_scalar_wave",
-    "model_epsilon00", "scalar_corrections", "truncate_q",
+    "ScalarCorrections", "Wave", "WaveSample", "model_epsilon00",
+    "scalar_corrections",
     "CorrectionEngine", "CorrectionSet", "assemble_vector_wave",
     "p_coefficients", "vector_corrections",
 ]

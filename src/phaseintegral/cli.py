@@ -23,7 +23,8 @@ import warnings
 import numpy as np
 
 from . import examples as ex
-from .errors import PhaseIntegralError, UnknownExample
+from .errors import (ExpressionSyntaxError, InputError, PhaseIntegralError,
+                     UnboundParameter, UnknownFunction)
 from .expressions import parse_expr
 from .problem import load_problem, reduce_first_derivative, split_R, problem_to_dict
 from .spectral import BranchField
@@ -44,6 +45,10 @@ _THEORY = {
 _EXIT_INPUT = 2
 _EXIT_EVAL = 3
 _EXIT_VERIFY = 4
+
+# errors caused by what the user typed (exit 2)
+_INPUT_ERRORS = (InputError, ExpressionSyntaxError, UnboundParameter,
+                 UnknownFunction)
 
 
 def _fmt(v: float) -> str:
@@ -78,19 +83,24 @@ def _emit(args, header, rows):
         sys.stdout.write(text)
 
 
-def _load(args):
+def _problem_data(args) -> dict:
     if args.example:
-        data = ex.example_problem(args.example)
-    elif args.problem:
+        return ex.example_problem(args.example)
+    if args.problem:
         with open(args.problem) as fh:
-            data = json.load(fh)
-    else:
-        raise PhaseIntegralError("need --problem or --example")
+            return json.load(fh)
+    raise InputError("need --problem or --example")
+
+
+def _load(args):
+    data = _problem_data(args)
     for kv in args.param or []:
-        if "=" not in kv:
-            raise PhaseIntegralError(f"bad --param {kv!r} (expected name=value)")
-        name, val = kv.split("=", 1)
-        data.setdefault("params", {})[name] = float(val)
+        name, _, val = kv.partition("=")
+        try:
+            data.setdefault("params", {})[name] = float(val)
+        except ValueError:
+            raise InputError(
+                f"bad --param {kv!r} (expected name=value)") from None
     spec, lam, a = load_problem(data)
     spec = reduce_first_derivative(spec)
     return split_R(spec, lam, a)
@@ -105,18 +115,18 @@ def _eval_lambda(args, prob):
 
 def _grid(args, prob):
     if args.at:
-        return sorted(float(v) for v in args.at)
+        return sorted(args.at)
     if args.range:
         try:
             lo, hi, step = (float(v) for v in args.range.split(":"))
         except ValueError:
-            raise PhaseIntegralError(
+            raise InputError(
                 f"bad --range {args.range!r} (expected lo:hi:step)") from None
         if step <= 0 or hi <= lo:
-            raise PhaseIntegralError("grid step must be > 0 and hi > lo")
+            raise InputError("grid step must be > 0 and hi > lo")
         n = int(np.floor((hi - lo) / step + 1e-9)) + 1
         return [lo + i * step for i in range(n)]
-    raise PhaseIntegralError("need --at or --range")
+    raise InputError("need --at or --range")
 
 
 def _branch_rank(prob, spec_name, x_ref):
@@ -128,22 +138,28 @@ def _branch_rank(prob, spec_name, x_ref):
         rank = int(np.argmin(absq)) if spec_name == "lower" \
             else int(np.argmax(absq))
         return rank
-    rank = int(spec_name)
+    try:
+        rank = int(spec_name)
+    except ValueError:
+        raise InputError(f"bad --branch {spec_name!r} (expected an index, "
+                         "lower or upper)") from None
     if rank < 0 or rank >= prob.n:
-        raise PhaseIntegralError(f"branch index {rank} out of range")
+        raise InputError(f"branch index {rank} out of range")
     return rank
 
 
 def _field(args, prob, x_ref):
-    rank = _branch_rank(prob, args.branch, x_ref) if prob.n > 1 else 0
+    rank = _branch_rank(prob, args.branch, x_ref)
     theory = _THEORY[args.theory]
     gauge_opt = args.gauge
     if gauge_opt is None:
         gauge_opt = "normalized" if theory != "non_hermitian" else "raw"
-    if gauge_opt.startswith("raw"):
-        g = parse_expr(gauge_opt[4:]) if gauge_opt.startswith("raw:") \
-            else parse_expr("1")
+    if gauge_opt == "raw" or gauge_opt.startswith("raw:"):
+        g = parse_expr(gauge_opt[4:] if gauge_opt != "raw" else "1")
         field = BranchField(prob, rank, "raw", g, anchor=args.anchor or x_ref)
+    elif gauge_opt not in ("normalized", "kato"):
+        raise InputError(f"bad --gauge {gauge_opt!r} "
+                         "(expected normalized, kato or raw[:g])")
     else:
         gauge = "kato" if (gauge_opt == "normalized"
                            and prob.hermitian_hint == "hermitian") else gauge_opt
@@ -158,12 +174,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.example:
-        data = ex.example_problem(args.example)
-    else:
-        with open(args.problem) as fh:
-            data = json.load(fh)
-    spec, lam, a = load_problem(data)
+    spec, lam, a = load_problem(_problem_data(args))
     reduced = reduce_first_derivative(spec)
     out = problem_to_dict(reduced, lam=lam, a=a)
     sys.stdout.write(json.dumps(out, indent=2) + "\n")
@@ -325,9 +336,20 @@ def cmd_verify(args) -> int:
                       required_slope=need)
         report["pass"] = bool((not res.measurable) or res.slope >= need)
     else:
-        raise PhaseIntegralError(f"unknown check {args.check!r}")
+        raise InputError(f"unknown check {args.check!r}")
     sys.stdout.write(json.dumps(report, indent=2, default=float) + "\n")
     return 0 if report["pass"] else _EXIT_VERIFY
+
+
+def _checked(kind, ok, what):
+    """argparse type: `kind` of the text, refused unless ok(value)."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: {what}")
+        return value
+    parse.__name__ = kind.__name__     # argparse names it in its errors
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -346,14 +368,16 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(wave also accepts 'both')")
         p.add_argument("--theory", default="simplified",
                        choices=sorted(_THEORY), help="theory variant")
-        p.add_argument("--order", type=int, default=0, help="m_max")
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
+        p.add_argument("--order", default=0, help="m_max",
+                       type=_checked(int, lambda v: v >= 0, "must be >= 0"))
+        p.add_argument("--lambda", dest="lam", default=None,
+                       type=_checked(float, lambda v: v > 0, "must be > 0"))
         p.add_argument("--gauge", default=None,
                        help="normalized | kato | raw[:g-expression]")
         p.add_argument("--anchor", type=float, default=None)
         if grid:
             p.add_argument("--range", help="grid lo:hi:step")
-            p.add_argument("--at", action="append",
+            p.add_argument("--at", action="append", type=float,
                            help="evaluation point (repeatable)")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", default="csv", choices=("csv", "json"))
@@ -399,27 +423,16 @@ def main(argv=None) -> int:
         try:
             return args.func(args)
         except (FileNotFoundError, json.JSONDecodeError, KeyError,
-                UnknownExample) as exc:
+                *_INPUT_ERRORS) as exc:
             sys.stderr.write(f"input error: {exc}\n")
             return _EXIT_INPUT
         except PhaseIntegralError as exc:
-            if _is_input_error(exc):
-                sys.stderr.write(f"input error: {exc}\n")
-                return _EXIT_INPUT
             sys.stderr.write(
                 f"evaluation error: {type(exc).__name__}: {exc}\n")
             return _EXIT_EVAL
     except Exception as exc:    # pragma: no cover - unexpected failure
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 1
-
-
-def _is_input_error(exc) -> bool:
-    from .errors import (ExpressionSyntaxError, UnboundParameter,
-                         UnknownFunction)
-    return isinstance(exc, (ExpressionSyntaxError, UnboundParameter,
-                            UnknownFunction)) or "need --" in str(exc) \
-        or "bad --" in str(exc)
 
 
 if __name__ == "__main__":

@@ -140,5 +140,9 @@ class ModelSingularity(PhaseIntegralError):
 
 # --- CLI --------------------------------------------------------------------
 
-class UnknownExample(PhaseIntegralError):
+class InputError(PhaseIntegralError):
+    """A command line argument or problem source is missing or malformed."""
+
+
+class UnknownExample(InputError):
     """Requested builtin example does not exist."""

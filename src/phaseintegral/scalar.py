@@ -1,4 +1,4 @@
-"""Scalar phase integral machinery.
+"""Scalar phase integral corrections, wave containers, singularity models.
 
 The corrections Y_2n multiply the base momentum Q = sqrt(Q**2) so that the
 truncated
@@ -14,30 +14,27 @@ phase variable zeta (d zeta = Q dx) are rewritten in x immediately:
     B''(zeta)         = [B''(x) - (Q^2)'(x) B'(x) / (2 Q^2)] / Q^2
 
 which keeps every quantity single valued (only Q**2 enters).
+
+The scalar wave itself is the N = 1 case of the coupled wave and is
+assembled by `vector.assemble_vector_wave`; the engine uses this
+recurrence for fully degenerate G = Q**2 I.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BranchPointEvaluation,
-    InsufficientJetOrder,
-    ModelSingularity,
-    TurningPoint,
-    TurningPointOnGrid,
-)
+from .errors import InsufficientJetOrder, ModelSingularity
 from .expressions import Expression, eval_expr_jet
-from .jets import Jet, jet_const, jet_exp, jet_pow, jet_sqrt
-from .quadrature import JetChainIntegral
+from .jets import Jet, jet_const
 
 __all__ = [
     "ScalarCorrections", "WaveSample", "Wave", "scalar_corrections",
-    "truncate_q", "assemble_scalar_wave", "model_epsilon00",
+    "model_epsilon00",
 ]
 
 
@@ -127,91 +124,6 @@ def scalar_corrections(eps0: Jet, Qsq: Jet, n_max: int) -> ScalarCorrections:
             low = low + term
         Y.append(0.5 * (pair - quad + low))
     return ScalarCorrections(eps0, Qsq, Y)
-
-
-def _q_upper(qsq: Jet) -> Jet:
-    """Q in the standard convention: +|Q| if Q^2 > 0, -i|Q| if Q^2 < 0."""
-    scale = 1.0 + float(np.max(np.abs(qsq.coeffs)))
-    if abs(qsq.value) < 1e-13 * scale:
-        raise TurningPoint(f"q**2 vanishes at x = {qsq.center}")
-    v = qsq.value
-    if abs(v.imag) <= 1e-12 * abs(v):
-        return jet_sqrt(qsq) if v.real > 0 else -1j * jet_sqrt(-qsq)
-    return jet_sqrt(qsq)
-
-
-def truncate_q(Qsq: Jet, corr: ScalarCorrections, lam: float,
-               n_trunc: int, sign: int = +1) -> Jet:
-    """q = sign * Q * sum_{n<=n_trunc} Y_2n lambda**(2n)."""
-    if n_trunc > corr.n_max:
-        raise InsufficientJetOrder(
-            f"requested truncation {n_trunc} beyond computed {corr.n_max}")
-    k = corr.Y[n_trunc].order if n_trunc else min(Qsq.order, corr.Y[0].order)
-    total = jet_const(0.0, Qsq.center, k)
-    for n in range(n_trunc + 1):
-        total = total + (lam ** (2 * n)) * corr.Y[n].truncated(k)
-    q = _q_upper(Qsq.truncated(k))
-    return float(sign) * (q * total)
-
-
-def assemble_scalar_wave(q_of: Callable[[float, int], Jet], sign: int,
-                         grid: Sequence[float], anchor: float,
-                         lam: float = 1.0, jet_order: int = 2) -> Wave:
-    """Phase integral wave u = q**(-1/2) exp(i/lambda int q dx).
-
-    `q_of(x, order)` must return the upper-sign q jet; `sign` selects the
-    u+ / u- member.  For real q**2 the two standard normal forms are used
-    (oscillatory when q**2 > 0, real growing/decaying when q**2 < 0), so
-    the exact invariants sigma = +-1/lambda and W = -2i/lambda (or -2/lambda)
-    hold.
-    """
-    grid = [float(x) for x in grid]
-    probe = q_of(grid[0], 0).value
-    qsq0 = probe * probe
-    real_case = abs(qsq0.imag) <= 1e-10 * abs(qsq0)
-    positive = real_case and (probe.real ** 2 - probe.imag ** 2) > 0
-
-    if real_case:
-        def qbar_jet(t):
-            try:
-                q = q_of(t, 4)
-            except (TurningPoint, BranchPointEvaluation) as exc:
-                raise TurningPointOnGrid(
-                    f"turning point reached near x = {t}") from exc
-            b = q if positive else 1j * q     # strip the -i of the lower case
-            v = b.value
-            if abs(v.imag) > 1e-8 * (1.0 + abs(v)) or v.real <= 0.0:
-                raise TurningPointOnGrid(
-                    f"q**2 changes character at x = {t}")
-            return b * (1.0 / lam)
-        cum = JetChainIntegral(qbar_jet, anchor)
-
-        def jets_at(x: float):
-            q = q_of(x, jet_order)
-            qbar = q if positive else 1j * q
-            phase = cum.value(x)
-            phi = (qbar * (1.0 / lam)).antiderivative(phase).truncated(qbar.order)
-            osc = jet_exp((1j if positive else 1.0) * sign * phi)
-            u = jet_pow(qbar, -0.5) * osc
-            ph = phase if positive else -1j * phase   # lambda^-1 int q_sign
-            return (u,), complex(sign) * ph
-    else:
-        cum = JetChainIntegral(lambda t: (float(sign) / lam) * q_of(t, 4),
-                               anchor)
-
-        def jets_at(x: float):
-            qs = float(sign) * q_of(x, jet_order)
-            phase = cum.value(x)
-            phi = (qs * (1.0 / lam)).antiderivative(phase).truncated(qs.order)
-            u = jet_pow(qs, -0.5) * jet_exp(1j * phi)
-            return (u,), phase
-
-    samples = []
-    for x in grid:
-        (u,), ph = jets_at(x)
-        samples.append(WaveSample(x, np.array([u.value]),
-                                  np.array([u.derivative(1)]), ph))
-    return Wave(samples, lambda x: jets_at(x)[0], lam, sign)
 
 
 def model_epsilon00(model: tuple, d: Expression | None, x0: float,

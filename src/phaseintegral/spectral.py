@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -115,6 +115,14 @@ def _schwartzian_jet(qsq: Jet) -> Jet:
     return (5.0 / 16.0) * (ratio * ratio) - (1.0 / 4.0) * (gpp / g)
 
 
+def _eps0(qsq: Jet, a_of: Callable[[], Jet], x0: float, order: int) -> Jet:
+    """Jet of (S_x[Q] + a) / Q**2; `qsq` has order >= order + 2."""
+    if _near_zero(qsq):
+        raise TurningPoint(f"Q**2 vanishes at x = {x0}")
+    s = _schwartzian_jet(qsq.truncated(order + 2))
+    return (s + a_of()) / qsq.truncated(order)
+
+
 def epsilon0(branch: EigenBranch, a: Expression, x0: float, order: int,
              params=None) -> Jet:
     """Jet of eps0 = (S_x[Q] + a) / Q**2 for a branch snapshot."""
@@ -122,11 +130,8 @@ def epsilon0(branch: EigenBranch, a: Expression, x0: float, order: int,
     if qsq.order < order + 2:
         raise InsufficientJetOrder(
             f"need Qsq jet of order {order + 2}, have {qsq.order}")
-    if _near_zero(qsq):
-        raise TurningPoint(f"Q**2 vanishes at x = {x0}")
-    s = _schwartzian_jet(qsq.truncated(order + 2))
-    a_jet = eval_expr_jet(a, x0, order, params or {})
-    return (s + a_jet) / qsq.truncated(order)
+    return _eps0(qsq, lambda: eval_expr_jet(a, x0, order, params or {}),
+                 x0, order)
 
 
 # --------------------------------------------------------------------------
@@ -271,12 +276,8 @@ class BranchField:
         return q if self.q_sign > 0 else -q
 
     def eps0_jet(self, x: float, order: int) -> Jet:
-        qsq = self.qsq_jet(x, order + 2)
-        if _near_zero(qsq):
-            raise TurningPoint(f"Q**2 vanishes at x = {x}")
-        s = _schwartzian_jet(qsq)
-        a_jet = self.prob.a_jet(x, order)
-        return (s + a_jet) / qsq.truncated(order)
+        return _eps0(self.qsq_jet(x, order + 2),
+                     lambda: self.prob.a_jet(x, order), x, order)
 
     # -- eigenvector --------------------------------------------------------
 
@@ -304,21 +305,16 @@ class BranchField:
         return unit
 
     def _s0_n2(self, x: float, order: int) -> tuple:
-        g = self._g_jet(x, order)
-        qsq = self.qsq_jet(x, order)
         if self.gauge == "raw":
-            return self._s0_raw(x, order, g, qsq)
-        v = self._candidate(x, g, qsq)
-        norm_sq = v[0].conj() * v[0] + v[1].conj() * v[1]
-        inv = 1.0 / jet_sqrt(norm_sq)
-        unit = (v[0] * inv, v[1] * inv)
-        phase = self._alignment(x, np.array([unit[0].value, unit[1].value]))
-        unit = (unit[0] * phase, unit[1] * phase)
+            return self._s0_raw(x, order)
+        unit = self._pre_kato_unit(x, order)
         if self.gauge == "kato" and self._theta1 is not None:
             unit = self._apply_kato_phase(x, unit)
         return unit
 
-    def _s0_raw(self, x: float, order: int, g, qsq: Jet) -> tuple:
+    def _s0_raw(self, x: float, order: int) -> tuple:
+        g = self._g_jet(x, order)
+        qsq = self.qsq_jet(x, order)
         g12, g21 = g[0][1], g[1][0]
         scale = 1.0 + max(abs(g12.value), abs(g21.value))
         gg = eval_expr_jet(self.gauge_g, x, order, self.prob.params)

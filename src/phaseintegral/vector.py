@@ -123,12 +123,16 @@ def _dot(a, b, k: int) -> Jet:
     return acc
 
 
-def _imag(j: Jet) -> Jet:
-    return (j - j.conj()) * complex(0.0, -0.5)
+def _aligned_basis(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(sub) continuing `ref`.
 
-
-def _real(j: Jet) -> Jet:
-    return (j + j.conj()) * 0.5
+    QR of the projection of `ref` onto the subspace, with column signs
+    fixed so that diag(R) >= 0.
+    """
+    q, r = np.linalg.qr(sub @ (sub.T @ ref))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
 
 
 def _compositions(total: int, parts: int):
@@ -590,14 +594,14 @@ class CorrectionEngine:
             for a in range(1, nn):
                 sap = tuple(c.diff().truncated(k) for c in s[a])
                 inner = inner - (sgn ** a) * _dot(_vtrunc(s[m - a], k), sap, k)
-            return 2.0j * _imag(inner)
+            return 2.0j * inner.imag()
         nn = (m - 1) // 2
         for a in range(1, nn + 1):
             sap = tuple(c.diff().truncated(k) for c in s[a])
             inner = inner + (sgn ** a) * _dot(sap, _vtrunc(s[m - a], k), k)
         if self.variant == "fulling_current":
-            return 2.0j * _imag(inner)
-        return 2.0 * _real(inner)
+            return 2.0j * inner.imag()
+        return 2.0 * inner.real()
 
     def _cpar_boundary(self, pt: dict, m: int, k: int) -> Jet:
         sgn = self.sgn
@@ -634,13 +638,7 @@ class CorrectionEngine:
 
     def _deg_vectors(self, x: float, d: int) -> np.ndarray:
         """Continued orthonormal eigenspace basis (values only)."""
-        sub = self._deg_subspace(x, d)
-        ref = self._deg_ref(x, d)
-        proj = sub @ (sub.T @ ref)
-        q, r = np.linalg.qr(proj)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        return q * signs
+        return _aligned_basis(self._deg_subspace(x, d), self._deg_ref(x, d))
 
     def _deg_ref(self, x: float, d: int) -> np.ndarray:
         step = self._DEG_STEP
@@ -652,13 +650,8 @@ class CorrectionEngine:
                     if j == 0 or (j > 0) == (sgn > 0)), default=0)
         for j in range(have + 1, k + 1):
             t = self.anchor + sgn * j * step
-            sub = self._deg_subspace(t, d)
-            ref = self._deg_cache[int((j - 1) * sgn)]
-            proj = sub @ (sub.T @ ref)
-            q, r = np.linalg.qr(proj)
-            signs = np.sign(np.diag(r))
-            signs[signs == 0] = 1.0
-            self._deg_cache[int(j * sgn)] = q * signs
+            self._deg_cache[int(j * sgn)] = _aligned_basis(
+                self._deg_subspace(t, d), self._deg_cache[int((j - 1) * sgn)])
         return self._deg_cache[int(k * sgn)]
 
     def _deg_basis_jets(self, x: float, order: int, d: int) -> tuple:
@@ -666,17 +659,11 @@ class CorrectionEngine:
         ref = self._deg_vectors(x, d)
         n = self.prob.n
 
-        def basis_at(t):
-            sub = self._deg_subspace(t, d)
-            proj = sub @ (sub.T @ ref)
-            q, r = np.linalg.qr(proj)
-            signs = np.sign(np.diag(r))
-            signs[signs == 0] = 1.0
-            return q * signs
-
         pts = 2 * order + 1
         offs = np.arange(pts) - order
-        samples = np.array([basis_at(x + j * h) for j in offs])
+        samples = np.array([
+            _aligned_basis(self._deg_subspace(x + j * h, d), ref)
+            for j in offs])
         v = np.vander(offs.astype(float), pts, increasing=True)
         coef = np.linalg.solve(v, samples.reshape(pts, -1))
         scale = h ** np.arange(pts)

@@ -17,11 +17,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_bvp
 
 from phaseintegral.expressions import diff_expr, eval_expr, eval_expr_jet, parse_expr
-from phaseintegral.jets import Jet
 from phaseintegral.problem import ProblemSpec, split_R
-from phaseintegral.scalar import (
-    assemble_scalar_wave, scalar_corrections, truncate_q,
-)
+from phaseintegral.scalar import scalar_corrections
 from phaseintegral.spectral import BranchField
 from phaseintegral.vector import CorrectionEngine, assemble_vector_wave
 from phaseintegral import verify as V
@@ -248,7 +245,7 @@ def test_criterion_05_scalar_recurrence():
 # 6. conservation suites
 # ---------------------------------------------------------------------------
 
-def test_criterion_06_conservation(fex1, fex3):
+def test_criterion_06_conservation(fex1, fex3, n1_engine):
     lams = [0.2, 0.1, 0.05]
     grid = np.linspace(3.0, 8.0, 11)
     ok = True
@@ -271,16 +268,11 @@ def test_criterion_06_conservation(fex1, fex3):
     slope = float(np.polyfit(np.log(lams), np.log(drifts), 1)[0])
     ok &= 3.3 <= slope <= 4.7
     print(f"    W drift slope (wronskian, order 3): {slope:.3f}")
-    # scalar invariants, exact
-
-    def q_of(x, order):
-        coeffs = np.zeros(order + 1, dtype=complex)
-        coeffs[0] = 1.0
-        return Jet(x, coeffs)
-
+    # scalar invariants, exact: R = 1 as the N = 1 vector wave
+    seng = n1_engine("1", 0.0)
     sgrid = np.linspace(0.0, 3.0, 7)
-    wp = assemble_scalar_wave(q_of, +1, sgrid, 0.0, 1.0)
-    wm = assemble_scalar_wave(q_of, -1, sgrid, 0.0, 1.0)
+    wp = assemble_vector_wave(seng, +1, sgrid, 0.0, 1.0)
+    wm = assemble_vector_wave(seng, -1, sgrid, 0.0, 1.0)
     ok &= bool(np.max(np.abs(V.current_sigma(wp).values() - 1.0)) <= 1e-12)
     ok &= bool(np.max(np.abs(V.current_sigma(wm).values() + 1.0)) <= 1e-12)
     ok &= bool(np.max(np.abs(V.wronskian(wp, wm, "symmetric").values()
@@ -293,19 +285,15 @@ def test_criterion_06_conservation(fex1, fex3):
 # 7. residual order scaling
 # ---------------------------------------------------------------------------
 
-def test_criterion_07_residual_scaling(scalar_quadratic, fex1):
+def test_criterion_07_residual_scaling(scalar_quadratic, fex1, n1_engine):
     lams = [0.2, 0.1, 0.05]
     ok = True
-    fld = BranchField(scalar_quadratic, 0, "normalized", None, anchor=1.0)
     for n_max, order in ((0, 1), (1, 3), (2, 5)):
+        # scalar truncation n_max is the N = 1 engine at m_max = 2 n_max
+        eng = n1_engine("x^2 + 1", 1.0, 2 * n_max)
         res = []
         for lam in lams:
-            def q_of(x, k, n=n_max, lv=lam):
-                qsq = fld.qsq_jet(x, k + 2 * n + 2)
-                eps0 = fld.eps0_jet(x, k + 2 * n)
-                sc = scalar_corrections(eps0, qsq, n)
-                return truncate_q(qsq, sc, lv, n, +1).truncated(k)
-            w = assemble_scalar_wave(q_of, +1, [0.5, 1.0, 1.5], 1.0, lam)
+            w = assemble_vector_wave(eng, +1, [0.5, 1.0, 1.5], 1.0, lam)
             res.append(V.relative_residual(
                 w, lambda x, lv=lam: scalar_quadratic.R_value(x, lv),
                 [0.7, 1.3]))

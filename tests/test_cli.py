@@ -289,3 +289,31 @@ class TestGaugeFlag:
         rows = json.loads(out)
         assert rows[0]["x"] == 3.0
         assert_allclose(rows[0]["re_Qsq"], 1.0, atol=1e-12)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ("wave", "--example", "fulling-pos", "--range", "5:3:0.5"),
+        ("wave", "--example", "fulling-pos", "--range", "3:5:0.5",
+         "--branch", "7"),
+        ("wave", "--example", "fulling-pos", "--range", "3:5:0.5",
+         "--branch", "foo"),
+        ("reduce",),
+        ("corrections", "--example", "fulling-pos", "--at", "3",
+         "--gauge", "foo"),
+        ("corrections", "--example", "fulling-pos", "--at", "3",
+         "--gauge", "rawg"),
+        ("corrections", "--example", "fulling-pos", "--at", "3",
+         "--param", "k=x"),
+        ("wave", "--example", "scalar-quadratic", "--at", "1",
+         "--branch", "1"),
+        ("wave", "--example", "fulling-pos", "--at", "3", "--order", "-1"),
+        ("wave", "--example", "fulling-pos", "--at", "3", "--lambda", "0"),
+    ], ids=["range-reversed", "branch-out-of-range", "branch-not-a-rank",
+            "reduce-without-problem", "unknown-gauge", "raw-gauge-misspelt",
+            "param-not-a-number", "scalar-branch-out-of-range",
+            "order-negative", "lambda-zero"])
+    def test_bad_argument_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and "error: " in err

@@ -8,11 +8,9 @@ from phaseintegral.errors import (
     InsufficientJetOrder, ModelSingularity, TurningPoint,
 )
 from phaseintegral.expressions import diff_expr, eval_expr, parse_expr
-from phaseintegral.jets import Jet, jet_const, jet_variable
-from phaseintegral.scalar import (
-    assemble_scalar_wave, model_epsilon00, scalar_corrections, truncate_q,
-)
-from phaseintegral.spectral import BranchField
+from phaseintegral.jets import jet_const, jet_variable
+from phaseintegral.scalar import model_epsilon00, scalar_corrections
+from phaseintegral.vector import assemble_vector_wave
 from phaseintegral import verify as V
 
 
@@ -91,58 +89,38 @@ class TestRecurrence:
 
 
 class TestTruncatedQ:
-    def test_order_zero_is_q(self):
-        qsq = 2.0 + jet_variable(1.0, 6)
-        sc = scalar_corrections(jet_const(0.3, 1.0, 6), qsq, 0)
-        q = truncate_q(qsq, sc, 1.0, 0, +1)
-        assert_allclose((q * q).coeffs, qsq.truncated(q.order).coeffs,
-                        rtol=1e-12, atol=1e-13)
-
-    def test_first_correction_linear_qsq(self, scalar_quadratic):
-        # Q^2 = x: q = sqrt(x) (1 + 5/(32 x^3)) at first order, lambda = 1
+    def test_first_correction_linear_qsq(self, n1_engine):
+        # Q^2 = x: Y_2 = eps0/2 = 5/(32 x^3), so q = sqrt(x) (1 + 5/(32 x^3))
+        # at first order, lambda = 1
         x0 = 2.0
-        qsq = jet_variable(x0, 8)
-        eps = eval = None
-        from phaseintegral.expressions import eval_expr_jet
-        eps = eval_expr_jet(parse_expr("5/(16*x^3)"), x0, 6)
-        sc = scalar_corrections(eps, qsq, 1)
-        q = truncate_q(qsq, sc, 1.0, 1, +1)
+        corr = n1_engine("x", x0, 2).at(x0)
+        assert_allclose(corr.Y[2].value, 5.0 / (32.0 * x0**3), rtol=1e-12)
         want = math.sqrt(x0) * (1 + 5.0 / (32.0 * x0**3))
-        assert_allclose(q.value, want, rtol=1e-12)
+        assert_allclose(corr.Q.value * (1 + corr.Y[2].value), want,
+                        rtol=1e-12)
 
-    def test_lambda_zero_limit(self):
-        qsq = 2.0 + jet_variable(1.0, 8)
-        eps = jet_const(0.4, 1.0, 6)
-        sc = scalar_corrections(eps, qsq, 2)
-        q = truncate_q(qsq, sc, 0.0, 2, +1)
-        q0 = truncate_q(qsq, sc, 0.0, 0, +1)
-        assert_allclose(q.coeffs, q0.coeffs[: q.order + 1], rtol=1e-13)
-
-    def test_turning_point(self):
-        qsq = jet_variable(0.0, 6)
-        sc = scalar_corrections(jet_const(0.0, 0.0, 4), qsq.truncated(4), 0)
+    def test_turning_point(self, n1_engine):
+        # Q^2 = x vanishes at x = 0: the scalar q there is refused
+        eng = n1_engine("x", 0.5)
         with pytest.raises(TurningPoint):
-            truncate_q(qsq, sc, 1.0, 0, +1)
+            eng.at(0.0)
+        with pytest.raises(TurningPoint):
+            eng.field.q_jet(0.0, 6)
 
 
 class TestScalarWave:
-    @staticmethod
-    def q_const(value):
-        def q_of(x, order):
-            c = np.zeros(order + 1, dtype=complex)
-            c[0] = value
-            return Jet(x, c)
-        return q_of
+    # the scalar wave is the N = 1 vector wave; truncation n is m_max = 2n
 
-    def test_constant_unit_modulus(self):
+    def test_constant_unit_modulus(self, n1_engine):
         grid = np.linspace(0.0, 3.0, 7)
-        w = assemble_scalar_wave(self.q_const(1.0), +1, grid, 0.0, 1.0)
+        w = assemble_vector_wave(n1_engine("1", 0.0), +1, grid, 0.0, 1.0)
         assert_allclose([abs(s.u[0]) for s in w.samples], 1.0, atol=1e-14)
 
-    def test_exact_current_and_wronskian_positive(self):
+    def test_exact_current_and_wronskian_positive(self, n1_engine):
         grid = np.linspace(0.0, 3.0, 9)
-        wp = assemble_scalar_wave(self.q_const(1.0), +1, grid, 0.0, 1.0)
-        wm = assemble_scalar_wave(self.q_const(1.0), -1, grid, 0.0, 1.0)
+        eng = n1_engine("1", 0.0)
+        wp = assemble_vector_wave(eng, +1, grid, 0.0, 1.0)
+        wm = assemble_vector_wave(eng, -1, grid, 0.0, 1.0)
         sig_p = V.current_sigma(wp).values()
         sig_m = V.current_sigma(wm).values()
         assert_allclose(sig_p, 1.0, atol=1e-12)
@@ -150,52 +128,41 @@ class TestScalarWave:
         W = V.wronskian(wp, wm, "symmetric").values()
         assert_allclose(W, -2.0j, atol=1e-12)
 
-    def test_negative_qsq_real_waves(self):
+    def test_negative_qsq_real_waves(self, n1_engine):
         grid = np.linspace(0.0, 2.0, 6)
-        wp = assemble_scalar_wave(self.q_const(-1.0j), +1, grid, 0.0, 1.0)
-        wm = assemble_scalar_wave(self.q_const(-1.0j), -1, grid, 0.0, 1.0)
+        eng = n1_engine("-1", 0.0)
+        wp = assemble_vector_wave(eng, +1, grid, 0.0, 1.0)
+        wm = assemble_vector_wave(eng, -1, grid, 0.0, 1.0)
         for s in list(wp.samples) + list(wm.samples):
             assert abs(s.u[0].imag) < 1e-14
         W = V.wronskian(wp, wm, "symmetric").values()
         assert_allclose(W, -2.0, atol=1e-12)
         assert_allclose(V.current_sigma(wp).values(), 0.0, atol=1e-14)
 
-    def test_nonconstant_exact_invariants(self, scalar_quadratic):
+    def test_nonconstant_exact_invariants(self, n1_engine):
         # invariants hold exactly for any truncated q, not just exact ones
-        fld = BranchField(scalar_quadratic, 0, "normalized", None, anchor=1.0)
-
-        def q_of(x, order):
-            qsq = fld.qsq_jet(x, order + 4)
-            eps0 = fld.eps0_jet(x, order + 2)
-            sc = scalar_corrections(eps0, qsq, 1)
-            return truncate_q(qsq, sc, 1.0, 1, +1).truncated(order)
-
+        eng = n1_engine("x^2 + 1", 1.0, 2)
         grid = np.linspace(0.5, 1.5, 6)
-        wp = assemble_scalar_wave(q_of, +1, grid, 1.0, 1.0)
-        wm = assemble_scalar_wave(q_of, -1, grid, 1.0, 1.0)
+        wp = assemble_vector_wave(eng, +1, grid, 1.0, 1.0)
+        wm = assemble_vector_wave(eng, -1, grid, 1.0, 1.0)
         assert_allclose(V.current_sigma(wp).values(), 1.0, atol=1e-11)
         assert_allclose(V.wronskian(wp, wm, "symmetric").values(), -2.0j,
                         atol=1e-11)
 
-    def test_constant_R_residual_machine_floor(self, scalar_quadratic):
+    def test_constant_R_residual_machine_floor(self, n1_engine):
         grid = np.linspace(0.0, 2.0, 5)
-        w = assemble_scalar_wave(self.q_const(1.0), +1, grid, 0.0, 1.0)
+        w = assemble_vector_wave(n1_engine("1", 0.0), +1, grid, 0.0, 1.0)
         rows = V.residual(w, lambda x: np.array([[1.0]]))
         assert max(r / s for _, r, s in rows) < 1e-12
 
-    def test_residual_order_scaling(self, scalar_quadratic):
+    def test_residual_order_scaling(self, scalar_quadratic, n1_engine):
         # R = lambda^-2 (x^2 + 1): order 2N+1 residual scales as lambda^(2N+2)
-        fld = BranchField(scalar_quadratic, 0, "normalized", None, anchor=1.0)
         lams = [0.2, 0.1, 0.05]
         for n_max, slope_want in ((0, 2.0), (1, 4.0)):
+            eng = n1_engine("x^2 + 1", 1.0, 2 * n_max)
             res = []
             for lam in lams:
-                def q_of(x, order, n=n_max, lv=lam):
-                    qsq = fld.qsq_jet(x, order + 2 * n + 2)
-                    eps0 = fld.eps0_jet(x, order + 2 * n)
-                    sc = scalar_corrections(eps0, qsq, n)
-                    return truncate_q(qsq, sc, lv, n, +1).truncated(order)
-                w = assemble_scalar_wave(q_of, +1, [0.5, 1.0, 1.5], 1.0, lam)
+                w = assemble_vector_wave(eng, +1, [0.5, 1.0, 1.5], 1.0, lam)
                 res.append(V.relative_residual(
                     w, lambda x, lv=lam: scalar_quadratic.R_value(x, lv),
                     [0.7, 1.3]))
@@ -249,17 +216,10 @@ class TestSingularityModels:
 
 
 class TestWaveErrorPaths:
-    def test_turning_point_on_grid(self):
+    def test_turning_point_on_grid(self, n1_engine):
         # q^2 = x changes sign across the grid
         from phaseintegral.errors import TurningPointOnGrid
-        from phaseintegral.jets import jet_sqrt, jet_variable
 
-        def q_of(x, order):
-            xj = jet_variable(x, order + 1).truncated(order)
-            v = xj.value
-            if v.real > 0:
-                return jet_sqrt(xj)
-            return -1j * jet_sqrt(-1.0 * xj)
-
+        eng = n1_engine("x", -1.0)
         with pytest.raises(TurningPointOnGrid):
-            assemble_scalar_wave(q_of, +1, [-1.0, -0.5, 0.5, 1.0], -1.0, 1.0)
+            assemble_vector_wave(eng, +1, [-1.0, -0.5, 0.5, 1.0], -1.0, 1.0)

@@ -1,0 +1,35 @@
+"""The benchmark tracer must find every library entry point it wraps.
+
+`perfbench/tracer.py` wraps the library's public functions and methods by
+name, and a traced benchmark run (`--trace 1`) stops with LookupError when
+one of them is gone.  Installing the tracer here makes such a removal fail
+the test suite as well.  The tracer module is only read, never changed.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import phaseintegral
+import phaseintegral.cli  # noqa: F401  (the tracer wraps imported modules)
+import phaseintegral.verify  # noqa: F401
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_installs_and_uninstalls():
+    original = phaseintegral.vector.assemble_vector_wave
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        assert phaseintegral.vector.assemble_vector_wave is not original
+    finally:
+        tracer.uninstall()
+    assert phaseintegral.vector.assemble_vector_wave is original
+    assert not hasattr(phaseintegral.jets.Jet.__add__, "__wrapped__")

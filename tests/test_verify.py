@@ -6,44 +6,36 @@ from numpy.testing import assert_allclose
 
 from phaseintegral.errors import GridMismatch
 from phaseintegral.expressions import parse_expr
-from phaseintegral.jets import Jet
 from phaseintegral.problem import ProblemSpec, split_R
-from phaseintegral.scalar import Wave, WaveSample, assemble_scalar_wave
+from phaseintegral.scalar import Wave, WaveSample
 from phaseintegral.spectral import BranchField
 from phaseintegral.vector import CorrectionEngine, assemble_vector_wave
 from phaseintegral import verify as V
 
 
-def q_const(value):
-    def q_of(x, order):
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = value
-        return Jet(x, c)
-    return q_of
-
-
 class TestCurrentAndWronskian:
-    def test_scalar_exact_current(self):
+    def test_scalar_exact_current(self, n1_engine):
         grid = np.linspace(0.0, 2.0, 6)
-        wp = assemble_scalar_wave(q_const(1.0), +1, grid, 0.0, 1.0)
+        wp = assemble_vector_wave(n1_engine("1", 0.0), +1, grid, 0.0, 1.0)
         rep = V.current_sigma(wp)
         assert_allclose(rep.values(), 1.0, atol=1e-12)
         assert rep.drift <= 1e-12
 
-    def test_real_wave_zero_current(self):
+    def test_real_wave_zero_current(self, n1_engine):
         grid = np.linspace(0.0, 2.0, 6)
-        w = assemble_scalar_wave(q_const(-1.0j), +1, grid, 0.0, 1.0)
+        w = assemble_vector_wave(n1_engine("-1", 0.0), +1, grid, 0.0, 1.0)
         assert np.max(np.abs(V.current_sigma(w).values())) < 1e-14
 
-    def test_wronskian_antisymmetry(self):
+    def test_wronskian_antisymmetry(self, n1_engine):
         grid = np.linspace(0.0, 2.0, 6)
-        w = assemble_scalar_wave(q_const(1.0), +1, grid, 0.0, 1.0)
+        w = assemble_vector_wave(n1_engine("1", 0.0), +1, grid, 0.0, 1.0)
         rep = V.wronskian(w, w, "generalized")
         assert np.max(np.abs(rep.values())) < 1e-14
 
-    def test_grid_mismatch(self):
-        w1 = assemble_scalar_wave(q_const(1.0), +1, [0.0, 1.0], 0.0, 1.0)
-        w2 = assemble_scalar_wave(q_const(1.0), -1, [0.0, 1.5], 0.0, 1.0)
+    def test_grid_mismatch(self, n1_engine):
+        eng = n1_engine("1", 0.0)
+        w1 = assemble_vector_wave(eng, +1, [0.0, 1.0], 0.0, 1.0)
+        w2 = assemble_vector_wave(eng, -1, [0.0, 1.5], 0.0, 1.0)
         with pytest.raises(GridMismatch):
             V.wronskian(w1, w2)
 
@@ -133,21 +125,14 @@ class TestReferenceIntegrate:
 
 
 class TestOrderScaling:
-    def test_scalar_quadratic_slopes(self, scalar_quadratic):
-        from phaseintegral.scalar import scalar_corrections, truncate_q
-        fld = BranchField(scalar_quadratic, 0, "normalized", None, anchor=1.0)
+    def test_scalar_quadratic_slopes(self, scalar_quadratic, n1_engine):
+        # scalar truncation n = 1 is the N = 1 engine at m_max = 2
+        eng = n1_engine("x^2 + 1", 1.0, 2)
 
-        def make(n_max):
-            def mw(lam):
-                def q_of(x, order, n=n_max, lv=lam):
-                    qsq = fld.qsq_jet(x, order + 2 * n + 2)
-                    eps0 = fld.eps0_jet(x, order + 2 * n)
-                    sc = scalar_corrections(eps0, qsq, n)
-                    return truncate_q(qsq, sc, lv, n, +1).truncated(order)
-                return assemble_scalar_wave(q_of, +1, [0.5, 1.0, 1.5], 1.0, lam)
-            return mw
+        def make_wave(lam):
+            return assemble_vector_wave(eng, +1, [0.5, 1.0, 1.5], 1.0, lam)
 
-        res = V.order_scaling(make(1),
+        res = V.order_scaling(make_wave,
                               lambda lam: (lambda x: scalar_quadratic
                                            .R_value(x, lam)),
                               [0.2, 0.1, 0.05], [0.7, 1.3])
