@@ -17,10 +17,17 @@ only).
 
 The AST doubles as the independent differentiation oracle for the jet
 kernel: `diff` applies the textbook rules with constant folding only.
+
+Values and jets are evaluated apart.  `eval_expr` lowers each AST once, on
+first use, into nested closures over `cmath` and runs those; `eval_expr_jet`
+walks the tree through `Jet` arithmetic, and at order 0 it is the oracle the
+closures reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -33,7 +40,7 @@ from .errors import (
     UnboundParameter,
     UnknownFunction,
 )
-from .jets import Jet, jet_const, jet_variable
+from .jets import LEAD_RTOL, Jet, jet_const, jet_variable
 
 __all__ = [
     "Expression", "Const", "Var", "Param", "Neg", "Add", "Sub", "Mul", "Div",
@@ -46,6 +53,15 @@ FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos")
 
 class Expression:
     """Immutable AST node."""
+
+    # Value closure built by `eval_expr` on first use: a cache, kept out of
+    # pickled state and out of equality and hashing.
+    _value_fn = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_value_fn", None)
+        return state
 
     def depends_on_x(self) -> bool:
         raise NotImplementedError
@@ -460,6 +476,9 @@ def diff_expr(e: Expression) -> Expression:
 # jet evaluation
 # --------------------------------------------------------------------------
 
+_COMPLEX_EXPONENT = "complex exponents are not supported"
+
+
 def eval_expr_jet(e: Expression, x0: float, order: int,
                   params: Mapping[str, complex] | None = None) -> Jet:
     """Jet of the expression at x0; raises EvaluationSingularity at poles."""
@@ -469,11 +488,6 @@ def eval_expr_jet(e: Expression, x0: float, order: int,
     except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
         raise EvaluationSingularity(
             f"expression singular at x = {x0}: {exc}") from exc
-
-
-def eval_expr(e: Expression, x0: float,
-              params: Mapping[str, complex] | None = None) -> complex:
-    return eval_expr_jet(e, x0, 0, params).value
 
 
 def _eval(e: Expression, x0: float, order: int, params) -> Jet:
@@ -502,7 +516,7 @@ def _eval(e: Expression, x0: float, order: int, params) -> Jet:
                                 * jets.jet_ln(_eval(e.left, x0, order, params)))
         expo = _eval(e.right, x0, 0, params).value
         if expo.imag != 0.0:
-            raise EvaluationSingularity("complex exponents are not supported")
+            raise EvaluationSingularity(_COMPLEX_EXPONENT)
         return jets.jet_pow(_eval(e.left, x0, order, params), expo.real)
     if isinstance(e, Func):
         arg = _eval(e.arg, x0, order, params)
@@ -514,3 +528,185 @@ def _eval(e: Expression, x0: float, order: int, params) -> Jet:
             "cos": jets.jet_cos,
         }[e.name](arg)
     raise TypeError(f"cannot evaluate {e!r}")
+
+
+# --------------------------------------------------------------------------
+# value evaluation: each AST lowered once into nested closures
+# --------------------------------------------------------------------------
+#
+# A closure f(x, p) returns the value at the complex point x with parameters
+# p.  It reproduces the order-0 jet of `_eval` exactly: products are formed
+# as numpy's one-term convolution forms them (0 + a*b, which turns a -0.0
+# into +0.0), quotients by numpy's scaled complex division, and the lead
+# tolerance, branch-point and exponent checks are those of `jets`, in the
+# same evaluation order.  A subtree free of x and of parameters is folded to
+# its value when that evaluates without error.
+
+_NO_PARAMS: dict = {}
+
+
+def eval_expr(e: Expression, x0: float,
+              params: Mapping[str, complex] | None = None) -> complex:
+    """Value of the expression at x0; raises EvaluationSingularity at poles.
+
+    Equal to `eval_expr_jet(e, x0, 0, params).value`, computed by the value
+    closure compiled from `e` on first use.
+    """
+    fn = e._value_fn
+    if fn is None:
+        fn = _lower(e)[0]
+        object.__setattr__(e, "_value_fn", fn)
+    try:
+        return fn(complex(float(x0)), params or _NO_PARAMS)
+    except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
+        raise EvaluationSingularity(
+            f"expression singular at x = {x0}: {exc}") from exc
+
+
+def _near_zero(v: complex) -> bool:
+    # The jets' lead tolerance for a one-coefficient jet.
+    try:
+        m = abs(v)
+    except OverflowError:          # |v| beyond the float range: numpy's inf
+        return False
+    return m < LEAD_RTOL * (1.0 + m)
+
+
+def _div(a: complex, b: complex) -> complex:
+    if _near_zero(b):
+        raise DivisionByZeroLeadCoefficient(
+            f"divisor jet value {b} below lead tolerance")
+    br, bi = b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((a.real + a.imag * rat) * scl,
+                       (a.imag - a.real * rat) * scl)
+    if bi == 0.0:                  # br is nan
+        return complex(cmath.nan, cmath.nan)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((a.real * rat + a.imag) * scl,
+                   (a.imag * rat - a.real) * scl)
+
+
+def _off_branch(v: complex, what: str) -> complex:
+    if _near_zero(v):
+        raise BranchPointEvaluation(f"{what} of a jet with (near) zero value")
+    return v
+
+
+def _ipow(b: complex, n: int) -> complex:
+    # Squaring in the multiplication order of jets._compose_pow.
+    out = 1 + 0j
+    while n:
+        if n & 1:
+            out = 0j + out * b
+        if n > 1:
+            b = 0j + b * b
+        n >>= 1
+    return out
+
+
+def _pow_real(b: complex, alpha: float) -> complex:
+    if alpha == int(alpha) and alpha >= 0:
+        return _ipow(b, int(alpha))
+    return _off_branch(b, "pow") ** alpha
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Div: _div}
+
+_UNARY = {
+    "exp": cmath.exp,
+    "ln": lambda v: cmath.log(_off_branch(v, "ln")),
+    "sqrt": lambda v: cmath.sqrt(_off_branch(v, "sqrt")),
+    "sin": cmath.sin,
+    "cos": cmath.cos,
+}
+
+
+def _lower(e: Expression):
+    """(closure, folded value or None) for the subtree `e`."""
+    if isinstance(e, Const):
+        v = complex(e.value)
+        return (lambda x, p: v), v
+    if isinstance(e, Var):
+        return (lambda x, p: x), None
+    if isinstance(e, Param):
+        name = e.name
+
+        def param(x, p):
+            try:
+                return complex(p[name])
+            except KeyError:
+                raise UnboundParameter(
+                    f"parameter {name!r} not bound") from None
+        return param, None
+    if isinstance(e, Neg):
+        f, c = _lower(e.arg)
+        return _fold((lambda x, p: -f(x, p)), c is not None)
+    if isinstance(e, Func):
+        f, c = _lower(e.arg)
+        op = _UNARY[e.name]
+        return _fold((lambda x, p: op(f(x, p))), c is not None)
+    if isinstance(e, Pow):
+        return _lower_pow(e)
+    if not isinstance(e, (Mul, *_BINARY)):
+        raise TypeError(f"cannot evaluate {e!r}")
+    fl, cl = _lower(e.left)
+    fr, cr = _lower(e.right)
+    if isinstance(e, Mul):                # the commonest node: product inlined
+        if cl is not None:
+            fn = lambda x, p: 0j + cl * fr(x, p)
+        elif cr is not None:
+            fn = lambda x, p: 0j + fl(x, p) * cr
+        else:
+            fn = lambda x, p: 0j + fl(x, p) * fr(x, p)
+    else:
+        op = _BINARY[type(e)]
+        if cl is not None:
+            fn = lambda x, p: op(cl, fr(x, p))
+        elif cr is not None:
+            fn = lambda x, p: op(fl(x, p), cr)
+        else:
+            fn = lambda x, p: op(fl(x, p), fr(x, p))
+    return _fold(fn, cl is not None and cr is not None)
+
+
+def _lower_pow(e: Pow):
+    fb, cb = _lower(e.left)
+    fg, cg = _lower(e.right)
+    if e.right.depends_on_x():
+        def fn(x, p):                    # b^g = exp(g ln b)
+            g = fg(x, p)
+            return cmath.exp(0j + g * cmath.log(_off_branch(fb(x, p), "ln")))
+        return fn, None
+    if cg is None:
+        def fn(x, p):
+            g = fg(x, p)
+            if g.imag != 0.0:
+                raise EvaluationSingularity(_COMPLEX_EXPONENT)
+            return _pow_real(fb(x, p), g.real)
+        return fn, None
+    if cg.imag != 0.0:
+        def fn(x, p):
+            raise EvaluationSingularity(_COMPLEX_EXPONENT)
+        return fn, None
+    alpha = cg.real
+    if alpha == 2.0:                     # _ipow(b, 2) unrolled
+        def fn(x, p):
+            b = fb(x, p)
+            return 0j + (1 + 0j) * (0j + b * b)
+    else:
+        fn = lambda x, p: _pow_real(fb(x, p), alpha)
+    return _fold(fn, cb is not None)
+
+
+def _fold(fn, constant: bool):
+    if constant:
+        try:
+            v = fn(0j, _NO_PARAMS)
+        except Exception:                # raises again at evaluation time
+            return fn, None
+        return (lambda x, p: v), v
+    return fn, None

@@ -34,10 +34,15 @@ __all__ = [
 ]
 
 
+# Structural-zero threshold: a divisor or a branch-point argument whose lead
+# coefficient is below LEAD_RTOL * (1 + max |coefficient|) counts as zero;
+# scaled so underflow is not mistaken for a zero.
+LEAD_RTOL = 1e-13
+
+
 def _lead_tol(coeffs) -> float:
-    # Structural-zero threshold: scaled so underflow is not mistaken for a zero.
     big = float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0
-    return 1e-13 * (1.0 + big)
+    return LEAD_RTOL * (1.0 + big)
 
 
 class Jet:

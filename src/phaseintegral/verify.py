@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import GridMismatch, StepSizeUnderflow
 from .problem import ReducedProblem
@@ -122,6 +121,10 @@ def reference_integrate(R_eval: Callable[[float], np.ndarray], x_start: float,
     result is no reference for a decaying slow wave there; pose that case
     as a boundary-value problem instead.
     """
+    # Imported here: no pia command integrates, and at module level this
+    # import would dominate the start-up of every one of them.
+    from scipy.integrate import solve_ivp
+
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol outside [1e-12, 1e-4]")
     u0 = np.asarray(u0, dtype=complex)

@@ -3,11 +3,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import phaseintegral
 from phaseintegral.cli import main
 
 
@@ -317,3 +321,15 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == "" and "error: " in err
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # Only verify.reference_integrate needs scipy.integrate; no pia command
+    # should pay for importing it.
+    src = str(Path(phaseintegral.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import phaseintegral.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,16 +1,23 @@
+import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phaseintegral.errors import (
     EvaluationSingularity, ExpressionSyntaxError, UnboundParameter,
     UnknownFunction,
 )
+from phaseintegral.examples import EXAMPLES, example_problem
 from phaseintegral.expressions import (
-    Const, diff_expr, eval_expr, eval_expr_jet, parse_expr, to_string,
+    FUNCTIONS, Add, Const, Div, Func, Mul, Neg, Param, Pow, Sub, Var,
+    diff_expr, eval_expr, eval_expr_jet, parse_expr, to_string,
 )
+from phaseintegral.problem import load_problem, split_R
 
 
 class TestParsing:
@@ -148,3 +155,177 @@ class TestDifferentiation:
     def test_parameter_is_constant(self):
         d = diff_expr(parse_expr("k*x + k^2"))
         assert_allclose(eval_expr(d, 5.0, {"k": 2.5}), 2.5)
+
+
+# --------------------------------------------------------------------------
+# compiled values against the tree walk and against mpmath
+# --------------------------------------------------------------------------
+
+def _outcome(f):
+    """('value', v) or ('raises', exception class) of one evaluation."""
+    with np.errstate(all="ignore"):
+        try:
+            return "value", f()
+        except Exception as exc:            # compared by class
+            return "raises", type(exc)
+
+
+def _same_value(a: complex, b: complex) -> bool:
+    if a == b:
+        return True
+    if cmath.isfinite(a) and cmath.isfinite(b):   # hypot: no OverflowError
+        return (math.hypot(a.real - b.real, a.imag - b.imag)
+                <= 1e-13 * math.hypot(b.real, b.imag))
+    return all(u == v or (math.isnan(u) and math.isnan(v))
+               for u, v in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def _assert_matches_tree_walk(e, x, params):
+    got = _outcome(lambda: eval_expr(e, x, params))
+    want = _outcome(lambda: eval_expr_jet(e, x, 0, params).value)
+    assert got[0] == want[0], (to_string(e), x, got, want)
+    if got[0] == "raises":
+        assert got[1] is want[1], (to_string(e), x, got, want)
+    else:
+        assert _same_value(got[1], want[1]), (to_string(e), x, got, want)
+
+
+_leaves = st.one_of(
+    st.builds(Const, st.sampled_from([0.0, 1.0, 2.0, 0.5, -1.5, 3.0, 1j,
+                                      complex(0.5, -2.0)])),
+    st.builds(Const, st.floats(-3.0, 3.0).map(complex)),
+    st.just(Var()),
+    st.just(Param("k")),
+)
+
+_exponents = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, -1.0, -2.0, 0.5,
+                     1.5, -0.5, 2.5, 1j]).map(Const),
+    st.just(Param("k")),
+    st.just(Neg(Const(2.0))),
+)
+
+
+def _nodes(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, _exponents),
+        st.builds(Pow, children, children),     # x-dependent exponents too
+        st.builds(Func, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+_asts = st.recursive(_leaves, _nodes, max_leaves=12)
+
+_points = st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1.0, -2.0, 0.5]),
+                    st.floats(-4.0, 4.0))
+
+_params = st.one_of(st.just({}),
+                    st.builds(lambda v: {"k": v},
+                              st.sampled_from([2.0, 0.5, -1.0, 1j, 0.0])),
+                    st.floats(-3.0, 3.0).map(lambda v: {"k": v}))
+
+
+class TestCompiledValues:
+    """`eval_expr` runs a closure compiled once; the tree walk is its oracle."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(e=_asts, x=_points, params=_params)
+    def test_random_asts_match_tree_walk(self, e, x, params):
+        _assert_matches_tree_walk(e, x, params)
+
+    @pytest.mark.parametrize("text, x, params, exc", [
+        ("1/(x-2)", 2.0, {}, EvaluationSingularity),
+        ("sqrt(x)", 0.0, {}, EvaluationSingularity),
+        ("x^0.5", 0.0, {}, EvaluationSingularity),
+        ("ln(x-1)", 1.0, {}, EvaluationSingularity),
+        ("x^i", 2.0, {}, EvaluationSingularity),
+        ("k*x", 1.0, {}, UnboundParameter),
+        ("x^k", 2.0, {"k": 1j}, EvaluationSingularity),
+        ("(1/(x-2))^k", 2.0, {}, UnboundParameter),
+    ])
+    def test_singular_points_raise_like_tree_walk(self, text, x, params, exc):
+        e = parse_expr(text)
+        with pytest.raises(exc):
+            eval_expr(e, x, params)
+        with pytest.raises(exc):
+            eval_expr_jet(e, x, 0, params)
+
+    @pytest.mark.parametrize("text", [
+        "sqrt(-x)", "sqrt(0 - x)", "sqrt((-x)*3)", "ln(-1*x)", "x^x",
+        "(x - 1)^(x - 1)", "x^-1", "(-x)^0.5", "2^3^2", "-x^2",
+    ])
+    def test_branch_cut_sides_match_tree_walk(self, text):
+        # The sign of a zero imaginary part picks the side of the cut.
+        for x in (-2.0, -0.5, 0.5, 2.0, 3.0):
+            _assert_matches_tree_walk(parse_expr(text), x, {})
+
+    def test_example_entries_bit_identical(self):
+        for data in EXAMPLES.values():
+            lo, hi = data["domain"]
+            for row in data["R"]:
+                for text in row:
+                    e = parse_expr(text)
+                    for x in np.linspace(lo, hi, 61):
+                        got = eval_expr(e, float(x), data["params"])
+                        want = eval_expr_jet(e, float(x), 0,
+                                             data["params"]).value
+                        assert (got.real, got.imag) == (want.real, want.imag)
+
+    def test_compiled_form_stays_out_of_state(self):
+        e = parse_expr("x*cos(x)^2 + k/x")
+        first = eval_expr(e, 1.3, {"k": 2.0})
+        again = pickle.loads(pickle.dumps(e))
+        assert again == e and hash(again) == hash(e)
+        assert eval_expr(again, 1.3, {"k": 2.0}) == first
+        # parameters are read at every call, never folded
+        assert eval_expr(e, 1.3, {"k": 3.0}) != first
+
+
+def _mp_value(e, x, params, mp):
+    """Independent 30-digit interpreter of the AST."""
+    def ev(n):
+        if isinstance(n, Const):
+            return mp.mpc(n.value)
+        if isinstance(n, Var):
+            return mp.mpc(x)
+        if isinstance(n, Param):
+            return mp.mpc(params[n.name])
+        if isinstance(n, Neg):
+            return -ev(n.arg)
+        if isinstance(n, Func):
+            return {"exp": mp.exp, "ln": mp.log, "sqrt": mp.sqrt,
+                    "sin": mp.sin, "cos": mp.cos}[n.name](ev(n.arg))
+        a, b = ev(n.left), ev(n.right)
+        if isinstance(n, Add):
+            return a + b
+        if isinstance(n, Sub):
+            return a - b
+        if isinstance(n, Mul):
+            return a * b
+        if isinstance(n, Div):
+            return a / b
+        return mp.power(a, b)
+    return ev(e)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_example_G_against_mpmath(name):
+    mp = pytest.importorskip("mpmath").mp.clone()   # private precision
+    mp.dps = 30
+    spec, lam, a = load_problem(example_problem(name))
+    prob = split_R(spec, lam, a)
+    lo, hi = prob.domain
+    for x in np.linspace(lo, hi, 9)[1:-1]:
+        x = float(x)
+        for row in prob.G:
+            for e in row:
+                want = complex(_mp_value(e, x, prob.params, mp))
+                got = eval_expr(e, x, prob.params)
+                assert abs(got - want) <= 1e-13 * abs(want), \
+                    (name, to_string(e), x, got, want)

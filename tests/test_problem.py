@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -175,3 +176,13 @@ class TestJsonRoundTrip:
         spec, lam, a = load_problem(bad)
         with pytest.raises(ValueError):
             split_R(spec, lam, a)
+
+
+class TestPickle:
+    def test_evaluated_problem_pickles(self, bec):
+        # eval_expr caches a compiled closure on each expression; the cache
+        # must stay out of the pickled state
+        before = bec.G_value(55.0)
+        again = pickle.loads(pickle.dumps(bec))
+        assert again.G == bec.G
+        assert again.G_value(55.0).tobytes() == before.tobytes()
