@@ -125,7 +125,9 @@ class Jet:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Jet"):
-        if self.center != other.center:
+        # two NaN centres are the same point, as they are for eval_expr
+        if self.center != other.center and not (
+                self.center != self.center and other.center != other.center):
             raise MismatchedJets(
                 f"jet centers differ: {self.center} vs {other.center}")
         if self.order != other.order:

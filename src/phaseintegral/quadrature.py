@@ -1,13 +1,20 @@
-"""Adaptive Gauss-Kronrod quadrature with cumulative evaluation.
+"""Anchored indefinite integrals for the correction recurrences.
 
-The correction recurrences and the wave phase need indefinite integrals
-anchored at a user-chosen point (integration constant 0 there).  The
-:class:`CumulativeIntegral` memoizes partial sums so that repeated
-evaluations along a sweep only integrate the new segment.
+The conserving coordinates c_m, the degenerate Kato coordinates, the Kato
+phase and the wave phase are indefinite integrals anchored at a
+user-chosen point (integration constant 0 there).  Their integrands are
+available as Taylor jets, so :class:`JetChainIntegral` integrates them with
+the two-point Hermite (Obreshkov) rule on the endpoint jets and memoizes
+partial sums along a fixed ladder of panel endpoints.
+
+:func:`quad` (adaptive Gauss-Kronrod) and :class:`CumulativeIntegral`
+integrate plain values; no path of the library calls them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import factorial
 from typing import Callable
 
 import numpy as np
@@ -85,14 +92,32 @@ def quad(f: Callable[[float], complex], a: float, b: float,
     return result
 
 
+@lru_cache(maxsize=None)
+def _hermite_weights(n: int):
+    """Weights of the two-point Hermite rule for order-n jets.
+
+    The rule is  int_a^b f = h sum_{j<=n} A_{n,j} h^j (c_j(a) + (-1)^j c_j(b))
+    on the Taylor coefficients c_j, exact for polynomials of degree 2n + 1,
+    with  A_{n,j} = n! (2n+1-j)! / (2 (j+1) (2n+1)! (n-j)!).  Returns the
+    weights A_n, the differences A_n - A_{n-1} that weigh the error
+    estimate (A_{n-1} padded with a zero), and the signs (-1)^j.
+    """
+    w = np.array([factorial(n) * factorial(2 * n + 1 - j)
+                  / (2 * (j + 1) * factorial(2 * n + 1) * factorial(n - j))
+                  for j in range(n + 1)])
+    lower = _hermite_weights(n - 1)[0] if n else np.zeros(0)
+    return w, w - np.append(lower, 0.0), (-1.0) ** np.arange(n + 1)
+
+
 class JetChainIntegral:
     """Cumulative integral of a function whose Taylor jets are available.
 
-    Each panel [a, b] is integrated twice from the endpoint jets alone
-    (antiderivative of the left jet forward, of the right jet backward);
-    the mean is the two-point Obreshkov value and the difference an error
-    estimate that triggers bisection.  Panel endpoints snap to a fixed
-    ladder so that independent queries share evaluation points.
+    Each panel [a, b] is integrated from its endpoint jets alone by the
+    two-point Hermite (Obreshkov) rule, of order 2n + 2 for order-n jets.
+    The difference from the order-(n-1) rule on the same coefficients
+    estimates the error and triggers bisection, so the panel count follows
+    from the tolerance.  Panel endpoints snap to a fixed ladder so that
+    independent queries share evaluation points.
     """
 
     def __init__(self, f_jet_at: Callable[[float], "object"], anchor: float,
@@ -108,26 +133,30 @@ class JetChainIntegral:
         self._keys: list[float] = [self.anchor]
         self._scale = 0.0
 
-    def _panel(self, a: float, b: float, fa=None, fb=None, depth: int = 0) -> complex:
+    def _panel(self, a: float, b: float, fa=None, fb=None) -> complex:
         if fa is None:
             fa = self.f_jet_at(a)
         if fb is None:
             fb = self.f_jet_at(b)
         h = b - a
-        pa = np.arange(1, fa.coeffs.size + 1)
-        fwd = complex(np.sum(fa.coeffs * (h ** pa) / pa))
-        pb = np.arange(1, fb.coeffs.size + 1)
-        bwd = -complex(np.sum(fb.coeffs * ((-h) ** pb) / pb))
-        err = abs(fwd - bwd)
-        val = 0.5 * (fwd + bwd)
+        n = min(fa.coeffs.size, fb.coeffs.size) - 1
+        w, dw, signs = _hermite_weights(n)
+        ca = fa.coeffs[:n + 1]
+        cb = fb.coeffs[:n + 1]
+        terms = (h ** np.arange(n + 1)) * (ca + signs * cb)
+        val = h * complex(np.dot(w, terms))
+        if n:
+            err = abs(h * complex(np.dot(dw, terms)))
+        else:   # the trapezoid, against the left-endpoint rectangle
+            err = 0.5 * abs(h * (cb[0] - ca[0]))
         if err <= max(self.atol, self.rtol * max(self._scale, abs(val))):
             return val
         if abs(h) <= self.min_step:
             raise QuadratureFailure(
                 f"jet-chain panel [{a}, {b}] did not converge (err={err:.3g})")
         mid = 0.5 * (a + b)
-        return (self._panel(a, mid, fa, None, depth + 1)
-                + self._panel(mid, b, None, fb, depth + 1))
+        fm = self.f_jet_at(mid)
+        return self._panel(a, mid, fa, fm) + self._panel(mid, b, fm, fb)
 
     def value(self, x: float) -> complex:
         x = float(x)
@@ -139,7 +168,7 @@ class JetChainIntegral:
         acc = self._known[base]
         sgn = 1.0 if x >= base else -1.0
         # march on the snapped ladder so endpoints are shared between queries
-        pos = base
+        pos, f_pos = base, None
         while sgn * (x - pos) > self.max_step:
             j = round((pos - self.anchor) / self.max_step)
             nxt = self.anchor + (j + sgn) * self.max_step
@@ -147,13 +176,14 @@ class JetChainIntegral:
                 nxt = pos + sgn * self.max_step
             if sgn * (nxt - x) > 0:
                 break
-            acc = acc + self._panel(pos, nxt)
+            f_nxt = self.f_jet_at(nxt)
+            acc = acc + self._panel(pos, nxt, f_pos, f_nxt)
             self._known[nxt] = acc
             self._keys.append(nxt)
             self._scale = max(self._scale, abs(acc))
-            pos = nxt
+            pos, f_pos = nxt, f_nxt
         if x != pos:
-            acc = acc + self._panel(pos, x)
+            acc = acc + self._panel(pos, x, f_pos)
         self._known[x] = acc
         self._keys.append(x)
         self._scale = max(self._scale, abs(acc))

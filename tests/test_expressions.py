@@ -265,6 +265,14 @@ class TestCompiledValues:
         for x in (-2.0, -0.5, 0.5, 2.0, 3.0):
             _assert_matches_tree_walk(parse_expr(text), x, {})
 
+    @pytest.mark.parametrize("text", [
+        "x + 0", "x*x + 2*x", "sin(x) - cos(x)", "exp(x)/(1 + x^2)",
+        "sqrt(x + 4)", "ln(x)", "x^k", "1/x",
+    ])
+    def test_nan_point_matches_tree_walk(self, text):
+        # two jets centred at NaN are at the same point: no MismatchedJets
+        _assert_matches_tree_walk(parse_expr(text), math.nan, {"k": 2.5})
+
     def test_example_entries_bit_identical(self):
         for data in EXAMPLES.values():
             lo, hi = data["domain"]

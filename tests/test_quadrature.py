@@ -1,12 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 
+from phaseintegral import vector
 from phaseintegral.errors import QuadratureFailure
-from phaseintegral.jets import jet_exp, jet_sin, jet_variable
-from phaseintegral.quadrature import CumulativeIntegral, JetChainIntegral, quad
+from phaseintegral.jets import Jet, jet_exp, jet_sin, jet_variable
+from phaseintegral.quadrature import (
+    CumulativeIntegral, JetChainIntegral, _hermite_weights, quad,
+)
+from phaseintegral.spectral import BranchField
+from phaseintegral.vector import CorrectionEngine, assemble_vector_wave
 
 
 def test_quad_polynomial_exact():
@@ -68,3 +75,152 @@ def test_jet_chain_low_order_bisects_to_tolerance():
     chain = JetChainIntegral(lambda t: jet_sin(jet_variable(t, 2)), 0.0,
                              rtol=1e-10)
     assert_allclose(chain.value(2.0), 1 - math.cos(2.0), atol=1e-9)
+
+
+# --------------------------------------------------------------------------
+# the two-point Hermite (Obreshkov) panel rule
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("fn, exact", [
+    (jet_sin, lambda x: 1 - math.cos(x)),
+    (jet_exp, lambda x: math.exp(x) - 1),
+], ids=["sin", "exp"])
+def test_jet_chain_odd_orders_reach_tolerance(fn, exact, n):
+    # At odd n the forward and backward Taylor errors share their sign, so
+    # their difference misses the leading error that their mean keeps.
+    chain = JetChainIntegral(lambda t: fn(jet_variable(t, n)), 0.0)
+    for x in (0.4, 1.7, 3.0):
+        want = exact(x)
+        assert abs(chain.value(x) - want) <= chain.rtol * max(1.0, abs(want))
+
+
+def _poly_jet(p, t, n):
+    """Order-n Taylor jet of the numpy Polynomial p at t."""
+    return Jet(t, [p.deriv(j)(t) / math.factorial(j) for j in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_single_panel_exact_to_degree_2n_plus_1(n):
+    a, b = 0.3, 1.1
+    rng = np.random.default_rng(n)
+    for degree, exact in ((2 * n + 1, True), (2 * n + 2, False)):
+        p = Polynomial(rng.uniform(-1.0, 1.0, degree + 1))
+        chain = JetChainIntegral(lambda t: _poly_jet(p, t, n), a,
+                                 atol=math.inf, max_step=1.0)  # one panel
+        want = p.integ()(b) - p.integ()(a)
+        err = abs(chain.value(b) - want)
+        assert (err <= 1e-14) == exact, (degree, err)
+
+
+@pytest.mark.parametrize("n, weights", [
+    (0, [Fraction(1, 2)]),
+    (1, [Fraction(1, 2), Fraction(1, 12)]),
+    (2, [Fraction(1, 2), Fraction(1, 10), Fraction(1, 60)]),
+    (3, [Fraction(1, 2), Fraction(3, 28), Fraction(1, 42), Fraction(1, 280)]),
+    (4, [Fraction(1, 2), Fraction(1, 9), Fraction(1, 36), Fraction(1, 168),
+         Fraction(1, 1260)]),
+])
+def test_hermite_weights_closed_form(n, weights):
+    # A_{n,j} = n! (2n+1-j)! / (2 (j+1) (2n+1)! (n-j)!)
+    w, dw, signs = _hermite_weights(n)
+    closed = [Fraction(math.factorial(n) * math.factorial(2 * n + 1 - j),
+                       2 * (j + 1) * math.factorial(2 * n + 1)
+                       * math.factorial(n - j)) for j in range(n + 1)]
+    assert closed == weights
+    assert_allclose(w, [float(v) for v in weights], rtol=1e-15)
+    assert_allclose(signs, [(-1) ** j for j in range(n + 1)])
+    if n:
+        lower = list(_hermite_weights(n - 1)[0]) + [0.0]
+        assert_allclose(dw, w - np.array(lower), rtol=1e-15, atol=1e-17)
+
+
+def test_order_zero_trapezoid_converges_or_fails_loudly():
+    chain = JetChainIntegral(lambda t: jet_exp(jet_variable(t, 0)), 0.0,
+                             rtol=1e-5)
+    try:
+        got = chain.value(3.0)
+    except QuadratureFailure:
+        return
+    assert abs(got - (math.exp(3.0) - 1)) <= 1e-5 * (math.exp(3.0) - 1)
+
+
+# --------------------------------------------------------------------------
+# the anchored integrals of a Fulling wave (fulling-pos, lambda = 0.1)
+# --------------------------------------------------------------------------
+
+FULLING_GRID = [float(v) for v in np.linspace(3.0, 6.0, 13)]
+
+
+def _fulling_waves(prob, m_max, signs=(+1, -1)):
+    """Engine of the waves of branch 1, anchor 3, lambda 0.1 on [3, 6]."""
+    field = BranchField(prob, 1, "normalized", None, anchor=3.0)
+    engine = CorrectionEngine(prob, field, "fulling_current", m_max, 3.0)
+    for s in signs:
+        assemble_vector_wave(engine, s, FULLING_GRID, 3.0, 0.1)
+    return engine
+
+
+class TestAgainstMpmath:
+    """The wave phase and c_par integrals against mpmath.quad, 30 digits."""
+
+    XS = (4.5, 6.0)
+
+    @staticmethod
+    def _mp_cumulative(cum, xs):
+        mpmath = pytest.importorskip("mpmath")
+        f = lambda t: cum.f_jet_at(float(t)).value  # noqa: E731
+        out, acc = [], 0
+        with mpmath.workdps(30):
+            for lo, hi in zip((cum.anchor,) + tuple(xs), xs):
+                val, err = mpmath.quad(f, [lo, hi], method="gauss-legendre",
+                                       maxdegree=5, error=True)
+                assert err <= 1e-14 * (1 + abs(val))   # the oracle converged
+                acc += val
+                out.append(complex(acc))
+        return out
+
+    def _check(self, cum):
+        want = self._mp_cumulative(cum, self.XS)
+        got = [cum.value(x) for x in self.XS]
+        assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("m_max", range(4))
+    def test_wave_phase(self, fex1, monkeypatch, m_max):
+        made = []
+
+        class Spy(JetChainIntegral):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(vector, "JetChainIntegral", Spy)
+        _fulling_waves(fex1, m_max, signs=(+1,))
+        phase = next(c for c in made if c.f_jet_at.__name__ == "qbar_jet")
+        self._check(phase)
+
+    def test_parallel_coefficients(self, fex1):
+        engine = _fulling_waves(fex1, 3, signs=(+1,))
+        for m in (1, 2, 3):     # c_2's integrand vanishes identically here
+            self._check(engine._cpar_cum[m])
+
+
+def test_fulling_wave_panel_counts(fex1, monkeypatch):
+    # Panels (bisections included) per m_max, both signs, one engine each.
+    # The forward/backward mean took 1404, 1672, 293 and 632.
+    before = [1404, 1672, 293, 632]
+    calls = [0]
+    panel = JetChainIntegral._panel
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return panel(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetChainIntegral, "_panel", counted)
+    counts = []
+    for m_max in range(4):
+        calls[0] = 0
+        _fulling_waves(fex1, m_max)
+        counts.append(calls[0])
+    assert all(c < b for c, b in zip(counts, before)), counts
+    assert sum(counts) <= sum(before) // 2, counts
