@@ -18,10 +18,12 @@ only).
 The AST doubles as the independent differentiation oracle for the jet
 kernel: `diff` applies the textbook rules with constant folding only.
 
-Values and jets are evaluated apart.  `eval_expr` lowers each AST once, on
-first use, into nested closures over `cmath` and runs those; `eval_expr_jet`
-walks the tree through `Jet` arithmetic, and at order 0 it is the oracle the
-closures reproduce bit for bit.
+Values and jets are evaluated apart, each by code compiled once per AST on
+first use.  `eval_expr` runs nested closures over `cmath`; `eval_expr_jet`
+runs a Taylor tape (`JetTape`), a straight-line list of coefficient
+recurrences.  The tree walk through `Jet` arithmetic, `_eval`, is kept as
+the oracle both are tested against: the closures reproduce its order-0 jet
+bit for bit, and the tape its coefficients.
 """
 
 from __future__ import annotations
@@ -37,15 +39,16 @@ from .errors import (
     DivisionByZeroLeadCoefficient,
     EvaluationSingularity,
     ExpressionSyntaxError,
+    OrderExceeded,
     UnboundParameter,
     UnknownFunction,
 )
-from .jets import LEAD_RTOL, Jet, jet_const, jet_variable
+from .jets import Jet, jet_const, jet_variable, lead_is_zero, quotient
 
 __all__ = [
     "Expression", "Const", "Var", "Param", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Func", "parse_expr", "diff_expr", "eval_expr_jet", "eval_expr",
-    "to_string", "FUNCTIONS",
+    "to_string", "constant_value", "JetTape", "FUNCTIONS",
 ]
 
 FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos")
@@ -54,13 +57,16 @@ FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos")
 class Expression:
     """Immutable AST node."""
 
-    # Value closure built by `eval_expr` on first use: a cache, kept out of
-    # pickled state and out of equality and hashing.
+    # Value closure and jet tape built by `eval_expr` and `eval_expr_jet` on
+    # first use: caches, kept out of pickled state and out of equality and
+    # hashing.
     _value_fn = None
+    _jet_fn = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_value_fn", None)
+        state.pop("_jet_fn", None)
         return state
 
     def depends_on_x(self) -> bool:
@@ -481,16 +487,19 @@ _COMPLEX_EXPONENT = "complex exponents are not supported"
 
 def eval_expr_jet(e: Expression, x0: float, order: int,
                   params: Mapping[str, complex] | None = None) -> Jet:
-    """Jet of the expression at x0; raises EvaluationSingularity at poles."""
-    params = params or {}
-    try:
-        return _eval(e, x0, order, params)
-    except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
-        raise EvaluationSingularity(
-            f"expression singular at x = {x0}: {exc}") from exc
+    """Jet of the expression at x0; raises EvaluationSingularity at poles.
+
+    Runs the one-expression tape compiled from `e` on first use.
+    """
+    tape = e._jet_fn
+    if tape is None:
+        tape = JetTape([e])
+        object.__setattr__(e, "_jet_fn", tape)
+    return tape(x0, order, params)[0]
 
 
 def _eval(e: Expression, x0: float, order: int, params) -> Jet:
+    """The tree walk through `Jet` arithmetic: the tape's test oracle."""
     if isinstance(e, Const):
         return jet_const(e.value, x0, order)
     if isinstance(e, Var):
@@ -537,10 +546,10 @@ def _eval(e: Expression, x0: float, order: int, params) -> Jet:
 # A closure f(x, p) returns the value at the complex point x with parameters
 # p.  It reproduces the order-0 jet of `_eval` exactly: products are formed
 # as numpy's one-term convolution forms them (0 + a*b, which turns a -0.0
-# into +0.0), quotients by numpy's scaled complex division, and the lead
-# tolerance, branch-point and exponent checks are those of `jets`, in the
-# same evaluation order.  A subtree free of x and of parameters is folded to
-# its value when that evaluates without error.
+# into +0.0), quotients by numpy's scaled complex division (`jets.quotient`),
+# and the lead tolerance, branch-point and exponent checks are those of
+# `jets`, in the same evaluation order.  A subtree free of x and of
+# parameters is folded to its value when that evaluates without error.
 
 _NO_PARAMS: dict = {}
 
@@ -563,35 +572,15 @@ def eval_expr(e: Expression, x0: float,
             f"expression singular at x = {x0}: {exc}") from exc
 
 
-def _near_zero(v: complex) -> bool:
-    # The jets' lead tolerance for a one-coefficient jet.
-    try:
-        m = abs(v)
-    except OverflowError:          # |v| beyond the float range: numpy's inf
-        return False
-    return m < LEAD_RTOL * (1.0 + m)
-
-
 def _div(a: complex, b: complex) -> complex:
-    if _near_zero(b):
+    if lead_is_zero((b,)):
         raise DivisionByZeroLeadCoefficient(
             f"divisor jet value {b} below lead tolerance")
-    br, bi = b.real, b.imag
-    if abs(br) >= abs(bi):
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return complex((a.real + a.imag * rat) * scl,
-                       (a.imag - a.real * rat) * scl)
-    if bi == 0.0:                  # br is nan
-        return complex(cmath.nan, cmath.nan)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((a.real * rat + a.imag) * scl,
-                   (a.imag * rat - a.real) * scl)
+    return quotient(a, b)
 
 
 def _off_branch(v: complex, what: str) -> complex:
-    if _near_zero(v):
+    if lead_is_zero((v,)):
         raise BranchPointEvaluation(f"{what} of a jet with (near) zero value")
     return v
 
@@ -710,3 +699,176 @@ def _fold(fn, constant: bool):
             return fn, None
         return (lambda x, p: v), v
     return fn, None
+
+
+def constant_value(e: Expression) -> complex | None:
+    """The value `e` folds to when it is free of x and of parameters and
+    evaluates without error, else None."""
+    if e.depends_on_x() or e.params():
+        return None
+    return _lower(e)[1]
+
+
+# --------------------------------------------------------------------------
+# jet evaluation: the Taylor tape
+# --------------------------------------------------------------------------
+#
+# A list of ASTs is lowered once into a straight-line list of steps over
+# numbered registers (Jorba & Zou's `taylor`; Griewank & Walther, Evaluating
+# Derivatives, ch. 13).  A register holds a coefficient array when its
+# subtree depends on x and a complex number when it does not: a subtree
+# free of x is the value closure of `_lower`, folded to a constant when it
+# can be.  A number enters array arithmetic as a scalar -- a lead-coefficient
+# add or a scaled copy (`jets.series_scale` and its kin) -- never as a
+# convolution with a constant jet.
+# Subtrees with equal `_ast_key` share one register, and sin and cos of one
+# argument share one `series_trig` call.  The recurrences themselves are the
+# kernels of `jets`, as in the `Jet` methods, so the tape gives the tree
+# walk's `_eval` coefficients (zero signs past the lead aside); the steps run
+# in the walk's order, so the same error is raised first.
+
+
+# (array, array), (array, number), (number, array) kernels per binary node
+_BINARY_KERNELS = {
+    Add: (operator.add, jets.series_add_lead,
+          lambda c, v: jets.series_add_lead(v, c)),
+    Sub: (operator.sub, jets.series_sub_lead, jets.series_sub_from),
+    Mul: (jets.series_mul, jets.series_scale,
+          lambda c, v: jets.series_scale(v, c)),
+    Div: (jets.series_div,
+          lambda v, c: jets.series_div(v, jets.series_const(c, v.size)),
+          lambda c, v: jets.series_div(jets.series_const(c, v.size), v)),
+}
+
+_FUNC_KERNELS = {"exp": jets.series_exp, "ln": jets.series_ln,
+                 "sqrt": jets.series_sqrt}
+
+
+def _step1(fn, out: int, a: int):
+    def step(r, x, n, p):
+        r[out] = fn(r[a])
+    return step
+
+
+def _step2(fn, out: int, a: int, b: int):
+    def step(r, x, n, p):
+        r[out] = fn(r[a], r[b])
+    return step
+
+
+class JetTape:
+    """Jets of a list of expressions from one compiled Taylor tape.
+
+    `tape(x0, order, params)` returns one `Jet` per expression and raises
+    EvaluationSingularity where `eval_expr_jet` does.  The tape holds no
+    parameter values; they are read at every call.
+    """
+
+    def __init__(self, exprs):
+        self._steps: list = []
+        self._init: list = []          # folded constants; None: computed
+        self._series: list = []        # register holds an array?
+        self._memo: dict = {}          # _ast_key -> register, while compiling
+        self._outs = [self._node(e) for e in exprs]
+        del self._memo
+
+    def __call__(self, x0: float, order: int,
+                 params: Mapping[str, complex] | None = None) -> list:
+        x0 = float(x0)
+        n = order + 1
+        if n < 1:
+            raise OrderExceeded("jet order must be >= 0")
+        p = params or _NO_PARAMS
+        r = list(self._init)
+        try:
+            for step in self._steps:
+                step(r, x0, n, p)
+        except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
+            raise EvaluationSingularity(
+                f"expression singular at x = {x0}: {exc}") from exc
+        series = self._series
+        return [Jet._raw(x0, r[i] if series[i] else jets.series_const(r[i], n))
+                for i in self._outs]
+
+    # -- compilation -------------------------------------------------------
+
+    def _register(self, series: bool, value=None) -> int:
+        self._init.append(value)
+        self._series.append(series)
+        return len(self._init) - 1
+
+    def _emit(self, make, fn, *args) -> int:
+        out = self._register(True)
+        self._steps.append(make(fn, out, *args))
+        return out
+
+    def _node(self, e: Expression) -> int:
+        key = _ast_key(e)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = self._compile(e)
+        return got
+
+    def _compile(self, e: Expression) -> int:
+        if not e.depends_on_x():
+            fn, value = _lower(e)
+            if value is not None:
+                return self._register(False, value)
+            out = self._register(False)
+
+            def number(r, x, n, p):
+                r[out] = fn(0j, p)
+            self._steps.append(number)
+            return out
+        if isinstance(e, Var):
+            out = self._register(True)
+
+            def variable(r, x, n, p):
+                r[out] = jets.series_variable(x, n)
+            self._steps.append(variable)
+            return out
+        if isinstance(e, Neg):
+            return self._emit(_step1, operator.neg, self._node(e.arg))
+        if isinstance(e, Func):
+            if e.name in ("sin", "cos"):
+                return self._trig(e.arg)[e.name == "cos"]
+            return self._emit(_step1, _FUNC_KERNELS[e.name],
+                              self._node(e.arg))
+        if isinstance(e, Pow):
+            return self._pow(e)
+        a, b = self._node(e.left), self._node(e.right)
+        vv, vs, sv = _BINARY_KERNELS[type(e)]
+        if self._series[a]:
+            return self._emit(_step2, vv if self._series[b] else vs, a, b)
+        return self._emit(_step2, sv, a, b)
+
+    def _trig(self, arg: Expression) -> tuple:
+        key = ("trig", _ast_key(arg))
+        got = self._memo.get(key)
+        if got is None:
+            a = self._node(arg)
+            s, c = self._register(True), self._register(True)
+
+            def trig(r, x, n, p):
+                r[s], r[c] = jets.series_trig(r[a])
+            self._steps.append(trig)
+            got = self._memo[key] = (s, c)
+        return got
+
+    def _pow(self, e: Pow) -> int:
+        if e.right.depends_on_x():          # b^g = exp(g ln b)
+            return self._node(Func("exp", Mul(e.right, Func("ln", e.left))))
+        # the exponent is checked before the base is evaluated, as in _eval
+        g = self._node(e.right)
+        alpha = self._init[g]
+        if alpha is None or alpha.imag != 0.0:
+            def check(r, x, n, p):
+                if r[g].imag != 0.0:
+                    raise EvaluationSingularity(_COMPLEX_EXPONENT)
+            self._steps.append(check)
+        b = self._node(e.left)
+        if alpha is None:
+            return self._emit(_step2, lambda v, a: jets.series_pow(v, a.real),
+                              b, g)
+        real = alpha.real
+        return self._emit(_step1, lambda v: jets.series_pow(v, real), b)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EvaluationSingularity, SingularCoefficient
 from .expressions import (
-    Add, Const, Expression, Mul, Pow, Sub, Var,
+    Add, Const, Expression, JetTape, Mul, Pow, Sub, Var,
     diff_expr, eval_expr, eval_expr_jet, parse_expr, to_string,
 )
 from .jets import Jet
@@ -86,15 +86,27 @@ class ReducedProblem:
                 raise ValueError(
                     f"hermitian_hint=real_symmetric but G asymmetric at x={x}")
 
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_G_tape", None)      # compiled on first use, never pickled
+        return state
+
     # -- evaluators -------------------------------------------------------
 
     def G_value(self, x: float) -> np.ndarray:
-        return np.array([[eval_expr(e, x, self.params) for e in row]
-                         for row in self.G], dtype=complex)
+        p = self.params
+        return np.array([eval_expr(e, x, p) for row in self.G for e in row],
+                        dtype=complex).reshape(self.n, self.n)
 
     def G_jet(self, x: float, order: int) -> list:
-        return [[eval_expr_jet(e, x, order, self.params) for e in row]
-                for row in self.G]
+        """Jets of the n x n entries from one tape over all of them."""
+        tape = self.__dict__.get("_G_tape")
+        if tape is None:
+            tape = JetTape([e for row in self.G for e in row])
+            object.__setattr__(self, "_G_tape", tape)
+        flat = tape(x, order, self.params)
+        n = self.n
+        return [flat[i * n:(i + 1) * n] for i in range(n)]
 
     def a_value(self, x: float) -> complex:
         return eval_expr(self.a, x, self.params)
@@ -105,8 +117,9 @@ class ReducedProblem:
     def R_value(self, x: float, lam: float | None = None) -> np.ndarray:
         """R = lambda**-2 G + a I, optionally at an overridden lambda."""
         lam = self.lam if lam is None else lam
-        g = self.G_value(x)
-        return g / lam**2 + self.a_value(x) * np.eye(self.n)
+        r = self.G_value(x) / lam**2
+        r.flat[::self.n + 1] += self.a_value(x)
+        return r
 
     def with_lambda(self, lam: float) -> "ReducedProblem":
         """Same G and a, rebound small parameter (R changes accordingly)."""

@@ -40,8 +40,8 @@ from .errors import (
     UnsupportedDegeneracy,
     ZeroAtEvaluationPoint,
 )
-from .expressions import Const, Expression, eval_expr_jet
-from .jets import Jet, jet_const, jet_exp, jet_sqrt
+from .expressions import Const, Expression, constant_value, eval_expr_jet
+from .jets import Jet, jet_const, jet_exp, jet_sqrt, lead_is_zero
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
 
@@ -92,15 +92,11 @@ def _crossing_guard(delta_val: complex, g_val: np.ndarray) -> bool:
     return abs(delta_val) < 1e-8 * scale
 
 
-def _near_zero(jet: Jet) -> bool:
-    return abs(jet.value) < 1e-13 * (1.0 + float(np.max(np.abs(jet.coeffs))))
-
-
 def schwartzian(qsq: Jet) -> complex:
     """S_x[q] from the jet of q**2 (single-valued form)."""
     if qsq.order < 2:
         raise InsufficientJetOrder("schwartzian needs a jet of order >= 2")
-    if _near_zero(qsq):
+    if lead_is_zero(qsq.coeffs):
         raise ZeroAtEvaluationPoint("q**2 vanishes at the evaluation point")
     return _schwartzian_jet(qsq).value
 
@@ -117,7 +113,7 @@ def _schwartzian_jet(qsq: Jet) -> Jet:
 
 def _eps0(qsq: Jet, a_of: Callable[[], Jet], x0: float, order: int) -> Jet:
     """Jet of (S_x[Q] + a) / Q**2; `qsq` has order >= order + 2."""
-    if _near_zero(qsq):
+    if lead_is_zero(qsq.coeffs):
         raise TurningPoint(f"Q**2 vanishes at x = {x0}")
     s = _schwartzian_jet(qsq.truncated(order + 2))
     return (s + a_of()) / qsq.truncated(order)
@@ -168,6 +164,7 @@ class BranchField:
         self._theta1: JetChainIntegral | None = None
         self._patch: str | None = None   # complex-case fixed parameterization
         self._siblings: dict[int, "BranchField"] = {}
+        self._scalar_matrix = _is_scalar_matrix(prob.G)
         self._gjets: dict = {}
         self._gvals: dict = {}
         self._qvals: dict = {}
@@ -180,7 +177,12 @@ class BranchField:
     def _g_jet(self, x: float, order: int):
         got = self._gjets.get((x, order))
         if got is None:
-            got = self.prob.G_jet(x, order)
+            if order == 0:          # the values are the order-0 jets
+                g, c = self._g_value(x), float(x)
+                got = [[Jet._raw(c, g[i, j:j + 1]) for j in range(self.n)]
+                       for i in range(self.n)]
+            else:
+                got = self.prob.G_jet(x, order)
             self._gjets[(x, order)] = got
         return got
 
@@ -209,7 +211,7 @@ class BranchField:
 
     def qsq_jet(self, x: float, order: int) -> Jet:
         if self.n == 1:
-            return eval_expr_jet(self.prob.G[0][0], x, order, self.prob.params)
+            return self._g_jet(x, order)[0][0]
         if self.full_degeneracy_region(x):
             # G = Q^2 I on a neighborhood: every branch is trace/N
             g = self._g_jet(x, order)
@@ -227,18 +229,11 @@ class BranchField:
         """True if all eigenvalues coincide on a neighborhood of x.
 
         Distinguishes the trivial d = N case (scalar reduction applies)
-        from an isolated crossing, where evaluation must be refused.
+        from an isolated crossing, where evaluation must be refused.  It is
+        decided once, from G's AST (see `_is_scalar_matrix`), so it holds
+        on the whole domain or nowhere.
         """
-        if self.n == 1:
-            return False
-        h = 1e-2 * (1.0 + abs(x))
-        for t in (x, x + h, x - h):
-            g = self._g_value(t)
-            off = g - np.diag(np.diag(g))
-            spread = np.max(np.abs(np.diag(g) - g[0, 0]))
-            if np.max(np.abs(off)) + spread > 1e-10 * (1.0 + np.max(np.abs(g))):
-                return False
-        return True
+        return self._scalar_matrix
 
     def _n2_parts(self, x: float, order: int):
         g = self._g_jet(x, order)
@@ -263,7 +258,7 @@ class BranchField:
 
     def q_jet(self, x: float, order: int) -> Jet:
         qsq = self.qsq_jet(x, order)
-        if _near_zero(qsq):
+        if lead_is_zero(qsq.coeffs):
             raise TurningPoint(f"Q**2 vanishes at x = {x}")
         val = qsq.value
         if abs(val.imag) <= 1e-12 * abs(val):
@@ -590,6 +585,18 @@ class BranchField:
                 self._siblings[r] = sib
             vecs.append(sib.s0_jets(x, order))
         return tuple(vecs)
+
+
+def _is_scalar_matrix(G) -> bool:
+    """G = c(x) I by its AST: every off-diagonal entry folds to the
+    constant 0 and every diagonal entry equals G[0][0] as an AST.  A G that
+    equals c(x) I only through identities is not recognized."""
+    n = len(G)
+    if n == 1:
+        return False
+    return all(G[i][i] == G[0][0] for i in range(n)) and all(
+        constant_value(G[i][j]) == 0 for i in range(n) for j in range(n)
+        if i != j)
 
 
 def _unit_phase(z: complex, real: bool) -> complex:

@@ -8,14 +8,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from phaseintegral import expressions
 from phaseintegral.errors import (
+    BranchPointEvaluation, DivisionByZeroLeadCoefficient,
     EvaluationSingularity, ExpressionSyntaxError, UnboundParameter,
     UnknownFunction,
 )
 from phaseintegral.examples import EXAMPLES, example_problem
 from phaseintegral.expressions import (
-    FUNCTIONS, Add, Const, Div, Func, Mul, Neg, Param, Pow, Sub, Var,
-    diff_expr, eval_expr, eval_expr_jet, parse_expr, to_string,
+    _COMPLEX_EXPONENT, FUNCTIONS, Add, Const, Div, Func, JetTape, Mul, Neg,
+    Param, Pow, Sub, Var, diff_expr, eval_expr, eval_expr_jet, parse_expr,
+    to_string,
 )
 from phaseintegral.problem import load_problem, split_R
 
@@ -337,3 +340,151 @@ def test_example_G_against_mpmath(name):
                 got = eval_expr(e, x, prob.params)
                 assert abs(got - want) <= 1e-13 * abs(want), \
                     (name, to_string(e), x, got, want)
+
+
+# --------------------------------------------------------------------------
+# the Taylor tape against the tree walk, mpmath and itself
+# --------------------------------------------------------------------------
+
+def _walk(e, x, order, params):
+    """The tree walk `_eval`, with eval_expr_jet's error conversion."""
+    try:
+        return expressions._eval(e, x, order, params)
+    except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
+        raise EvaluationSingularity(str(exc)) from exc
+
+
+def _jet_outcome(f):
+    """('value', coefficients) or ('raises', class, complex-exponent?)."""
+    with np.errstate(all="ignore"):
+        try:
+            return "value", f().coeffs
+        except Exception as exc:            # compared by class
+            return "raises", type(exc), str(exc) == _COMPLEX_EXPONENT
+
+
+def _same_coeffs(got, want) -> bool:
+    if got.shape != want.shape:
+        return False
+    finite = [abs(w) for w in want.tolist() if cmath.isfinite(w)]
+    floor = 1e-13 * max(finite, default=0.0)
+    return all(_same_value(g, w) or abs(g - w) <= floor
+               for g, w in zip(got.tolist(), want.tolist()))
+
+
+# block3 = diag(Fex1, 9) and Fex1 rotated 40 times faster, as benchmarked
+_FEX1_ROWS = [["x*cos(x)^2 + sin(x)^2", "(x - 1)*cos(x)*sin(x)"],
+              ["(x - 1)*cos(x)*sin(x)", "x*sin(x)^2 + cos(x)^2"]]
+_MORE_PROBLEMS = {
+    "block3": {"n": 3, "R": [r + ["0"] for r in _FEX1_ROWS] + [["0", "0", "9"]],
+               "domain": [0.2, 8.5], "hermitian_hint": "real_symmetric"},
+    "fast": {"n": 2, "R": [[t.replace("(x)", "(40*x)") for t in r]
+                           for r in _FEX1_ROWS],
+             "domain": [0.2, 12.0], "hermitian_hint": "real_symmetric"},
+}
+
+
+def _problem(name):
+    data = (_MORE_PROBLEMS[name] if name in _MORE_PROBLEMS
+            else example_problem(name))
+    spec, lam, a = load_problem(data)
+    return split_R(spec, lam, a)
+
+
+class TestJetTape:
+    """`eval_expr_jet` and `G_jet` run compiled tapes; `_eval` is the oracle."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(e=_asts, x=_points, params=_params, order=st.integers(0, 10))
+    def test_random_asts_match_tree_walk(self, e, x, params, order):
+        got = _jet_outcome(lambda: eval_expr_jet(e, x, order, params))
+        want = _jet_outcome(lambda: _walk(e, x, order, params))
+        assert got[0] == want[0], (to_string(e), x, order, got, want)
+        if got[0] == "raises":
+            assert got[1:] == want[1:], (to_string(e), x, order, got, want)
+        else:
+            assert _same_coeffs(got[1], want[1]), \
+                (to_string(e), x, order, got, want)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES) + sorted(_MORE_PROBLEMS))
+    def test_matrix_tape_equals_walk_per_entry(self, name):
+        prob = _problem(name)
+        lo, hi = prob.domain
+        for x in np.linspace(lo, hi, 7)[1:-1]:
+            x = float(x)
+            for order in (0, 6, 14):
+                got = prob.G_jet(x, order)
+                for i, row in enumerate(prob.G):
+                    for j, e in enumerate(row):
+                        want = _walk(e, x, order, prob.params)
+                        assert np.array_equal(got[i][j].coeffs, want.coeffs)
+                        assert got[i][j].center == x
+
+    def test_shared_subtrees_are_computed_once(self):
+        # sin and cos of one argument: one trig step; x*x twice: one product
+        tape = JetTape([parse_expr("sin(x)^2 + cos(x)^2 + x*x"),
+                        parse_expr("x*x - sin(x)")])
+        steps = len(tape._steps)
+        # x, (sin, cos), sin^2, cos^2, +, x*x, +, -
+        assert steps == 8, steps
+        one, two = tape(0.7, 5)
+        assert_allclose(one.coeffs, eval_expr_jet(
+            parse_expr("1 + x*x"), 0.7, 5).coeffs, atol=1e-15)
+        assert_allclose(two.coeffs, _walk(parse_expr("x*x - sin(x)"), 0.7, 5,
+                                          {}).coeffs, rtol=0, atol=0)
+
+    def test_parameters_are_read_at_every_call(self):
+        e = parse_expr("k*x^2 + exp(k)/x")
+        first = eval_expr_jet(e, 1.3, 4, {"k": 2.0})
+        assert not np.array_equal(first.coeffs,
+                                  eval_expr_jet(e, 1.3, 4, {"k": 3.0}).coeffs)
+        assert np.array_equal(first.coeffs, _walk(e, 1.3, 4, {"k": 2.0}).coeffs)
+
+    def test_tape_stays_out_of_state(self):
+        e = parse_expr("x*cos(x)^2 + k/x")
+        first = eval_expr_jet(e, 1.3, 6, {"k": 2.0})
+        assert e._jet_fn is not None
+        again = pickle.loads(pickle.dumps(e))
+        assert again._jet_fn is None and again == e
+        assert np.array_equal(eval_expr_jet(again, 1.3, 6, {"k": 2.0}).coeffs,
+                              first.coeffs)
+
+    def test_correction_point_never_walks_the_tree(self, monkeypatch):
+        from phaseintegral.spectral import BranchField
+        from phaseintegral.vector import CorrectionEngine
+        walks = [0]
+        walk = expressions._eval
+
+        def counted(*args):
+            walks[0] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(expressions, "_eval", counted)
+        prob = _problem("fulling-pos")
+        fld = BranchField(prob, 0, "normalized", None, anchor=2.5)
+        corr = CorrectionEngine(prob, fld, "simplified_hermitian", 6,
+                                2.5).at(3.1)
+        assert len(corr.Y) == 7
+        assert walks[0] == 0
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_example_G_jets_against_mpmath_taylor(name):
+    mp = pytest.importorskip("mpmath").mp.clone()   # private precision
+    mp.dps = 30
+    prob = _problem(name)
+    lo, hi = prob.domain
+    order = 14
+    for x in np.linspace(lo, hi, 5)[1:-1]:
+        x = float(x)
+        got = prob.G_jet(x, order)
+        for i, row in enumerate(prob.G):
+            for j, e in enumerate(row):
+                want = mp.taylor(lambda t: _mp_value(e, t, prob.params, mp),
+                                 mp.mpf(x), order)
+                want = np.array([complex(w) for w in want])
+                scale = np.max(np.abs(want))
+                err = np.abs(got[i][j].coeffs - want)
+                assert np.all(err <= 1e-13 * np.abs(want) + 1e-15 * scale), \
+                    (name, to_string(e), x, np.max(err / (np.abs(want) + scale)))

@@ -186,3 +186,30 @@ class TestPickle:
         again = pickle.loads(pickle.dumps(bec))
         assert again.G == bec.G
         assert again.G_value(55.0).tobytes() == before.tobytes()
+
+    def test_problem_pickles_after_G_jet(self, bec):
+        # G_jet compiles one tape over all entries and caches it on the
+        # problem (and eval_expr_jet caches tapes on expressions): the
+        # caches must stay out of the pickled state
+        before = bec.G_jet(55.0, 6)
+        bec.a_jet(55.0, 6)
+        again = pickle.loads(pickle.dumps(bec))
+        assert "_G_tape" not in vars(again) and again == bec
+        after = again.G_jet(55.0, 6)
+        for row_b, row_a in zip(before, after):
+            for jb, ja in zip(row_b, row_a):
+                assert jb.coeffs.tobytes() == ja.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("name", ["fulling-pos", "fulling-neg", "nonhermitian",
+                                  "bec-vortex", "scalar-quadratic"])
+def test_R_value_bit_identical_to_eye_formula(name):
+    spec, lam, a = load_problem(example_problem(name))
+    prob = split_R(spec, lam, a)
+    lo, hi = prob.domain
+    for x in np.linspace(lo, hi, 17)[1:-1]:
+        x = float(x)
+        for lv in (None, 0.1, 0.37):
+            lam = prob.lam if lv is None else lv
+            old = prob.G_value(x) / lam**2 + prob.a_value(x) * np.eye(prob.n)
+            assert prob.R_value(x, lv).tobytes() == old.tobytes(), (name, x, lv)

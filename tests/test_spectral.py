@@ -314,3 +314,83 @@ class TestErrorPaths:
         (vec,) = basis.vectors
         norm = sum(abs(c.value) ** 2 for c in vec)
         assert abs(norm - 1.0) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# d = N, decided from G's AST
+# --------------------------------------------------------------------------
+
+def _scalar_diag(lam=1.0, diag=("x^2 + 1", "x^2 + 1")):
+    spec = ProblemSpec(2, "reduced",
+                       ((parse_expr(diag[0]), ZERO), (ZERO, parse_expr(diag[1]))),
+                       None, {}, (0.5, 3.0), "real_symmetric")
+    return split_R(spec, lam, None)
+
+
+def _block3():
+    rows = [["x*cos(x)^2 + sin(x)^2", "(x - 1)*cos(x)*sin(x)", "0"],
+            ["(x - 1)*cos(x)*sin(x)", "x*sin(x)^2 + cos(x)^2", "0"],
+            ["0", "0", "9"]]
+    spec = ProblemSpec(3, "reduced",
+                       tuple(tuple(parse_expr(t) for t in r) for r in rows),
+                       None, {}, (0.2, 8.5), "real_symmetric")
+    return split_R(spec, 1.0, None)
+
+
+def _probed_full_degeneracy(field, x):
+    """The former numeric test: G = c I at x and x +- h, to 1e-10."""
+    h = 1e-2 * (1.0 + abs(x))
+    for t in (x, x + h, x - h):
+        g = field.prob.G_value(t)
+        off = g - np.diag(np.diag(g))
+        spread = np.max(np.abs(np.diag(g) - g[0, 0]))
+        if np.max(np.abs(off)) + spread > 1e-10 * (1.0 + np.max(np.abs(g))):
+            return False
+    return True
+
+
+class TestFullDegeneracy:
+    @pytest.mark.parametrize("lam", [1.0, 0.3])
+    def test_scalar_matrix_needs_no_evaluation(self, lam, monkeypatch):
+        prob = _scalar_diag(lam)
+        if lam != 1.0:      # off-diagonal entries are Mul(lambda^2, 0)
+            assert prob.G[0][1] != ZERO
+        calls = [0]
+        value = type(prob).G_value
+
+        def counted(self, x):
+            calls[0] += 1
+            return value(self, x)
+
+        monkeypatch.setattr(type(prob), "G_value", counted)
+        fld = BranchField(prob, 0, "normalized", None, anchor=1.0)
+        assert all(fld.full_degeneracy_region(x) for x in (0.7, 1.0, 2.9))
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("name", ["fex1", "fex4", "bec", "block3"])
+    def test_coupled_problems_are_not_scalar(self, name, request):
+        prob = _block3() if name == "block3" else request.getfixturevalue(name)
+        fld = BranchField(prob, 0, "normalized", None)
+        lo, hi = prob.domain
+        for x in np.linspace(lo, hi, 9)[1:-1]:
+            assert fld.full_degeneracy_region(float(x)) is False
+            assert _probed_full_degeneracy(fld, float(x)) is False
+
+    def test_scalar_matrix_agrees_with_probe(self):
+        for lam in (1.0, 0.3):
+            fld = BranchField(_scalar_diag(lam), 1, "normalized", None,
+                              anchor=1.0)
+            for x in (0.7, 1.0, 2.9):
+                assert fld.full_degeneracy_region(x) is True
+                assert _probed_full_degeneracy(fld, x) is True
+
+    def test_scalar_matrix_written_otherwise_fails_loudly(self):
+        # c(x) I only through an identity: refused, never answered
+        from phaseintegral.errors import UnsupportedDegeneracy
+        from phaseintegral.vector import CorrectionEngine
+        prob = _scalar_diag(diag=("x^2 + 1", "1 + x^2"))
+        fld = BranchField(prob, 0, "normalized", None, anchor=1.0)
+        assert fld.full_degeneracy_region(1.3) is False
+        assert _probed_full_degeneracy(fld, 1.3) is True
+        with pytest.raises((CrossingPoint, UnsupportedDegeneracy)):
+            CorrectionEngine(prob, fld, "simplified_hermitian", 2, 1.0).at(1.3)
