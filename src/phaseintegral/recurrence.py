@@ -1,0 +1,136 @@
+"""Per-point work of the order-m recurrence, each piece built once.
+
+b_m (`vector.CorrectionEngine._compute_b`) needs at every level m the
+lambda-power coefficients [Y^c]_t of q = +-Q Y and zeta-derivatives of the
+lower orders.  None of that depends on m, so a point builds it once:
+`PowerTable` by Cauchy products in the lambda index, `PointWork` for the
+derivatives and the coefficients assembled from them.  The engine holds a
+`PointWork` only while it assembles the point.
+"""
+
+from __future__ import annotations
+
+from .jets import Jet, jet_const
+
+__all__ = ["PowerTable", "PointWork"]
+
+
+def _pairs(a, b, t: int, k: int, zero: Jet) -> Jet:
+    """sum_{i=1}^{t-1} a[i] b[t-i] at order k; a is b means a symmetric sum."""
+    acc = zero
+    if a is b:
+        for i in range(1, (t + 1) // 2):
+            acc = acc + a[i].truncated(k) * a[t - i].truncated(k)
+        acc = acc + acc
+        if t % 2 == 0 and t >= 2:
+            h = a[t // 2].truncated(k)
+            acc = acc + h * h
+        return acc
+    for i in range(1, t):
+        acc = acc + a[i].truncated(k) * b[t - i].truncated(k)
+    return acc
+
+
+class PowerTable:
+    """[Y^c]_t, the lambda^t coefficient of Y^c, for c = 2, 3, 4.
+
+    Built by Cauchy products in the lambda index, P2 = Y Y, P3 = P2 Y and
+    P4 = P2 P2, one t at a time as the Y_t become known.  Y_0 is the exact
+    constant 1 and never enters a product, so the sums over 0 < i < t
+
+        F2_t = sum Y_i Y_{t-i},  S3_t = sum P2_i Y_{t-i},
+        S4_t = sum P2_i P2_{t-i}
+
+    (`parts(t)`) need only Y_1 .. Y_{t-1}, and once Y_t is known
+
+        P2_t = F2_t + 2 Y_t,  P3_t = F2_t + S3_t + 3 Y_t,
+        P4_t = 2 F2_t + S4_t + 4 Y_t.
+
+    F2_t and 2 F2_t + S4_t are [Y^2]_t and [Y^4]_t with Y_t left out.
+    Entry t is a jet of order K - t, the order of Y_t.
+    """
+
+    def __init__(self, Y: list, K: int):
+        self._Y = Y                   # grows as the levels are staged
+        self._K = K
+        self._parts = [None]
+        self._P = {c: [Y[0]] for c in (2, 3, 4)}
+
+    def parts(self, t: int) -> tuple:
+        """(F2_t, S3_t, S4_t)."""
+        while len(self._parts) <= t:
+            s = len(self._parts)
+            k = self._K - s
+            zero = jet_const(0.0, self._Y[0].center, k)
+            P2 = [self.power(2, i) for i in range(s)]
+            self._parts.append((_pairs(self._Y, self._Y, s, k, zero),
+                                _pairs(P2, self._Y, s, k, zero),
+                                _pairs(P2, P2, s, k, zero)))
+        return self._parts[t]
+
+    def power(self, c: int, t: int) -> Jet:
+        """[Y^c]_t; needs Y_t."""
+        P = self._P[c]
+        while len(P) <= t:
+            s = len(P)
+            f2, s3, s4 = self.parts(s)
+            free = f2 if c == 2 else f2 + s3 if c == 3 else f2 + f2 + s4
+            P.append(free + float(c) * self._Y[s].truncated(self._K - s))
+        return P[t]
+
+
+class PointWork:
+    """Work of one point's recurrence that no level changes, built once.
+
+    Holds the point's power table, the zeta-derivatives of s_sigma and
+    Y_a at their full order, the lambda^2-block coefficients
+    T_r = sum_{a<r} Y_a Y_{r-a}' and
+    U_r = eps0 [Y^2]_r + (3/4) sum Y_a' Y_{r-a}' - (1/2) sum_{a<r} Y_a Y_{r-a}''
+    (primes are zeta-derivatives) at order K - r - 2, and the N = 2
+    complement solve's divisor.  Callers truncate; truncation commutes
+    exactly with the products and quotients.  It lives only while the
+    point is assembled (`vector.CorrectionEngine._assembling`).
+    """
+
+    def __init__(self, pt: dict, K: int):
+        self.pt = pt
+        self.K = K
+        self.powers = PowerTable(pt["Y"], K)
+        self._dz: dict = {}
+        self._lam2: dict = {}
+        self.perp_det: Jet | None = None   # CorrectionEngine._perp_det
+
+    def zeta(self, j: Jet) -> Jet:
+        """d/d zeta = Q**-1 d/dx (order drops by one)."""
+        return j.diff() / self.pt["Q"].truncated(j.order - 1)
+
+    def dz(self, name: str, i: int, times: int):
+        """d^times/d zeta^times of pt[name][i], a jet ("Y") or vector ("s")."""
+        got = self._dz.get((name, i, times))
+        if got is None:
+            prev = (self.pt[name][i] if times == 1
+                    else self.dz(name, i, times - 1))
+            got = (self.zeta(prev) if name == "Y"
+                   else tuple(map(self.zeta, prev)))
+            self._dz[(name, i, times)] = got
+        return got
+
+    def lam2(self, r: int) -> tuple:
+        """(T_r, U_r)."""
+        got = self._lam2.get(r)
+        if got is None:
+            Y, k = self.pt["Y"], self.K - r - 2
+            zero = jet_const(0.0, self.pt["x"], k)
+            eps0 = self.pt["eps0"].truncated(k)
+            if r == 0:
+                got = (zero, eps0)
+            else:
+                dy = [None] + [self.dz("Y", a, 1) for a in range(1, r + 1)]
+                ddy = [None] + [self.dz("Y", a, 2) for a in range(1, r + 1)]
+                T = dy[r].truncated(k) + _pairs(Y, dy, r, k, zero)
+                U = (eps0 * self.powers.power(2, r).truncated(k)
+                     + 0.75 * _pairs(dy, dy, r, k, zero)
+                     - 0.5 * (ddy[r].truncated(k) + _pairs(Y, ddy, r, k, zero)))
+                got = (T, U)
+            self._lam2[r] = got
+        return got

@@ -41,7 +41,7 @@ from .errors import (
     ZeroAtEvaluationPoint,
 )
 from .expressions import Const, Expression, constant_value, eval_expr_jet
-from .jets import Jet, jet_const, jet_exp, jet_sqrt, lead_is_zero
+from .jets import Jet, jet_const, jet_exp, jet_sqrt, lead_is_zero, quotient
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
 
@@ -220,6 +220,8 @@ class BranchField:
                 tr = tr + g[j][j]
             return tr * (1.0 / self.n)
         if self.n == 2:
+            if order == 0:
+                return Jet._raw(float(x), np.array([self._qsq_n2_value(x)]))
             tr, delta = self._n2_parts(x, order)
             root = self._matched_root(x, tr, delta)
             return (tr + root) * 0.5
@@ -240,19 +242,37 @@ class BranchField:
         tr = g[0][0] + g[1][1]
         diff = g[0][0] - g[1][1]
         delta = diff * diff + 4.0 * (g[0][1] * g[1][0])
-        gval = self._g_value(x)
-        if _crossing_guard(delta.value, gval):
+        self._guard_crossing(x, delta.value)
+        return tr, delta
+
+    def _guard_crossing(self, x: float, delta: complex):
+        if _crossing_guard(delta, self._g_value(x)):
             raise CrossingPoint(
                 f"eigenvalues cross within guard radius at x = {x}")
-        return tr, delta
+
+    def _root_matches(self, x: float, tr: complex, root: complex) -> bool:
+        """Does (tr + root)/2, rather than (tr - root)/2, land on this branch?"""
+        target = self.qsq_value(x)
+        plus = 0.5 * (tr + root)
+        minus = 0.5 * (tr - root)
+        return abs(plus - target) <= abs(minus - target)
 
     def _matched_root(self, x: float, tr: Jet, delta: Jet) -> Jet:
         """Signed sqrt(Delta) jet whose value lands on this branch."""
         root = jet_sqrt(delta)
-        target = self.qsq_value(x)
-        plus = 0.5 * (tr.value + root.value)
-        minus = 0.5 * (tr.value - root.value)
-        return root if abs(plus - target) <= abs(minus - target) else -root
+        return root if self._root_matches(x, tr.value, root.value) else -root
+
+    def _qsq_n2_value(self, x: float) -> complex:
+        """Order 0 of `qsq_jet` for N = 2, on plain complex numbers."""
+        (g00, g01), (g10, g11) = self._g_value(x).tolist()
+        tr = g00 + g11
+        diff = g00 - g11
+        delta = diff * diff + 4.0 * (g01 * g10)
+        self._guard_crossing(x, delta)
+        root = cmath.sqrt(delta)
+        if not self._root_matches(x, tr, root):
+            root = -root
+        return (tr + root) * 0.5
 
     # -- Q = sqrt(Q^2), upper-sign convention -------------------------------
 
@@ -328,28 +348,37 @@ class BranchField:
         """Unnormalized eigenvector from the better-conditioned row."""
         va = (g[0][1], qsq - g[0][0])
         vb = (qsq - g[1][1], g[1][0])
-        na = abs(va[0].value) ** 2 + abs(va[1].value) ** 2
-        nb = abs(vb[0].value) ** 2 + abs(vb[1].value) ** 2
+        return va if self._use_row_a(x, _norm2(va[0].value, va[1].value),
+                                     _norm2(vb[0].value, vb[1].value)) else vb
+
+    def _candidate_value(self, x: float) -> tuple:
+        """`_candidate` at order 0, on plain complex numbers."""
+        va, vb = self._rows_value(x)
+        return va if self._use_row_a(x, _norm2(*va), _norm2(*vb)) else vb
+
+    def _rows_value(self, x: float) -> tuple:
+        (g00, g01), (g10, g11) = self._g_value(x).tolist()
+        q = self._qsq_n2_value(x)
+        return (g01, q - g00), (q - g11, g10)
+
+    def _use_row_a(self, x: float, na: float, nb: float) -> bool:
+        """Row a, (G12, Q^2 - G11), over row b, given their squared norms."""
         if self._real_vectors:
-            return va if na >= nb else vb
+            return na >= nb
         # Complex case: a per-point switch would kink the phase, so the
         # parameterization is pinned once, at the anchor.
         if self._patch is None:
             if x == self.anchor:
                 self._patch = "a" if na >= nb else "b"
             else:
-                ga = self._g_jet(self.anchor, 0)
-                qa = self.qsq_jet(self.anchor, 0)
-                wa = abs(ga[0][1].value) ** 2 + abs(qa.value - ga[0][0].value) ** 2
-                wb = abs(qa.value - ga[1][1].value) ** 2 + abs(ga[1][0].value) ** 2
-                self._patch = "a" if wa >= wb else "b"
-        v = va if self._patch == "a" else vb
-        nv = abs(v[0].value) ** 2 + abs(v[1].value) ** 2
+                va, vb = self._rows_value(self.anchor)
+                self._patch = "a" if _norm2(*va) >= _norm2(*vb) else "b"
+        nv = na if self._patch == "a" else nb
         if nv < 1e-20 * (1.0 + na + nb):
             raise GramSchmidtBreakdown(
                 f"pinned eigenvector parameterization degenerates at x = {x}; "
                 "evaluate on a subinterval anchored away from this point")
-        return v
+        return self._patch == "a"
 
     # -- sign / phase continuation -----------------------------------------
 
@@ -358,10 +387,7 @@ class BranchField:
         if got is not None:
             return got
         if self.n == 2:
-            g = self._g_jet(x, 0)
-            qsq = self.qsq_jet(x, 0)
-            v = self._candidate(x, g, qsq)
-            arr = np.array([v[0].value, v[1].value], dtype=complex)
+            arr = np.array(self._candidate_value(x), dtype=complex)
             out = arr / np.linalg.norm(arr)
         else:
             _, vec, _ = self._numeric_pair(x)
@@ -407,6 +433,14 @@ class BranchField:
     # -- Kato phase for complex non-degenerate vectors ----------------------
 
     def _pre_kato_unit(self, x: float, order: int) -> tuple:
+        if order == 0:          # the same steps on plain complex numbers
+            v0, v1 = self._candidate_value(x)
+            inv = quotient(1.0, cmath.sqrt(v0.conjugate() * v0
+                                           + v1.conjugate() * v1))
+            unit = (v0 * inv, v1 * inv)
+            phase = self._alignment(x, np.array(unit))
+            return tuple(Jet._raw(float(x), np.array([u * phase]))
+                         for u in unit)
         g = self._g_jet(x, order)
         qsq = self.qsq_jet(x, order)
         v = self._candidate(x, g, qsq)
@@ -597,6 +631,10 @@ def _is_scalar_matrix(G) -> bool:
     return all(G[i][i] == G[0][0] for i in range(n)) and all(
         constant_value(G[i][j]) == 0 for i in range(n) for j in range(n)
         if i != j)
+
+
+def _norm2(a: complex, b: complex) -> float:
+    return abs(a) ** 2 + abs(b) ** 2
 
 
 def _unit_phase(z: complex, real: bool) -> complex:

@@ -27,6 +27,7 @@ closed-form comparisons are quoted in the upper sign convention
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +48,7 @@ from .errors import (
 from .jets import Jet, jet_const, jet_exp, jet_pow, jet_sqrt
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
+from .recurrence import PointWork
 from .scalar import Wave, WaveSample, scalar_corrections
 from .spectral import BranchField
 
@@ -133,16 +135,6 @@ def _aligned_basis(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def _compositions(total: int, parts: int):
-    """Ordered tuples of non-negative ints of length `parts` summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def _jet_solve(A: list, rhs: list) -> list:
@@ -242,23 +234,46 @@ class CorrectionEngine:
             s=pt["s"][:mm], s_perp=pt["s_perp"][:mm],
             c_perp=pt["c_perp"][:mm], c_par=pt["c_par"][:mm], b=pt["b"][:mm])
 
-    def _point(self, x: float, m_upto: int) -> dict:
-        """Point data with levels 0..m_upto fully assembled."""
+    def _record(self, x: float) -> dict:
         pt = self._points.get(x)
         if pt is None:
             pt = self._base_point(x)
             self._points[x] = pt
+        return pt
+
+    @contextmanager
+    def _assembling(self, pt: dict):
+        """pt["work"] for the duration; the outermost holder drops it."""
+        owner = "work" not in pt
+        if owner:
+            pt["work"] = PointWork(pt, self.K)
+        try:
+            yield
+        finally:
+            if owner:
+                del pt["work"]
+
+    def _assemble(self, pt: dict, m_upto: int):
         while len(pt["s"]) - 1 < m_upto:
             m = len(pt["s"])
             self._stage(pt, m)
             self._finish_level(pt, m)
+
+    def _point(self, x: float, m_upto: int) -> dict:
+        """Point data with levels 0..m_upto fully assembled."""
+        pt = self._record(x)
+        if len(pt["s"]) - 1 < m_upto:
+            with self._assembling(pt):
+                self._assemble(pt, m_upto)
         return pt
 
     def _point_staged(self, x: float, m: int) -> dict:
         """Levels < m assembled; level m through Y_m (no parallel part)."""
-        pt = self._point(x, m - 1)
+        pt = self._record(x)
         if len(pt["Y"]) - 1 < m:
-            self._stage(pt, m)
+            with self._assembling(pt):
+                self._assemble(pt, m - 1)
+                self._stage(pt, m)
         return pt
 
     def _base_point(self, x: float) -> dict:
@@ -344,98 +359,74 @@ class CorrectionEngine:
     # b_m : driving vector of the order-m relation
     # ------------------------------------------------------------------
 
-    def _dz(self, j: Jet, Q: Jet) -> Jet:
-        """d/d zeta = Q**-1 d/dx (order drops by one)."""
-        p = j.order - 1
-        return j.diff() / Q.truncated(p)
-
     def _compute_b(self, pt: dict, m: int, k: int,
                    s_list: list | None = None) -> tuple:
-        x, n = pt["x"], self.prob.n
-        Q = pt["Q"]
-        Y, b = pt["Y"], pt["b"]
+        """b_m at order k, from the point's power table and derivatives.
+
+        With P_c = [Y^c] (`recurrence.PowerTable`), ' = d/d zeta, and the
+        lambda^2-block coefficients T_r, U_r of `PointWork`:
+
+          2 b_m = (c2 - c4 + 2 sum_{0<s<m} P2_{m-s} Y_s) s_0
+                  + sum_{0<s<m} (P2_{m-s} - P4_{m-s}) s_s - 2 P2_{m-s} b_s
+                  + sum_{s<m} 2i P3_{m-1-s} s_s'
+                  + sum_{s<m-1} P2_r s_s'' - T_r s_s' + U_r s_s   (r = m-2-s)
+
+        where c2, c4 are [Y^2]_m, [Y^4]_m with Y_m left out.  Each vector
+        takes one product per component with its summed coefficient.
+        Everything that depends only on the point (power table,
+        zeta-derivatives at full order, T_r and U_r) comes from
+        pt["work"], which `_point`/`_point_staged` hold while they assemble
+        the point and drop when they return; a call outside that window
+        (b~ of an integrand or of the compatibility check) builds a
+        temporary one.  `s_list` stands in for pt["s"] (b~ masks s_m); a
+        slot that is not pt["s"]'s own vector bypasses the cache.
+        """
+        work = pt.get("work") or PointWork(pt, self.K)
         s = pt["s"] if s_list is None else s_list
-        dz = self._dz
-        Yt = [y.truncated(k) for y in Y]
-        _yp_memo: dict = {}
+        own = pt["s"]
 
-        def yprod(total, count):
-            got = _yp_memo.get((total, count))
-            if got is not None:
-                return got
-            acc = jet_const(0.0, x, k)
-            for combo in _compositions(total, count):
-                term = Yt[combo[0]]
-                for idx in combo[1:]:
-                    term = term * Yt[idx]
-                acc = acc + term
-            _yp_memo[(total, count)] = acc
-            return acc
+        def t(j):
+            return j.truncated(k)
 
-        acc = _vzero(x, k, n)
-        for sigma in range(1, m):
-            coef = yprod(m - sigma, 2)
-            inner = _vadd(_vtrunc(s[sigma], k),
-                          _vscale(2.0 * Y[sigma].truncated(k),
-                                  _vtrunc(s[0], k)))
-            inner = _vsub(inner, _vscale(jet_const(2.0, x, k),
-                                         _vtrunc(b[sigma], k)))
-            acc = _vadd(acc, _vscale(coef, inner))
-            acc = _vsub(acc, _vscale(yprod(m - sigma, 4), _vtrunc(s[sigma], k)))
-        c2 = jet_const(0.0, x, k)
-        for combo in _compositions(m, 2):
-            if max(combo) < m:
-                c2 = c2 + Yt[combo[0]] * Yt[combo[1]]
-        c4 = jet_const(0.0, x, k)
-        for combo in _compositions(m, 4):
-            if max(combo) < m:
-                term = Yt[combo[0]]
-                for idx in combo[1:]:
-                    term = term * Yt[idx]
-                c4 = c4 + term
-        acc = _vadd(acc, _vscale(c2 - c4, _vtrunc(s[0], k)))
-        dzs_cache: dict = {}
+        def dz(sigma, times):
+            if sigma < len(own) and s[sigma] is own[sigma]:
+                return work.dz("s", sigma, times)
+            vec = s[sigma]
+            for _ in range(times):
+                vec = tuple(work.zeta(c) for c in vec)
+            return vec
 
-        def dzs(sigma):
-            got = dzs_cache.get(sigma)
-            if got is None:
-                got = tuple(dz(c, Q).truncated(k) for c in s[sigma])
-                dzs_cache[sigma] = got
-            return got
-
-        dzy_cache: dict = {}
-
-        def dzy(a):
-            got = dzy_cache.get(a)
-            if got is None:
-                got = dz(Y[a], Q).truncated(k)
-                dzy_cache[a] = got
-            return got
-
-        # i-term: first zeta derivatives
-        for sigma in range(0, m):
-            coef3 = yprod(m - 1 - sigma, 3)
-            acc = _vadd(acc, _vscale(2.0j * coef3, dzs(sigma)))
-        # lambda^2 block: second zeta derivatives (absent for m = 1)
-        for sigma in range(0, m - 1):
-            rem = m - 2 - sigma
-            pair = yprod(rem, 2)
-            ddsv = tuple(dz(dz(c, Q), Q).truncated(k) for c in s[sigma])
-            acc = _vadd(acc, _vscale(pair, ddsv))
-            for a in range(rem + 1):
-                bi = rem - a
-                if bi >= 1:
-                    acc = _vsub(acc, _vscale(Yt[a] * dzy(bi), dzs(sigma)))
-            scal = pt["eps0"].truncated(k) * pair
-            for a in range(rem + 1):
-                bi = rem - a
-                if a >= 1 and bi >= 1:
-                    scal = scal + 0.75 * (dzy(a) * dzy(bi))
-                if bi >= 1:
-                    scal = scal - 0.5 * (Yt[a]
-                                         * dz(dz(Y[bi], Q), Q).truncated(k))
-            acc = _vadd(acc, _vscale(scal, _vtrunc(s[sigma], k)))
-        return _vscale(jet_const(0.5, x, k), acc)
+        P2, P3, P4 = ([t(work.powers.power(c, j)) for j in range(m)]
+                      for c in (2, 3, 4))
+        c2, s3, s4 = (t(j) for j in work.powers.parts(m))
+        c4 = c2 + c2 + s4
+        terms = []
+        for sigma in range(m):
+            if sigma == 0:
+                cs = c2 - c4 + (s3 + s3)
+            else:
+                cs = P2[m - sigma] - P4[m - sigma]
+            cd = 2j * P3[m - 1 - sigma]
+            if sigma <= m - 2:
+                r = m - 2 - sigma
+                T, U = work.lam2(r)
+                cs = cs + t(U)
+                cd = cd - t(T)
+                terms.append((P2[r], dz(sigma, 2)))
+            terms.append((cs, s[sigma]))
+            terms.append((cd, dz(sigma, 1)))
+        b = pt["b"]
+        out = []
+        for i in range(self.prob.n):
+            acc = None
+            for coef, vec in terms:
+                term = coef * t(vec[i])
+                acc = term if acc is None else acc + term
+            acc = 0.5 * acc
+            for sigma in range(1, m):
+                acc = acc - P2[m - sigma] * t(b[sigma][i])
+            out.append(acc)
+        return tuple(out)
 
     def _compute_b_tilde(self, pt: dict, m_next: int, k: int) -> tuple:
         """b~_{m+1}: the part of b_{m+1} independent of s_m.
@@ -462,24 +453,29 @@ class CorrectionEngine:
             return _vzero(x, k, n), None
         Qsq = pt["Qsq"].truncated(k)
         if n == 2 and pt["d"] == 1:
-            s0 = pt["s"][0]
+            work = pt["work"]
+            if work.perp_det is None:
+                work.perp_det = self._perp_det(pt)
+            D = work.perp_det.truncated(k)
             sperp = pt["comp"][0]
-            G = pt["G"]
-            t = lambda j: j.truncated(k)
-            D = (t(s0[0].conj()) * t(s0[0]) * t(G[1][1])
-                 + t(s0[1].conj()) * t(s0[1]) * t(G[0][0])
-                 - t(pt["norm0"]) * Qsq
-                 - (t(s0[0].conj()) * t(s0[1]) * t(G[0][1])
-                    + t(s0[0]) * t(s0[1].conj()) * t(G[1][0])))
-            gmax = max(abs(G[i][j].value) for i in range(2) for j in range(2))
-            if abs(D.value) < 1e-10 * (1.0 + gmax * gmax):
-                raise CrossingPoint(
-                    f"complement solve singular (crossing) at x = {x}")
             c_perp = (-2.0 * Qsq * _dot(sperp, b_m, k)) / D
             return _vscale(c_perp, _vtrunc(sperp, k)), c_perp
         if self.variant == "non_hermitian":
             return self._solve_perp_nonhermitian(pt, b_m, k)
         return self._solve_perp_complement(pt, b_m, k)
+
+    def _perp_det(self, pt: dict) -> Jet:
+        """(e2, (G - Q^2) e2) for N = 2 at full order, e2 the complement."""
+        s0, G, x = pt["s"][0], pt["G"], pt["x"]
+        D = (s0[0].conj() * s0[0] * G[1][1] + s0[1].conj() * s0[1] * G[0][0]
+             - pt["norm0"] * pt["Qsq"]
+             - (s0[0].conj() * s0[1] * G[0][1]
+                + s0[0] * s0[1].conj() * G[1][0]))
+        gmax = max(abs(G[i][j].value) for i in range(2) for j in range(2))
+        if abs(D.value) < 1e-10 * (1.0 + gmax * gmax):
+            raise CrossingPoint(
+                f"complement solve singular (crossing) at x = {x}")
+        return D
 
     def _solve_perp_complement(self, pt: dict, b_m: tuple, k: int):
         # hermitian path; complement vectors are sibling eigenvectors, so

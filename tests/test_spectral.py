@@ -6,9 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from phaseintegral.errors import CrossingPoint, TurningPoint
+from phaseintegral.examples import example_problem
 from phaseintegral.expressions import parse_expr
 from phaseintegral.jets import Jet, jet_const, jet_pow, jet_variable
-from phaseintegral.problem import ProblemSpec, split_R
+from phaseintegral.problem import ProblemSpec, load_problem, split_R
 from phaseintegral.quadrature import quad
 from phaseintegral.spectral import (
     BranchField, eigen_n2_closed_form, eigen_track, epsilon0, kato_gauge,
@@ -394,3 +395,57 @@ class TestFullDegeneracy:
         assert _probed_full_degeneracy(fld, 1.3) is True
         with pytest.raises((CrossingPoint, UnsupportedDegeneracy)):
             CorrectionEngine(prob, fld, "simplified_hermitian", 2, 1.0).at(1.3)
+
+
+# --------------------------------------------------------------------------
+# order 0 (N = 2) on plain complex numbers
+# --------------------------------------------------------------------------
+
+def _fex1_rotated_40x():
+    data = example_problem("fulling-pos")
+    data["R"] = [[e.replace("(x)", "(40*x)") for e in row] for row in data["R"]]
+    spec, lam, a = load_problem(data)
+    return split_R(spec, lam, a)
+
+
+class TestOrderZero:
+    """s0_jets(x, 0) and qsq_jet(x, 0) skip the jets; they must still be
+    the values of the full-order jets."""
+
+    K = 8
+
+    def _check(self, prob, rank, anchor, xs):
+        # separate fields, so each path builds its own continuation
+        f0 = BranchField(prob, rank, "normalized", None, anchor=anchor)
+        fk = BranchField(prob, rank, "normalized", None, anchor=anchor)
+        for x in xs:
+            x = float(x)
+            want = fk.s0_jets(x, self.K)
+            got = f0.s0_jets(x, 0)
+            assert all(c.order == 0 for c in got)
+            assert_allclose([c.value for c in got], [c.value for c in want],
+                            rtol=0, atol=1e-14)
+            assert_allclose(f0.qsq_jet(x, 0).value, fk.qsq_jet(x, self.K).value,
+                            rtol=1e-14)
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_fex1(self, fex1, rank):
+        self._check(fex1, rank, 2.5, [2.5, 2.8, 3.7, 5.1, 6.9])
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_fex4_complex_vectors(self, fex4, rank):
+        # non-hermitian: complex eigenvectors, the row pinned at the anchor
+        self._check(fex4, rank, 2.0, [2.2, 2.8, 3.6, 5.0, 6.4])
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_fast_rotation_sweep(self, rank):
+        # every other point of the 40x sweep on [2, 4), continuation included
+        self._check(_fex1_rotated_40x(), rank, 2.0,
+                    np.arange(2.0, 4.0, 0.0025)[::2])
+
+    def test_crossing_guard(self, fex1):
+        fld = BranchField(fex1, 0, "normalized", None, anchor=2.0)
+        with pytest.raises(CrossingPoint):
+            fld.qsq_jet(1.0, 0)
+        with pytest.raises(CrossingPoint):
+            fld.s0_jets(1.0, 0)

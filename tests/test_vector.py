@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from phaseintegral.errors import (
@@ -10,7 +11,9 @@ from phaseintegral.errors import (
     NonPositiveYWarning, UnsupportedDegeneracy,
 )
 from phaseintegral.expressions import parse_expr
+from phaseintegral.jets import Jet, jet_const
 from phaseintegral.problem import ProblemSpec, split_R
+from phaseintegral.recurrence import PowerTable
 from phaseintegral.scalar import scalar_corrections
 from phaseintegral.spectral import BranchField
 from phaseintegral.vector import (
@@ -54,6 +57,21 @@ class TestDrivingVector:
             t2 = 1j * (s1[j].diff() / q.truncated(s1[j].order - 1)).value
             want.append(t0 + t1 + t2)
         assert_allclose([c.value for c in corr.b[2]], want, rtol=1e-10)
+
+    def test_b_tilde_leaves_out_s_m(self, fex1):
+        # Kato gauge, Y_1 = 0: only i s_1'(zeta) couples b_2 to s_1, and
+        # b~_2 masks s_1 although the point has it (and its derivative)
+        eng = CorrectionEngine(fex1, field(fex1, 0), "fulling_current", 2, 2.0)
+        corr = eng.at(3.0)
+        k = corr.b[2][0].order
+        btilde = eng._compute_b_tilde(eng._points[3.0], 2, k)
+        q = corr.Q
+        for j in range(2):
+            s1p = corr.s[1][j].diff()
+            want = 1j * (s1p / q.truncated(s1p.order)).value
+            assert abs(want) > 1e-3
+            assert_allclose((corr.b[2][j] - btilde[j]).value, want,
+                            rtol=1e-10)
 
     def test_constant_problem_all_b_vanish(self):
         spec = ProblemSpec(2, "reduced",
@@ -175,6 +193,125 @@ class TestYm:
         fld = field(fex4, 1, gauge="raw", g=parse_expr("1"))
         eng = CorrectionEngine(fex4, fld, "non_hermitian", 1, 2.0)
         assert abs(eng.at(3.0).Y[1].value) > 1e-4
+
+
+# --------------------------------------------------------------------------
+# the recurrence's lambda-power table and its work per point
+# --------------------------------------------------------------------------
+
+def _compositions(total, parts):
+    """Ordered tuples of non-negative ints of length `parts` summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _composition_sum(Y, c, t, k, without_top=False):
+    """[Y^c]_t at order k by brute force; optionally without the Y_t terms."""
+    acc = jet_const(0.0, Y[0].center, k)
+    for combo in _compositions(t, c):
+        if without_top and max(combo) == t:
+            continue
+        term = Y[combo[0]].truncated(k)
+        for i in combo[1:]:
+            term = term * Y[i].truncated(k)
+        acc = acc + term
+    return acc
+
+
+_TABLE_K, _TABLE_T = 10, 8
+
+
+@st.composite
+def _integer_y(draw):
+    """Y_0 = 1 and Y_1 .. Y_8 with small-integer coefficients, Y_t of order
+    K - t: every sum and product is exact in floating point."""
+    small = st.integers(-3, 3)
+    Y = [jet_const(1.0, 0.5, _TABLE_K)]
+    for t in range(1, _TABLE_T + 1):
+        n = _TABLE_K - t + 1
+        re = draw(st.lists(small, min_size=n, max_size=n))
+        im = draw(st.lists(small, min_size=n, max_size=n))
+        Y.append(Jet(0.5, [complex(a, b) for a, b in zip(re, im)]))
+    return Y
+
+
+class TestPowerTable:
+    @settings(max_examples=30, deadline=None)
+    @given(_integer_y())
+    def test_table_equals_composition_sums(self, Y):
+        known = [Y[0]]               # Y_t becomes known level by level
+        table = PowerTable(known, _TABLE_K)
+        for c in (2, 3, 4):
+            assert table.power(c, 0) is Y[0]
+        for t in range(1, _TABLE_T + 1):
+            k = _TABLE_K - t
+            c2, _, s4 = table.parts(t)          # before Y_t is known
+            assert np.array_equal(
+                c2.coeffs, _composition_sum(Y, 2, t, k, True).coeffs)
+            assert np.array_equal(
+                (c2 + c2 + s4).coeffs, _composition_sum(Y, 4, t, k, True).coeffs)
+            known.append(Y[t])
+            for c in (2, 3, 4):
+                assert np.array_equal(table.power(c, t).coeffs,
+                                      _composition_sum(Y, c, t, k).coeffs)
+
+    @pytest.mark.parametrize("m_max", [6, 8])
+    def test_recurrence_matches_scalar_recursion(self, n1_engine, m_max):
+        # u'' + (x / lambda^2) u = 0 as the N = 1 system against the
+        # independent x-derivative recursion of `scalar_corrections`
+        corr = n1_engine("x", 2.0, m_max).at(2.0)
+        sc = scalar_corrections(corr.eps0, corr.Qsq, m_max // 2)
+        for m in range(1, m_max + 1):
+            if m % 2:
+                assert abs(corr.Y[m].value) < 1e-14
+            else:
+                assert_allclose(corr.Y[m].value, sc.Y[m // 2].value,
+                                rtol=1e-12)
+
+    def test_point_work_is_dropped_after_assembly(self, fex1):
+        # anchor 3, point 4.5: the c_par integrands stage ladder points too
+        eng = CorrectionEngine(fex1, field(fex1, 1, anchor=3.0),
+                               "fulling_current", 3, 3.0)
+        eng.at(4.5)
+        assert len(eng._points) > 1
+        assert all("work" not in pt for pt in eng._points.values())
+
+
+class TestWorkCounts:
+    """Jet products and quotients of one point, counted at the operators."""
+
+    @staticmethod
+    def _count(monkeypatch, engine, x):
+        counts = {"mul": 0, "div": 0}
+        for name, key in (("__mul__", "mul"), ("__rmul__", "mul"),
+                          ("__truediv__", "div")):
+            def counted(self, other, op=getattr(Jet, name), key=key):
+                counts[key] += 1
+                return op(self, other)
+            monkeypatch.setattr(Jet, name, counted)
+        engine.at(x)
+        monkeypatch.undo()
+        return counts
+
+    def test_fex1_m6_point(self, fex1, monkeypatch):
+        # before the power table: 2267 products and 174 quotients
+        eng = CorrectionEngine(fex1, field(fex1, 0, anchor=2.5),
+                               "simplified_hermitian", 6, 2.5)
+        counts = self._count(monkeypatch, eng, 3.7)
+        assert counts["mul"] < 2267 // 2, counts
+        assert counts["div"] < 174 // 2, counts
+
+    def test_fulling_m3_point(self, fex1, monkeypatch):
+        # before the power table: 369 products and 40 quotients
+        eng = CorrectionEngine(fex1, field(fex1, 1, anchor=3.0),
+                               "fulling_current", 3, 3.0)
+        counts = self._count(monkeypatch, eng, 3.0)
+        assert counts["mul"] < 369 // 2, counts
+        assert counts["div"] < 40, counts
 
 
 class TestVectorCorrections:
