@@ -7,13 +7,17 @@ of G - Q**2 I.  Branches are identified by the rank of the eigenvalue in
 a crossing-free interval, so the square-root sign is re-derived at every
 point instead of being carried around.
 
-For N > 2 branches are tracked numerically and jets come from
-finite-difference polynomial fits with Richardson combination; accuracy is
-then limited well below closed-form level for the top derivative orders.
+For N > 2 the jets are exact too.  The eigenprojection P of the branch's
+cluster (the d eigenvalues within the cluster tolerance of it) is expanded
+order by order from the jet of G by Kato's reduction process, and
+everything else follows from P: Q**2 = tr(G P)/d, and the eigenbasis is
+the Gram-Schmidt of P applied to the continued basis at the point (for
+d = 1, the unit eigenvector P ref/|P ref|).
 
 Gauges:
   raw(g)     eigenvector g(x) * {1, (Q^2 - G11)/G12} (row-swapped analogue
-             when G12 is the smaller off-diagonal entry);
+             when G12 is the smaller off-diagonal entry); g(x) times the
+             unit eigenvector for N > 2;
   normalized unit eigenvector with sign/phase continued from the anchor;
   kato       normalized with (e1, e1') = 0; equal to `normalized` for real
              eigenvectors, otherwise fixed by the phase integral
@@ -30,7 +34,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    BranchSwapDetected,
     CrossingPoint,
     DegenerateComplexGauge,
     DegenerateParameterization,
@@ -51,7 +54,6 @@ __all__ = [
     "schwartzian", "epsilon0",
 ]
 
-_NUMERIC_MAX_ORDER = 6
 _ALIGN_STEP = 0.1
 
 
@@ -160,7 +162,9 @@ class BranchField:
                             else 0.5 * (prob.domain[0] + prob.domain[1]))
         self.q_sign = int(q_sign)
         self._real_vectors = prob.hermitian_hint == "real_symmetric"
-        self._signs: dict[int, complex] = {}
+        self._oblique = prob.hermitian_hint not in ("real_symmetric",
+                                                    "hermitian")
+        self._frames: dict[int, np.ndarray] = {}
         self._theta1: JetChainIntegral | None = None
         self._patch: str | None = None   # complex-case fixed parameterization
         self._siblings: dict[int, "BranchField"] = {}
@@ -169,6 +173,8 @@ class BranchField:
         self._gvals: dict = {}
         self._qvals: dict = {}
         self._units: dict = {}
+        self._projs: dict = {}
+        self._d: int | None = None        # cluster size at the anchor
         if gauge == "kato" and not self._real_vectors:
             self._theta1 = JetChainIntegral(self._theta1_jet, self.anchor)
 
@@ -225,7 +231,7 @@ class BranchField:
             tr, delta = self._n2_parts(x, order)
             root = self._matched_root(x, tr, delta)
             return (tr + root) * 0.5
-        return self._numeric_jets(x, order)[0]
+        return Jet._raw(float(x), self._eigen_jets(x, order)[0])
 
     def full_degeneracy_region(self, x: float) -> bool:
         """True if all eigenvalues coincide on a neighborhood of x.
@@ -305,27 +311,30 @@ class BranchField:
             # any unit vector is an eigenvector; use the coordinate axis
             return tuple(jet_const(1.0 if j == self.rank else 0.0, x, order)
                          for j in range(self.n))
-        if self.n == 2:
-            return self._s0_n2(x, order)
-        if self.degeneracy(x) > 1:
-            raise UnsupportedDegeneracy(
-                "eigenvector jets inside a degenerate cluster must come from "
-                "the correction engine's subspace basis")
-        unit = self._numeric_jets(x, order)[1]
+        if self.gauge == "raw" and self.n == 2:
+            return self._s0_raw(x, order)
+        unit = self._unit_jets(x, order)
         if self.gauge == "raw":
             g = eval_expr_jet(self.gauge_g, x, order, self.prob.params)
             return tuple(g * c for c in unit)
-        if self.gauge == "kato" and self._theta1 is not None:
+        if self._theta1 is not None:
             return self._apply_kato_phase(x, unit)
         return unit
 
-    def _s0_n2(self, x: float, order: int) -> tuple:
-        if self.gauge == "raw":
-            return self._s0_raw(x, order)
-        unit = self._pre_kato_unit(x, order)
-        if self.gauge == "kato" and self._theta1 is not None:
-            unit = self._apply_kato_phase(x, unit)
-        return unit
+    def _unit_jets(self, x: float, order: int) -> tuple:
+        """Unit eigenvector before the Kato phase (the first basis vector
+        of a cluster with d > 1).
+
+        For N > 2 with a Kato phase to integrate, the vector continues the
+        anchor's instead of the continued value at x: theta1 then
+        integrates one smooth section, as the N = 2 row pinned at the
+        anchor does.
+        """
+        if self.n == 2:
+            return self._pre_kato_unit(x, order)
+        if self._theta1 is not None:
+            return self._gram_schmidt(x, self._frame(self.anchor), order)[0]
+        return self.basis_jets(x, order)[0]
 
     def _s0_raw(self, x: float, order: int) -> tuple:
         g = self._g_jet(x, order)
@@ -383,52 +392,70 @@ class BranchField:
     # -- sign / phase continuation -----------------------------------------
 
     def _unit_value(self, x: float) -> np.ndarray:
+        """N = 2 unit eigenvector from the candidate row, uncontinued."""
         got = self._units.get(x)
-        if got is not None:
-            return got
-        if self.n == 2:
+        if got is None:
             arr = np.array(self._candidate_value(x), dtype=complex)
-            out = arr / np.linalg.norm(arr)
-        else:
-            _, vec, _ = self._numeric_pair(x)
-            lead = vec[np.argmax(np.abs(vec))]
-            out = vec * _unit_phase(np.conj(lead), real=self._real_vectors)
-        self._units[x] = out
-        return out
+            got = arr / np.linalg.norm(arr)
+            self._units[x] = got
+        return got
 
     def _alignment(self, x: float, unit_value: np.ndarray) -> complex:
-        """Continuation phase (+-1 for real vectors) from the anchor to x."""
-        k = int(math.floor(abs(x - self.anchor) / _ALIGN_STEP + 1e-12))
-        sgn = 1.0 if x >= self.anchor else -1.0
-        phase = self._path_sign(k, sgn)
-        ref = self._unit_value(self.anchor + sgn * k * _ALIGN_STEP)
-        ip = np.vdot(phase * ref, unit_value)
+        """N = 2 continuation phase (+-1 for real vectors) from the anchor."""
+        ip = np.vdot(self._frame(x), unit_value)
         if abs(ip) < 1e-12:
             raise GramSchmidtBreakdown(
                 f"cannot align eigenvector continuation at x = {x}")
         return _unit_phase(ip, real=self._real_vectors)
 
-    def _path_sign(self, k: int, sgn: float) -> complex:
+    def _reference(self, x: float) -> np.ndarray:
+        """N > 2: the continued eigenbasis at x (N x d values)."""
+        return self._carry(x, self._frame(x))
+
+    def _frame(self, x: float) -> np.ndarray:
+        """Continued eigenvector (N = 2) or eigenbasis (N > 2) at the last
+        alignment step between the anchor and x.
+
+        The walk starts from the eigenvectors at the anchor, each with its
+        largest component made real and positive, and moves outward in
+        steps of _ALIGN_STEP, each step continuing the last (`_carry`).
+        """
+        k = int(math.floor(abs(x - self.anchor) / _ALIGN_STEP + 1e-12))
+        sgn = 1.0 if x >= self.anchor else -1.0
         key = int(k * sgn)
-        got = self._signs.get(key)
+        got = self._frames.get(key)
         if got is not None:
             return got
-        if 0 not in self._signs:
-            v = self._unit_value(self.anchor)
-            lead = v[np.argmax(np.abs(v))]
-            self._signs[0] = _unit_phase(np.conj(lead), real=self._real_vectors)
+        if 0 not in self._frames:
+            if self.n == 2:
+                v = self._unit_value(self.anchor)
+                self._frames[0] = self._lead_phase(v) * v
+            else:
+                _, vecs, _, inside = self._cluster(self.anchor)
+                v = vecs[:, inside]          # unit columns from eigh / eig
+                self._frames[0] = v * np.array([self._lead_phase(c)
+                                                for c in v.T])
         # walk outward from the largest cached step on this side
-        have = max((abs(j) for j in self._signs
+        have = max((abs(j) for j in self._frames
                     if j == 0 or (j > 0) == (sgn > 0)), default=0)
-        prev = self._unit_value(self.anchor + sgn * have * _ALIGN_STEP)
-        phase = self._signs[int(have * sgn)]
+        frame = self._frames[int(have * sgn)]
         for j in range(have + 1, k + 1):
-            cur = self._unit_value(self.anchor + sgn * j * _ALIGN_STEP)
-            ip = np.vdot(phase * prev, cur)
-            phase = _unit_phase(ip, real=self._real_vectors)
-            self._signs[int(j * sgn)] = phase
-            prev = cur
-        return self._signs[key]
+            frame = self._carry(self.anchor + sgn * j * _ALIGN_STEP, frame)
+            self._frames[int(j * sgn)] = frame
+        return self._frames[key]
+
+    def _lead_phase(self, v: np.ndarray) -> complex:
+        """Phase that makes the largest component of v real and positive."""
+        return _unit_phase(v[np.argmax(np.abs(v))], real=self._real_vectors)
+
+    def _carry(self, t: float, prev: np.ndarray) -> np.ndarray:
+        """The eigenvector or eigenbasis at t that continues `prev`."""
+        if self.n == 2:
+            cur = self._unit_value(t)
+            return _unit_phase(np.vdot(prev, cur),
+                               real=self._real_vectors) * cur
+        basis = self._gram_schmidt(t, prev, 0)
+        return np.array([[c.value for c in e] for e in basis]).T
 
     # -- Kato phase for complex non-degenerate vectors ----------------------
 
@@ -451,7 +478,7 @@ class BranchField:
         return (unit[0] * phase, unit[1] * phase)
 
     def _theta1_jet(self, t: float):
-        e = self._pre_kato_unit(t, 5)
+        e = self._unit_jets(t, 5)
         ip = e[0].conj().truncated(4) * e[0].diff()
         for c in e[1:]:
             ip = ip + c.conj().truncated(4) * c.diff()
@@ -468,129 +495,135 @@ class BranchField:
         factor = jet_exp(1j * theta_jet)
         return tuple(c * factor for c in unit)
 
-    # -- numeric backend (N > 2) --------------------------------------------
+    # -- eigenprojection jets (N > 2) ---------------------------------------
 
-    def _numeric_pair(self, x: float):
+    def _cluster(self, x: float):
+        """Ranked eigen-solve at x and the mask of this branch's cluster:
+        (values, right vectors as columns, left vectors as rows, mask)."""
         g = self._g_value(x)
-        herm = self.prob.hermitian_hint in ("real_symmetric", "hermitian")
-        if herm:
+        if self._real_vectors:
+            vals, vecs = np.linalg.eigh(g.real)
+            left = vecs.T
+        elif not self._oblique:
             vals, vecs = np.linalg.eigh(g)
-            order_idx = np.argsort(vals)
+            left = vecs.conj().T
         else:
             vals, vecs = np.linalg.eig(g)
-            order_idx = np.lexsort((vals.imag, vals.real))
-        idx = order_idx[self.rank]
-        val = complex(vals[idx])
-        # gap to eigenvalues outside the degenerate cluster of this branch
+            idx = np.lexsort((vals.imag, vals.real))
+            vals, vecs = vals[idx], vecs[:, idx]
+            left = np.linalg.inv(vecs)
+        vals = vals.astype(complex)
+        return (vals, vecs.astype(complex), left.astype(complex),
+                self._members(vals, x))
+
+    def _members(self, vals: np.ndarray, x: float) -> np.ndarray:
+        """Mask of this branch's cluster among the ranked eigenvalues at x.
+
+        Eigenvalues within sqrt(1e-8 (1 + sum |g|^2)) of this branch's form
+        its cluster; an eigenvalue outside the cluster that close to a
+        member is a crossing.
+        """
+        g = self._g_value(x)
         tol = math.sqrt(1e-8 * (1.0 + float(np.sum(np.abs(g) ** 2))))
-        outside = [vals[j] for j in order_idx
-                   if j != idx and abs(vals[j] - val) > tol]
-        cluster = sum(1 for j in order_idx if abs(vals[j] - val) <= tol)
-        gap = min((abs(v - val) for v in outside), default=np.inf)
-        if gap ** 2 < 1e-8 * (1.0 + float(np.sum(np.abs(g) ** 2))):
+        inside = np.abs(vals - vals[self.rank]) <= tol
+        gaps = np.abs(vals[inside][:, None] - vals[~inside][None, :])
+        if gaps.size and gaps.min() <= tol:
             raise CrossingPoint(f"eigenvalue gap too small at x = {x}")
-        if cluster > 1:
+        return inside
+
+    def _eigen_jets(self, x: float, order: int):
+        """(Q**2 coefficients, eigenprojection coefficients P_0..P_order).
+
+        Kato's reduction process, run in the eigenbasis of G_0 = G(x),
+        where P_0 is the 0/1 diagonal of the cluster mask.  At each order
+        k, [G, P] = 0 gives the blocks that couple the cluster to the rest,
+        [Lambda, P_k] = -sum_{j>=1} [G_j, P_{k-j}], solved by the reduced
+        resolvent 1/(lambda_i - lambda_l); P**2 = P gives the blocks within
+        the cluster (-C_k) and within the rest (+C_k), with
+        C_k = sum_{0<j<k} P_j P_{k-j}.  The projector is oblique for
+        non-hermitian G.  Q**2 = tr(G P)/d is the cluster mean.
+        """
+        key = (x, order)
+        got = self._projs.get(key)
+        if got is not None:
+            return got
+        vals, vecs, left, inside = self._cluster(x)
+        d = int(inside.sum())
+        if self._d is None:
+            self._d = int(self._cluster(self.anchor)[3].sum())
+        if d != self._d:
+            raise CrossingPoint(
+                f"eigenvalues cross within guard radius at x = {x}")
+        if d == self.n:
             raise UnsupportedDegeneracy(
-                "single eigenvector requested inside a degenerate cluster; "
-                "use the correction engine's subspace machinery")
-        others = np.delete(order_idx, self.rank)
-        vec = vecs[:, idx]
-        comp = [np.asarray(vecs[:, j], dtype=complex) for j in others]
-        return val, np.asarray(vec / np.linalg.norm(vec), dtype=complex), comp
+                f"every eigenvalue is in one cluster at x = {x}; G = c(x) I "
+                "is recognized only from its expressions")
+        g = self._g_jet(x, order)
+        gt = left @ np.array([[c.coeffs for c in row] for row in g]
+                             ).transpose(2, 0, 1) @ vecs
+        gt[0] = np.diag(vals)
+        within = inside[:, None] == inside[None, :]
+        sign = np.where(within, np.where(inside[:, None], -1.0, 1.0), 0.0)
+        res = np.zeros((self.n, self.n), dtype=complex)
+        res[~within] = 1.0 / (vals[:, None] - vals[None, :])[~within]
+        pt = np.zeros_like(gt)
+        pt[0] = np.diag(inside.astype(complex))
+        for k in range(1, order + 1):
+            gj, pj = gt[1:k + 1], pt[k - 1::-1]    # G_j, P_{k-j}, j >= 1
+            c = (pt[1:k] @ pt[k - 1:0:-1]).sum(0)
+            f = (gj @ pj - pj @ gj).sum(0)
+            pt[k] = sign * c - res * f
+        tr = np.einsum("jab,lba->jl", gt, pt)
+        qsq = np.array([np.trace(tr[::-1], offset=k - order)
+                        for k in range(order + 1)]) / d
+        got = (qsq, vecs @ pt @ left)
+        self._projs[key] = got
+        return got
 
-    def _aligned_vec(self, x: float, ref: np.ndarray):
-        val, vec, _ = self._numeric_pair(x)
-        ip = np.vdot(ref, vec)
-        if abs(ip) < 1e-10:
-            raise BranchSwapDetected(
-                f"branch continuation ambiguous at x = {x}")
-        return val, vec * _unit_phase(ip, real=self._real_vectors)
+    def _gram_schmidt(self, x: float, ref: np.ndarray, order: int) -> tuple:
+        """Gram-Schmidt of P ref as jets: the eigenbasis continuing `ref`.
 
-    def _numeric_qsq_degenerate(self, x: float, order: int) -> Jet:
-        # stencil fit of the cluster-mean eigenvalue (smooth through the
-        # degenerate subspace even when member ordering fluctuates)
-        h = 1e-3 * (1.0 + abs(x))
+        Each column e_j has (ref_j, e_j) real and positive.  For an
+        orthogonal projector Gram-Schmidt gives that already; for an oblique
+        one each column takes the phase sqrt(conj(z)/z), z = (ref_j, e_j).
+        """
+        cols = np.einsum("kab,bj->jak", self._eigen_jets(x, order)[1], ref)
+        c = float(x)
+        basis = []
+        for j, col in enumerate(cols):
+            v = [Jet._raw(c, a) for a in col]
+            for e in basis:
+                ip = _vdot(e, v)
+                v = [a - ip * b for a, b in zip(v, e)]
+            norm_sq = _vdot(v, v)
+            if abs(norm_sq.value) < 1e-24:
+                raise GramSchmidtBreakdown(
+                    f"eigenbasis continuation degenerates at x = {x}; "
+                    "evaluate on a subinterval anchored closer to it")
+            inv = 1.0 / jet_sqrt(norm_sq)
+            v = [a * inv for a in v]
+            if self._oblique:
+                z = sum(a * complex(r).conjugate()
+                        for r, a in zip(ref[:, j], v))
+                phase = jet_sqrt(z.conj() / z)
+                v = [a * phase for a in v]
+            basis.append(tuple(v))
+        return tuple(basis)
 
-        def cluster_val(t):
-            g = self._g_value(t)
-            vals = np.sort(np.linalg.eigvalsh(g.real)
-                           if self._real_vectors else
-                           np.linalg.eigvals(g).real)
-            mine = vals[self.rank]
-            tol = math.sqrt(1e-8 * (1.0 + float(np.sum(np.abs(g) ** 2))))
-            members = [v for v in vals if abs(v - mine) <= tol]
-            return sum(members) / len(members)
+    def basis_jets(self, x: float, order: int) -> tuple:
+        """Orthonormal basis jets of the branch's eigenspace (N > 2).
 
-        if order == 0:
-            return Jet(x, [cluster_val(x)])
-        pts = 2 * order + 1
-        offs = (np.arange(pts) - order).astype(float)
-        v = np.vander(offs, pts, increasing=True)
-        qs1 = np.array([cluster_val(x + j * h) for j in offs])
-        qs2 = np.array([cluster_val(x + j * h / 2) for j in offs])
-        c1 = np.linalg.solve(v, qs1) / h ** np.arange(pts)
-        c2 = np.linalg.solve(v, qs2) / (h / 2) ** np.arange(pts)
-        out = np.empty(order + 1, dtype=complex)
-        for p in range(order + 1):
-            w = 2.0 ** (pts - p)
-            out[p] = (w * c2[p] - c1[p]) / (w - 1.0)
-        return Jet(x, out)
-
-    def _numeric_jets(self, x: float, order: int):
-        if order > _NUMERIC_MAX_ORDER:
-            raise InsufficientJetOrder(
-                f"numeric branch jets capped at order {_NUMERIC_MAX_ORDER} "
-                f"for N > 2 (requested {order})")
-        if self.degeneracy(x) > 1:
-            return self._numeric_qsq_degenerate(x, order), None
-        ref = self._unit_value(x) * self._alignment(x, self._unit_value(x))
-        h = 1e-3 * (1.0 + abs(x))
-        if order == 0:
-            qsq = Jet(x, [self.qsq_value(x)])
-            return qsq, tuple(Jet(x, [c]) for c in ref)
-
-        def sample(step):
-            pts = 2 * order + 1
-            offs = np.arange(pts) - order
-            qs = np.empty(pts, dtype=complex)
-            vs = np.empty((pts, self.n), dtype=complex)
-            for i, j in enumerate(offs):
-                val, vec = self._aligned_vec(x + j * step, ref)
-                qs[i] = val
-                vs[i] = vec
-            return offs.astype(float), qs, vs
-
-        def fit(taus, ys, step):
-            v = np.vander(taus, len(taus), increasing=True)
-            coef = np.linalg.solve(v, ys)
-            scale = step ** np.arange(len(taus))
-            return coef / (scale[:, None] if ys.ndim == 2 else scale)
-
-        t1, q1, v1 = sample(h)
-        t2, q2, v2 = sample(h / 2)
-        cq1, cq2 = fit(t1, q1, h), fit(t2, q2, h / 2)
-        cv1, cv2 = fit(t1, v1, h), fit(t2, v2, h / 2)
-        acc = 2 * order + 1
-        qc = np.empty(order + 1, dtype=complex)
-        vc = np.empty((order + 1, self.n), dtype=complex)
-        for p in range(order + 1):
-            w = 2.0 ** (acc - p)
-            qc[p] = (w * cq2[p] - cq1[p]) / (w - 1.0)
-            vc[p] = (w * cv2[p] - cv1[p]) / (w - 1.0)
-        qsq = Jet(x, qc)
-        s0 = tuple(Jet(x, vc[:, j]) for j in range(self.n))
-        return qsq, s0
+        One unit eigenvector for d = 1; d vectors inside a degenerate
+        cluster, each continued from the anchor.
+        """
+        return self._gram_schmidt(x, self._reference(x), order)
 
     # -- public assembly ------------------------------------------------------
 
     def degeneracy(self, x: float) -> int:
         if self.n == 1:
             return 1
-        vals = self._ranked_values(x)
-        mine = vals[self.rank]
-        g = self._g_value(x)
-        tol = math.sqrt(1e-8 * (1.0 + float(np.sum(np.abs(g) ** 2))))
-        return int(np.sum(np.abs(vals - mine) <= tol))
+        return int(self._members(self._ranked_values(x), x).sum())
 
     def branch(self, x: float, order: int) -> EigenBranch:
         qsq = self.qsq_jet(x, order)
@@ -599,25 +632,29 @@ class BranchField:
                            self.rank, self.gauge_g if self.gauge == "raw" else None)
 
     def complement_jets(self, x: float, order: int) -> tuple:
-        """Orthonormal-complement vectors (N=2 closed form, N>2 numeric)."""
+        """Orthonormal-complement vectors: the eigenvectors of the other
+        clusters (N = 2: the closed-form orthogonal vector)."""
         if self.n == 1:
             return ()
         if self.n == 2:
             s0 = self.s0_jets(x, order)
             return ((-s0[1].conj(), s0[0].conj()),)
-        if self.prob.hermitian_hint not in ("real_symmetric", "hermitian"):
+        if self._oblique:
             raise GramSchmidtBreakdown(
-                "numeric complement bases require a hermitian matrix")
+                "complement bases for N > 2 require a hermitian matrix")
+        covered = self._cluster(x)[3]
         vecs = []
         for r in range(self.n):
-            if r == self.rank:
+            if covered[r]:
                 continue
             sib = self._siblings.get(r)
             if sib is None:
                 sib = BranchField(self.prob, r, "normalized", None,
                                   self.anchor, self.q_sign)
+                sib._gjets, sib._gvals = self._gjets, self._gvals
                 self._siblings[r] = sib
-            vecs.append(sib.s0_jets(x, order))
+            covered = covered | sib._cluster(x)[3]
+            vecs.extend(sib.basis_jets(x, order))
         return tuple(vecs)
 
 
@@ -631,6 +668,14 @@ def _is_scalar_matrix(G) -> bool:
     return all(G[i][i] == G[0][0] for i in range(n)) and all(
         constant_value(G[i][j]) == 0 for i in range(n) for j in range(n)
         if i != j)
+
+
+def _vdot(a, b) -> Jet:
+    """(a, b) = sum conj(a_j) b_j for vectors of jets."""
+    acc = a[0].conj() * b[0]
+    for p, q in zip(a[1:], b[1:]):
+        acc = acc + p.conj() * q
+    return acc
 
 
 def _norm2(a: complex, b: complex) -> float:

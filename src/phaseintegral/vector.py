@@ -38,7 +38,6 @@ from .errors import (
     CompatibilityViolation,
     CrossingPoint,
     GaugeNotFixed,
-    InsufficientJetOrder,
     MinorSingular,
     NonPositiveYWarning,
     TurningPoint,
@@ -125,18 +124,6 @@ def _dot(a, b, k: int) -> Jet:
     return acc
 
 
-def _aligned_basis(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(sub) continuing `ref`.
-
-    QR of the projection of `ref` onto the subspace, with column signs
-    fixed so that diag(R) >= 0.
-    """
-    q, r = np.linalg.qr(sub @ (sub.T @ ref))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
 def _jet_solve(A: list, rhs: list) -> list:
     """Gaussian elimination with jet entries (partial pivoting by value)."""
     n = len(rhs)
@@ -200,15 +187,10 @@ class CorrectionEngine:
         self.m_max = int(m_max)
         self.anchor = float(anchor if anchor is not None else branch.anchor)
         self.K = 2 * self.m_max + 2
-        if prob.n > 2 and self.K > 6:
-            raise InsufficientJetOrder(
-                "N > 2 eigen jets are capped at order 6; "
-                f"m_max={m_max} needs order {self.K}")
         self.sgn = +1.0 if variant == "fulling_current" else -1.0
         self._points: dict[float, dict] = {}
         self._cpar_cum: dict[int, JetChainIntegral] = {}
         self._coord_cum: dict[tuple, JetChainIntegral] = {}
-        self._deg_cache: dict[int, np.ndarray] = {}
         d = branch.degeneracy(self.anchor)
         self._scalar_route = (d == prob.n and prob.n > 1)
         if d > 1 and not self._scalar_route:
@@ -286,15 +268,17 @@ class CorrectionEngine:
         d = fld.degeneracy(x)
         basis = None
         comp = ()
-        if not self._scalar_route and n > 1 and d > 1:
-            basis = self._deg_basis_jets(x, K, d)
-            comp = self._deg_complement_jets(x, K, d)
+        if self._scalar_route or n == 1:
+            s0 = fld.s0_jets(x, K)
+        elif d > 1:
+            basis = fld.basis_jets(x, K)
             s0 = basis[0]
+            comp = fld.complement_jets(x, K)
         else:
             s0 = fld.s0_jets(x, K)
-            if not self._scalar_route and n == 2:
+            if n == 2:
                 comp = ((-s0[1].conj(), s0[0].conj()),)
-            elif not self._scalar_route and n > 2:
+            elif self.variant != "non_hermitian":   # its solve needs none
                 comp = fld.complement_jets(x, K)
         G = fld._g_jet(x, K) if n > 1 else None
         return {
@@ -308,10 +292,11 @@ class CorrectionEngine:
 
     def _stage(self, pt: dict, m: int):
         """Compute b_m, s_m_perp and Y_m (everything except P s_m)."""
-        if self._scalar_route:
-            return   # handled wholesale in _finish_level
         if len(pt["Y"]) - 1 >= m:
             return   # already staged by an integrand evaluation
+        if self._scalar_route:
+            self._scalar_level(pt, m)   # the whole level at once
+            return
         k = self.K - m
         b_m = self._compute_b(pt, m, k)
         pt["b"].append(b_m)
@@ -322,8 +307,7 @@ class CorrectionEngine:
 
     def _finish_level(self, pt: dict, m: int):
         if self._scalar_route:
-            self._scalar_level(pt, m)
-            return
+            return   # _stage built the whole level
         k = self.K - m
         c_par = self._parallel_jet(pt, m, k)
         pt["c_par"].append(c_par)
@@ -548,7 +532,7 @@ class CorrectionEngine:
         s0 = pt["s"][0]
         n = self.prob.n
         acc = _dot(s0, b_m, k)
-        if n > 1:
+        if self.variant == "non_hermitian" and n > 1:
             G = pt["G"]
             gs = []
             for i in range(n):
@@ -617,74 +601,10 @@ class CorrectionEngine:
         return out
 
     # ------------------------------------------------------------------
-    # degenerate subspace machinery (real hermitian, 1 < d < N)
+    # degenerate-subspace coordinates (real symmetric, 1 < d < N); the
+    # basis and its complement come from BranchField.basis_jets and
+    # complement_jets
     # ------------------------------------------------------------------
-
-    _DEG_STEP = 0.05
-
-    def _deg_subspace(self, x: float, d: int) -> np.ndarray:
-        g = self.prob.G_value(x).real
-        vals, vecs = np.linalg.eigh(g)
-        target = self.field.qsq_value(x).real
-        tol = np.sqrt(1e-8 * (1.0 + float(np.sum(g * g))))
-        idx = [i for i, v in enumerate(vals) if abs(v - target) <= tol]
-        if len(idx) != d:
-            raise CrossingPoint(f"degeneracy changes near x = {x}")
-        return vecs[:, idx]
-
-    def _deg_vectors(self, x: float, d: int) -> np.ndarray:
-        """Continued orthonormal eigenspace basis (values only)."""
-        return _aligned_basis(self._deg_subspace(x, d), self._deg_ref(x, d))
-
-    def _deg_ref(self, x: float, d: int) -> np.ndarray:
-        step = self._DEG_STEP
-        k = int(abs(x - self.anchor) / step)
-        sgn = 1.0 if x >= self.anchor else -1.0
-        if 0 not in self._deg_cache:
-            self._deg_cache[0] = self._deg_subspace(self.anchor, d)
-        have = max((abs(j) for j in self._deg_cache
-                    if j == 0 or (j > 0) == (sgn > 0)), default=0)
-        for j in range(have + 1, k + 1):
-            t = self.anchor + sgn * j * step
-            self._deg_cache[int(j * sgn)] = _aligned_basis(
-                self._deg_subspace(t, d), self._deg_cache[int((j - 1) * sgn)])
-        return self._deg_cache[int(k * sgn)]
-
-    def _deg_basis_jets(self, x: float, order: int, d: int) -> tuple:
-        h = 1e-3 * (1.0 + abs(x))
-        ref = self._deg_vectors(x, d)
-        n = self.prob.n
-
-        pts = 2 * order + 1
-        offs = np.arange(pts) - order
-        samples = np.array([
-            _aligned_basis(self._deg_subspace(x + j * h, d), ref)
-            for j in offs])
-        v = np.vander(offs.astype(float), pts, increasing=True)
-        coef = np.linalg.solve(v, samples.reshape(pts, -1))
-        scale = h ** np.arange(pts)
-        coef = (coef / scale[:, None]).reshape(pts, n, d)
-        return tuple(tuple(Jet(x, coef[: order + 1, row, col])
-                           for row in range(n)) for col in range(d))
-
-    def _deg_complement_jets(self, x: float, order: int, d: int) -> tuple:
-        vecs = []
-        gnorm = 1.0 + float(np.sum(np.abs(self.prob.G_value(x)) ** 2))
-        sibs = getattr(self, "_deg_sibs", None)
-        if sibs is None:
-            sibs = {r: BranchField(self.prob, r, "normalized", None,
-                                   self.anchor, self.field.q_sign)
-                    for r in range(self.prob.n)}
-            self._deg_sibs = sibs
-        for r in range(self.prob.n):
-            sib = sibs[r]
-            if abs(sib.qsq_value(x) - self.field.qsq_value(x)) ** 2 \
-                    < 1e-8 * gnorm:
-                continue
-            vecs.append(sib.s0_jets(x, order))
-        if len(vecs) != self.prob.n - d:
-            raise CrossingPoint(f"could not build a clean complement at x = {x}")
-        return tuple(vecs)
 
     def _degenerate_coord_jet(self, pt: dict, m: int, kk: int, k: int) -> Jet:
         cum = self._coord_cum.get((m, kk))

@@ -179,6 +179,121 @@ class TestKatoGauge:
         assert_allclose(v1, v2, atol=1e-10)
 
 
+def _complex_pair_rows():
+    """Fex1 with its off-diagonal phase exp(+-ix): complex eigenvectors."""
+    return [[parse_expr("x*cos(x)^2 + sin(x)^2"),
+             parse_expr("(x - 1)*cos(x)*sin(x)*exp(i*x)")],
+            [parse_expr("(x - 1)*cos(x)*sin(x)*exp(-i*x)"),
+             parse_expr("x*sin(x)^2 + cos(x)^2")]]
+
+
+def _hermitian(rows):
+    spec = ProblemSpec(len(rows), "reduced", tuple(map(tuple, rows)), None,
+                       {}, (2.0, 2.9), "hermitian")
+    return split_R(spec, 1.0, None)
+
+
+class TestKatoGaugeBlock3:
+    """The complex pair embedded as diag(pair, 9), in the Kato gauge."""
+
+    @pytest.fixture(scope="class")
+    def probs(self):
+        rows = _complex_pair_rows()
+        block = [r + [ZERO] for r in rows] + [[ZERO, ZERO, parse_expr("9")]]
+        return _hermitian(rows), _hermitian(block)
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_parallel_transport(self, probs, rank):
+        # (e, e') = 0 in the jets, and the values are the parallel transport
+        # of the anchor's vector: the limit of e <- P(t) e / |P(t) e| on a
+        # fine grid of numpy eigenprojections
+        prob2, prob3 = probs
+        fld = BranchField(prob3, rank, "kato", None, anchor=2.2)
+        e = _values(fld.s0_jets(2.2, 0))
+        for t in np.linspace(2.2, 2.6, 2001)[1:]:
+            vec = np.linalg.eigh(prob2.G_value(float(t)))[1][:, rank]
+            e[:2] = vec * np.vdot(vec, e[:2])
+            e /= np.linalg.norm(e)
+        for x in (2.3, 2.6, 2.8):
+            jets = fld.s0_jets(x, 3)
+            ip = sum(c.conj().value * c.diff().value for c in jets)
+            assert abs(ip) < 1e-12
+        assert_allclose(_values(fld.s0_jets(2.6, 0)), e, atol=1e-6)
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_matches_n2_engine(self, probs, rank):
+        # Y_m and the conserving coordinates are the N = 2 Kato engine's;
+        # s_m agree at the anchor, where both gauges start
+        from phaseintegral.vector import CorrectionEngine
+        prob2, prob3 = probs
+        engines = [CorrectionEngine(p, BranchField(p, rank, "kato", None,
+                                                   anchor=2.2),
+                                    "fulling_current", 2, 2.2)
+                   for p in (prob2, prob3)]
+        for x in (2.2, 2.6):
+            c2, c3 = (e.at(x) for e in engines)
+            for m in (1, 2):
+                assert_allclose(c3.Y[m].value, c2.Y[m].value, rtol=1e-12,
+                                atol=1e-13)
+                assert_allclose(c3.c_par[m].value, c2.c_par[m].value,
+                                rtol=1e-12, atol=1e-13)
+                if x == 2.2:
+                    assert_allclose(_values(c3.s[m]),
+                                    list(_values(c2.s[m])) + [0.0],
+                                    atol=1e-12)
+
+
+def _values(vec):
+    return np.array([c.value for c in vec])
+
+
+def _matmul(a, b):
+    """Product of matrices of expression strings ("0" is an exact zero)."""
+    n = len(a)
+    return [[" + ".join(f"({a[i][k]})*({b[k][j]})" for k in range(n)
+                        if a[i][k] != "0" and b[k][j] != "0") or "0"
+             for j in range(n)] for i in range(n)]
+
+
+class TestObliqueProjector:
+    """G = S diag(Fex1, r3) S^-1 with a constant non-unitary S: Fex1's
+    eigenvalues, and eigenvector jets that must solve (G - Q^2) e = 0
+    order by order, in the normalized gauge."""
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_eigen_jets(self, fex1, rank):
+        s = [["1", "i/2", "0"], ["0", "1", "1/3"], ["0", "0", "1"]]
+        s_inv = [["1", "-i/2", "i/6"], ["0", "1", "-1/3"], ["0", "0", "1"]]
+        block = [r + ["0"] for r in example_problem("fulling-pos")["R"]] \
+            + [["0", "0", "11 + sin(x)"]]
+        rows = _matmul(_matmul(s, block), s_inv)
+        mat = tuple(tuple(parse_expr(e) for e in r) for r in rows)
+        spec = ProblemSpec(3, "reduced", mat, None, {}, (0.2, 8.5), "general")
+        prob = split_R(spec, 1.0, None)
+        fld = BranchField(prob, rank, "normalized", None, anchor=2.5)
+        pair = BranchField(fex1, rank, "normalized", None, anchor=2.5)
+        order = 8
+        for x in (2.5, 3.1, 4.7):
+            qsq = fld.qsq_jet(x, order)
+            assert_allclose(qsq.coeffs, pair.qsq_jet(x, order).coeffs,
+                            rtol=0, atol=1e-12)
+            e = fld.s0_jets(x, order)
+            g = prob.G_jet(x, order)
+            for i in range(3):
+                res = sum(g[i][j] * e[j] for j in range(3)) - qsq * e[i]
+                assert_allclose(res.coeffs, 0.0, atol=1e-11)
+            # |e| = 1 and (e(x), e) real and positive along the jet, which
+            # the oblique P e(x) alone does not give
+            unit = np.zeros(order + 1)
+            unit[0] = 1.0
+            assert_allclose(sum(c.conj() * c for c in e).coeffs, unit,
+                            atol=1e-12)
+            ref = _values(e)
+            along = sum(c * complex(r).conjugate() for r, c in zip(ref, e))
+            assert_allclose(along.coeffs.imag, 0.0, atol=1e-12)
+            assert along.value.real > 0.0
+
+
 class TestComplement:
     def test_fex1(self, fex1):
         fld = BranchField(fex1, 0, "normalized", None, anchor=3.0)
@@ -394,6 +509,16 @@ class TestFullDegeneracy:
         assert fld.full_degeneracy_region(1.3) is False
         assert _probed_full_degeneracy(fld, 1.3) is True
         with pytest.raises((CrossingPoint, UnsupportedDegeneracy)):
+            CorrectionEngine(prob, fld, "simplified_hermitian", 2, 1.0).at(1.3)
+        # N = 3: the eigenprojection of a cluster of all N is refused
+        q, q2 = parse_expr("x^2 + 1"), parse_expr("1 + x^2")
+        spec = ProblemSpec(3, "reduced", ((q, ZERO, ZERO), (ZERO, q2, ZERO),
+                                          (ZERO, ZERO, q)),
+                           None, {}, (0.5, 3.0), "real_symmetric")
+        prob = split_R(spec, 1.0, None)
+        fld = BranchField(prob, 0, "normalized", None, anchor=1.0)
+        assert fld.degeneracy(1.3) == 3
+        with pytest.raises(UnsupportedDegeneracy):
             CorrectionEngine(prob, fld, "simplified_hermitian", 2, 1.0).at(1.3)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from phaseintegral.errors import (
-    ApplicabilityWarning, GaugeNotFixed, InsufficientJetOrder,
+    ApplicabilityWarning, GaugeNotFixed,
     NonPositiveYWarning, UnsupportedDegeneracy,
 )
+from phaseintegral.examples import example_problem
 from phaseintegral.expressions import parse_expr
 from phaseintegral.jets import Jet, jet_const
-from phaseintegral.problem import ProblemSpec, split_R
+from phaseintegral.problem import ProblemSpec, load_problem, split_R
 from phaseintegral.recurrence import PowerTable
 from phaseintegral.scalar import scalar_corrections
 from phaseintegral.spectral import BranchField
@@ -361,15 +363,17 @@ class TestVectorCorrections:
             rebuilt = sp + corr.c_par[m].value * e1
             assert np.max(np.abs(sm - rebuilt)) < 1e-10
 
-    def test_jet_order_guard_for_big_systems(self):
+    def test_no_jet_order_cap_for_big_systems(self):
+        # N > 2 eigen jets are exact at any order (see TestBlockEmbedding)
         mat = tuple(tuple(parse_expr("3" if i == j else "0") for j in range(3))
                     for i in range(3))
         spec = ProblemSpec(3, "reduced", mat, None, {}, (0.0, 1.0),
                            "real_symmetric")
         prob = split_R(spec, 1.0, None)
-        with pytest.raises(InsufficientJetOrder):
-            CorrectionEngine(prob, field(prob, 0, anchor=0.5),
-                             "simplified_hermitian", 3, 0.5)
+        corr = CorrectionEngine(prob, field(prob, 0, anchor=0.5),
+                                "simplified_hermitian", 3, 0.5).at(0.7)
+        assert corr.Qsq.value == 3.0
+        assert all(y.value == 0.0 for y in corr.Y[1:])
 
 
 class TestInvariants:
@@ -589,6 +593,37 @@ class TestDegenerateSubspace:
         with pytest.raises(UnsupportedDegeneracy):
             CorrectionEngine(deg3, fld, "non_hermitian", 1, 2.0)
 
+    def test_exact_jets_match_closed_form_projector(self, deg3):
+        # G = R diag(f, f, g) R^T with R the (1,3)-plane rotation by x/4:
+        # the cluster's Q^2 is f = x + 3 and its projector is
+        # R diag(1, 1, 0) R^T, expanded here by mpmath at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+
+        def projector(i, j):
+            def entry(t):
+                c, s = mpmath.cos(t / 4), mpmath.sin(t / 4)
+                rot = mpmath.matrix([[c, 0, s], [0, 1, 0], [-s, 0, c]])
+                return (rot * mpmath.diag([1, 1, 0]) * rot.T)[i, j]
+            return entry
+
+        order = 8
+        fld = BranchField(deg3, 0, "normalized", None, anchor=2.0)
+        for x in (2.0, 2.3, 2.9):
+            want_q = np.zeros(order + 1)
+            want_q[:2] = (x + 3.0, 1.0)
+            assert_allclose(fld.qsq_jet(x, order).coeffs, want_q, atol=1e-13)
+            basis = fld.basis_jets(x, order)
+            assert len(basis) == 2
+            for i in range(3):
+                for j in range(3):
+                    got = sum(e[i] * e[j].conj() for e in basis).coeffs
+                    want = [complex(c) for c in mpmath.taylor(
+                        projector(i, j), x, order)]
+                    assert_allclose(got, want, rtol=0, atol=1e-13)
+        eng = CorrectionEngine(deg3, fld, "simplified_hermitian", 2, 2.0)
+        assert eng.compatibility_residual(2.3, 2) < 1e-8
+
 
 class TestNumericBackend:
     def test_n3_matches_decoupled_closed_form(self):
@@ -613,4 +648,159 @@ class TestNumericBackend:
                               "simplified_hermitian", 2, 2.0)
         c3, c2 = e3.at(2.2), e2.at(2.2)
         assert_allclose(c3.Qsq.value, 2.2, rtol=1e-10)
-        assert_allclose(c3.Y[2].value, c2.Y[2].value, rtol=1e-6)
+        assert_allclose(c3.Y[2].value, c2.Y[2].value, rtol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# N > 2 eigen jets against the N = 2 closed form
+# --------------------------------------------------------------------------
+
+_FEX1_ROWS = example_problem("fulling-pos")["R"]
+_R3 = "11 + sin(x)"          # third eigenvalue, clear of Fex1's 1 and x
+_ANCHOR = 2.5
+
+
+def _fex1_like(rows):
+    data = dict(example_problem("fulling-pos"), n=len(rows), R=rows)
+    spec, lam, a = load_problem(data)
+    return split_R(spec, lam, a)
+
+
+def _block_rows():
+    return [r + ["0"] for r in _FEX1_ROWS] + [["0", "0", _R3]]
+
+
+def _rational_rotation():
+    """A fixed orthogonal 3x3 matrix with rational entries."""
+    a = [[Fraction(3, 5), Fraction(-4, 5), 0],
+         [Fraction(4, 5), Fraction(3, 5), 0], [0, 0, 1]]
+    b = [[1, 0, 0], [0, Fraction(5, 13), Fraction(-12, 13)],
+         [0, Fraction(12, 13), Fraction(5, 13)]]
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
+
+
+@pytest.fixture(scope="module")
+def fex1_pair():
+    return _fex1_like(_FEX1_ROWS)
+
+
+@pytest.fixture(scope="module")
+def block3():
+    return _fex1_like(_block_rows())
+
+
+def _engine(prob, rank, variant, m_max):
+    return CorrectionEngine(prob, field(prob, rank, anchor=_ANCHOR), variant,
+                            m_max, _ANCHOR)
+
+
+def _values(vec):
+    return np.array([c.value for c in vec])
+
+
+class TestBlockEmbedding:
+    """diag(Fex1, r3): ranks 0 and 1 are Fex1's branches, so the N = 3
+    eigenprojection path must give the N = 2 closed-form engine's numbers."""
+
+    @pytest.mark.parametrize("m_max", range(1, 7))
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_simplified(self, fex1_pair, block3, rank, m_max):
+        e2 = _engine(fex1_pair, rank, "simplified_hermitian", m_max)
+        e3 = _engine(block3, rank, "simplified_hermitian", m_max)
+        for x in (2.5, 4.7):
+            c2, c3 = e2.at(x), e3.at(x)
+            for m in range(m_max + 1):
+                assert_allclose(c3.Y[m].value, c2.Y[m].value,
+                                rtol=1e-12, atol=1e-13)
+                s3 = _values(c3.s[m])
+                scale = 1.0 + np.max(np.abs(s3))
+                assert_allclose(s3[:2], _values(c2.s[m]),
+                                rtol=1e-12, atol=1e-12 * scale)
+                assert abs(s3[2]) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("m_max", range(1, 7))
+    def test_fulling_current_parallel_coordinates(self, fex1_pair, block3,
+                                                  m_max):
+        for rank in (0, 1):
+            c2 = _engine(fex1_pair, rank, "fulling_current", m_max).at(2.8)
+            c3 = _engine(block3, rank, "fulling_current", m_max).at(2.8)
+            for m in range(1, m_max + 1):
+                assert_allclose(c3.c_par[m].value, c2.c_par[m].value,
+                                rtol=1e-12, atol=1e-13)
+                assert_allclose(c3.Y[m].value, c2.Y[m].value,
+                                rtol=1e-12, atol=1e-13)
+                assert_allclose(_values(c3.s[m])[:2], _values(c2.s[m]),
+                                rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_non_hermitian_oblique_projector(self, rank):
+        # diag(Fex4, r3): the oblique eigenprojection against Fex4's closed
+        # form in the same (unit) gauge.  The points keep away from the
+        # zeros of G12 at multiples of pi/2, where the N = 2 reference's
+        # pinned row nearly vanishes and loses digits (6e-12 relative in
+        # Y_4 at x = 3.3, next to pi)
+        data = example_problem("nonhermitian")
+        pair = split_R(*load_problem(data))
+        rows = [r + ["0"] for r in data["R"]] + [["0", "0", _R3]]
+        block = split_R(*load_problem(dict(data, n=3, R=rows)))
+        e2, e3 = (CorrectionEngine(p, field(p, rank, anchor=2.0),
+                                   "non_hermitian", 4, 2.0)
+                  for p in (pair, block))
+        for x in (2.0, 2.4, 2.8):
+            c2, c3 = e2.at(x), e3.at(x)
+            for m in range(5):
+                assert_allclose(c3.Y[m].value, c2.Y[m].value,
+                                rtol=1e-12, atol=1e-13)
+
+    def test_constant_rotation(self, block3):
+        # U diag(Fex1, r3) U^T: the same Y_m, and s_m rotated by U up to
+        # one sign (the continuation starts from a different lead component)
+        u = _rational_rotation()
+        rows = _block_rows()
+        rotated = [[" + ".join(f"({u[a][i] * u[b][j]})*({rows[i][j]})"
+                               for i in range(3) for j in range(3)
+                               if rows[i][j] != "0" and u[a][i] * u[b][j])
+                    for b in range(3)] for a in range(3)]
+        prob = _fex1_like(rotated)
+        umat = np.array(u, dtype=float)
+        for rank in (0, 1):
+            e3 = _engine(block3, rank, "simplified_hermitian", 6)
+            er = _engine(prob, rank, "simplified_hermitian", 6)
+            signs = set()
+            for x in (3.1, 4.7):
+                c3, cr = e3.at(x), er.at(x)
+                for m in range(7):
+                    assert_allclose(cr.Y[m].value, c3.Y[m].value,
+                                    rtol=1e-12, atol=1e-13)
+                    want = umat @ _values(c3.s[m])
+                    got = _values(cr.s[m])
+                    sign = 1.0 if np.vdot(want, got).real >= 0 else -1.0
+                    signs.add(sign)
+                    assert_allclose(got, sign * want, rtol=0,
+                                    atol=1e-12 * (1.0 + np.max(np.abs(want))))
+            assert len(signs) == 1
+
+
+class TestScalarRoute:
+    def test_wave_matches_n1_wave(self, n1_engine):
+        # G = (x^2 + 1) I: each component is the N = 1 wave of x^2 + 1
+        q = parse_expr("x^2 + 1")
+        spec = ProblemSpec(2, "reduced", ((q, parse_expr("0")),
+                                          (parse_expr("0"), q)),
+                           None, {}, (0.5, 3.0), "real_symmetric")
+        prob = split_R(spec, 1.0, None)
+        grid = [1.0, 1.2]
+        ref = assemble_vector_wave(n1_engine("x^2 + 1", 1.0, 2, (0.5, 3.0)),
+                                   +1, grid, 1.0, 0.1)
+        for rank in (0, 1):
+            eng = CorrectionEngine(prob, field(prob, rank, anchor=1.0),
+                                   "simplified_hermitian", 2, 1.0)
+            wave = assemble_vector_wave(eng, +1, grid, 1.0, 0.1)
+            for got, want in zip(wave.samples, ref.samples):
+                assert_allclose(got.phase, want.phase, rtol=1e-12)
+                assert_allclose(got.u[rank], want.u[0], rtol=1e-12)
+                assert_allclose(got.u_prime[rank], want.u_prime[0],
+                                rtol=1e-12)
+                assert got.u[1 - rank] == 0.0
+                assert got.u_prime[1 - rank] == 0.0
