@@ -1,27 +1,29 @@
 """Eigenvalue branches Q**2(x), eigenvectors s0(x) and gauges, as jets.
 
-For 2x2 systems everything is closed form: the characteristic equation is
+Every eigenvector comes from the eigenprojection P of the branch's cluster
+(the d eigenvalues within the cluster tolerance of it): the eigenbasis is
+the Gram-Schmidt of P applied to the basis continued from the anchor (for
+d = 1, the unit eigenvector P ref/|P ref|).  Only Q**2 and P depend on N.
+
+For 2x2 systems they are closed form: the characteristic equation is
 quadratic, Q**2 = (G11 + G22 -/+ sqrt(D))/2 with the discriminant
-D = (G11 - G22)**2 + 4 G12 G21, and the eigenvector follows from one row
-of G - Q**2 I.  Branches are identified by the rank of the eigenvalue in
+D = (G11 - G22)**2 + 4 G12 G21, and P = (G - mu I)/(Q**2 - mu) with mu the
+other eigenvalue.  Branches are identified by the rank of the eigenvalue in
 a crossing-free interval, so the square-root sign is re-derived at every
 point instead of being carried around.
 
-For N > 2 the jets are exact too.  The eigenprojection P of the branch's
-cluster (the d eigenvalues within the cluster tolerance of it) is expanded
-order by order from the jet of G by Kato's reduction process, and
-everything else follows from P: Q**2 = tr(G P)/d, and the eigenbasis is
-the Gram-Schmidt of P applied to the continued basis at the point (for
-d = 1, the unit eigenvector P ref/|P ref|).
+For N > 2 the jets are exact too: P is expanded order by order from the
+jet of G by Kato's reduction process, and Q**2 = tr(G P)/d.
 
 Gauges:
-  raw(g)     eigenvector g(x) * {1, (Q^2 - G11)/G12} (row-swapped analogue
-             when G12 is the smaller off-diagonal entry); g(x) times the
-             unit eigenvector for N > 2;
+  raw(g)     eigenvector g(x) * {1, (Q^2 - G11)/G12}, computed from P as
+             g e/e_1 (g e/e_2, the row-swapped analogue, when G12 is the
+             smaller off-diagonal entry); g(x) times the unit eigenvector
+             for N > 2;
   normalized unit eigenvector with sign/phase continued from the anchor;
   kato       normalized with (e1, e1') = 0; equal to `normalized` for real
-             eigenvectors, otherwise fixed by the phase integral
-             theta1 = i * int (e~, e~') dx.
+             eigenvectors, otherwise exp(i theta1) times the section pinned
+             at the anchor, theta1 = i * int (e~, e~') dx along it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
     ZeroAtEvaluationPoint,
 )
 from .expressions import Const, Expression, constant_value, eval_expr_jet
-from .jets import Jet, jet_const, jet_exp, jet_sqrt, lead_is_zero, quotient
+from .jets import Jet, jet_const, jet_exp, jet_sqrt, lead_is_zero
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
 
@@ -90,7 +92,7 @@ class ComplementBasis:
 
 
 def _crossing_guard(delta_val: complex, g_val: np.ndarray) -> bool:
-    scale = 1.0 + float(np.sum(np.abs(g_val) ** 2))
+    scale = 1.0 + np.vdot(g_val, g_val).real        # 1 + sum |g_ij|^2
     return abs(delta_val) < 1e-8 * scale
 
 
@@ -166,14 +168,12 @@ class BranchField:
                                                     "hermitian")
         self._frames: dict[int, np.ndarray] = {}
         self._theta1: JetChainIntegral | None = None
-        self._patch: str | None = None   # complex-case fixed parameterization
         self._siblings: dict[int, "BranchField"] = {}
         self._scalar_matrix = _is_scalar_matrix(prob.G)
         self._gjets: dict = {}
         self._gvals: dict = {}
         self._qvals: dict = {}
-        self._units: dict = {}
-        self._projs: dict = {}
+        self._projs: tuple | None = None  # (x, order, _eigen_jets result)
         self._d: int | None = None        # cluster size at the anchor
         if gauge == "kato" and not self._real_vectors:
             self._theta1 = JetChainIntegral(self._theta1_jet, self.anchor)
@@ -225,12 +225,6 @@ class BranchField:
             for j in range(1, self.n):
                 tr = tr + g[j][j]
             return tr * (1.0 / self.n)
-        if self.n == 2:
-            if order == 0:
-                return Jet._raw(float(x), np.array([self._qsq_n2_value(x)]))
-            tr, delta = self._n2_parts(x, order)
-            root = self._matched_root(x, tr, delta)
-            return (tr + root) * 0.5
         return Jet._raw(float(x), self._eigen_jets(x, order)[0])
 
     def full_degeneracy_region(self, x: float) -> bool:
@@ -243,14 +237,6 @@ class BranchField:
         """
         return self._scalar_matrix
 
-    def _n2_parts(self, x: float, order: int):
-        g = self._g_jet(x, order)
-        tr = g[0][0] + g[1][1]
-        diff = g[0][0] - g[1][1]
-        delta = diff * diff + 4.0 * (g[0][1] * g[1][0])
-        self._guard_crossing(x, delta.value)
-        return tr, delta
-
     def _guard_crossing(self, x: float, delta: complex):
         if _crossing_guard(delta, self._g_value(x)):
             raise CrossingPoint(
@@ -262,23 +248,6 @@ class BranchField:
         plus = 0.5 * (tr + root)
         minus = 0.5 * (tr - root)
         return abs(plus - target) <= abs(minus - target)
-
-    def _matched_root(self, x: float, tr: Jet, delta: Jet) -> Jet:
-        """Signed sqrt(Delta) jet whose value lands on this branch."""
-        root = jet_sqrt(delta)
-        return root if self._root_matches(x, tr.value, root.value) else -root
-
-    def _qsq_n2_value(self, x: float) -> complex:
-        """Order 0 of `qsq_jet` for N = 2, on plain complex numbers."""
-        (g00, g01), (g10, g11) = self._g_value(x).tolist()
-        tr = g00 + g11
-        diff = g00 - g11
-        delta = diff * diff + 4.0 * (g01 * g10)
-        self._guard_crossing(x, delta)
-        root = cmath.sqrt(delta)
-        if not self._root_matches(x, tr, root):
-            root = -root
-        return (tr + root) * 0.5
 
     # -- Q = sqrt(Q^2), upper-sign convention -------------------------------
 
@@ -323,98 +292,51 @@ class BranchField:
 
     def _unit_jets(self, x: float, order: int) -> tuple:
         """Unit eigenvector before the Kato phase (the first basis vector
-        of a cluster with d > 1).
+        of a cluster with d > 1): the Gram-Schmidt of P applied to the
+        continued basis at x.
 
-        For N > 2 with a Kato phase to integrate, the vector continues the
-        anchor's instead of the continued value at x: theta1 then
-        integrates one smooth section, as the N = 2 row pinned at the
-        anchor does.
+        With a Kato phase to integrate, P is applied to the anchor's basis
+        instead, so that theta1 integrates one smooth section pinned at the
+        anchor.
         """
-        if self.n == 2:
-            return self._pre_kato_unit(x, order)
         if self._theta1 is not None:
             return self._gram_schmidt(x, self._frame(self.anchor), order)[0]
         return self.basis_jets(x, order)[0]
 
     def _s0_raw(self, x: float, order: int) -> tuple:
-        g = self._g_jet(x, order)
-        qsq = self.qsq_jet(x, order)
-        g12, g21 = g[0][1], g[1][0]
-        scale = 1.0 + max(abs(g12.value), abs(g21.value))
-        gg = eval_expr_jet(self.gauge_g, x, order, self.prob.params)
-        if abs(g12.value) >= abs(g21.value) and abs(g12.value) > 1e-13 * scale:
-            w = (qsq - g[0][0]) / g12
-            return (gg, gg * w)
-        if abs(g21.value) > 1e-13 * scale:
-            w = (qsq - g[1][1]) / g21
-            return (gg * w, gg)
-        if abs(g[0][0].value - g[1][1].value) > 1e-13 * scale:
+        """g e/e_1, or g e/e_2 when G21 is the larger off-diagonal entry.
+
+        e is the column of P = (G - mu I)/sqrt(D) that holds the larger
+        off-diagonal entry: (G12, Q^2 - G11)/sqrt(D) or
+        (Q^2 - G22, G21)/sqrt(D), so that e/e_1 = {1, (Q^2 - G11)/G12}.
+        """
+        g = self._g_value(x)
+        g12, g21 = abs(g[0, 1]), abs(g[1, 0])
+        scale = 1.0 + max(g12, g21)
+        if g12 >= g21 and g12 > 1e-13 * scale:
+            lead = 0
+        elif g21 > 1e-13 * scale:
+            lead = 1
+        elif abs(g[0, 0] - g[1, 1]) > 1e-13 * scale:
             raise DegenerateParameterization(
                 f"both off-diagonal entries vanish at x = {x}")
-        raise CrossingPoint(f"G is fully degenerate at x = {x}")
+        else:
+            raise CrossingPoint(f"G is fully degenerate at x = {x}")
+        e = self._eigen_jets(x, order)[1][:, :, 1 - lead]
+        c = float(x)
+        w = Jet._raw(c, e[:, 1 - lead]) / Jet._raw(c, e[:, lead])
+        gg = eval_expr_jet(self.gauge_g, x, order, self.prob.params)
+        return (gg, gg * w) if lead == 0 else (gg * w, gg)
 
-    def _candidate(self, x: float, g, qsq: Jet) -> tuple:
-        """Unnormalized eigenvector from the better-conditioned row."""
-        va = (g[0][1], qsq - g[0][0])
-        vb = (qsq - g[1][1], g[1][0])
-        return va if self._use_row_a(x, _norm2(va[0].value, va[1].value),
-                                     _norm2(vb[0].value, vb[1].value)) else vb
-
-    def _candidate_value(self, x: float) -> tuple:
-        """`_candidate` at order 0, on plain complex numbers."""
-        va, vb = self._rows_value(x)
-        return va if self._use_row_a(x, _norm2(*va), _norm2(*vb)) else vb
-
-    def _rows_value(self, x: float) -> tuple:
-        (g00, g01), (g10, g11) = self._g_value(x).tolist()
-        q = self._qsq_n2_value(x)
-        return (g01, q - g00), (q - g11, g10)
-
-    def _use_row_a(self, x: float, na: float, nb: float) -> bool:
-        """Row a, (G12, Q^2 - G11), over row b, given their squared norms."""
-        if self._real_vectors:
-            return na >= nb
-        # Complex case: a per-point switch would kink the phase, so the
-        # parameterization is pinned once, at the anchor.
-        if self._patch is None:
-            if x == self.anchor:
-                self._patch = "a" if na >= nb else "b"
-            else:
-                va, vb = self._rows_value(self.anchor)
-                self._patch = "a" if _norm2(*va) >= _norm2(*vb) else "b"
-        nv = na if self._patch == "a" else nb
-        if nv < 1e-20 * (1.0 + na + nb):
-            raise GramSchmidtBreakdown(
-                f"pinned eigenvector parameterization degenerates at x = {x}; "
-                "evaluate on a subinterval anchored away from this point")
-        return self._patch == "a"
-
-    # -- sign / phase continuation -----------------------------------------
-
-    def _unit_value(self, x: float) -> np.ndarray:
-        """N = 2 unit eigenvector from the candidate row, uncontinued."""
-        got = self._units.get(x)
-        if got is None:
-            arr = np.array(self._candidate_value(x), dtype=complex)
-            got = arr / np.linalg.norm(arr)
-            self._units[x] = got
-        return got
-
-    def _alignment(self, x: float, unit_value: np.ndarray) -> complex:
-        """N = 2 continuation phase (+-1 for real vectors) from the anchor."""
-        ip = np.vdot(self._frame(x), unit_value)
-        if abs(ip) < 1e-12:
-            raise GramSchmidtBreakdown(
-                f"cannot align eigenvector continuation at x = {x}")
-        return _unit_phase(ip, real=self._real_vectors)
+    # -- continuation -------------------------------------------------------
 
     def _reference(self, x: float) -> np.ndarray:
-        """N > 2: the continued eigenbasis at x (N x d values)."""
+        """The continued eigenbasis at x (N x d values)."""
         return self._carry(x, self._frame(x))
 
     def _frame(self, x: float) -> np.ndarray:
-        """Continued eigenvector (N = 2) or eigenbasis (N > 2) at the last
-        alignment step between the anchor and x.
+        """Continued eigenbasis at the last alignment step between the
+        anchor and x.
 
         The walk starts from the eigenvectors at the anchor, each with its
         largest component made real and positive, and moves outward in
@@ -427,14 +349,10 @@ class BranchField:
         if got is not None:
             return got
         if 0 not in self._frames:
-            if self.n == 2:
-                v = self._unit_value(self.anchor)
-                self._frames[0] = self._lead_phase(v) * v
-            else:
-                _, vecs, _, inside = self._cluster(self.anchor)
-                v = vecs[:, inside]          # unit columns from eigh / eig
-                self._frames[0] = v * np.array([self._lead_phase(c)
-                                                for c in v.T])
+            _, vecs, _, inside = self._cluster(self.anchor)
+            v = vecs[:, inside]          # unit columns from eigh / eig
+            self._frames[0] = v * np.array([self._lead_phase(c)
+                                            for c in v.T])
         # walk outward from the largest cached step on this side
         have = max((abs(j) for j in self._frames
                     if j == 0 or (j > 0) == (sgn > 0)), default=0)
@@ -446,36 +364,28 @@ class BranchField:
 
     def _lead_phase(self, v: np.ndarray) -> complex:
         """Phase that makes the largest component of v real and positive."""
-        return _unit_phase(v[np.argmax(np.abs(v))], real=self._real_vectors)
+        z = complex(v[np.argmax(np.abs(v))])
+        if self._real_vectors:
+            return 1.0 if z.real >= 0 else -1.0
+        return z.conjugate() / abs(z)
 
     def _carry(self, t: float, prev: np.ndarray) -> np.ndarray:
-        """The eigenvector or eigenbasis at t that continues `prev`."""
-        if self.n == 2:
-            cur = self._unit_value(t)
-            return _unit_phase(np.vdot(prev, cur),
-                               real=self._real_vectors) * cur
-        basis = self._gram_schmidt(t, prev, 0)
-        return np.array([[c.value for c in e] for e in basis]).T
+        """The eigenbasis at t that continues `prev`: order 0 of
+        `_gram_schmidt`, on plain numpy values."""
+        basis = self._eigen_jets(t, 0)[1][0] @ prev
+        for j in range(basis.shape[1]):
+            v = basis[:, j]             # a view: the steps below write basis
+            for i in range(j):
+                v -= np.vdot(basis[:, i], v) * basis[:, i]
+            norm_sq = complex(np.vdot(v, v))
+            _guard_breakdown(norm_sq, t)
+            v /= cmath.sqrt(norm_sq)
+            if self._oblique:
+                z = complex(np.vdot(prev[:, j], v))
+                v *= cmath.sqrt(z.conjugate() / z)
+        return basis
 
     # -- Kato phase for complex non-degenerate vectors ----------------------
-
-    def _pre_kato_unit(self, x: float, order: int) -> tuple:
-        if order == 0:          # the same steps on plain complex numbers
-            v0, v1 = self._candidate_value(x)
-            inv = quotient(1.0, cmath.sqrt(v0.conjugate() * v0
-                                           + v1.conjugate() * v1))
-            unit = (v0 * inv, v1 * inv)
-            phase = self._alignment(x, np.array(unit))
-            return tuple(Jet._raw(float(x), np.array([u * phase]))
-                         for u in unit)
-        g = self._g_jet(x, order)
-        qsq = self.qsq_jet(x, order)
-        v = self._candidate(x, g, qsq)
-        norm_sq = v[0].conj() * v[0] + v[1].conj() * v[1]
-        inv = 1.0 / jet_sqrt(norm_sq)
-        unit = (v[0] * inv, v[1] * inv)
-        phase = self._alignment(x, np.array([unit[0].value, unit[1].value]))
-        return (unit[0] * phase, unit[1] * phase)
 
     def _theta1_jet(self, t: float):
         e = self._unit_jets(t, 5)
@@ -495,7 +405,7 @@ class BranchField:
         factor = jet_exp(1j * theta_jet)
         return tuple(c * factor for c in unit)
 
-    # -- eigenprojection jets (N > 2) ---------------------------------------
+    # -- eigenprojection jets -----------------------------------------------
 
     def _cluster(self, x: float):
         """Ranked eigen-solve at x and the mask of this branch's cluster:
@@ -524,7 +434,7 @@ class BranchField:
         member is a crossing.
         """
         g = self._g_value(x)
-        tol = math.sqrt(1e-8 * (1.0 + float(np.sum(np.abs(g) ** 2))))
+        tol = math.sqrt(1e-8 * (1.0 + np.vdot(g, g).real))
         inside = np.abs(vals - vals[self.rank]) <= tol
         gaps = np.abs(vals[inside][:, None] - vals[~inside][None, :])
         if gaps.size and gaps.min() <= tol:
@@ -534,19 +444,60 @@ class BranchField:
     def _eigen_jets(self, x: float, order: int):
         """(Q**2 coefficients, eigenprojection coefficients P_0..P_order).
 
-        Kato's reduction process, run in the eigenbasis of G_0 = G(x),
-        where P_0 is the 0/1 diagonal of the cluster mask.  At each order
-        k, [G, P] = 0 gives the blocks that couple the cluster to the rest,
-        [Lambda, P_k] = -sum_{j>=1} [G_j, P_{k-j}], solved by the reduced
-        resolvent 1/(lambda_i - lambda_l); P**2 = P gives the blocks within
-        the cluster (-C_k) and within the rest (+C_k), with
-        C_k = sum_{0<j<k} P_j P_{k-j}.  The projector is oblique for
-        non-hermitian G.  Q**2 = tr(G P)/d is the cluster mean.
+        Only the last point asked for at order >= 1 is kept: the next
+        calls are for the same x at the same or a lower order (a base
+        point's s0 after its Q**2, the continued basis at order 0 before
+        the jets).  Order-0 results are not kept, so the continuation walk
+        between two base points does not evict the second one.
         """
-        key = (x, order)
-        got = self._projs.get(key)
-        if got is not None:
-            return got
+        memo = self._projs
+        if memo is not None and memo[0] == x and memo[1] >= order:
+            qsq, proj = memo[2]
+            return qsq[:order + 1], proj[:order + 1]
+        got = (self._closed_form(x, order) if self.n == 2
+               else self._reduction(x, order))
+        if order:
+            self._projs = (x, order, got)
+        return got
+
+    def _closed_form(self, x: float, order: int):
+        """N = 2: Q**2 = (tr G + sqrt(D))/2 with the root's sign matched to
+        this branch, and P = (G - mu I)/(Q**2 - mu), where mu = tr G - Q**2
+        is the other eigenvalue, so Q**2 - mu = sqrt(D) and the diagonal
+        of G - mu I is (Q**2 - G22, Q**2 - G11)."""
+        if order == 0:          # the same steps on plain complex numbers
+            g = self._g_value(x).tolist()
+            sqrt, value = cmath.sqrt, complex
+        else:
+            g = self._g_jet(x, order)
+            sqrt, value = jet_sqrt, (lambda v: v.value)
+        (g00, g01), (g10, g11) = g
+        tr = g00 + g11
+        diff = g00 - g11
+        delta = diff * diff + 4.0 * (g01 * g10)
+        self._guard_crossing(x, value(delta))
+        root = sqrt(delta)
+        if not self._root_matches(x, value(tr), value(root)):
+            root = -root
+        qsq = (tr + root) * 0.5
+        inv = 1.0 / root
+        proj = [[(qsq - g11) * inv, g01 * inv], [g10 * inv, (qsq - g00) * inv]]
+        if order == 0:
+            return np.array([qsq]), np.array([proj])
+        return qsq.coeffs, np.array([[c.coeffs for c in row] for row in proj]
+                                    ).transpose(2, 0, 1)
+
+    def _reduction(self, x: float, order: int):
+        """N > 2: Kato's reduction process, run in the eigenbasis of
+        G_0 = G(x), where P_0 is the 0/1 diagonal of the cluster mask.
+
+        At each order k, [G, P] = 0 gives the blocks that couple the
+        cluster to the rest, [Lambda, P_k] = -sum_{j>=1} [G_j, P_{k-j}],
+        solved by the reduced resolvent 1/(lambda_i - lambda_l); P**2 = P
+        gives the blocks within the cluster (-C_k) and within the rest
+        (+C_k), with C_k = sum_{0<j<k} P_j P_{k-j}.  The projector is
+        oblique for non-hermitian G.  Q**2 = tr(G P)/d is the cluster mean.
+        """
         vals, vecs, left, inside = self._cluster(x)
         d = int(inside.sum())
         if self._d is None:
@@ -576,9 +527,7 @@ class BranchField:
         tr = np.einsum("jab,lba->jl", gt, pt)
         qsq = np.array([np.trace(tr[::-1], offset=k - order)
                         for k in range(order + 1)]) / d
-        got = (qsq, vecs @ pt @ left)
-        self._projs[key] = got
-        return got
+        return qsq, vecs @ pt @ left
 
     def _gram_schmidt(self, x: float, ref: np.ndarray, order: int) -> tuple:
         """Gram-Schmidt of P ref as jets: the eigenbasis continuing `ref`.
@@ -587,7 +536,9 @@ class BranchField:
         orthogonal projector Gram-Schmidt gives that already; for an oblique
         one each column takes the phase sqrt(conj(z)/z), z = (ref_j, e_j).
         """
-        cols = np.einsum("kab,bj->jak", self._eigen_jets(x, order)[1], ref)
+        if order == 0:
+            return _column_jets(x, self._carry(x, ref))
+        cols = (self._eigen_jets(x, order)[1] @ ref).transpose(2, 1, 0)
         c = float(x)
         basis = []
         for j, col in enumerate(cols):
@@ -596,10 +547,7 @@ class BranchField:
                 ip = _vdot(e, v)
                 v = [a - ip * b for a, b in zip(v, e)]
             norm_sq = _vdot(v, v)
-            if abs(norm_sq.value) < 1e-24:
-                raise GramSchmidtBreakdown(
-                    f"eigenbasis continuation degenerates at x = {x}; "
-                    "evaluate on a subinterval anchored closer to it")
+            _guard_breakdown(norm_sq.value, x)
             inv = 1.0 / jet_sqrt(norm_sq)
             v = [a * inv for a in v]
             if self._oblique:
@@ -611,11 +559,13 @@ class BranchField:
         return tuple(basis)
 
     def basis_jets(self, x: float, order: int) -> tuple:
-        """Orthonormal basis jets of the branch's eigenspace (N > 2).
+        """Orthonormal basis jets of the branch's eigenspace.
 
         One unit eigenvector for d = 1; d vectors inside a degenerate
         cluster, each continued from the anchor.
         """
+        if order == 0:          # the continued basis is already the values
+            return _column_jets(x, self._reference(x))
         return self._gram_schmidt(x, self._reference(x), order)
 
     # -- public assembly ------------------------------------------------------
@@ -678,17 +628,18 @@ def _vdot(a, b) -> Jet:
     return acc
 
 
-def _norm2(a: complex, b: complex) -> float:
-    return abs(a) ** 2 + abs(b) ** 2
+def _column_jets(x: float, cols: np.ndarray) -> tuple:
+    """The columns of an N x d array of values as order-0 jets."""
+    c = float(x)
+    return tuple(tuple(Jet._raw(c, a) for a in col)
+                 for col in cols.T[:, :, None])
 
 
-def _unit_phase(z: complex, real: bool) -> complex:
-    if real:
-        return 1.0 if z.real >= 0 else -1.0
-    a = abs(z)
-    if a == 0.0:
-        return 1.0
-    return complex(np.conj(z) / a)
+def _guard_breakdown(norm_sq: complex, x: float):
+    if abs(norm_sq) < 1e-24:
+        raise GramSchmidtBreakdown(
+            f"eigenbasis continuation degenerates at x = {x}; "
+            "evaluate on a subinterval anchored closer to it")
 
 
 # --------------------------------------------------------------------------

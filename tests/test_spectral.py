@@ -144,7 +144,8 @@ class TestKatoGauge:
 
     def test_quadrature_against_independent_oracle(self):
         # The applied Kato phase must match an independent adaptive
-        # quadrature of i (e~, e~') for the field's own raw section.
+        # quadrature of i (e~, e~') for the section theta1 integrates: the
+        # Gram-Schmidt of P applied to the anchor's eigenvector.
         g12 = parse_expr("(x - 1)*cos(x)*sin(x)*exp(i*x)")
         g21 = parse_expr("(x - 1)*cos(x)*sin(x)*exp(-i*x)")
         spec = ProblemSpec(2, "reduced",
@@ -152,18 +153,18 @@ class TestKatoGauge:
                             (g21, parse_expr("x*sin(x)^2 + cos(x)^2"))),
                            None, {}, (2.0, 2.9), "hermitian")
         prob = split_R(spec, 1.0, None)
-        raw = BranchField(prob, 0, "normalized", None, anchor=2.2)
+        fld = BranchField(prob, 0, "kato", None, anchor=2.2)
+        section = BranchField(prob, 0, "kato", None, anchor=2.2)._unit_jets
 
         def integrand(t):
-            e = raw.s0_jets(t, 1)
+            e = section(t, 1)
             return 1j * sum(c.conj().value * c.diff().value for c in e)
 
         theta = quad(integrand, 2.2, 2.7)
         assert abs(theta.imag) < 1e-10        # theta1 is real
-        fld = BranchField(prob, 0, "kato", None, anchor=2.2)
         e_kato = np.array([c.value for c in fld.s0_jets(2.7, 0)])
-        e_raw = np.array([c.value for c in raw.s0_jets(2.7, 0)])
-        ratio = e_kato / e_raw
+        e_section = np.array([c.value for c in section(2.7, 0)])
+        ratio = e_kato / e_section
         assert_allclose(ratio, np.full(2, ratio[0]), atol=1e-10)
         assert_allclose(ratio[0], cmath.exp(1j * theta), atol=1e-9)
 
@@ -204,26 +205,28 @@ class TestKatoGaugeBlock3:
 
     @pytest.mark.parametrize("rank", [0, 1])
     def test_parallel_transport(self, probs, rank):
-        # (e, e') = 0 in the jets, and the values are the parallel transport
-        # of the anchor's vector: the limit of e <- P(t) e / |P(t) e| on a
-        # fine grid of numpy eigenprojections
-        prob2, prob3 = probs
-        fld = BranchField(prob3, rank, "kato", None, anchor=2.2)
-        e = _values(fld.s0_jets(2.2, 0))
-        for t in np.linspace(2.2, 2.6, 2001)[1:]:
-            vec = np.linalg.eigh(prob2.G_value(float(t)))[1][:, rank]
-            e[:2] = vec * np.vdot(vec, e[:2])
-            e /= np.linalg.norm(e)
-        for x in (2.3, 2.6, 2.8):
-            jets = fld.s0_jets(x, 3)
-            ip = sum(c.conj().value * c.diff().value for c in jets)
-            assert abs(ip) < 1e-12
-        assert_allclose(_values(fld.s0_jets(2.6, 0)), e, atol=1e-6)
+        # For the pair and for the block: (e, e') = 0 in the jets, and the
+        # values are the parallel transport of the anchor's vector, the
+        # limit of e <- P(t) e / |P(t) e| on a fine grid of numpy
+        # eigenprojections
+        prob2 = probs[0]
+        for prob in probs:
+            fld = BranchField(prob, rank, "kato", None, anchor=2.2)
+            e = _values(fld.s0_jets(2.2, 0))
+            for t in np.linspace(2.2, 2.6, 2001)[1:]:
+                vec = np.linalg.eigh(prob2.G_value(float(t)))[1][:, rank]
+                e[:2] = vec * np.vdot(vec, e[:2])
+                e /= np.linalg.norm(e)
+            for x in (2.3, 2.6, 2.8):
+                jets = fld.s0_jets(x, 3)
+                ip = sum(c.conj().value * c.diff().value for c in jets)
+                assert abs(ip) < 1e-12
+            assert_allclose(_values(fld.s0_jets(2.6, 0)), e, atol=1e-6)
 
     @pytest.mark.parametrize("rank", [0, 1])
     def test_matches_n2_engine(self, probs, rank):
-        # Y_m and the conserving coordinates are the N = 2 Kato engine's;
-        # s_m agree at the anchor, where both gauges start
+        # Y_m, the conserving coordinates and s_m are the N = 2 Kato
+        # engine's: both integrate theta1 on the same section
         from phaseintegral.vector import CorrectionEngine
         prob2, prob3 = probs
         engines = [CorrectionEngine(p, BranchField(p, rank, "kato", None,
@@ -237,10 +240,32 @@ class TestKatoGaugeBlock3:
                                 atol=1e-13)
                 assert_allclose(c3.c_par[m].value, c2.c_par[m].value,
                                 rtol=1e-12, atol=1e-13)
-                if x == 2.2:
-                    assert_allclose(_values(c3.s[m]),
-                                    list(_values(c2.s[m])) + [0.0],
-                                    atol=1e-12)
+                assert_allclose(_values(c3.s[m]),
+                                list(_values(c2.s[m])) + [0.0], atol=1e-12)
+
+
+class TestNormalizedGaugeBlock3:
+    """An N = 2 pair and diag(pair, 9) give the same normalized gauge: both
+    apply the closed-form or the reduction-process P to the same continued
+    vector."""
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    @pytest.mark.parametrize("pair, hint, anchor, xs", [
+        ("complex", "hermitian", 2.2, (2.3, 2.6, 2.8)),
+        ("fex4", "general", 2.0, (2.4, 3.0, 3.3))], ids=["complex", "fex4"])
+    def test_s0_jets(self, pair, hint, anchor, xs, rank):
+        rows = _complex_pair_rows() if pair == "complex" else [
+            [parse_expr(e) for e in r]
+            for r in example_problem("nonhermitian")["R"]]
+        block = [r + [ZERO] for r in rows] + [[ZERO, ZERO, parse_expr("9")]]
+        f2, f3 = (BranchField(split_R(ProblemSpec(
+            len(r), "reduced", tuple(map(tuple, r)), None, {}, (0.2, 8.5),
+            hint), 1.0, None), rank, "normalized", None, anchor=anchor)
+            for r in (rows, block))
+        for x in xs:
+            e2 = [c.coeffs for c in f2.s0_jets(x, 6)]
+            e3 = [c.coeffs for c in f3.s0_jets(x, 6)]
+            assert_allclose(e3, e2 + [np.zeros(7)], rtol=0, atol=1e-13)
 
 
 def _values(vec):
@@ -559,7 +584,7 @@ class TestOrderZero:
 
     @pytest.mark.parametrize("rank", [0, 1])
     def test_fex4_complex_vectors(self, fex4, rank):
-        # non-hermitian: complex eigenvectors, the row pinned at the anchor
+        # non-hermitian: complex eigenvectors and an oblique projector
         self._check(fex4, rank, 2.0, [2.2, 2.8, 3.6, 5.0, 6.4])
 
     @pytest.mark.parametrize("rank", [0, 1])

@@ -736,10 +736,7 @@ class TestBlockEmbedding:
     @pytest.mark.parametrize("rank", [0, 1])
     def test_non_hermitian_oblique_projector(self, rank):
         # diag(Fex4, r3): the oblique eigenprojection against Fex4's closed
-        # form in the same (unit) gauge.  The points keep away from the
-        # zeros of G12 at multiples of pi/2, where the N = 2 reference's
-        # pinned row nearly vanishes and loses digits (6e-12 relative in
-        # Y_4 at x = 3.3, next to pi)
+        # form in the same (unit) gauge, also next to the zero of G12 at pi
         data = example_problem("nonhermitian")
         pair = split_R(*load_problem(data))
         rows = [r + ["0"] for r in data["R"]] + [["0", "0", _R3]]
@@ -747,7 +744,7 @@ class TestBlockEmbedding:
         e2, e3 = (CorrectionEngine(p, field(p, rank, anchor=2.0),
                                    "non_hermitian", 4, 2.0)
                   for p in (pair, block))
-        for x in (2.0, 2.4, 2.8):
+        for x in (2.0, 2.4, 2.8, 3.0, 3.3):
             c2, c3 = e2.at(x), e3.at(x)
             for m in range(5):
                 assert_allclose(c3.Y[m].value, c2.Y[m].value,
