@@ -108,10 +108,6 @@ class CompatibilityViolation(PhaseIntegralError):
     """Order-(m+1) compatibility residual exceeded its tolerance."""
 
 
-class MinorSingular(PhaseIntegralError):
-    """The (N-1)-minor used by the non-hermitian solve is singular."""
-
-
 class NonPositiveYWarning(UserWarning):
     """Re Y drops below zero somewhere on the grid (conservation caveat)."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -271,6 +272,20 @@ def series_variable(x: float, n: int) -> np.ndarray:
 
 def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)[: a.size]
+
+
+@lru_cache(maxsize=None)
+def _lag_index(n: int) -> np.ndarray:
+    lag = np.arange(n)[:, None] - np.arange(n)[None, :]
+    return np.where(lag >= 0, lag, n)      # n: the zero pad
+
+
+def series_matrix(c: np.ndarray) -> np.ndarray:
+    """T[..., t, s] = c[..., t - s], zero for s > t, for coefficients on the
+    last axis: T @ b is the Cauchy product c b, truncated like series_mul."""
+    pad = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,), dtype=complex)
+    pad[..., :-1] = c
+    return pad[..., _lag_index(c.shape[-1])]
 
 
 # A number c with an array: the constant jet (c, 0, 0, ...) without the

@@ -86,10 +86,9 @@ class PointWork:
     Y_a at their full order, the lambda^2-block coefficients
     T_r = sum_{a<r} Y_a Y_{r-a}' and
     U_r = eps0 [Y^2]_r + (3/4) sum Y_a' Y_{r-a}' - (1/2) sum_{a<r} Y_a Y_{r-a}''
-    (primes are zeta-derivatives) at order K - r - 2, and the N = 2
-    complement solve's divisor.  Callers truncate; truncation commutes
-    exactly with the products and quotients.  It lives only while the
-    point is assembled (`vector.CorrectionEngine._assembling`).
+    (primes are zeta-derivatives) at order K - r - 2.  Callers truncate;
+    truncation commutes exactly with the products and quotients.  It lives
+    only while the point is assembled (`vector.CorrectionEngine._assembling`).
     """
 
     def __init__(self, pt: dict, K: int):
@@ -98,7 +97,6 @@ class PointWork:
         self.powers = PowerTable(pt["Y"], K)
         self._dz: dict = {}
         self._lam2: dict = {}
-        self.perp_det: Jet | None = None   # CorrectionEngine._perp_det
 
     def zeta(self, j: Jet) -> Jet:
         """d/d zeta = Q**-1 d/dx (order drops by one)."""

@@ -15,6 +15,12 @@ point instead of being carried around.
 For N > 2 the jets are exact too: P is expanded order by order from the
 jet of G by Kato's reduction process, and Q**2 = tr(G P)/d.
 
+Alongside P comes the reduced resolvent S, the inverse of G - Q**2 off the
+cluster (Kato, Perturbation Theory for Linear Operators, ch. II):
+S (G - Q**2) = I - P and S P = P S = 0.  It is S = (P - I)/(Q**2 - mu)
+for N = 2 and S = (G - Q**2 + P)**-1 - P for N > 2; the correction engine
+solves the complement part of every order with it.
+
 Gauges:
   raw(g)     eigenvector g(x) * {1, (Q^2 - G11)/G12}, computed from P as
              g e/e_1 (g e/e_2, the row-swapped analogue, when G12 is the
@@ -442,7 +448,8 @@ class BranchField:
         return inside
 
     def _eigen_jets(self, x: float, order: int):
-        """(Q**2 coefficients, eigenprojection coefficients P_0..P_order).
+        """(Q**2 coefficients, eigenprojection coefficients P_0..P_order,
+        reduced resolvent coefficients S_0..S_order).
 
         Only the last point asked for at order >= 1 is kept: the next
         calls are for the same x at the same or a lower order (a base
@@ -452,8 +459,7 @@ class BranchField:
         """
         memo = self._projs
         if memo is not None and memo[0] == x and memo[1] >= order:
-            qsq, proj = memo[2]
-            return qsq[:order + 1], proj[:order + 1]
+            return tuple(a[:order + 1] for a in memo[2])
         got = (self._closed_form(x, order) if self.n == 2
                else self._reduction(x, order))
         if order:
@@ -464,7 +470,7 @@ class BranchField:
         """N = 2: Q**2 = (tr G + sqrt(D))/2 with the root's sign matched to
         this branch, and P = (G - mu I)/(Q**2 - mu), where mu = tr G - Q**2
         is the other eigenvalue, so Q**2 - mu = sqrt(D) and the diagonal
-        of G - mu I is (Q**2 - G22, Q**2 - G11)."""
+        of G - mu I is (Q**2 - G22, Q**2 - G11).  S = (P - I)/(Q**2 - mu)."""
         if order == 0:          # the same steps on plain complex numbers
             g = self._g_value(x).tolist()
             sqrt, value = cmath.sqrt, complex
@@ -482,10 +488,13 @@ class BranchField:
         qsq = (tr + root) * 0.5
         inv = 1.0 / root
         proj = [[(qsq - g11) * inv, g01 * inv], [g10 * inv, (qsq - g00) * inv]]
+        (p00, p01), (p10, p11) = proj
+        res = [[(p00 - 1.0) * inv, p01 * inv], [p10 * inv, (p11 - 1.0) * inv]]
         if order == 0:
-            return np.array([qsq]), np.array([proj])
-        return qsq.coeffs, np.array([[c.coeffs for c in row] for row in proj]
-                                    ).transpose(2, 0, 1)
+            return np.array([qsq]), np.array([proj]), np.array([res])
+        return (qsq.coeffs,) + tuple(
+            np.array([[c.coeffs for c in row] for row in mat]).transpose(2, 0, 1)
+            for mat in (proj, res))
 
     def _reduction(self, x: float, order: int):
         """N > 2: Kato's reduction process, run in the eigenbasis of
@@ -497,6 +506,8 @@ class BranchField:
         gives the blocks within the cluster (-C_k) and within the rest
         (+C_k), with C_k = sum_{0<j<k} P_j P_{k-j}.  The projector is
         oblique for non-hermitian G.  Q**2 = tr(G P)/d is the cluster mean.
+        S + P = (G - Q**2 + P)**-1 is a series inverse whose lead term is
+        diagonal in this basis.
         """
         vals, vecs, left, inside = self._cluster(x)
         d = int(inside.sum())
@@ -527,7 +538,13 @@ class BranchField:
         tr = np.einsum("jab,lba->jl", gt, pt)
         qsq = np.array([np.trace(tr[::-1], offset=k - order)
                         for k in range(order + 1)]) / d
-        return qsq, vecs @ pt @ left
+        mt = gt + pt
+        mt[:, range(self.n), range(self.n)] -= qsq[:, None]
+        wt = np.zeros_like(gt)
+        wt[0] = np.diag(1.0 / np.diagonal(mt[0]))
+        for k in range(1, order + 1):
+            wt[k] = -wt[0] @ (mt[1:k + 1] @ wt[k - 1::-1]).sum(0)
+        return qsq, vecs @ pt @ left, vecs @ (wt - pt) @ left
 
     def _gram_schmidt(self, x: float, ref: np.ndarray, order: int) -> tuple:
         """Gram-Schmidt of P ref as jets: the eigenbasis continuing `ref`.

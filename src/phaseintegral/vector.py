@@ -8,7 +8,9 @@ system u'' + (lambda**-2 G + a I) u = 0 into one relation per order m:
 
 where b_m collects products of lower-order corrections and their
 derivatives with respect to the phase variable zeta (d zeta = Q dx).
-The complement component of s_m follows from a linear solve; the
+The reduced resolvent S of the branch (`spectral.BranchField`), with
+S (G - Q**2) = I - P, gives the complement component (I - P) s_m =
+-2 Q**2 S b_m, and P (G - Q**2) = 0 gives P b_m = Y_m s0.  The
 eigenvector-parallel coordinate is fixed by the variant:
 
   fulling_current       (e1, s_m) chosen so the generalized current is
@@ -36,15 +38,13 @@ import numpy as np
 from .errors import (
     ApplicabilityWarning,
     CompatibilityViolation,
-    CrossingPoint,
     GaugeNotFixed,
-    MinorSingular,
     NonPositiveYWarning,
     TurningPoint,
     TurningPointOnGrid,
     UnsupportedDegeneracy,
 )
-from .jets import Jet, jet_const, jet_exp, jet_pow, jet_sqrt
+from .jets import Jet, jet_const, jet_exp, jet_pow, jet_sqrt, series_matrix
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
 from .recurrence import PointWork
@@ -76,7 +76,7 @@ class CorrectionSet:
     Y: list                    # Y[m] jets; Y[0] = 1
     s: list                    # s[m], tuples of jets; s[0] = s0
     s_perp: list               # perpendicular parts (s_perp[0] = 0)
-    c_perp: list               # N=2 multiplier jets (None otherwise / m=0)
+    c_perp: list               # N = 2: s_perp = c_perp e2 (None otherwise, m = 0)
     c_par: list                # (e1, s_m) jets; c_par[0] = None
     b: list                    # b[m] tuples of jets; b[0] = None
 
@@ -124,31 +124,11 @@ def _dot(a, b, k: int) -> Jet:
     return acc
 
 
-def _jet_solve(A: list, rhs: list) -> list:
-    """Gaussian elimination with jet entries (partial pivoting by value)."""
-    n = len(rhs)
-    A = [row[:] for row in A]
-    rhs = rhs[:]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col].value))
-        scale = max(abs(A[r][col].value) for r in range(col, n))
-        if abs(A[piv][col].value) < 1e-13 * (1.0 + scale):
-            raise MinorSingular("reduced non-hermitian system is singular")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        for r in range(col + 1, n):
-            f = A[r][col] / A[col][col]
-            for c in range(col, n):
-                A[r][c] = A[r][c] - f * A[col][c]
-            rhs[r] = rhs[r] - f * rhs[col]
-    out = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = rhs[r]
-        for c in range(r + 1, n):
-            acc = acc - A[r][c] * out[c]
-        out[r] = acc / A[r][r]
-    return out
+def _apply(mat: np.ndarray, vec, k: int) -> tuple:
+    """mat vec at order k; `mat` holds matrix coefficients, orders first."""
+    v = series_matrix(np.array([c.coeffs[:k + 1] for c in vec]))
+    out = np.einsum("sij,jts->it", mat[:k + 1], v)
+    return tuple(Jet._raw(vec[0].center, row) for row in out)
 
 
 class CorrectionEngine:
@@ -266,28 +246,26 @@ class CorrectionEngine:
         eps0 = fld.eps0_jet(x, K - 2)
         n = self.prob.n
         d = fld.degeneracy(x)
-        basis = None
-        comp = ()
-        if self._scalar_route or n == 1:
-            s0 = fld.s0_jets(x, K)
-        elif d > 1:
-            basis = fld.basis_jets(x, K)
-            s0 = basis[0]
-            comp = fld.complement_jets(x, K)
-        else:
-            s0 = fld.s0_jets(x, K)
-            if n == 2:
-                comp = ((-s0[1].conj(), s0[0].conj()),)
-            elif self.variant != "non_hermitian":   # its solve needs none
-                comp = fld.complement_jets(x, K)
-        G = fld._g_jet(x, K) if n > 1 else None
+        basis = perp = None
+        if n > 1 and not self._scalar_route:
+            # before s0: the Kato phase integral moves the memo elsewhere
+            _, proj, res = fld._eigen_jets(x, K)
+            perp = np.einsum("ts,sij->tij",             # -2 Q^2 S
+                             series_matrix(-2.0 * Qsq.coeffs), res)
+            if d > 1:
+                basis = fld.basis_jets(x, K)
+        s0 = basis[0] if basis is not None else fld.s0_jets(x, K)
+        # the left eigenvector l = P^H s0 (s0 itself for an orthogonal P),
+        # for which (l, s0) = (s0, P s0) = (s0, s0)
+        left = (_apply(proj.conj().transpose(0, 2, 1), s0, K)
+                if perp is not None and fld._oblique else s0)
         return {
             "x": x, "d": d,
-            "Qsq": Qsq, "Q": Q, "eps0": eps0, "G": G,
+            "Qsq": Qsq, "Q": Q, "eps0": eps0, "perp": perp, "left": left,
             "norm0": _dot(s0, s0, K),
             "Y": [jet_const(1.0, x, K)], "s": [s0],
             "s_perp": [_vzero(x, K, n)], "c_perp": [None], "c_par": [None],
-            "b": [None], "basis": basis, "comp": comp, "coords": [None],
+            "b": [None], "basis": basis, "coords": [None],
         }
 
     def _stage(self, pt: dict, m: int):
@@ -300,10 +278,10 @@ class CorrectionEngine:
         k = self.K - m
         b_m = self._compute_b(pt, m, k)
         pt["b"].append(b_m)
-        s_perp, c_perp = self._solve_perp(pt, m, b_m, k)
+        s_perp, c_perp = self._solve_perp(pt, b_m, k)
         pt["s_perp"].append(s_perp)
         pt["c_perp"].append(c_perp)
-        pt["Y"].append(self._compute_Y(pt, m, b_m, s_perp, k))
+        pt["Y"].append(self._compute_Y(pt, b_m, k))
 
     def _finish_level(self, pt: dict, m: int):
         if self._scalar_route:
@@ -430,118 +408,30 @@ class CorrectionEngine:
     # complement solve
     # ------------------------------------------------------------------
 
-    def _solve_perp(self, pt: dict, m: int, b_m: tuple, k: int):
+    def _solve_perp(self, pt: dict, b_m: tuple, k: int):
+        """s_perp = -2 Q^2 S b_m; the non-hermitian theory adds the multiple
+        of s0 that makes (s0, s_m) = 0 (P may be oblique there).  For N = 2
+        also c_perp, with s_perp = c_perp e2, e2 = (-conj s0_2, conj s0_1)."""
         n = self.prob.n
-        x = pt["x"]
         if n == 1:
-            return _vzero(x, k, n), None
-        Qsq = pt["Qsq"].truncated(k)
-        if n == 2 and pt["d"] == 1:
-            work = pt["work"]
-            if work.perp_det is None:
-                work.perp_det = self._perp_det(pt)
-            D = work.perp_det.truncated(k)
-            sperp = pt["comp"][0]
-            c_perp = (-2.0 * Qsq * _dot(sperp, b_m, k)) / D
-            return _vscale(c_perp, _vtrunc(sperp, k)), c_perp
+            return _vzero(pt["x"], k, n), None
+        s_perp = _apply(pt["perp"], b_m, k)
+        s0 = _vtrunc(pt["s"][0], k)
+        norm0 = pt["norm0"].truncated(k)
         if self.variant == "non_hermitian":
-            return self._solve_perp_nonhermitian(pt, b_m, k)
-        return self._solve_perp_complement(pt, b_m, k)
-
-    def _perp_det(self, pt: dict) -> Jet:
-        """(e2, (G - Q^2) e2) for N = 2 at full order, e2 the complement."""
-        s0, G, x = pt["s"][0], pt["G"], pt["x"]
-        D = (s0[0].conj() * s0[0] * G[1][1] + s0[1].conj() * s0[1] * G[0][0]
-             - pt["norm0"] * pt["Qsq"]
-             - (s0[0].conj() * s0[1] * G[0][1]
-                + s0[0] * s0[1].conj() * G[1][0]))
-        gmax = max(abs(G[i][j].value) for i in range(2) for j in range(2))
-        if abs(D.value) < 1e-10 * (1.0 + gmax * gmax):
-            raise CrossingPoint(
-                f"complement solve singular (crossing) at x = {x}")
-        return D
-
-    def _solve_perp_complement(self, pt: dict, b_m: tuple, k: int):
-        # hermitian path; complement vectors are sibling eigenvectors, so
-        # the projected matrix is diagonal with entries Q_j^2 - Q^2.
-        x, n = pt["x"], self.prob.n
-        Qsq = pt["Qsq"].truncated(k)
-        gnorm = 1.0 + float(np.sum(np.abs(
-            np.array([[g.value for g in row] for row in pt["G"]])) ** 2))
-        out = _vzero(x, k, n)
-        for vec in pt["comp"]:
-            sib_qsq = self._rayleigh(pt, vec, k)
-            denom = sib_qsq - Qsq
-            if abs(denom.value) ** 2 < 1e-8 * gnorm:
-                raise CrossingPoint(f"complement solve singular at x = {x}")
-            coord = (-2.0 * Qsq * _dot(vec, b_m, k)) / denom
-            out = _vadd(out, _vscale(coord, _vtrunc(vec, k)))
-        return out, None
-
-    def _rayleigh(self, pt: dict, vec: tuple, k: int) -> Jet:
-        G = pt["G"]
-        n = self.prob.n
-        gv = []
-        for i in range(n):
-            acc = G[i][0].truncated(k) * vec[0].truncated(k)
-            for j in range(1, n):
-                acc = acc + G[i][j].truncated(k) * vec[j].truncated(k)
-            gv.append(acc)
-        return _dot(vec, tuple(gv), k) / _dot(vec, vec, k)
-
-    def _solve_perp_nonhermitian(self, pt: dict, b_m: tuple, k: int):
-        # reduced solve in coordinates 2..N, factored to stay finite as
-        # the first eigenvector component goes to zero
-        x, n = pt["x"], self.prob.n
-        G = pt["G"]
-        s0 = pt["s"][0]
-        Qsq = pt["Qsq"].truncated(k)
-        s01 = s0[0].truncated(k)
-        s0bar = [c.truncated(k) for c in s0[1:]]
-        bbar = [c.truncated(k) for c in b_m[1:]]
-        nm1 = n - 1
-        norm01 = s01.conj() * s01
-        A = [[None] * nm1 for _ in range(nm1)]
-        for j in range(nm1):
-            for c in range(nm1):
-                entry = norm01 * G[j + 1][c + 1].truncated(k)
-                if j == c:
-                    entry = entry - norm01 * Qsq
-                entry = entry + (G[0][0].truncated(k) - Qsq) \
-                    * (s0bar[j] * s0bar[c].conj())
-                entry = entry - s01.conj() * s0bar[j] * G[0][c + 1].truncated(k)
-                entry = entry - s01 * G[j + 1][0].truncated(k) * s0bar[c].conj()
-                A[j][c] = entry
-        rhs = [2.0 * Qsq * (b_m[0].truncated(k) * s0bar[j] - s01 * bbar[j])
-               for j in range(nm1)]
-        tbar = _jet_solve(A, rhs)
-        sbar = [s01.conj() * t for t in tbar]
-        sm1 = jet_const(0.0, x, k)
-        for j in range(nm1):
-            sm1 = sm1 - s0bar[j].conj() * tbar[j]
-        return tuple([sm1] + sbar), None
+            s_perp = _vsub(s_perp, _vscale(_dot(s0, s_perp, k) / norm0, s0))
+        if n > 2:
+            return s_perp, None
+        e2 = (-s0[1].conj(), s0[0].conj())
+        return s_perp, _dot(e2, s_perp, k) / norm0
 
     # ------------------------------------------------------------------
     # Y_m and the parallel coordinate
     # ------------------------------------------------------------------
 
-    def _compute_Y(self, pt: dict, m: int, b_m: tuple, s_perp: tuple,
-                   k: int) -> Jet:
-        # Projection of the order-m relation on s0.  The G-term vanishes
-        # identically for hermitian G; it carries the non-hermitian part.
-        s0 = pt["s"][0]
-        n = self.prob.n
-        acc = _dot(s0, b_m, k)
-        if self.variant == "non_hermitian" and n > 1:
-            G = pt["G"]
-            gs = []
-            for i in range(n):
-                row = G[i][0].truncated(k) * s_perp[0].truncated(k)
-                for j in range(1, n):
-                    row = row + G[i][j].truncated(k) * s_perp[j].truncated(k)
-                gs.append(row)
-            acc = acc + 0.5 * (_dot(s0, tuple(gs), k) / pt["Qsq"].truncated(k))
-        return acc / pt["norm0"].truncated(k)
+    def _compute_Y(self, pt: dict, b_m: tuple, k: int) -> Jet:
+        # P b_m = Y_m s0, read off with the left eigenvector l = P^H s0
+        return _dot(pt["left"], b_m, k) / pt["norm0"].truncated(k)
 
     def _parallel_jet(self, pt: dict, m: int, k: int) -> Jet:
         x = pt["x"]
@@ -602,8 +492,7 @@ class CorrectionEngine:
 
     # ------------------------------------------------------------------
     # degenerate-subspace coordinates (real symmetric, 1 < d < N); the
-    # basis and its complement come from BranchField.basis_jets and
-    # complement_jets
+    # basis comes from BranchField.basis_jets
     # ------------------------------------------------------------------
 
     def _degenerate_coord_jet(self, pt: dict, m: int, kk: int, k: int) -> Jet:

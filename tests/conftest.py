@@ -1,7 +1,8 @@
 import pytest
 
 from phaseintegral.examples import example_problem
-from phaseintegral.problem import load_problem, split_R
+from phaseintegral.expressions import parse_expr
+from phaseintegral.problem import ProblemSpec, load_problem, split_R
 from phaseintegral.spectral import BranchField
 from phaseintegral.vector import CorrectionEngine
 
@@ -34,6 +35,23 @@ def bec():
 @pytest.fixture(scope="session")
 def scalar_quadratic():
     return _reduced("scalar-quadratic")
+
+
+@pytest.fixture(scope="session")
+def deg3():
+    """G = R diag(f, f, g) R^T, R the (1,3)-plane rotation by x/4, with
+    f = x + 3 and g = 8 + x^2/5: rank 0 is a d = 2 cluster."""
+    f, g = "x + 3", "8 + x^2/5"
+    c, s = "cos(x/4)", "sin(x/4)"
+    g11 = f"({c})^2*({f}) + ({s})^2*({g})"
+    g13 = f"({c})*({s})*(({g}) - ({f}))"
+    g33 = f"({s})^2*({f}) + ({c})^2*({g})"
+    mat = ((parse_expr(g11), parse_expr("0"), parse_expr(g13)),
+           (parse_expr("0"), parse_expr(f), parse_expr("0")),
+           (parse_expr(g13), parse_expr("0"), parse_expr(g33)))
+    spec = ProblemSpec(3, "reduced", mat, None, {}, (1.0, 3.0),
+                       "real_symmetric")
+    return split_R(spec, 1.0, None)
 
 
 @pytest.fixture(scope="session")

@@ -280,6 +280,33 @@ def _matmul(a, b):
              for j in range(n)] for i in range(n)]
 
 
+def _fex1_block():
+    """The rows of diag(Fex1, 11 + sin x) as expression strings."""
+    return [r + ["0"] for r in example_problem("fulling-pos")["R"]] \
+        + [["0", "0", "11 + sin(x)"]]
+
+
+def _reduced(rows, hint):
+    mat = tuple(tuple(parse_expr(e) for e in r) for r in rows)
+    return split_R(ProblemSpec(len(rows), "reduced", mat, None, {},
+                               (0.2, 8.5), hint), 1.0, None)
+
+
+def _oblique3():
+    """S diag(Fex1, 11 + sin x) S^-1 with a constant non-unitary S."""
+    s = [["1", "i/2", "0"], ["0", "1", "1/3"], ["0", "0", "1"]]
+    s_inv = [["1", "-i/2", "i/6"], ["0", "1", "-1/3"], ["0", "0", "1"]]
+    return _reduced(_matmul(_matmul(s, _fex1_block()), s_inv), "general")
+
+
+def _rotated3():
+    """U diag(Fex1, 11 + sin x) U^T with a constant rational rotation U."""
+    u = [["3/5", "-4/13", "48/65"], ["4/5", "3/13", "-36/65"],
+         ["0", "12/13", "5/13"]]
+    u_t = [list(r) for r in zip(*u)]
+    return _reduced(_matmul(_matmul(u, _fex1_block()), u_t), "real_symmetric")
+
+
 class TestObliqueProjector:
     """G = S diag(Fex1, r3) S^-1 with a constant non-unitary S: Fex1's
     eigenvalues, and eigenvector jets that must solve (G - Q^2) e = 0
@@ -287,14 +314,7 @@ class TestObliqueProjector:
 
     @pytest.mark.parametrize("rank", [0, 1])
     def test_eigen_jets(self, fex1, rank):
-        s = [["1", "i/2", "0"], ["0", "1", "1/3"], ["0", "0", "1"]]
-        s_inv = [["1", "-i/2", "i/6"], ["0", "1", "-1/3"], ["0", "0", "1"]]
-        block = [r + ["0"] for r in example_problem("fulling-pos")["R"]] \
-            + [["0", "0", "11 + sin(x)"]]
-        rows = _matmul(_matmul(s, block), s_inv)
-        mat = tuple(tuple(parse_expr(e) for e in r) for r in rows)
-        spec = ProblemSpec(3, "reduced", mat, None, {}, (0.2, 8.5), "general")
-        prob = split_R(spec, 1.0, None)
+        prob = _oblique3()
         fld = BranchField(prob, rank, "normalized", None, anchor=2.5)
         pair = BranchField(fex1, rank, "normalized", None, anchor=2.5)
         order = 8
@@ -317,6 +337,72 @@ class TestObliqueProjector:
             along = sum(c * complex(r).conjugate() for r, c in zip(ref, e))
             assert_allclose(along.coeffs.imag, 0.0, atol=1e-12)
             assert along.value.real > 0.0
+
+
+def _series_product(a, b):
+    """Cauchy product of two matrix series, coefficients orders first."""
+    return np.array([sum(a[j] @ b[t - j] for j in range(t + 1))
+                     for t in range(len(a))])
+
+
+class TestReducedResolvent:
+    """S from _eigen_jets against its definition, order by order:
+    S (G - Q^2) = (G - Q^2) S = I - P and S P = P S = 0, with G from
+    G_jet; for the d = 2 cluster also against mpmath at 30 digits."""
+
+    ORDER = 8
+
+    def _check(self, prob, rank, anchor, xs):
+        fld = BranchField(prob, rank, "normalized", None, anchor=anchor)
+        n = prob.n
+        unit = np.zeros((self.ORDER + 1, n, n))
+        unit[0] = np.eye(n)
+        for x in xs:
+            qsq, proj, res = fld._eigen_jets(x, self.ORDER)
+            g = np.array([[c.coeffs for c in row]
+                          for row in prob.G_jet(x, self.ORDER)]
+                         ).transpose(2, 0, 1)
+            shifted = g - qsq[:, None, None] * unit[0]
+            for got, want in ((_series_product(res, shifted), unit - proj),
+                              (_series_product(shifted, res), unit - proj),
+                              (_series_product(res, proj), 0.0),
+                              (_series_product(proj, res), 0.0)):
+                assert_allclose(got, want, rtol=0, atol=1e-12)
+        return fld
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    @pytest.mark.parametrize("case", ["fex1", "fex4", "block3", "rotated",
+                                      "oblique"])
+    def test_definition(self, case, rank, request):
+        prob = {"fex1": lambda: request.getfixturevalue("fex1"),
+                "fex4": lambda: request.getfixturevalue("fex4"),
+                "block3": _block3, "rotated": _rotated3,
+                "oblique": _oblique3}[case]()
+        anchor = 2.0 if case == "fex4" else 2.5
+        self._check(prob, rank, anchor, (anchor, 3.1, 4.7))
+
+    def test_degenerate_cluster(self, deg3):
+        # S = R diag(0, 0, 1/(g - f)) R^T for G = R diag(f, f, g) R^T
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+
+        def resolvent(i, j):
+            def entry(t):
+                c, s = mpmath.cos(t / 4), mpmath.sin(t / 4)
+                rot = mpmath.matrix([[c, 0, s], [0, 1, 0], [-s, 0, c]])
+                gap = (8 + t ** 2 / 5) - (t + 3)
+                return (rot * mpmath.diag([0, 0, 1 / gap]) * rot.T)[i, j]
+            return entry
+
+        xs = (2.0, 2.3, 2.9)
+        fld = self._check(deg3, 0, 2.0, xs)
+        for x in xs:
+            res = fld._eigen_jets(x, self.ORDER)[2]
+            for i in range(3):
+                for j in range(3):
+                    want = [complex(c) for c in mpmath.taylor(
+                        resolvent(i, j), x, self.ORDER)]
+                    assert_allclose(res[:, i, j], want, rtol=0, atol=1e-13)
 
 
 class TestComplement:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from phaseintegral.errors import (
-    ApplicabilityWarning, GaugeNotFixed,
+    ApplicabilityWarning, CrossingPoint, GaugeNotFixed,
     NonPositiveYWarning, UnsupportedDegeneracy,
 )
 from phaseintegral.examples import example_problem
@@ -19,7 +19,7 @@ from phaseintegral.recurrence import PowerTable
 from phaseintegral.scalar import scalar_corrections
 from phaseintegral.spectral import BranchField
 from phaseintegral.vector import (
-    CorrectionEngine, assemble_vector_wave, p_coefficients,
+    VARIANTS, CorrectionEngine, assemble_vector_wave, p_coefficients,
     vector_corrections,
 )
 from phaseintegral import verify as V
@@ -284,7 +284,8 @@ class TestPowerTable:
 
 
 class TestWorkCounts:
-    """Jet products and quotients of one point, counted at the operators."""
+    """The work of one point: Jet products and quotients, counted at the
+    operators, and eigenprojection expansions."""
 
     @staticmethod
     def _count(monkeypatch, engine, x):
@@ -314,6 +315,66 @@ class TestWorkCounts:
         counts = self._count(monkeypatch, eng, 3.0)
         assert counts["mul"] < 369 // 2, counts
         assert counts["div"] < 40, counts
+
+    def test_block3_point_runs_one_reduction(self, monkeypatch):
+        # a new diag(Fex1, 9) point expands its eigenprojection and reduced
+        # resolvent once: no sibling field repeats it for a complement
+        calls = []
+        reduction = BranchField._reduction
+
+        def counted(self, x, order):
+            calls.append(order)
+            return reduction(self, x, order)
+        monkeypatch.setattr(BranchField, "_reduction", counted)
+        prob = _fex1_like([r + ["0"] for r in _FEX1_ROWS] + [["0", "0", "9"]])
+        _engine(prob, 0, "simplified_hermitian", 6).at(3.7)
+        assert sum(order >= 1 for order in calls) == 1, calls
+
+
+class TestRouting:
+    """One complement solve: no variant asks for a complement basis."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_complement(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("complement_jets called")
+        monkeypatch.setattr(BranchField, "complement_jets", refuse)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_complement_jets(self, fex1_pair, block3, variant, n):
+        prob = fex1_pair if n == 2 else block3
+        for rank in (0, 1):
+            _engine(prob, rank, variant, 2).at(3.1)
+
+    def test_degenerate_cluster(self, deg3):
+        fld = BranchField(deg3, 0, "normalized", None, anchor=2.0)
+        CorrectionEngine(deg3, fld, "simplified_hermitian", 2, 2.0).at(2.3)
+
+
+class TestCrossingGuards:
+    """The complement solve has no divisor of its own: the eigen-solve's
+    guards must refuse a crossing before the engine reaches it."""
+
+    @pytest.mark.parametrize("variant", ["simplified_hermitian",
+                                         "fulling_current"])
+    @pytest.mark.parametrize("x", [4.0, 4.0 + 1e-6])
+    def test_n3_block(self, variant, x):
+        # diag(Fex1, 4): rank 1 (eigenvalue x) meets the third at x = 4
+        prob = _fex1_like([r + ["0"] for r in _FEX1_ROWS] + [["0", "0", "4"]])
+        eng = CorrectionEngine(prob, field(prob, 1, anchor=3.0), variant, 2,
+                               3.0)
+        with pytest.raises(CrossingPoint):
+            eng.at(x)
+
+    @pytest.mark.parametrize("variant", ["simplified_hermitian",
+                                         "fulling_current"])
+    def test_n2_pair(self, fex1, variant):
+        # Fex1's eigenvalues 1 and x cross at x = 1
+        eng = CorrectionEngine(fex1, field(fex1, 0, anchor=2.0), variant, 2,
+                               2.0)
+        with pytest.raises(CrossingPoint):
+            eng.at(1.0)
 
 
 class TestVectorCorrections:
@@ -551,22 +612,6 @@ class TestWaves:
             assert eng.applicability_warnings(corr, 1e-3) == []
 
 
-@pytest.fixture(scope="module")
-def deg3():
-    # rotate diag(f, f, g) by x/4 in the (1,3) plane: d = 2 branch
-    f, g = "x + 3", "8 + x^2/5"
-    c, s = "cos(x/4)", "sin(x/4)"
-    g11 = f"({c})^2*({f}) + ({s})^2*({g})"
-    g13 = f"({c})*({s})*(({g}) - ({f}))"
-    g33 = f"({s})^2*({f}) + ({c})^2*({g})"
-    mat = ((parse_expr(g11), parse_expr("0"), parse_expr(g13)),
-           (parse_expr("0"), parse_expr(f), parse_expr("0")),
-           (parse_expr(g13), parse_expr("0"), parse_expr(g33)))
-    spec = ProblemSpec(3, "reduced", mat, None, {}, (1.0, 3.0),
-                       "real_symmetric")
-    return split_R(spec, 1.0, None)
-
-
 class TestDegenerateSubspace:
     def test_eigenvalue_and_compatibility(self, deg3):
         fld = BranchField(deg3, 0, "normalized", None, anchor=2.0)
@@ -680,6 +725,15 @@ def _rational_rotation():
             for i in range(3)]
 
 
+def _rotated_rows(rows):
+    """U G U^T, U = _rational_rotation(), for a 3x3 G of expression strings."""
+    u = _rational_rotation()
+    return [[" + ".join(f"({u[a][i] * u[b][j]})*({rows[i][j]})"
+                        for i in range(3) for j in range(3)
+                        if rows[i][j] != "0" and u[a][i] * u[b][j])
+             for b in range(3)] for a in range(3)]
+
+
 @pytest.fixture(scope="module")
 def fex1_pair():
     return _fex1_like(_FEX1_ROWS)
@@ -750,17 +804,47 @@ class TestBlockEmbedding:
                 assert_allclose(c3.Y[m].value, c2.Y[m].value,
                                 rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_non_hermitian_rotated(self, rank):
+        # U diag(Fex4, r3) U^T couples every component through an oblique
+        # P: Fex4's Y_m, s_m = c U (s_m of the pair, 0) with one unimodular
+        # c per branch, (s0, s_m) = 0, and the order-m relation
+        # Y_m s0 - (G - Q^2) s_m / (2 Q^2) = b_m itself
+        data = example_problem("nonhermitian")
+        pair = split_R(*load_problem(data))
+        rows = [r + ["0"] for r in data["R"]] + [["0", "0", _R3]]
+        prob = split_R(*load_problem(dict(data, n=3, R=_rotated_rows(rows))))
+        umat = np.array(_rational_rotation(), dtype=float)
+        e2, e3 = (CorrectionEngine(p, field(p, rank, anchor=2.0),
+                                   "non_hermitian", 4, 2.0)
+                  for p in (pair, prob))
+        factor = None
+        for x in (2.0, 2.4, 2.8, 3.3):
+            c2, c3 = e2.at(x), e3.at(x)
+            s0 = _values(c3.s[0])
+            shifted = prob.G_value(x) - c3.Qsq.value * np.eye(3)
+            for m in range(5):
+                assert_allclose(c3.Y[m].value, c2.Y[m].value,
+                                rtol=1e-12, atol=1e-13)
+                want = umat @ np.append(_values(c2.s[m]), 0.0)
+                got = _values(c3.s[m])
+                if factor is None:
+                    factor = np.vdot(want, got) / np.vdot(want, want)
+                    assert_allclose(abs(factor), 1.0, rtol=1e-12)
+                scale = 1.0 + np.max(np.abs(want))
+                assert_allclose(got, factor * want, rtol=0,
+                                atol=1e-12 * scale)
+                if m:
+                    assert abs(np.vdot(s0, got)) <= 1e-12 * scale
+                    rel = (c3.Y[m].value * s0 - _values(c3.b[m])
+                           - shifted @ got / (2.0 * c3.Qsq.value))
+                    assert_allclose(rel, 0.0, atol=1e-12 * scale)
+
     def test_constant_rotation(self, block3):
         # U diag(Fex1, r3) U^T: the same Y_m, and s_m rotated by U up to
         # one sign (the continuation starts from a different lead component)
-        u = _rational_rotation()
-        rows = _block_rows()
-        rotated = [[" + ".join(f"({u[a][i] * u[b][j]})*({rows[i][j]})"
-                               for i in range(3) for j in range(3)
-                               if rows[i][j] != "0" and u[a][i] * u[b][j])
-                    for b in range(3)] for a in range(3)]
-        prob = _fex1_like(rotated)
-        umat = np.array(u, dtype=float)
+        prob = _fex1_like(_rotated_rows(_block_rows()))
+        umat = np.array(_rational_rotation(), dtype=float)
         for rank in (0, 1):
             e3 = _engine(block3, rank, "simplified_hermitian", 6)
             er = _engine(prob, rank, "simplified_hermitian", 6)
