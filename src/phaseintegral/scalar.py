@@ -16,8 +16,10 @@ phase variable zeta (d zeta = Q dx) are rewritten in x immediately:
 which keeps every quantity single valued (only Q**2 enters).
 
 The scalar wave itself is the N = 1 case of the coupled wave and is
-assembled by `vector.assemble_vector_wave`; the engine uses this
-recurrence for fully degenerate G = Q**2 I.
+assembled by `vector.assemble_vector_wave`.  The correction engine does
+not call this recurrence: N = 1 and G = Q**2 I run through its coupled
+recurrence with the whole space as the branch's cluster.  It stays as an
+independent check of that path.
 """
 
 from __future__ import annotations

@@ -3,7 +3,13 @@
 Every eigenvector comes from the eigenprojection P of the branch's cluster
 (the d eigenvalues within the cluster tolerance of it): the eigenbasis is
 the Gram-Schmidt of P applied to the basis continued from the anchor (for
-d = 1, the unit eigenvector P ref/|P ref|).  Only Q**2 and P depend on N.
+d = 1, the unit eigenvector P ref/|P ref|).  Q**2, P and the reduced
+resolvent S below come from one of three solves, picked by G alone.
+
+When G = c(x) I by its expressions, N = 1 included, the cluster is the
+whole space: Q**2 = tr G/N, P = I and S = 0, and the eigenvector is the
+constant coordinate axis of the branch's rank (the gauge factor g(x) for
+N = 1 in the raw gauge).  The coupled recurrence then is the scalar one.
 
 For 2x2 systems they are closed form: the characteristic equation is
 quadratic, Q**2 = (G11 + G22 -/+ sqrt(D))/2 with the discriminant
@@ -18,8 +24,9 @@ jet of G by Kato's reduction process, and Q**2 = tr(G P)/d.
 Alongside P comes the reduced resolvent S, the inverse of G - Q**2 off the
 cluster (Kato, Perturbation Theory for Linear Operators, ch. II):
 S (G - Q**2) = I - P and S P = P S = 0.  It is S = (P - I)/(Q**2 - mu)
-for N = 2 and S = (G - Q**2 + P)**-1 - P for N > 2; the correction engine
-solves the complement part of every order with it.
+for N = 2, S = (G - Q**2 + P)**-1 - P for N > 2 and 0 for the whole
+space; the correction engine solves the complement part of every order
+with it.
 
 Gauges:
   raw(g)     eigenvector g(x) * {1, (Q^2 - G11)/G12}, computed from P as
@@ -208,10 +215,7 @@ class BranchField:
     # -- eigenvalue -------------------------------------------------------
 
     def _ranked_values(self, x: float) -> np.ndarray:
-        g = self._g_value(x)
-        if self.n == 1:
-            return np.array([g[0, 0]])
-        vals = np.linalg.eigvals(g)
+        vals = np.linalg.eigvals(self._g_value(x))
         return vals[np.lexsort((vals.imag, vals.real))]
 
     def qsq_value(self, x: float) -> complex:
@@ -222,24 +226,16 @@ class BranchField:
         return got
 
     def qsq_jet(self, x: float, order: int) -> Jet:
-        if self.n == 1:
-            return self._g_jet(x, order)[0][0]
-        if self.full_degeneracy_region(x):
-            # G = Q^2 I on a neighborhood: every branch is trace/N
-            g = self._g_jet(x, order)
-            tr = g[0][0]
-            for j in range(1, self.n):
-                tr = tr + g[j][j]
-            return tr * (1.0 / self.n)
         return Jet._raw(float(x), self._eigen_jets(x, order)[0])
 
     def full_degeneracy_region(self, x: float) -> bool:
-        """True if all eigenvalues coincide on a neighborhood of x.
+        """True if all eigenvalues coincide on a neighborhood of x, so the
+        branch's cluster is the whole space (always for N = 1).
 
-        Distinguishes the trivial d = N case (scalar reduction applies)
-        from an isolated crossing, where evaluation must be refused.  It is
-        decided once, from G's AST (see `_is_scalar_matrix`), so it holds
-        on the whole domain or nowhere.
+        Distinguishes the trivial d = N case (P = I, S = 0: the scalar
+        theory) from an isolated crossing, where evaluation must be
+        refused.  It is decided once, from G's AST (see
+        `_is_scalar_matrix`), so it holds on the whole domain or nowhere.
         """
         return self._scalar_matrix
 
@@ -278,12 +274,12 @@ class BranchField:
     # -- eigenvector --------------------------------------------------------
 
     def s0_jets(self, x: float, order: int) -> tuple:
-        if self.n == 1:
-            g = eval_expr_jet(self.gauge_g, x, order, self.prob.params) \
-                if self.gauge == "raw" else jet_const(1.0, x, order)
-            return (g,)
-        if self.full_degeneracy_region(x):
-            # any unit vector is an eigenvector; use the coordinate axis
+        if self._scalar_matrix:
+            # any vector is an eigenvector: the coordinate axis, or for
+            # N = 1 in the raw gauge the gauge factor itself
+            if self.gauge == "raw" and self.n == 1:
+                return (eval_expr_jet(self.gauge_g, x, order,
+                                      self.prob.params),)
             return tuple(jet_const(1.0 if j == self.rank else 0.0, x, order)
                          for j in range(self.n))
         if self.gauge == "raw" and self.n == 2:
@@ -460,11 +456,26 @@ class BranchField:
         memo = self._projs
         if memo is not None and memo[0] == x and memo[1] >= order:
             return tuple(a[:order + 1] for a in memo[2])
-        got = (self._closed_form(x, order) if self.n == 2
-               else self._reduction(x, order))
+        if self._scalar_matrix:
+            got = self._whole_space(x, order)
+        elif self.n == 2:
+            got = self._closed_form(x, order)
+        else:
+            got = self._reduction(x, order)
         if order:
             self._projs = (x, order, got)
         return got
+
+    def _whole_space(self, x: float, order: int):
+        """G = c(x) I (N = 1 included): the cluster is the whole space, so
+        Q**2 = tr G/N, P = I and S = 0."""
+        g = self._g_jet(x, order)
+        tr = g[0][0]
+        for j in range(1, self.n):
+            tr = tr + g[j][j]
+        proj = np.zeros((order + 1, self.n, self.n), dtype=complex)
+        proj[0] = np.eye(self.n)
+        return (tr * (1.0 / self.n)).coeffs, proj, np.zeros_like(proj)
 
     def _closed_form(self, x: float, order: int):
         """N = 2: Q**2 = (tr G + sqrt(D))/2 with the root's sign matched to
@@ -588,8 +599,6 @@ class BranchField:
     # -- public assembly ------------------------------------------------------
 
     def degeneracy(self, x: float) -> int:
-        if self.n == 1:
-            return 1
         return int(self._members(self._ranked_values(x), x).sum())
 
     def branch(self, x: float, order: int) -> EigenBranch:
@@ -600,8 +609,9 @@ class BranchField:
 
     def complement_jets(self, x: float, order: int) -> tuple:
         """Orthonormal-complement vectors: the eigenvectors of the other
-        clusters (N = 2: the closed-form orthogonal vector)."""
-        if self.n == 1:
+        clusters (N = 2: the closed-form orthogonal vector); none for the
+        whole space."""
+        if self._scalar_matrix:
             return ()
         if self.n == 2:
             s0 = self.s0_jets(x, order)
@@ -626,12 +636,11 @@ class BranchField:
 
 
 def _is_scalar_matrix(G) -> bool:
-    """G = c(x) I by its AST: every off-diagonal entry folds to the
-    constant 0 and every diagonal entry equals G[0][0] as an AST.  A G that
-    equals c(x) I only through identities is not recognized."""
+    """G = c(x) I by its AST (always for N = 1): every off-diagonal entry
+    folds to the constant 0 and every diagonal entry equals G[0][0] as an
+    AST.  A G that equals c(x) I only through identities is not
+    recognized."""
     n = len(G)
-    if n == 1:
-        return False
     return all(G[i][i] == G[0][0] for i in range(n)) and all(
         constant_value(G[i][j]) == 0 for i in range(n) for j in range(n)
         if i != j)

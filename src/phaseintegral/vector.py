@@ -48,7 +48,7 @@ from .jets import Jet, jet_const, jet_exp, jet_pow, jet_sqrt, series_matrix
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
 from .recurrence import PointWork
-from .scalar import Wave, WaveSample, scalar_corrections
+from .scalar import Wave, WaveSample
 from .spectral import BranchField
 
 __all__ = [
@@ -171,9 +171,14 @@ class CorrectionEngine:
         self._points: dict[float, dict] = {}
         self._cpar_cum: dict[int, JetChainIntegral] = {}
         self._coord_cum: dict[tuple, JetChainIntegral] = {}
+        # the anchor's eigen-solve raises what a crossing there raises (or a
+        # G equal to c(x) I only through identities) before a point is built
+        branch._eigen_jets(self.anchor, 0)
         d = branch.degeneracy(self.anchor)
-        self._scalar_route = (d == prob.n and prob.n > 1)
-        if d > 1 and not self._scalar_route:
+        # a cluster short of the whole space has its own basis and Kato
+        # coordinates; the whole space (P = I) is the scalar theory
+        self._degenerate = 1 < d < prob.n
+        if self._degenerate:
             if hint != "real_symmetric":
                 raise UnsupportedDegeneracy(
                     "degenerate eigenvalues are only supported for real "
@@ -245,22 +250,18 @@ class CorrectionEngine:
         Q = fld.q_jet(x, K)
         eps0 = fld.eps0_jet(x, K - 2)
         n = self.prob.n
-        d = fld.degeneracy(x)
-        basis = perp = None
-        if n > 1 and not self._scalar_route:
-            # before s0: the Kato phase integral moves the memo elsewhere
-            _, proj, res = fld._eigen_jets(x, K)
-            perp = np.einsum("ts,sij->tij",             # -2 Q^2 S
-                             series_matrix(-2.0 * Qsq.coeffs), res)
-            if d > 1:
-                basis = fld.basis_jets(x, K)
+        # before s0: the Kato phase integral moves the memo elsewhere
+        _, proj, res = fld._eigen_jets(x, K)
+        perp = np.einsum("ts,sij->tij",                 # -2 Q^2 S
+                         series_matrix(-2.0 * Qsq.coeffs), res)
+        basis = fld.basis_jets(x, K) if self._degenerate else None
         s0 = basis[0] if basis is not None else fld.s0_jets(x, K)
         # the left eigenvector l = P^H s0 (s0 itself for an orthogonal P),
         # for which (l, s0) = (s0, P s0) = (s0, s0)
         left = (_apply(proj.conj().transpose(0, 2, 1), s0, K)
-                if perp is not None and fld._oblique else s0)
+                if fld._oblique else s0)
         return {
-            "x": x, "d": d,
+            "x": x,
             "Qsq": Qsq, "Q": Q, "eps0": eps0, "perp": perp, "left": left,
             "norm0": _dot(s0, s0, K),
             "Y": [jet_const(1.0, x, K)], "s": [s0],
@@ -272,9 +273,6 @@ class CorrectionEngine:
         """Compute b_m, s_m_perp and Y_m (everything except P s_m)."""
         if len(pt["Y"]) - 1 >= m:
             return   # already staged by an integrand evaluation
-        if self._scalar_route:
-            self._scalar_level(pt, m)   # the whole level at once
-            return
         k = self.K - m
         b_m = self._compute_b(pt, m, k)
         pt["b"].append(b_m)
@@ -284,38 +282,20 @@ class CorrectionEngine:
         pt["Y"].append(self._compute_Y(pt, b_m, k))
 
     def _finish_level(self, pt: dict, m: int):
-        if self._scalar_route:
-            return   # _stage built the whole level
         k = self.K - m
         c_par = self._parallel_jet(pt, m, k)
         pt["c_par"].append(c_par)
         s_m = _vtrunc(pt["s_perp"][m], k)
         s_m = _vadd(s_m, _vscale(c_par, _vtrunc(pt["s"][0], k)))
         coords = None
-        if pt["d"] > 1 and pt["basis"] is not None:
+        if pt["basis"] is not None:
             coords = []
-            for kk in range(1, pt["d"]):
+            for kk in range(1, len(pt["basis"])):
                 cj = self._degenerate_coord_jet(pt, m, kk, k)
                 coords.append(cj)
                 s_m = _vadd(s_m, _vscale(cj, _vtrunc(pt["basis"][kk], k)))
         pt["coords"].append(coords)
         pt["s"].append(s_m)
-
-    def _scalar_level(self, pt: dict, m: int):
-        # Full degeneration: G = Q^2 I, each component is the scalar problem
-        # and every vector correction vanishes.
-        x, n, k = pt["x"], self.prob.n, self.K - m
-        if m % 2 == 1:
-            pt["Y"].append(jet_const(0.0, x, k))
-        else:
-            sc = scalar_corrections(pt["eps0"], pt["Qsq"], m // 2)
-            pt["Y"].append(sc.Y[m // 2].truncated(k))
-        pt["b"].append(_vzero(x, k, n))
-        pt["s_perp"].append(_vzero(x, k, n))
-        pt["c_perp"].append(None)
-        pt["c_par"].append(jet_const(0.0, x, k))
-        pt["coords"].append(None)
-        pt["s"].append(_vzero(x, k, n))
 
     # ------------------------------------------------------------------
     # b_m : driving vector of the order-m relation
@@ -412,15 +392,12 @@ class CorrectionEngine:
         """s_perp = -2 Q^2 S b_m; the non-hermitian theory adds the multiple
         of s0 that makes (s0, s_m) = 0 (P may be oblique there).  For N = 2
         also c_perp, with s_perp = c_perp e2, e2 = (-conj s0_2, conj s0_1)."""
-        n = self.prob.n
-        if n == 1:
-            return _vzero(pt["x"], k, n), None
         s_perp = _apply(pt["perp"], b_m, k)
         s0 = _vtrunc(pt["s"][0], k)
         norm0 = pt["norm0"].truncated(k)
         if self.variant == "non_hermitian":
             s_perp = _vsub(s_perp, _vscale(_dot(s0, s_perp, k) / norm0, s0))
-        if n > 2:
+        if self.prob.n != 2:
             return s_perp, None
         e2 = (-s0[1].conj(), s0[0].conj())
         return s_perp, _dot(e2, s_perp, k) / norm0
@@ -435,7 +412,9 @@ class CorrectionEngine:
 
     def _parallel_jet(self, pt: dict, m: int, k: int) -> Jet:
         x = pt["x"]
-        if self.variant not in _CONSERVING:
+        # the conserving variants fix the gauge, so for the whole space s0
+        # is constant and S = 0: every s_m vanishes and so does c_par
+        if self.variant not in _CONSERVING or self.field._scalar_matrix:
             return jet_const(0.0, x, k)
         cum = self._cpar_cum.get(m)
         if cum is None:
@@ -519,15 +498,15 @@ class CorrectionEngine:
         return _dot(_vtrunc(e_k, k), inner, k)
 
     def compatibility_residual(self, x: float, m: int) -> float:
-        """Residual of the order-(m+1) constraint for k > 1 (d > 1 only)."""
+        """Residual of the order-(m+1) constraint for k > 1 (1 < d < N
+        only)."""
         pt = self._point(float(x), m)
-        if pt["d"] <= 1 or pt["basis"] is None:
+        if pt["basis"] is None:
             return 0.0
         btilde = self._compute_b_tilde(pt, m + 1, 0)
         Q = pt["Q"].truncated(0)
         worst = 0.0
-        for kk in range(1, pt["d"]):
-            e_k = pt["basis"][kk]
+        for e_k in pt["basis"][1:]:
             smp = tuple(c.diff().truncated(0) for c in pt["s"][m])
             lhs = _dot(_vtrunc(e_k, 0), smp, 0).value
             rhs = (1.0j * Q * _dot(_vtrunc(e_k, 0), _vtrunc(btilde, 0), 0)).value
@@ -564,8 +543,7 @@ def vector_corrections(prob: ReducedProblem, branch: BranchField,
     """Full correction set of one branch at x0 (with degeneracy self-check)."""
     engine = CorrectionEngine(prob, branch, variant, m_max, anchor)
     corr = engine.at(x0)
-    if variant in _HERMITIAN_VARIANTS and m_max >= 1 \
-            and branch.degeneracy(x0) > 1 and not engine._scalar_route:
+    if variant in _HERMITIAN_VARIANTS and m_max >= 1:
         res = engine.compatibility_residual(x0, m_max)
         if res > 1e-6:
             raise CompatibilityViolation(
@@ -603,6 +581,18 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
     warned_y: list = []
     kq = engine.K - m_max
 
+    def normal_form(pt: dict, k: int) -> tuple:
+        """(Y, momentum) at order k: |Q| Y when Q**2 is real, +-Q Y
+        otherwise."""
+        y = jet_const(0.0, pt["x"], k)
+        for m in range(m_max + 1):
+            y = y + (sign * lam) ** m * pt["Y"][m].truncated(k)
+        if real_case:
+            qsq = pt["Qsq"].truncated(k)
+            absq = jet_sqrt(qsq) if positive else jet_sqrt(-qsq)
+            return y, absq * y
+        return y, float(sign) * pt["Q"].truncated(k) * y
+
     def qbar_jet(t: float) -> Jet:
         # staged data is enough here: Y_m never needs the parallel part
         try:
@@ -611,48 +601,35 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
         except TurningPoint as exc:
             raise TurningPointOnGrid(
                 f"turning point reached near x = {t}") from exc
-        y = jet_const(0.0, t, kq)
-        for m in range(m_max + 1):
-            y = y + (sign * lam) ** m * pt["Y"][m].truncated(kq)
-        qsq = pt["Qsq"].truncated(kq)
-        if real_case:
-            if (qsq.value.real > 0) != positive:
-                raise TurningPointOnGrid(f"Q**2 changes sign at x = {t}")
-            if y.value.real <= 0.0 and not warned_y:
-                warned_y.append(t)
-                warnings.warn(
-                    f"Re Y{'+' if sign > 0 else '-'} <= 0 at x = {t}",
-                    NonPositiveYWarning, stacklevel=2)
-            absq = jet_sqrt(qsq) if positive else jet_sqrt(-qsq)
-            return (absq * y) * (1.0 / lam)
-        return (float(sign) * pt["Q"].truncated(kq) * y) * (1.0 / lam)
+        if real_case and (pt["Qsq"].value.real > 0) != positive:
+            raise TurningPointOnGrid(f"Q**2 changes sign at x = {t}")
+        y, qbar = normal_form(pt, kq)
+        if real_case and y.value.real <= 0.0 and not warned_y:
+            warned_y.append(t)
+            warnings.warn(
+                f"Re Y{'+' if sign > 0 else '-'} <= 0 at x = {t}",
+                NonPositiveYWarning, stacklevel=2)
+        return qbar * (1.0 / lam)
 
     cum = JetChainIntegral(qbar_jet, anchor)
 
     def jets_at(x: float):
         pt = engine._point(x, m_max)
         k = min(engine.K - m_max, max(jet_order, 2))
-        y = jet_const(0.0, x, k)
-        for m in range(m_max + 1):
-            y = y + (sign * lam) ** m * pt["Y"][m].truncated(k)
+        _, qbar = normal_form(pt, k)
         svec = _vzero(x, k, engine.prob.n)
         for m in range(m_max + 1):
             svec = _vadd(svec, _vscale(jet_const((sign * lam) ** m, x, k),
                                        _vtrunc(pt["s"][m], k)))
         phase0 = cum.value(x)
+        phi = (qbar * (1.0 / lam)).antiderivative(phase0).truncated(k)
         if real_case:
-            qsq = pt["Qsq"].truncated(k)
-            absq = jet_sqrt(qsq) if positive else jet_sqrt(-qsq)
-            qbar = absq * y
-            phi = (qbar * (1.0 / lam)).antiderivative(phase0).truncated(k)
             osc = jet_exp((1j if positive else 1.0) * sign * phi)
             amp = jet_pow(qbar, -0.5)
             u = tuple(c * amp * osc for c in svec)
             ph = complex(sign) * (phase0 if positive else -1j * phase0)
             return u, ph
-        qs = float(sign) * pt["Q"].truncated(k) * y
-        phi = (qs * (1.0 / lam)).antiderivative(phase0).truncated(k)
-        u = tuple(c * jet_pow(qs, -0.5) * jet_exp(1j * phi) for c in svec)
+        u = tuple(c * jet_pow(qbar, -0.5) * jet_exp(1j * phi) for c in svec)
         return u, phase0
 
     samples = []

@@ -271,6 +271,16 @@ class TestEigen:
         assert code == 3
         assert "CrossingPoint" in err
 
+    def test_anchor_on_crossing_exit_code(self, capsys):
+        # the anchor itself is the crossing of fulling-pos
+        code, out, err = run_cli(
+            capsys, "corrections", "--example", "fulling-pos", "--branch",
+            "0", "--theory", "simplified", "--order", "2", "--at", "2.0",
+            "--anchor", "1.0")
+        assert code == 3
+        assert err.startswith("evaluation error: CrossingPoint:")
+        assert out == ""
+
 
 class TestGaugeFlag:
     def test_raw_gauge_expression(self, capsys):

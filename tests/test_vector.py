@@ -12,7 +12,7 @@ from phaseintegral.errors import (
     NonPositiveYWarning, UnsupportedDegeneracy,
 )
 from phaseintegral.examples import example_problem
-from phaseintegral.expressions import parse_expr
+from phaseintegral.expressions import eval_expr_jet, parse_expr
 from phaseintegral.jets import Jet, jet_const
 from phaseintegral.problem import ProblemSpec, load_problem, split_R
 from phaseintegral.recurrence import PowerTable
@@ -366,6 +366,14 @@ class TestCrossingGuards:
                                3.0)
         with pytest.raises(CrossingPoint):
             eng.at(x)
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_anchor_on_crossing_fails_at_construction(self, fex1, rank):
+        # anchored on Fex1's crossing x = 1: the anchor's eigen-solve
+        # refuses it, rather than the walk to a later point breaking down
+        with pytest.raises(CrossingPoint):
+            CorrectionEngine(fex1, field(fex1, rank, anchor=1.0),
+                             "simplified_hermitian", 2, 1.0)
 
     @pytest.mark.parametrize("variant", ["simplified_hermitian",
                                          "fulling_current"])
@@ -885,3 +893,71 @@ class TestScalarRoute:
                                 rtol=1e-12)
                 assert got.u[1 - rank] == 0.0
                 assert got.u_prime[1 - rank] == 0.0
+
+
+def _scalar_matrix(n):
+    """G = c(x) I_n with c = x^2 + 1 (N = 1 included)."""
+    c = parse_expr("x^2 + 1")
+    rows = tuple(tuple(c if i == j else parse_expr("0") for j in range(n))
+                 for i in range(n))
+    return split_R(ProblemSpec(n, "reduced", rows, None, {}, (0.5, 3.0),
+                               "real_symmetric"), 1.0, None)
+
+
+def _scalar_oracle(x, n_max):
+    """`scalar_corrections` on Q^2 = x^2 + 1 and eps0 = S_x[Q]/Q^2 formed
+    here from the expression's jet, not from a branch field."""
+    k = 2 * n_max
+    qsq = eval_expr_jet(parse_expr("x^2 + 1"), x, k + 2, {})
+    d1, d2 = qsq.diff(), qsq.diff().diff()
+    q0, q1, q2 = qsq.truncated(k), d1.truncated(k), d2.truncated(k)
+    ratio = q1 / q0
+    eps0 = ((5.0 / 16.0) * (ratio * ratio) - 0.25 * (q2 / q0)) / q0
+    return scalar_corrections(eps0, qsq, n_max)
+
+
+class TestWholeSpaceCluster:
+    """N = 1 and G = c(x) I: the branch's cluster is the whole space
+    (P = I, S = 0), so the coupled recurrence is the scalar one and every
+    vector correction vanishes."""
+
+    M = 6
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_scalar_recurrence(self, n, variant):
+        prob = _scalar_matrix(n)
+        for x in (1.3, 2.0):
+            sc = _scalar_oracle(x, self.M // 2)
+            for rank in range(n):
+                eng = CorrectionEngine(prob, field(prob, rank, anchor=1.0),
+                                       variant, self.M, 1.0)
+                corr = eng.at(x)
+                assert len(eng._points) == 1      # nothing to integrate
+                for m in range(1, self.M + 1):
+                    y = corr.Y[m].value
+                    if m % 2:
+                        assert abs(y) <= 1e-15, (m, y)
+                    else:
+                        assert_allclose(y, sc.Y[m // 2].value, rtol=1e-12)
+                    for vec in (corr.s[m], corr.s_perp[m]):
+                        assert all(c.value == 0.0 for c in vec), (m, vec)
+                    assert corr.c_par[m].value == 0.0
+                    if n == 2:
+                        assert corr.c_perp[m].value == 0.0
+                    else:
+                        assert corr.c_perp[m] is None
+
+    def test_eigen_data_is_the_whole_space(self):
+        for n in (1, 2, 3):
+            prob = _scalar_matrix(n)
+            fld = field(prob, n - 1, anchor=1.0)
+            assert fld.full_degeneracy_region(1.7)
+            qsq, proj, res = fld._eigen_jets(1.7, 4)
+            assert_allclose(qsq, prob.G_jet(1.7, 4)[0][0].coeffs, rtol=1e-15)
+            assert_allclose(proj[0], np.eye(n), atol=0)
+            assert not proj[1:].any() and not res.any()
+            assert fld.complement_jets(1.7, 2) == ()
+            s0 = fld.s0_jets(1.7, 4)
+            assert [c.value for c in s0] == [float(j == n - 1)
+                                             for j in range(n)]
