@@ -167,6 +167,14 @@ def _field(args, prob, x_ref):
     return field, theory
 
 
+def _engine(args, prob, grid):
+    """The correction engine of --branch/--theory/--gauge/--order, anchored
+    at --anchor or else at the grid's first point."""
+    field, theory = _field(args, prob, grid[0])
+    anchor = args.anchor if args.anchor is not None else grid[0]
+    return CorrectionEngine(prob, field, theory, args.order, anchor)
+
+
 def cmd_example(args) -> int:
     data = ex.example_problem(args.name)
     sys.stdout.write(json.dumps(data, indent=2) + "\n")
@@ -203,9 +211,7 @@ def cmd_eigen(args) -> int:
 def cmd_corrections(args) -> int:
     prob = _load(args)
     pts = _grid(args, prob)
-    field, theory = _field(args, prob, pts[0])
-    anchor = args.anchor if args.anchor is not None else pts[0]
-    engine = CorrectionEngine(prob, field, theory, args.order, anchor)
+    engine = _engine(args, prob, pts)
     lam = _eval_lambda(args, prob)
     header = ["x", "re_Qsq", "im_Qsq", "re_eps0", "im_eps0"]
     for m in range(1, args.order + 1):
@@ -239,7 +245,6 @@ def cmd_corrections(args) -> int:
 def cmd_wave(args) -> int:
     prob = _load(args)
     grid = _grid(args, prob)
-    anchor = args.anchor if args.anchor is not None else grid[0]
     branches = [args.branch]
     if args.branch == "both":
         branches = ["upper", "lower"] if prob.n == 2 else [str(b) for b
@@ -249,12 +254,11 @@ def cmd_wave(args) -> int:
     for bname in branches:
         sub = argparse.Namespace(**vars(args))
         sub.branch = bname
-        field, theory = _field(sub, prob, grid[0])
-        absq[bname] = abs(np.sqrt(field.qsq_value(grid[0])))
-        engine = CorrectionEngine(prob, field, theory, args.order, anchor)
+        engine = _engine(sub, prob, grid)
+        absq[bname] = abs(np.sqrt(engine.field.qsq_value(grid[0])))
         for sign in (+1, -1):
             waves[(bname, sign)] = assemble_vector_wave(
-                engine, sign, grid, anchor, _eval_lambda(args, prob))
+                engine, sign, grid, lam=_eval_lambda(args, prob))
     header = ["x", "branch", "sign", "re_phase", "im_phase"]
     for j in range(prob.n):
         header += [f"re_u{j + 1}", f"im_u{j + 1}"]
@@ -292,15 +296,13 @@ def cmd_verify(args) -> int:
         report["crossings"] = ver.crossing_diagnostics(prob, lo, hi)
     elif args.check in ("current", "wronskian"):
         grid = _grid(args, prob)
-        anchor = args.anchor if args.anchor is not None else grid[0]
-        field, theory = _field(args, prob, grid[0])
-        engine = CorrectionEngine(prob, field, theory, args.order, anchor)
+        engine = _engine(args, prob, grid)
         lam = _eval_lambda(args, prob)
-        wp = assemble_vector_wave(engine, +1, grid, anchor, lam)
+        wp = assemble_vector_wave(engine, +1, grid, lam=lam)
         if args.check == "current":
             rep = ver.current_sigma(wp)
         else:
-            wm = assemble_vector_wave(engine, -1, grid, anchor, lam)
+            wm = assemble_vector_wave(engine, -1, grid, lam=lam)
             rep = ver.wronskian(wp, wm)
         tol = args.tol if args.tol is not None else 1e-2
         report.update(tolerance=tol, drift=rep.drift,
@@ -308,24 +310,20 @@ def cmd_verify(args) -> int:
         report["pass"] = bool(rep.drift <= tol)
     elif args.check == "residual":
         grid = _grid(args, prob)
-        anchor = args.anchor if args.anchor is not None else grid[0]
-        field, theory = _field(args, prob, grid[0])
-        engine = CorrectionEngine(prob, field, theory, args.order, anchor)
+        engine = _engine(args, prob, grid)
         lam = _eval_lambda(args, prob)
-        wave = assemble_vector_wave(engine, +1, grid, anchor, lam)
+        wave = assemble_vector_wave(engine, +1, grid, lam=lam)
         rel = ver.relative_residual(wave, lambda x: prob.R_value(x, lam))
         tol = args.tol if args.tol is not None else 1e-3
         report.update(tolerance=tol, relative_residual=rel)
         report["pass"] = bool(rel <= tol)
     elif args.check == "order-scaling":
         grid = _grid(args, prob)
-        anchor = args.anchor if args.anchor is not None else grid[0]
-        field, theory = _field(args, prob, grid[0])
-        engine = CorrectionEngine(prob, field, theory, args.order, anchor)
+        engine = _engine(args, prob, grid)
         lambdas = [0.2, 0.1, 0.05]
 
         def make_wave(lam):
-            return assemble_vector_wave(engine, +1, grid, anchor, lam)
+            return assemble_vector_wave(engine, +1, grid, lam=lam)
 
         res = ver.order_scaling(
             make_wave, lambda lam: (lambda x: prob.R_value(x, lam)),

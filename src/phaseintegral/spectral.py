@@ -8,8 +8,8 @@ resolvent S below come from one of three solves, picked by G alone.
 
 When G = c(x) I by its expressions, N = 1 included, the cluster is the
 whole space: Q**2 = tr G/N, P = I and S = 0, and the eigenvector is the
-constant coordinate axis of the branch's rank (the gauge factor g(x) for
-N = 1 in the raw gauge).  The coupled recurrence then is the scalar one.
+coordinate axis of the branch's rank, times the gauge factor g(x) in the
+raw gauge.  The coupled recurrence then is the scalar one.
 
 For 2x2 systems they are closed form: the characteristic equation is
 quadratic, Q**2 = (G11 + G22 -/+ sqrt(D))/2 with the discriminant
@@ -37,6 +37,11 @@ Gauges:
   kato       normalized with (e1, e1') = 0; equal to `normalized` for real
              eigenvectors, otherwise exp(i theta1) times the section pinned
              at the anchor, theta1 = i * int (e~, e~') dx along it.
+
+A `BranchField` keeps one point: G(x) and the eigen-jets of the last x
+asked.  What else it holds is bounded by the interval it has walked (the
+continued frames, theta1 for a complex Kato gauge, and the sibling fields
+of `complement_jets`), not by the number of points asked.
 """
 
 from __future__ import annotations
@@ -183,34 +188,27 @@ class BranchField:
         self._theta1: JetChainIntegral | None = None
         self._siblings: dict[int, "BranchField"] = {}
         self._scalar_matrix = _is_scalar_matrix(prob.G)
-        self._gjets: dict = {}
-        self._gvals: dict = {}
-        self._qvals: dict = {}
+        self._gval: tuple = (None, None)  # (x, G(x)) of the last x
         self._projs: tuple | None = None  # (x, order, _eigen_jets result)
         self._d: int | None = None        # cluster size at the anchor
         if gauge == "kato" and not self._real_vectors:
             self._theta1 = JetChainIntegral(self._theta1_jet, self.anchor)
 
-    # -- caches (points are revisited constantly by the quadratures) -------
+    # -- G at one point ------------------------------------------------------
 
     def _g_jet(self, x: float, order: int):
-        got = self._gjets.get((x, order))
-        if got is None:
-            if order == 0:          # the values are the order-0 jets
-                g, c = self._g_value(x), float(x)
-                got = [[Jet._raw(c, g[i, j:j + 1]) for j in range(self.n)]
-                       for i in range(self.n)]
-            else:
-                got = self.prob.G_jet(x, order)
-            self._gjets[(x, order)] = got
-        return got
+        if order == 0:          # the values are the order-0 jets
+            g, c = self._g_value(x), float(x)
+            return [[Jet._raw(c, g[i, j:j + 1]) for j in range(self.n)]
+                    for i in range(self.n)]
+        return self.prob.G_jet(x, order)
 
     def _g_value(self, x: float) -> np.ndarray:
-        got = self._gvals.get(x)
-        if got is None:
-            got = self.prob.G_value(x)
-            self._gvals[x] = got
-        return got
+        """G(x), kept for the last x only: an eigen-solve asks for it
+        several times in a row (ranked values, guard, cluster mask)."""
+        if self._gval[0] != x:
+            self._gval = (x, self.prob.G_value(x))
+        return self._gval[1]
 
     # -- eigenvalue -------------------------------------------------------
 
@@ -219,11 +217,7 @@ class BranchField:
         return vals[np.lexsort((vals.imag, vals.real))]
 
     def qsq_value(self, x: float) -> complex:
-        got = self._qvals.get(x)
-        if got is None:
-            got = complex(self._ranked_values(x)[self.rank])
-            self._qvals[x] = got
-        return got
+        return complex(self._ranked_values(x)[self.rank])
 
     def qsq_jet(self, x: float, order: int) -> Jet:
         return Jet._raw(float(x), self._eigen_jets(x, order)[0])
@@ -275,12 +269,11 @@ class BranchField:
 
     def s0_jets(self, x: float, order: int) -> tuple:
         if self._scalar_matrix:
-            # any vector is an eigenvector: the coordinate axis, or for
-            # N = 1 in the raw gauge the gauge factor itself
-            if self.gauge == "raw" and self.n == 1:
-                return (eval_expr_jet(self.gauge_g, x, order,
-                                      self.prob.params),)
-            return tuple(jet_const(1.0 if j == self.rank else 0.0, x, order)
+            # any vector is an eigenvector: the coordinate axis of the rank,
+            # in the raw gauge times the gauge factor g
+            lead = (eval_expr_jet(self.gauge_g, x, order, self.prob.params)
+                    if self.gauge == "raw" else jet_const(1.0, x, order))
+            return tuple(lead if j == self.rank else jet_const(0.0, x, order)
                          for j in range(self.n))
         if self.gauge == "raw" and self.n == 2:
             return self._s0_raw(x, order)
@@ -628,7 +621,6 @@ class BranchField:
             if sib is None:
                 sib = BranchField(self.prob, r, "normalized", None,
                                   self.anchor, self.q_sign)
-                sib._gjets, sib._gvals = self._gjets, self._gvals
                 self._siblings[r] = sib
             covered = covered | sib._cluster(x)[3]
             vecs.extend(sib.basis_jets(x, order))

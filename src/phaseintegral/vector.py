@@ -76,7 +76,8 @@ class CorrectionSet:
     Y: list                    # Y[m] jets; Y[0] = 1
     s: list                    # s[m], tuples of jets; s[0] = s0
     s_perp: list               # perpendicular parts (s_perp[0] = 0)
-    c_perp: list               # N = 2: s_perp = c_perp e2 (None otherwise, m = 0)
+    c_perp: list               # N = 2: s_perp = c_perp e2, formed by `at`
+                               # (None otherwise, and at m = 0)
     c_par: list                # (e1, s_m) jets; c_par[0] = None
     b: list                    # b[m] tuples of jets; b[0] = None
 
@@ -195,11 +196,20 @@ class CorrectionEngine:
     def at(self, x: float) -> CorrectionSet:
         pt = self._point(float(x), self.m_max)
         mm = self.m_max + 1
+        c_perp = [None] * mm
+        if self.prob.n == 2:
+            # s_perp = c_perp e2 with e2 = (-conj s0_2, conj s0_1)
+            for m in range(1, mm):
+                k = self.K - m
+                s0 = _vtrunc(pt["s"][0], k)
+                e2 = (-s0[1].conj(), s0[0].conj())
+                c_perp[m] = (_dot(e2, pt["s_perp"][m], k)
+                             / pt["norm0"].truncated(k))
         return CorrectionSet(
             x0=float(x), m_max=self.m_max, variant=self.variant,
             Qsq=pt["Qsq"], Q=pt["Q"], eps0=pt["eps0"], Y=pt["Y"][:mm],
             s=pt["s"][:mm], s_perp=pt["s_perp"][:mm],
-            c_perp=pt["c_perp"][:mm], c_par=pt["c_par"][:mm], b=pt["b"][:mm])
+            c_perp=c_perp, c_par=pt["c_par"][:mm], b=pt["b"][:mm])
 
     def _record(self, x: float) -> dict:
         pt = self._points.get(x)
@@ -265,8 +275,8 @@ class CorrectionEngine:
             "Qsq": Qsq, "Q": Q, "eps0": eps0, "perp": perp, "left": left,
             "norm0": _dot(s0, s0, K),
             "Y": [jet_const(1.0, x, K)], "s": [s0],
-            "s_perp": [_vzero(x, K, n)], "c_perp": [None], "c_par": [None],
-            "b": [None], "basis": basis, "coords": [None],
+            "s_perp": [_vzero(x, K, n)], "c_par": [None],
+            "b": [None], "basis": basis,
         }
 
     def _stage(self, pt: dict, m: int):
@@ -276,9 +286,7 @@ class CorrectionEngine:
         k = self.K - m
         b_m = self._compute_b(pt, m, k)
         pt["b"].append(b_m)
-        s_perp, c_perp = self._solve_perp(pt, b_m, k)
-        pt["s_perp"].append(s_perp)
-        pt["c_perp"].append(c_perp)
+        pt["s_perp"].append(self._solve_perp(pt, b_m, k))
         pt["Y"].append(self._compute_Y(pt, b_m, k))
 
     def _finish_level(self, pt: dict, m: int):
@@ -287,14 +295,10 @@ class CorrectionEngine:
         pt["c_par"].append(c_par)
         s_m = _vtrunc(pt["s_perp"][m], k)
         s_m = _vadd(s_m, _vscale(c_par, _vtrunc(pt["s"][0], k)))
-        coords = None
         if pt["basis"] is not None:
-            coords = []
             for kk in range(1, len(pt["basis"])):
                 cj = self._degenerate_coord_jet(pt, m, kk, k)
-                coords.append(cj)
                 s_m = _vadd(s_m, _vscale(cj, _vtrunc(pt["basis"][kk], k)))
-        pt["coords"].append(coords)
         pt["s"].append(s_m)
 
     # ------------------------------------------------------------------
@@ -302,7 +306,7 @@ class CorrectionEngine:
     # ------------------------------------------------------------------
 
     def _compute_b(self, pt: dict, m: int, k: int,
-                   s_list: list | None = None) -> tuple:
+                   stop: int | None = None) -> tuple:
         """b_m at order k, from the point's power table and derivatives.
 
         With P_c = [Y^c] (`recurrence.PowerTable`), ' = d/d zeta, and the
@@ -320,30 +324,25 @@ class CorrectionEngine:
         pt["work"], which `_point`/`_point_staged` hold while they assemble
         the point and drop when they return; a call outside that window
         (b~ of an integrand or of the compatibility check) builds a
-        temporary one.  `s_list` stands in for pt["s"] (b~ masks s_m); a
-        slot that is not pt["s"]'s own vector bypasses the cache.
+        temporary one.
+
+        The s_sigma sum ends before sigma = `stop` (default m).
+        b~_{m+1} = _compute_b(pt, m + 1, k, stop=m) is the part of b_{m+1}
+        independent of s_m: b_{m+1} - b~_{m+1} = i s_m' - Y_1 s_m, so
+        i s_m' in the Kato gauge, where Y_1 = 0.
         """
         work = pt.get("work") or PointWork(pt, self.K)
-        s = pt["s"] if s_list is None else s_list
-        own = pt["s"]
+        s = pt["s"]
 
         def t(j):
             return j.truncated(k)
-
-        def dz(sigma, times):
-            if sigma < len(own) and s[sigma] is own[sigma]:
-                return work.dz("s", sigma, times)
-            vec = s[sigma]
-            for _ in range(times):
-                vec = tuple(work.zeta(c) for c in vec)
-            return vec
 
         P2, P3, P4 = ([t(work.powers.power(c, j)) for j in range(m)]
                       for c in (2, 3, 4))
         c2, s3, s4 = (t(j) for j in work.powers.parts(m))
         c4 = c2 + c2 + s4
         terms = []
-        for sigma in range(m):
+        for sigma in range(m if stop is None else stop):
             if sigma == 0:
                 cs = c2 - c4 + (s3 + s3)
             else:
@@ -354,9 +353,11 @@ class CorrectionEngine:
                 T, U = work.lam2(r)
                 cs = cs + t(U)
                 cd = cd - t(T)
-                terms.append((P2[r], dz(sigma, 2)))
+                terms.append((P2[r], work.dz("s", sigma, 2)))
             terms.append((cs, s[sigma]))
-            terms.append((cd, dz(sigma, 1)))
+            terms.append((cd, work.dz("s", sigma, 1)))
+        if not terms:           # b~_1: s_0 left out, nothing is left
+            return _vzero(pt["x"], k, self.prob.n)
         b = pt["b"]
         out = []
         for i in range(self.prob.n):
@@ -370,37 +371,19 @@ class CorrectionEngine:
             out.append(acc)
         return tuple(out)
 
-    def _compute_b_tilde(self, pt: dict, m_next: int, k: int) -> tuple:
-        """b~_{m+1}: the part of b_{m+1} independent of s_m.
-
-        Valid in the Kato gauge where Y_1 = 0 (only the i s_m'(zeta) term
-        couples to s_m there).
-        """
-        masked = list(pt["s"])
-        zero = _vzero(pt["x"], self.K, self.prob.n)
-        if len(masked) > m_next - 1:
-            masked[m_next - 1] = zero
-        else:
-            masked.append(zero)     # s_m not assembled yet: b~ excludes it
-        return self._compute_b(pt, m_next, k, s_list=masked)
-
     # ------------------------------------------------------------------
     # complement solve
     # ------------------------------------------------------------------
 
-    def _solve_perp(self, pt: dict, b_m: tuple, k: int):
+    def _solve_perp(self, pt: dict, b_m: tuple, k: int) -> tuple:
         """s_perp = -2 Q^2 S b_m; the non-hermitian theory adds the multiple
-        of s0 that makes (s0, s_m) = 0 (P may be oblique there).  For N = 2
-        also c_perp, with s_perp = c_perp e2, e2 = (-conj s0_2, conj s0_1)."""
+        of s0 that makes (s0, s_m) = 0 (P may be oblique there)."""
         s_perp = _apply(pt["perp"], b_m, k)
+        if self.variant != "non_hermitian":
+            return s_perp
         s0 = _vtrunc(pt["s"][0], k)
         norm0 = pt["norm0"].truncated(k)
-        if self.variant == "non_hermitian":
-            s_perp = _vsub(s_perp, _vscale(_dot(s0, s_perp, k) / norm0, s0))
-        if self.prob.n != 2:
-            return s_perp, None
-        e2 = (-s0[1].conj(), s0[0].conj())
-        return s_perp, _dot(e2, s_perp, k) / norm0
+        return _vsub(s_perp, _vscale(_dot(s0, s_perp, k) / norm0, s0))
 
     # ------------------------------------------------------------------
     # Y_m and the parallel coordinate
@@ -491,7 +474,7 @@ class CorrectionEngine:
     def _coord_f_jet(self, pt: dict, m: int, kk: int, k: int) -> Jet:
         """(e_k, i Q b~_{m+1} - d/dx s_m_perp), the Kato-coordinate integrand."""
         e_k = pt["basis"][kk]
-        btilde = self._compute_b_tilde(pt, m + 1, k)
+        btilde = self._compute_b(pt, m + 1, k, stop=m)
         Q = pt["Q"].truncated(k)
         sperp_p = tuple(c.diff().truncated(k) for c in pt["s_perp"][m])
         inner = _vsub(_vscale(1.0j * Q, _vtrunc(btilde, k)), sperp_p)
@@ -503,7 +486,7 @@ class CorrectionEngine:
         pt = self._point(float(x), m)
         if pt["basis"] is None:
             return 0.0
-        btilde = self._compute_b_tilde(pt, m + 1, 0)
+        btilde = self._compute_b(pt, m + 1, 0, stop=m)
         Q = pt["Q"].truncated(0)
         worst = 0.0
         for e_k in pt["basis"][1:]:
@@ -596,8 +579,7 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
     def qbar_jet(t: float) -> Jet:
         # staged data is enough here: Y_m never needs the parallel part
         try:
-            pt = engine._point_staged(t, m_max) if m_max \
-                else engine._point(t, 0)
+            pt = engine._point_staged(t, m_max)
         except TurningPoint as exc:
             raise TurningPointOnGrid(
                 f"turning point reached near x = {t}") from exc

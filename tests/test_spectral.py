@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -685,3 +687,35 @@ class TestOrderZero:
             fld.qsq_jet(1.0, 0)
         with pytest.raises(CrossingPoint):
             fld.s0_jets(1.0, 0)
+
+
+# --------------------------------------------------------------------------
+# retained state
+# --------------------------------------------------------------------------
+
+class TestFieldMemory:
+    """A field keeps one point: on an interval it has already walked, a
+    long sweep leaves it holding no more than a short one."""
+
+    @pytest.mark.parametrize("name", ["fex1", "block3"])
+    def test_sweep_runs_in_flat_memory(self, name, request):
+        prob = _block3() if name == "block3" else request.getfixturevalue(name)
+        fld = BranchField(prob, 0, "normalized", None, anchor=3.0)
+
+        def sweep(n):
+            for x in np.linspace(2.5, 3.5, n):
+                x = float(x)
+                fld.qsq_jet(x, 8)
+                fld.s0_jets(x, 8)
+                fld.eps0_jet(x, 6)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        sweep(11)                   # walks the continuation over [2.5, 3.5]
+        tracemalloc.start()
+        try:
+            short = sweep(100)
+            long = sweep(1000)
+        finally:
+            tracemalloc.stop()
+        assert long - short <= 32 * 1024, (short, long)

@@ -3,17 +3,21 @@
 `perfbench/tracer.py` wraps the library's public functions and methods by
 name, and a traced benchmark run (`--trace 1`) stops with LookupError when
 one of them is gone.  Installing the tracer here makes such a removal fail
-the test suite as well.  The tracer module is only read, never changed.
+the test suite as well.  Its per-layer metrics (`METRICS`) must also be
+the ones `BENCHMARK.json` declares.  Both files are only read, never
+changed.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import phaseintegral
 import phaseintegral.cli  # noqa: F401  (the tracer wraps imported modules)
 import phaseintegral.verify  # noqa: F401
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer_module():
@@ -33,3 +37,11 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert phaseintegral.vector.assemble_vector_wave is original
     assert not hasattr(phaseintegral.jets.Jet.__add__, "__wrapped__")
+
+
+def test_metrics_match_benchmark_declaration():
+    # the traced run reports METRICS; BENCHMARK.json declares the same
+    # per-layer metrics, in the same order and units
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert [(m["name"], m["unit"]) for m in declared] == list(
+        _tracer_module().METRICS.items())

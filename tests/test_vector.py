@@ -60,20 +60,26 @@ class TestDrivingVector:
             want.append(t0 + t1 + t2)
         assert_allclose([c.value for c in corr.b[2]], want, rtol=1e-10)
 
-    def test_b_tilde_leaves_out_s_m(self, fex1):
-        # Kato gauge, Y_1 = 0: only i s_1'(zeta) couples b_2 to s_1, and
-        # b~_2 masks s_1 although the point has it (and its derivative)
-        eng = CorrectionEngine(fex1, field(fex1, 0), "fulling_current", 2, 2.0)
-        corr = eng.at(3.0)
-        k = corr.b[2][0].order
-        btilde = eng._compute_b_tilde(eng._points[3.0], 2, k)
-        q = corr.Q
-        for j in range(2):
-            s1p = corr.s[1][j].diff()
-            want = 1j * (s1p / q.truncated(s1p.order)).value
-            assert abs(want) > 1e-3
-            assert_allclose((corr.b[2][j] - btilde[j]).value, want,
-                            rtol=1e-10)
+    def test_b_tilde_leaves_out_s_m(self, fex1, deg3):
+        # Kato gauge, Y_1 = 0: only i s_m'(zeta) couples b_{m+1} to s_m, and
+        # b~_{m+1} leaves s_m out although the point has it (and its
+        # derivative); deg3 is a d = 2 cluster with Kato coordinates
+        for prob, variant, x in ((fex1, "fulling_current", 3.0),
+                                 (deg3, "simplified_hermitian", 2.3)):
+            eng = CorrectionEngine(prob, field(prob, 0), variant, 4, 2.0)
+            corr = eng.at(x)
+            assert abs(corr.Y[1].value) < 1e-15
+            q = corr.Q
+            for m in (1, 2, 3):
+                k = corr.b[m + 1][0].order
+                btilde = eng._compute_b(eng._points[x], m + 1, k, stop=m)
+                want = np.array([1j * (c.diff() / q.truncated(c.order - 1))
+                                 .value for c in corr.s[m]])
+                got = np.array([(b - bt).value
+                                for b, bt in zip(corr.b[m + 1], btilde)])
+                assert np.linalg.norm(want) > 1e-3
+                assert_allclose(got, want, rtol=1e-10,
+                                atol=1e-12 * np.linalg.norm(want))
 
     def test_constant_problem_all_b_vanish(self):
         spec = ProblemSpec(2, "reduced",
@@ -112,6 +118,23 @@ class TestPerpendicularSolve:
             d = 5 - 3 * math.cos(2 * x)
             assert_allclose(corr.c_perp[1].value, -8.0 / ((x - 1) * d),
                             rtol=1e-10)
+
+
+    def test_c_perp_is_formed_by_at_only(self, fex1):
+        # the waves never read c_perp, so no point record holds one; `at`
+        # forms it from the stored s_perp and s0
+        eng = CorrectionEngine(fex1, field(fex1, 1, anchor=3.0),
+                               "fulling_current", 3, 3.0)
+        grid = [3.0 + 0.5 * i for i in range(11)]
+        for sign in (+1, -1):
+            assemble_vector_wave(eng, sign, grid, 3.0, 0.1)
+        for x in (3.5, 7.0):
+            corr = eng.at(x)
+            assert_allclose(corr.c_perp[1].value,
+                            2j * math.sqrt(x) / (x - 1), rtol=1e-10)
+            assert corr.c_perp[0] is None and len(corr.c_perp) == 4
+        assert len(eng._points) > len(grid)
+        assert not any("c_perp" in pt for pt in eng._points.values())
 
 
 class TestParallelCoordinate:
@@ -947,6 +970,31 @@ class TestWholeSpaceCluster:
                         assert corr.c_perp[m].value == 0.0
                     else:
                         assert corr.c_perp[m] is None
+
+    @pytest.mark.parametrize("variant", ["simplified_hermitian",
+                                         "non_hermitian"])
+    def test_raw_gauge_matches_n1(self, variant):
+        # s0 = g e_rank: each rank of diag(c, c) and diag(c, c, c) is the
+        # N = 1 problem of c in the same raw gauge
+        g = parse_expr("x")
+        ref = CorrectionEngine(
+            _scalar_matrix(1), field(_scalar_matrix(1), 0, 1.0, "raw", g),
+            variant, self.M, 1.0)
+        for n in (2, 3):
+            prob = _scalar_matrix(n)
+            for rank in range(n):
+                eng = CorrectionEngine(prob, field(prob, rank, 1.0, "raw", g),
+                                       variant, self.M, 1.0)
+                for x in (1.3, 2.0):
+                    want, got = ref.at(x), eng.at(x)
+                    assert abs(want.Y[1].value) > 0.1
+                    for m in range(self.M + 1):
+                        assert_allclose(got.Y[m].value, want.Y[m].value,
+                                        rtol=1e-13, atol=1e-13)
+                        s_m = [c.value for c in got.s[m]]
+                        assert_allclose(s_m[rank], want.s[m][0].value,
+                                        rtol=1e-13, atol=1e-13)
+                        assert s_m[:rank] + s_m[rank + 1:] == [0.0] * (n - 1)
 
     def test_eigen_data_is_the_whole_space(self):
         for n in (1, 2, 3):
