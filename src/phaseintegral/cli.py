@@ -148,7 +148,7 @@ def _branch_rank(prob, spec_name, x_ref):
     return rank
 
 
-def _field(args, prob, x_ref):
+def _field(args, prob, x_ref, anchor):
     rank = _branch_rank(prob, args.branch, x_ref)
     theory = _THEORY[args.theory]
     gauge_opt = args.gauge
@@ -156,22 +156,22 @@ def _field(args, prob, x_ref):
         gauge_opt = "normalized" if theory != "non_hermitian" else "raw"
     if gauge_opt == "raw" or gauge_opt.startswith("raw:"):
         g = parse_expr(gauge_opt[4:] if gauge_opt != "raw" else "1")
-        field = BranchField(prob, rank, "raw", g, anchor=args.anchor or x_ref)
+        field = BranchField(prob, rank, "raw", g, anchor=anchor)
     elif gauge_opt not in ("normalized", "kato"):
         raise InputError(f"bad --gauge {gauge_opt!r} "
                          "(expected normalized, kato or raw[:g])")
     else:
         gauge = "kato" if (gauge_opt == "normalized"
                            and prob.hermitian_hint == "hermitian") else gauge_opt
-        field = BranchField(prob, rank, gauge, None, anchor=args.anchor or x_ref)
+        field = BranchField(prob, rank, gauge, None, anchor=anchor)
     return field, theory
 
 
 def _engine(args, prob, grid):
     """The correction engine of --branch/--theory/--gauge/--order, anchored
     at --anchor or else at the grid's first point."""
-    field, theory = _field(args, prob, grid[0])
     anchor = args.anchor if args.anchor is not None else grid[0]
+    field, theory = _field(args, prob, grid[0], anchor)
     return CorrectionEngine(prob, field, theory, args.order, anchor)
 
 

@@ -4,8 +4,8 @@ The conserving coordinates c_m, the degenerate Kato coordinates, the Kato
 phase and the wave phase are indefinite integrals anchored at a
 user-chosen point (integration constant 0 there).  Their integrands are
 available as Taylor jets, so :class:`JetChainIntegral` integrates them with
-the two-point Hermite (Obreshkov) rule on the endpoint jets and memoizes
-partial sums along a fixed ladder of panel endpoints.
+the two-point Hermite (Obreshkov) rule on the endpoint jets and keeps one
+partial sum per rung of a fixed ladder, so a value depends on x alone.
 
 :func:`quad` (adaptive Gauss-Kronrod) and :class:`CumulativeIntegral`
 integrate plain values; no path of the library calls them.
@@ -20,6 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureFailure
+
+_STEP = 0.0625      # ladder spacing of JetChainIntegral
+_MIN_STEP = 1e-9    # narrowest panel before JetChainIntegral gives up
 
 # 15-point Kronrod nodes (positive half) and weights, with the embedded
 # 7-point Gauss rule for the error estimate.  QUADPACK dqk15 constants.
@@ -116,24 +119,27 @@ class JetChainIntegral:
     two-point Hermite (Obreshkov) rule, of order 2n + 2 for order-n jets.
     The difference from the order-(n-1) rule on the same coefficients
     estimates the error and triggers bisection, so the panel count follows
-    from the tolerance.  Panel endpoints snap to a fixed ladder so that
-    independent queries share evaluation points.
+    from the tolerance.
+
+    The rungs anchor + j/16 are marched outward from the anchor, one panel
+    each; rung j keeps its partial sum and the largest |partial sum| from
+    the anchor to it, the scale its next panel is judged against.  Off the
+    ladder, the value is rung j's sum plus one panel to x judged against
+    rung j's scale, j the rung before x toward the anchor.  A value thus
+    depends on x alone, and the memo on the interval walked.
     """
 
     def __init__(self, f_jet_at: Callable[[float], "object"], anchor: float,
-                 rtol: float = 1e-11, atol: float = 1e-14,
-                 max_step: float = 0.0625, min_step: float = 1e-9):
+                 rtol: float = 1e-11, atol: float = 1e-14):
         self.f_jet_at = f_jet_at
         self.anchor = float(anchor)
         self.rtol = rtol
         self.atol = atol
-        self.max_step = max_step
-        self.min_step = min_step
-        self._known: dict[float, complex] = {self.anchor: 0.0 + 0.0j}
-        self._keys: list[float] = [self.anchor]
-        self._scale = 0.0
+        # rung j -> (partial sum, largest |partial sum| from the anchor)
+        self._rungs: dict[int, tuple] = {0: (0.0 + 0.0j, 0.0)}
 
-    def _panel(self, a: float, b: float, fa=None, fb=None) -> complex:
+    def _panel(self, a: float, b: float, scale: float, fa=None,
+               fb=None) -> complex:
         if fa is None:
             fa = self.f_jet_at(a)
         if fb is None:
@@ -149,45 +155,46 @@ class JetChainIntegral:
             err = abs(h * complex(np.dot(dw, terms)))
         else:   # the trapezoid, against the left-endpoint rectangle
             err = 0.5 * abs(h * (cb[0] - ca[0]))
-        if err <= max(self.atol, self.rtol * max(self._scale, abs(val))):
+        if err <= max(self.atol, self.rtol * max(scale, abs(val))):
             return val
-        if abs(h) <= self.min_step:
+        if abs(h) <= _MIN_STEP:
             raise QuadratureFailure(
                 f"jet-chain panel [{a}, {b}] did not converge (err={err:.3g})")
         mid = 0.5 * (a + b)
         fm = self.f_jet_at(mid)
-        return self._panel(a, mid, fa, fm) + self._panel(mid, b, fm, fb)
+        return (self._panel(a, mid, scale, fa, fm)
+                + self._panel(mid, b, scale, fm, fb))
+
+    def _rung_x(self, j: int) -> float:
+        return self.anchor + j * _STEP
+
+    def _rung(self, j: int) -> tuple:
+        """(partial sum, scale, jet at rung j or None) of rung j, marched
+        to from the end of the walked interval on its side."""
+        step = 1 if j > 0 else -1
+        i, f_i = j, None
+        while i not in self._rungs:
+            i -= step
+        while i != j:
+            acc, scale = self._rungs[i]
+            a, b = self._rung_x(i), self._rung_x(i + step)
+            f_a, f_i = f_i, self.f_jet_at(b)
+            acc = acc + self._panel(a, b, scale, f_a, f_i)
+            i += step
+            self._rungs[i] = (acc, max(scale, abs(acc)))
+        return self._rungs[j] + (f_i,)
 
     def value(self, x: float) -> complex:
         x = float(x)
-        got = self._known.get(x)
-        if got is not None:
-            return got
-        keys = np.asarray(self._keys)
-        base = float(keys[np.argmin(np.abs(keys - x))])
-        acc = self._known[base]
-        sgn = 1.0 if x >= base else -1.0
-        # march on the snapped ladder so endpoints are shared between queries
-        pos, f_pos = base, None
-        while sgn * (x - pos) > self.max_step:
-            j = round((pos - self.anchor) / self.max_step)
-            nxt = self.anchor + (j + sgn) * self.max_step
-            if sgn * (nxt - pos) <= 0:
-                nxt = pos + sgn * self.max_step
-            if sgn * (nxt - x) > 0:
-                break
-            f_nxt = self.f_jet_at(nxt)
-            acc = acc + self._panel(pos, nxt, f_pos, f_nxt)
-            self._known[nxt] = acc
-            self._keys.append(nxt)
-            self._scale = max(self._scale, abs(acc))
-            pos, f_pos = nxt, f_nxt
-        if x != pos:
-            acc = acc + self._panel(pos, x, f_pos)
-        self._known[x] = acc
-        self._keys.append(x)
-        self._scale = max(self._scale, abs(acc))
-        return acc
+        t = (x - self.anchor) / _STEP
+        j = round(t)
+        if self._rung_x(j) == x:
+            return self._rung(j)[0]
+        j = int(t)             # the rung before x, toward the anchor
+        if (self._rung_x(j) - x) * t > 0:
+            j -= 1 if t > 0 else -1
+        acc, scale, f_j = self._rung(j)
+        return acc + self._panel(self._rung_x(j), x, scale, f_j)
 
     def __call__(self, x: float) -> complex:
         return self.value(x)

@@ -4,8 +4,8 @@ b_m (`vector.CorrectionEngine._compute_b`) needs at every level m the
 lambda-power coefficients [Y^c]_t of q = +-Q Y and zeta-derivatives of the
 lower orders.  None of that depends on m, so a point builds it once:
 `PowerTable` by Cauchy products in the lambda index, `PointWork` for the
-derivatives and the coefficients assembled from them.  The engine holds a
-`PointWork` only while it assembles the point.
+derivatives and the coefficients assembled from them, from the point's
+x, Q, eps0 and its growing Y and s lists.
 """
 
 from __future__ import annotations
@@ -88,25 +88,26 @@ class PointWork:
     U_r = eps0 [Y^2]_r + (3/4) sum Y_a' Y_{r-a}' - (1/2) sum_{a<r} Y_a Y_{r-a}''
     (primes are zeta-derivatives) at order K - r - 2.  Callers truncate;
     truncation commutes exactly with the products and quotients.  It lives
-    only while the point is assembled (`vector.CorrectionEngine._assembling`).
+    only while `vector.CorrectionEngine._point` builds the point's levels,
+    whose Y and s lists it reads as they grow.
     """
 
-    def __init__(self, pt: dict, K: int):
-        self.pt = pt
-        self.K = K
-        self.powers = PowerTable(pt["Y"], K)
+    def __init__(self, x: float, Q: Jet, eps0: Jet, Y: list, s: list,
+                 K: int):
+        self.x, self.Q, self.eps0, self.Y, self.s, self.K = x, Q, eps0, Y, s, K
+        self.powers = PowerTable(Y, K)
         self._dz: dict = {}
         self._lam2: dict = {}
 
     def zeta(self, j: Jet) -> Jet:
         """d/d zeta = Q**-1 d/dx (order drops by one)."""
-        return j.diff() / self.pt["Q"].truncated(j.order - 1)
+        return j.diff() / self.Q.truncated(j.order - 1)
 
     def dz(self, name: str, i: int, times: int):
-        """d^times/d zeta^times of pt[name][i], a jet ("Y") or vector ("s")."""
+        """d^times/d zeta^times of Y[i] (name "Y") or the vector s[i] ("s")."""
         got = self._dz.get((name, i, times))
         if got is None:
-            prev = (self.pt[name][i] if times == 1
+            prev = ((self.Y if name == "Y" else self.s)[i] if times == 1
                     else self.dz(name, i, times - 1))
             got = (self.zeta(prev) if name == "Y"
                    else tuple(map(self.zeta, prev)))
@@ -117,9 +118,9 @@ class PointWork:
         """(T_r, U_r)."""
         got = self._lam2.get(r)
         if got is None:
-            Y, k = self.pt["Y"], self.K - r - 2
-            zero = jet_const(0.0, self.pt["x"], k)
-            eps0 = self.pt["eps0"].truncated(k)
+            Y, k = self.Y, self.K - r - 2
+            zero = jet_const(0.0, self.x, k)
+            eps0 = self.eps0.truncated(k)
             if r == 0:
                 got = (zero, eps0)
             else:

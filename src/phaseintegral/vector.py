@@ -29,7 +29,6 @@ closed-form comparisons are quoted in the upper sign convention
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,6 +92,27 @@ class CorrectionSet:
 
     def c_par_values(self) -> list:
         return [None if j is None else j.value for j in self.c_par]
+
+
+@dataclass(slots=True)
+class _Point:
+    """One point of an engine: branch data, then one entry per level in
+    Y, s_perp and b (staged) and in s and c_par (finished)."""
+
+    x: float
+    Qsq: Jet
+    Q: Jet
+    eps0: Jet
+    perp: np.ndarray           # -2 Q^2 S, matrix coefficients
+    left: tuple                # left eigenvector P^H s0
+    norm0: Jet                 # (s0, s0)
+    basis: list | None         # cluster basis (1 < d < N), basis[0] = s0
+    Y: list
+    s: list
+    s_perp: list
+    c_par: list
+    b: list
+    work: PointWork | None = None   # while `CorrectionEngine._point` runs
 
 
 # -- small vector-of-jets helpers -------------------------------------------
@@ -169,9 +189,10 @@ class CorrectionEngine:
         self.anchor = float(anchor if anchor is not None else branch.anchor)
         self.K = 2 * self.m_max + 2
         self.sgn = +1.0 if variant == "fulling_current" else -1.0
-        self._points: dict[float, dict] = {}
-        self._cpar_cum: dict[int, JetChainIntegral] = {}
-        self._coord_cum: dict[tuple, JetChainIntegral] = {}
+        self._points: dict[float, _Point] = {}
+        # (m, i) -> anchored integral of coordinate i of s_m: along s0 for
+        # i = 0, along basis vector i of a degenerate cluster for i >= 1
+        self._coords: dict[tuple, JetChainIntegral] = {}
         # the anchor's eigen-solve raises what a crossing there raises (or a
         # G equal to c(x) I only through identities) before a point is built
         branch._eigen_jets(self.anchor, 0)
@@ -201,59 +222,33 @@ class CorrectionEngine:
             # s_perp = c_perp e2 with e2 = (-conj s0_2, conj s0_1)
             for m in range(1, mm):
                 k = self.K - m
-                s0 = _vtrunc(pt["s"][0], k)
+                s0 = _vtrunc(pt.s[0], k)
                 e2 = (-s0[1].conj(), s0[0].conj())
-                c_perp[m] = (_dot(e2, pt["s_perp"][m], k)
-                             / pt["norm0"].truncated(k))
+                c_perp[m] = _dot(e2, pt.s_perp[m], k) / pt.norm0.truncated(k)
         return CorrectionSet(
             x0=float(x), m_max=self.m_max, variant=self.variant,
-            Qsq=pt["Qsq"], Q=pt["Q"], eps0=pt["eps0"], Y=pt["Y"][:mm],
-            s=pt["s"][:mm], s_perp=pt["s_perp"][:mm],
-            c_perp=c_perp, c_par=pt["c_par"][:mm], b=pt["b"][:mm])
+            Qsq=pt.Qsq, Q=pt.Q, eps0=pt.eps0, Y=pt.Y[:mm], s=pt.s[:mm],
+            s_perp=pt.s_perp[:mm], c_perp=c_perp, c_par=pt.c_par[:mm],
+            b=pt.b[:mm])
 
-    def _record(self, x: float) -> dict:
+    def _point(self, x: float, m: int, staged: bool = False) -> _Point:
+        """The point at x with levels 0..m assembled; `staged` stops level
+        m after Y_m (no parallel part), which is all an integrand needs."""
         pt = self._points.get(x)
         if pt is None:
-            pt = self._base_point(x)
-            self._points[x] = pt
+            pt = self._points[x] = self._base_point(x)
+        if len(pt.Y if staged else pt.s) - 1 < m:
+            pt.work = PointWork(x, pt.Q, pt.eps0, pt.Y, pt.s, self.K)
+            try:
+                for level in range(len(pt.s), m + 1):
+                    self._stage(pt, level)
+                    if level < m or not staged:
+                        self._finish_level(pt, level)
+            finally:
+                pt.work = None
         return pt
 
-    @contextmanager
-    def _assembling(self, pt: dict):
-        """pt["work"] for the duration; the outermost holder drops it."""
-        owner = "work" not in pt
-        if owner:
-            pt["work"] = PointWork(pt, self.K)
-        try:
-            yield
-        finally:
-            if owner:
-                del pt["work"]
-
-    def _assemble(self, pt: dict, m_upto: int):
-        while len(pt["s"]) - 1 < m_upto:
-            m = len(pt["s"])
-            self._stage(pt, m)
-            self._finish_level(pt, m)
-
-    def _point(self, x: float, m_upto: int) -> dict:
-        """Point data with levels 0..m_upto fully assembled."""
-        pt = self._record(x)
-        if len(pt["s"]) - 1 < m_upto:
-            with self._assembling(pt):
-                self._assemble(pt, m_upto)
-        return pt
-
-    def _point_staged(self, x: float, m: int) -> dict:
-        """Levels < m assembled; level m through Y_m (no parallel part)."""
-        pt = self._record(x)
-        if len(pt["Y"]) - 1 < m:
-            with self._assembling(pt):
-                self._assemble(pt, m - 1)
-                self._stage(pt, m)
-        return pt
-
-    def _base_point(self, x: float) -> dict:
+    def _base_point(self, x: float) -> _Point:
         K = self.K
         fld = self.field
         Qsq = fld.qsq_jet(x, K)
@@ -270,42 +265,37 @@ class CorrectionEngine:
         # for which (l, s0) = (s0, P s0) = (s0, s0)
         left = (_apply(proj.conj().transpose(0, 2, 1), s0, K)
                 if fld._oblique else s0)
-        return {
-            "x": x,
-            "Qsq": Qsq, "Q": Q, "eps0": eps0, "perp": perp, "left": left,
-            "norm0": _dot(s0, s0, K),
-            "Y": [jet_const(1.0, x, K)], "s": [s0],
-            "s_perp": [_vzero(x, K, n)], "c_par": [None],
-            "b": [None], "basis": basis,
-        }
+        return _Point(x, Qsq, Q, eps0, perp, left, _dot(s0, s0, K), basis,
+                      Y=[jet_const(1.0, x, K)], s=[s0],
+                      s_perp=[_vzero(x, K, n)], c_par=[None], b=[None])
 
-    def _stage(self, pt: dict, m: int):
+    def _stage(self, pt: _Point, m: int):
         """Compute b_m, s_m_perp and Y_m (everything except P s_m)."""
-        if len(pt["Y"]) - 1 >= m:
+        if len(pt.Y) - 1 >= m:
             return   # already staged by an integrand evaluation
         k = self.K - m
         b_m = self._compute_b(pt, m, k)
-        pt["b"].append(b_m)
-        pt["s_perp"].append(self._solve_perp(pt, b_m, k))
-        pt["Y"].append(self._compute_Y(pt, b_m, k))
+        pt.b.append(b_m)
+        pt.s_perp.append(self._solve_perp(pt, b_m, k))
+        pt.Y.append(self._compute_Y(pt, b_m, k))
 
-    def _finish_level(self, pt: dict, m: int):
+    def _finish_level(self, pt: _Point, m: int):
         k = self.K - m
         c_par = self._parallel_jet(pt, m, k)
-        pt["c_par"].append(c_par)
-        s_m = _vtrunc(pt["s_perp"][m], k)
-        s_m = _vadd(s_m, _vscale(c_par, _vtrunc(pt["s"][0], k)))
-        if pt["basis"] is not None:
-            for kk in range(1, len(pt["basis"])):
-                cj = self._degenerate_coord_jet(pt, m, kk, k)
-                s_m = _vadd(s_m, _vscale(cj, _vtrunc(pt["basis"][kk], k)))
-        pt["s"].append(s_m)
+        pt.c_par.append(c_par)
+        s_m = _vtrunc(pt.s_perp[m], k)
+        s_m = _vadd(s_m, _vscale(c_par, _vtrunc(pt.s[0], k)))
+        if pt.basis is not None:
+            for i in range(1, len(pt.basis)):
+                cj = self._anchored_jet(pt, m, i, k)
+                s_m = _vadd(s_m, _vscale(cj, _vtrunc(pt.basis[i], k)))
+        pt.s.append(s_m)
 
     # ------------------------------------------------------------------
     # b_m : driving vector of the order-m relation
     # ------------------------------------------------------------------
 
-    def _compute_b(self, pt: dict, m: int, k: int,
+    def _compute_b(self, pt: _Point, m: int, k: int,
                    stop: int | None = None) -> tuple:
         """b_m at order k, from the point's power table and derivatives.
 
@@ -321,8 +311,8 @@ class CorrectionEngine:
         takes one product per component with its summed coefficient.
         Everything that depends only on the point (power table,
         zeta-derivatives at full order, T_r and U_r) comes from
-        pt["work"], which `_point`/`_point_staged` hold while they assemble
-        the point and drop when they return; a call outside that window
+        pt.work, which `_point` holds while it builds the point's levels
+        and drops when it returns; a call outside that window
         (b~ of an integrand or of the compatibility check) builds a
         temporary one.
 
@@ -331,8 +321,8 @@ class CorrectionEngine:
         independent of s_m: b_{m+1} - b~_{m+1} = i s_m' - Y_1 s_m, so
         i s_m' in the Kato gauge, where Y_1 = 0.
         """
-        work = pt.get("work") or PointWork(pt, self.K)
-        s = pt["s"]
+        work = pt.work or PointWork(pt.x, pt.Q, pt.eps0, pt.Y, pt.s, self.K)
+        s = pt.s
 
         def t(j):
             return j.truncated(k)
@@ -357,8 +347,8 @@ class CorrectionEngine:
             terms.append((cs, s[sigma]))
             terms.append((cd, work.dz("s", sigma, 1)))
         if not terms:           # b~_1: s_0 left out, nothing is left
-            return _vzero(pt["x"], k, self.prob.n)
-        b = pt["b"]
+            return _vzero(pt.x, k, self.prob.n)
+        b = pt.b
         out = []
         for i in range(self.prob.n):
             acc = None
@@ -375,49 +365,58 @@ class CorrectionEngine:
     # complement solve
     # ------------------------------------------------------------------
 
-    def _solve_perp(self, pt: dict, b_m: tuple, k: int) -> tuple:
+    def _solve_perp(self, pt: _Point, b_m: tuple, k: int) -> tuple:
         """s_perp = -2 Q^2 S b_m; the non-hermitian theory adds the multiple
         of s0 that makes (s0, s_m) = 0 (P may be oblique there)."""
-        s_perp = _apply(pt["perp"], b_m, k)
+        s_perp = _apply(pt.perp, b_m, k)
         if self.variant != "non_hermitian":
             return s_perp
-        s0 = _vtrunc(pt["s"][0], k)
-        norm0 = pt["norm0"].truncated(k)
+        s0 = _vtrunc(pt.s[0], k)
+        norm0 = pt.norm0.truncated(k)
         return _vsub(s_perp, _vscale(_dot(s0, s_perp, k) / norm0, s0))
 
     # ------------------------------------------------------------------
     # Y_m and the parallel coordinate
     # ------------------------------------------------------------------
 
-    def _compute_Y(self, pt: dict, b_m: tuple, k: int) -> Jet:
+    def _compute_Y(self, pt: _Point, b_m: tuple, k: int) -> Jet:
         # P b_m = Y_m s0, read off with the left eigenvector l = P^H s0
-        return _dot(pt["left"], b_m, k) / pt["norm0"].truncated(k)
+        return _dot(pt.left, b_m, k) / pt.norm0.truncated(k)
 
-    def _parallel_jet(self, pt: dict, m: int, k: int) -> Jet:
-        x = pt["x"]
+    def _parallel_jet(self, pt: _Point, m: int, k: int) -> Jet:
         # the conserving variants fix the gauge, so for the whole space s0
         # is constant and S = 0: every s_m vanishes and so does c_par
         if self.variant not in _CONSERVING or self.field._scalar_matrix:
-            return jet_const(0.0, x, k)
-        cum = self._cpar_cum.get(m)
+            return jet_const(0.0, pt.x, k)
+        return self._anchored_jet(pt, m, 0, k) + self._cpar_boundary(pt, m, k)
+
+    def _anchored_jet(self, pt: _Point, m: int, i: int, k: int) -> Jet:
+        """Coordinate i of s_m at order k from its anchored integral (i = 0:
+        c_par less its boundary term; i >= 1: on cluster basis vector i)."""
+        cum = self._coords.get((m, i))
         if cum is None:
             kf = max(self.K - m - 1, 0)
-            cum = JetChainIntegral(
-                lambda t, mm=m, kk=kf: self._cpar_f_jet(
-                    self._point_staged(t, mm), mm, kk),
-                self.anchor)
-            self._cpar_cum[m] = cum
-        f_jet = self._cpar_f_jet(pt, m, max(k - 1, 0))
-        integral = f_jet.antiderivative(cum.value(x)).truncated(k)
-        return integral + self._cpar_boundary(pt, m, k)
+            # the degenerate coordinates feed a 1e-6 compatibility check; a
+            # looser tolerance keeps their low-order panels from over-bisecting
+            tol = {} if i == 0 else {"rtol": 1e-9, "atol": 1e-12}
+            cum = self._coords[(m, i)] = JetChainIntegral(
+                lambda t: self._integrand(self._point(t, m, staged=True),
+                                          m, i, kf),
+                self.anchor, **tol)
+        f_jet = self._integrand(pt, m, i, max(k - 1, 0))
+        return f_jet.antiderivative(cum.value(pt.x)).truncated(k)
 
-    def _cpar_f_jet(self, pt: dict, m: int, k: int) -> Jet:
+    def _integrand(self, pt: _Point, m: int, i: int, k: int) -> Jet:
+        return (self._cpar_f_jet(pt, m, k) if i == 0
+                else self._coord_f_jet(pt, m, i, k))
+
+    def _cpar_f_jet(self, pt: _Point, m: int, k: int) -> Jet:
         """Integrand of the conserving-coordinate integral, as a jet."""
         sgn = self.sgn
-        e1 = pt["s"][0]
+        e1 = pt.s[0]
         e1p = tuple(c.diff().truncated(k) for c in e1)
-        sperp = _vtrunc(pt["s_perp"][m], k)
-        s = pt["s"]
+        sperp = _vtrunc(pt.s_perp[m], k)
+        s = pt.s
         inner = _dot(e1p, sperp, k)
         if m % 2 == 0:
             nn = m // 2
@@ -435,10 +434,10 @@ class CorrectionEngine:
             return 2.0j * inner.imag()
         return 2.0 * inner.real()
 
-    def _cpar_boundary(self, pt: dict, m: int, k: int) -> Jet:
+    def _cpar_boundary(self, pt: _Point, m: int, k: int) -> Jet:
         sgn = self.sgn
-        s = pt["s"]
-        out = jet_const(0.0, pt["x"], k)
+        s = pt.s
+        out = jet_const(0.0, pt.x, k)
         if m % 2 == 0:
             nn = m // 2
             out = out - (sgn ** nn) * 0.5 * _dot(_vtrunc(s[nn], k),
@@ -457,40 +456,27 @@ class CorrectionEngine:
     # basis comes from BranchField.basis_jets
     # ------------------------------------------------------------------
 
-    def _degenerate_coord_jet(self, pt: dict, m: int, kk: int, k: int) -> Jet:
-        cum = self._coord_cum.get((m, kk))
-        if cum is None:
-            kf = max(self.K - m - 1, 0)
-            # these coordinates feed a 1e-6 compatibility check; a looser
-            # tolerance keeps the low-order panels from over-bisecting
-            cum = JetChainIntegral(
-                lambda t, mm=m, kkk=kk, ko=kf: self._coord_f_jet(
-                    self._point_staged(t, mm), mm, kkk, ko),
-                self.anchor, rtol=1e-9, atol=1e-12)
-            self._coord_cum[(m, kk)] = cum
-        f_jet = self._coord_f_jet(pt, m, kk, max(k - 1, 0))
-        return f_jet.antiderivative(cum.value(pt["x"])).truncated(k)
-
-    def _coord_f_jet(self, pt: dict, m: int, kk: int, k: int) -> Jet:
-        """(e_k, i Q b~_{m+1} - d/dx s_m_perp), the Kato-coordinate integrand."""
-        e_k = pt["basis"][kk]
+    def _coord_f_jet(self, pt: _Point, m: int, i: int, k: int) -> Jet:
+        """(e_i, i Q b~_{m+1} - d/dx s_m_perp), the Kato-coordinate
+        integrand of basis vector e_i."""
+        e_i = pt.basis[i]
         btilde = self._compute_b(pt, m + 1, k, stop=m)
-        Q = pt["Q"].truncated(k)
-        sperp_p = tuple(c.diff().truncated(k) for c in pt["s_perp"][m])
+        Q = pt.Q.truncated(k)
+        sperp_p = tuple(c.diff().truncated(k) for c in pt.s_perp[m])
         inner = _vsub(_vscale(1.0j * Q, _vtrunc(btilde, k)), sperp_p)
-        return _dot(_vtrunc(e_k, k), inner, k)
+        return _dot(_vtrunc(e_i, k), inner, k)
 
     def compatibility_residual(self, x: float, m: int) -> float:
         """Residual of the order-(m+1) constraint for k > 1 (1 < d < N
         only)."""
         pt = self._point(float(x), m)
-        if pt["basis"] is None:
+        if pt.basis is None:
             return 0.0
         btilde = self._compute_b(pt, m + 1, 0, stop=m)
-        Q = pt["Q"].truncated(0)
+        Q = pt.Q.truncated(0)
         worst = 0.0
-        for e_k in pt["basis"][1:]:
-            smp = tuple(c.diff().truncated(0) for c in pt["s"][m])
+        for e_k in pt.basis[1:]:
+            smp = tuple(c.diff().truncated(0) for c in pt.s[m])
             lhs = _dot(_vtrunc(e_k, 0), smp, 0).value
             rhs = (1.0j * Q * _dot(_vtrunc(e_k, 0), _vtrunc(btilde, 0), 0)).value
             worst = max(worst, abs(lhs - rhs))
@@ -544,7 +530,7 @@ def p_coefficients(corr: CorrectionSet, Qsq: Jet | None = None) -> list:
 
 def assemble_vector_wave(engine: CorrectionEngine, sign: int,
                          grid: Sequence[float], anchor: float | None = None,
-                         lam: float | None = None, jet_order: int = 2) -> Wave:
+                         lam: float | None = None) -> Wave:
     """The pair member u(+-) sampled on a grid, with an exact jet evaluator.
 
     Real normal forms are used when Q**2 is real (oscillatory for
@@ -564,26 +550,26 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
     warned_y: list = []
     kq = engine.K - m_max
 
-    def normal_form(pt: dict, k: int) -> tuple:
+    def normal_form(pt: _Point, k: int) -> tuple:
         """(Y, momentum) at order k: |Q| Y when Q**2 is real, +-Q Y
         otherwise."""
-        y = jet_const(0.0, pt["x"], k)
+        y = jet_const(0.0, pt.x, k)
         for m in range(m_max + 1):
-            y = y + (sign * lam) ** m * pt["Y"][m].truncated(k)
+            y = y + (sign * lam) ** m * pt.Y[m].truncated(k)
         if real_case:
-            qsq = pt["Qsq"].truncated(k)
+            qsq = pt.Qsq.truncated(k)
             absq = jet_sqrt(qsq) if positive else jet_sqrt(-qsq)
             return y, absq * y
-        return y, float(sign) * pt["Q"].truncated(k) * y
+        return y, float(sign) * pt.Q.truncated(k) * y
 
     def qbar_jet(t: float) -> Jet:
         # staged data is enough here: Y_m never needs the parallel part
         try:
-            pt = engine._point_staged(t, m_max)
+            pt = engine._point(t, m_max, staged=True)
         except TurningPoint as exc:
             raise TurningPointOnGrid(
                 f"turning point reached near x = {t}") from exc
-        if real_case and (pt["Qsq"].value.real > 0) != positive:
+        if real_case and (pt.Qsq.value.real > 0) != positive:
             raise TurningPointOnGrid(f"Q**2 changes sign at x = {t}")
         y, qbar = normal_form(pt, kq)
         if real_case and y.value.real <= 0.0 and not warned_y:
@@ -597,12 +583,12 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
 
     def jets_at(x: float):
         pt = engine._point(x, m_max)
-        k = min(engine.K - m_max, max(jet_order, 2))
+        k = 2                   # the order Wave.jet_at promises
         _, qbar = normal_form(pt, k)
         svec = _vzero(x, k, engine.prob.n)
         for m in range(m_max + 1):
             svec = _vadd(svec, _vscale(jet_const((sign * lam) ** m, x, k),
-                                       _vtrunc(pt["s"][m], k)))
+                                       _vtrunc(pt.s[m], k)))
         phase0 = cum.value(x)
         phi = (qbar * (1.0 / lam)).antiderivative(phase0).truncated(k)
         if real_case:

@@ -281,6 +281,18 @@ class TestEigen:
         assert err.startswith("evaluation error: CrossingPoint:")
         assert out == ""
 
+    def test_anchor_zero_is_an_anchor(self, capsys):
+        # --anchor 0 anchors the field at 0 too, so its walk to --at 3
+        # meets the crossing at x = 1 (as --anchor 1e-12 does); read as
+        # no anchor, the walk would start at 3 and the command succeed
+        code, out, err = run_cli(
+            capsys, "corrections", "--example", "fulling-pos", "--branch",
+            "0", "--theory", "simplified", "--order", "2", "--at", "3",
+            "--anchor", "0")
+        assert code == 3
+        assert err.startswith("evaluation error: CrossingPoint:")
+        assert out == ""
+
 
 class TestGaugeFlag:
     def test_raw_gauge_expression(self, capsys):

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +73,38 @@ def test_jet_chain_shares_ladder_points():
     assert_allclose(chain.value(1.03125), math.exp(1.03125) - 1, rtol=1e-11)
 
 
+def test_jet_chain_value_depends_on_x_alone():
+    # the rung before 1.03 is 1.0 whatever was asked first: a later 1.04
+    # or 2.5 neither moves the start of its last panel nor its scale
+    def f(t):
+        return jet_exp(jet_variable(t, 4))
+
+    fresh = JetChainIntegral(f, 0.0).value(1.03)
+    chain = JetChainIntegral(f, 0.0)
+    chain.value(1.04)
+    chain.value(2.5)
+    assert chain.value(1.03) == fresh
+
+
+def test_jet_chain_off_ladder_queries_run_in_flat_memory():
+    # the memo holds the rungs of the interval walked, not the points asked
+    chain = JetChainIntegral(lambda t: jet_exp(jet_variable(t, 4)), 0.0)
+    chain.value(1.5)
+    xs = [float(x) for x in np.linspace(0.5, 1.5, 901)[:-1] + 1e-4]
+    assert not any((16 * x).is_integer() for x in xs)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in xs:
+            chain.value(x)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 32 * 1024, (before, after)
+
+
 def test_jet_chain_low_order_bisects_to_tolerance():
     chain = JetChainIntegral(lambda t: jet_sin(jet_variable(t, 2)), 0.0,
                              rtol=1e-10)
@@ -107,9 +141,9 @@ def test_single_panel_exact_to_degree_2n_plus_1(n):
     for degree, exact in ((2 * n + 1, True), (2 * n + 2, False)):
         p = Polynomial(rng.uniform(-1.0, 1.0, degree + 1))
         chain = JetChainIntegral(lambda t: _poly_jet(p, t, n), a,
-                                 atol=math.inf, max_step=1.0)  # one panel
+                                 atol=math.inf)
         want = p.integ()(b) - p.integ()(a)
-        err = abs(chain.value(b) - want)
+        err = abs(chain._panel(a, b, 0.0) - want)      # one panel
         assert (err <= 1e-14) == exact, (degree, err)
 
 
@@ -210,7 +244,7 @@ class TestAgainstMpmath:
     def test_parallel_coefficients(self, fex1):
         engine = _fulling_waves(fex1, 3, signs=(+1,))
         for m in (1, 2, 3):     # c_2's integrand vanishes identically here
-            self._check(engine._cpar_cum[m])
+            self._check(engine._coords[(m, 0)])
 
 
 def test_fulling_wave_panel_counts(fex1, monkeypatch):

@@ -697,13 +697,21 @@ class TestFieldMemory:
     """A field keeps one point: on an interval it has already walked, a
     long sweep leaves it holding no more than a short one."""
 
-    @pytest.mark.parametrize("name", ["fex1", "block3"])
-    def test_sweep_runs_in_flat_memory(self, name, request):
-        prob = _block3() if name == "block3" else request.getfixturevalue(name)
-        fld = BranchField(prob, 0, "normalized", None, anchor=3.0)
+    @pytest.mark.parametrize("name, gauge, anchor, span", [
+        ("fex1", "normalized", 3.0, (2.5, 3.5)),
+        ("block3", "normalized", 3.0, (2.5, 3.5)),
+        # the Kato phase theta1 is an anchored integral
+        ("complex", "kato", 2.45, (2.1, 2.8)),
+    ], ids=["fex1", "block3", "complex-kato"])
+    def test_sweep_runs_in_flat_memory(self, name, gauge, anchor, span,
+                                       request):
+        prob = (_block3() if name == "block3"
+                else _hermitian(_complex_pair_rows()) if name == "complex"
+                else request.getfixturevalue(name))
+        fld = BranchField(prob, 0, gauge, None, anchor=anchor)
 
         def sweep(n):
-            for x in np.linspace(2.5, 3.5, n):
+            for x in np.linspace(*span, n):
                 x = float(x)
                 fld.qsq_jet(x, 8)
                 fld.s0_jets(x, 8)
@@ -711,7 +719,7 @@ class TestFieldMemory:
             gc.collect()
             return tracemalloc.get_traced_memory()[0]
 
-        sweep(11)                   # walks the continuation over [2.5, 3.5]
+        sweep(11)                   # walks the continuation over the span
         tracemalloc.start()
         try:
             short = sweep(100)

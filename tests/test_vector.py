@@ -134,7 +134,7 @@ class TestPerpendicularSolve:
                             2j * math.sqrt(x) / (x - 1), rtol=1e-10)
             assert corr.c_perp[0] is None and len(corr.c_perp) == 4
         assert len(eng._points) > len(grid)
-        assert not any("c_perp" in pt for pt in eng._points.values())
+        assert not any(hasattr(pt, "c_perp") for pt in eng._points.values())
 
 
 class TestParallelCoordinate:
@@ -303,7 +303,47 @@ class TestPowerTable:
                                "fulling_current", 3, 3.0)
         eng.at(4.5)
         assert len(eng._points) > 1
-        assert all("work" not in pt for pt in eng._points.values())
+        assert all(pt.work is None for pt in eng._points.values())
+
+
+class TestHistoryFree:
+    """A point's corrections depend on x alone, not on the points the
+    engine answered before: each anchored integral keeps one partial sum
+    per ladder rung and reaches x from the rung before it."""
+
+    @pytest.mark.parametrize("case", ["fulling", "fex3", "complex-kato"])
+    def test_at_ignores_earlier_queries(self, case, request):
+        if case == "complex-kato":
+            from test_spectral import _complex_pair_rows, _hermitian
+            prob, variant, anchor, rank = (_hermitian(_complex_pair_rows()),
+                                           "fulling_current", 2.2, 0)
+            x, before, gauge = 2.53, (2.54, 2.52, 2.8), "kato"
+        else:
+            prob = request.getfixturevalue(
+                "fex1" if case == "fulling" else "fex3")
+            variant = ("fulling_current" if case == "fulling"
+                       else "wronskian_conserving")
+            anchor, rank = 3.0, 1
+            x, before, gauge = 4.03, (4.04, 4.02, 5.5), "normalized"
+
+        def engine():
+            return CorrectionEngine(
+                prob, field(prob, rank, anchor=anchor, gauge=gauge), variant,
+                3, anchor)
+
+        fresh = engine().at(x)
+        eng = engine()
+        for t in before:
+            eng.at(t)
+        late = eng.at(x)
+
+        def coeffs(corr, m):
+            return ([corr.Y[m].coeffs] + [c.coeffs for c in corr.s[m]]
+                    + ([corr.c_par[m].coeffs] if m else []))
+
+        for m in range(4):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(coeffs(fresh, m), coeffs(late, m), strict=True)), m
 
 
 class TestWorkCounts:
