@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the correction machinery's internals:
 residuals use the waves' own analytic jets, the reference trajectories come
-from an off-the-shelf embedded Runge-Kutta pair, and conservation drifts
-are measured against the median sample (robust to boundary quadrature
-noise).
+from scipy's DOP853 Runge-Kutta pair (order 8, embedded 5 and 3), and
+conservation drifts are measured against the median sample (robust to
+boundary quadrature noise).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridMismatch, StepSizeUnderflow
+from .errors import EvaluationSingularity, GridMismatch, StepSizeUnderflow
 from .problem import ReducedProblem
 from .scalar import Wave, WaveSample
 
@@ -109,10 +109,12 @@ def reference_integrate(R_eval: Callable[[float], np.ndarray], x_start: float,
                         u0: Sequence[complex], du0: Sequence[complex],
                         x_end: float, tol: float = 1e-10,
                         dense_points: Sequence[float] | None = None) -> list:
-    """Direct numerical solution of u'' + R(x) u = 0 (embedded RK 5(4)).
+    """Direct numerical solution of u'' + R(x) u = 0 (DOP853, RK 8(5,3)).
 
-    Complex systems are integrated as stacked real/imaginary parts; dense
-    output is evaluated at `dense_points` (default: endpoints only).
+    The complex state (u, u') is integrated as it is.  Samples come at
+    `dense_points` in ascending x, one per point given, duplicates
+    included (default: x_start, then x_end); the integrator interpolates
+    only on the steps that hold one.
 
     This is an initial-value problem from the Cauchy data (u0, du0) at
     `x_start`.  Where a slow evanescent branch coexists with a fast one, any
@@ -127,33 +129,44 @@ def reference_integrate(R_eval: Callable[[float], np.ndarray], x_start: float,
 
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol outside [1e-12, 1e-4]")
-    u0 = np.asarray(u0, dtype=complex)
-    du0 = np.asarray(du0, dtype=complex)
-    n = u0.size
-
-    def rhs(x, y):
-        u = y[:n] + 1j * y[n: 2 * n]
-        du = y[2 * n: 3 * n] + 1j * y[3 * n:]
-        rmat = np.atleast_2d(np.asarray(R_eval(x), dtype=complex))
-        ddu = -(rmat @ u)
-        return np.concatenate([du.real, du.imag, ddu.real, ddu.imag])
-
-    y0 = np.concatenate([u0.real, u0.imag, du0.real, du0.imag])
-    sol = solve_ivp(rhs, (x_start, x_end), y0, method="RK45",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True)
-    if not sol.success:
-        raise StepSizeUnderflow(f"reference integration failed: {sol.message}")
     pts = sorted(dense_points) if dense_points is not None else [x_start, x_end]
     lo, hi = min(x_start, x_end), max(x_start, x_end)
-    samples = []
     for x in pts:
         if not lo <= x <= hi:
             raise ValueError(f"dense point {x} outside integration range")
-        y = sol.sol(x)
-        u = y[:n] + 1j * y[n: 2 * n]
-        du = y[2 * n: 3 * n] + 1j * y[3 * n:]
-        samples.append(WaveSample(float(x), u, du, 0.0))
-    return samples
+    u0 = np.asarray(u0, dtype=complex)
+    du0 = np.asarray(du0, dtype=complex)
+    n = u0.size
+    # scipy's first-step guess turns a NaN here into a step search that
+    # never ends, so bad start data is refused before integrating.
+    if not (np.all(np.isfinite(R_eval(x_start))) and np.all(np.isfinite(u0))
+            and np.all(np.isfinite(du0))):
+        raise EvaluationSingularity(
+            f"non-finite R, u0 or du0 at x_start = {x_start}")
+
+    def rhs(x, y):
+        return np.concatenate([y[n:], -(np.atleast_2d(R_eval(x)) @ y[:n])])
+
+    # t_eval must be strictly monotone along the integration; samples are
+    # mapped back to the points as given.
+    xs = np.unique(np.asarray(pts, dtype=float))
+    y0 = np.concatenate([u0, du0])
+    if x_end == x_start:        # scipy takes no step, so t_eval gets nothing
+        ys = np.repeat(y0[:, None], len(xs), axis=1)
+    else:
+        forward = x_end > x_start
+        sol = solve_ivp(rhs, (x_start, x_end), y0, method="DOP853",
+                        rtol=tol, atol=tol * 1e-2,
+                        t_eval=xs if forward else xs[::-1])
+        if not sol.success:
+            raise StepSizeUnderflow(
+                f"reference integration failed: {sol.message}")
+        # sol.y is an empty list when no point was asked for
+        ys = np.asarray(sol.y).reshape(2 * n, len(xs))
+        if not forward:
+            ys = ys[:, ::-1]
+    return [WaveSample(float(x), ys[:n, i].copy(), ys[n:, i].copy(), 0.0)
+            for x, i in zip(pts, np.searchsorted(xs, pts))]
 
 
 @dataclass
@@ -186,6 +199,17 @@ def order_scaling(make_wave: Callable[[float], Wave],
     return OrderScalingResult(lambdas, res, slope, True)
 
 
+def _eigen_gaps(prob: ReducedProblem, xs) -> np.ndarray:
+    """Minimal eigenvalue gap of G at each x (inf for N = 1), neighbours
+    taken in the (real, imaginary) order of the eigenvalues."""
+    n = prob.n
+    gs = np.array([prob.G_value(float(x)) for x in xs]).reshape(-1, n, n)
+    if n == 1:
+        return np.full(len(gs), np.inf)
+    vals = np.sort(np.linalg.eigvals(gs), axis=-1)
+    return np.abs(np.diff(vals, axis=-1)).min(axis=-1)
+
+
 def crossing_diagnostics(prob: ReducedProblem, lo: float, hi: float,
                          scan_points: int = 801) -> list:
     """Crossing points of the eigenvalues of G with local exponents.
@@ -195,16 +219,10 @@ def crossing_diagnostics(prob: ReducedProblem, lo: float, hi: float,
     gap (D is proportional to the gap times a smooth factor).
     """
     def gap(x: float) -> float:
-        g = prob.G_value(x)
-        if prob.n == 1:
-            return float("inf")
-        vals = np.linalg.eigvals(g)
-        vals = vals[np.lexsort((vals.imag, vals.real))]
-        return float(min(abs(vals[i + 1] - vals[i])
-                         for i in range(len(vals) - 1)))
+        return float(_eigen_gaps(prob, [x])[0])
 
     xs = np.linspace(lo, hi, scan_points)
-    gaps = np.array([gap(float(x)) for x in xs])
+    gaps = _eigen_gaps(prob, xs)
     scale = max(1.0, float(np.median(gaps)))
     out = []
     for i in range(1, len(xs) - 1):

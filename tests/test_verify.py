@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from phaseintegral.errors import GridMismatch
+from phaseintegral.errors import (EvaluationSingularity, GridMismatch,
+                                  StepSizeUnderflow)
 from phaseintegral.expressions import parse_expr
 from phaseintegral.problem import ProblemSpec, split_R
 from phaseintegral.scalar import Wave, WaveSample
@@ -90,6 +91,43 @@ class TestResidual:
         assert_allclose(scale, abs(math.sin(0.5)), rtol=1e-12)
 
 
+# u'' + O diag(k1 x, k2 x) O^T u = 0, O a constant rotation: each rotated
+# component is a combination of Ai(-k^(1/3) x) and Bi(-k^(1/3) x).
+_AIRY_K = (4.0, 9.0)
+_AIRY_O = np.array([[math.cos(0.7), -math.sin(0.7)],
+                    [math.sin(0.7), math.cos(0.7)]])
+_AIRY_U0 = (1.0 + 0.5j, -0.3j)
+_AIRY_DU0 = (0.2, 1.0 - 1.0j)
+
+
+def _airy_R(x):
+    return _AIRY_O @ np.diag([k * x for k in _AIRY_K]) @ _AIRY_O.T
+
+
+def _airy_exact(x0, x):
+    """(u, u') at x of the solution with Cauchy data (_AIRY_U0, _AIRY_DU0)
+    at x0."""
+    airy = pytest.importorskip("scipy.special").airy
+    v0 = _AIRY_O.T @ np.asarray(_AIRY_U0)
+    dv0 = _AIRY_O.T @ np.asarray(_AIRY_DU0)
+    v, dv = [], []
+    for k, a0, b0 in zip(_AIRY_K, v0, dv0):
+        c = k ** (1.0 / 3.0)
+        ai, aip, bi, bip = airy(-c * x0)
+        ab = np.linalg.solve([[ai, bi], [-c * aip, -c * bip]], [a0, b0])
+        ai, aip, bi, bip = airy(-c * x)
+        v.append(ab[0] * ai + ab[1] * bi)
+        dv.append(-c * (ab[0] * aip + ab[1] * bip))
+    return _AIRY_O @ np.array(v), _AIRY_O @ np.array(dv)
+
+
+def _assert_airy(samples, x0, rel):
+    for smp in samples:
+        u, du = _airy_exact(x0, smp.x)
+        assert np.linalg.norm(smp.u - u) <= rel * np.linalg.norm(u)
+        assert np.linalg.norm(smp.u_prime - du) <= rel * np.linalg.norm(du)
+
+
 class TestReferenceIntegrate:
     def test_harmonic(self):
         out = V.reference_integrate(lambda x: np.array([[1.0]]), 0.0,
@@ -122,6 +160,86 @@ class TestReferenceIntegrate:
         with pytest.raises(ValueError):
             V.reference_integrate(lambda x: np.array([[1.0]]), 0.0, [1.0],
                                   [0.0], 1.0, tol=1e-2)
+
+    @pytest.mark.parametrize("x_start, x_end", [(1.0, 6.0), (6.0, 1.0)])
+    def test_airy_pair_closed_form(self, x_start, x_end):
+        # points off any step boundary, both directions of integration
+        pts = [1.37, 2.9, 3.31, 4.41, 5.83]
+        got = V.reference_integrate(_airy_R, x_start, _AIRY_U0, _AIRY_DU0,
+                                    x_end, tol=1e-11, dense_points=pts)
+        assert [s.x for s in got] == pts
+        _assert_airy(got, x_start, 1e-9)
+
+    @pytest.mark.parametrize("x_start, x_end", [(1.0, 6.0), (6.0, 1.0)])
+    def test_duplicate_unsorted_points(self, x_start, x_end):
+        # one sample per point given, in ascending x, duplicates equal
+        pts = [5.2, 1.5, 5.2, 3.3, 1.5, 6.0]
+        got = V.reference_integrate(_airy_R, x_start, _AIRY_U0, _AIRY_DU0,
+                                    x_end, tol=1e-11, dense_points=pts)
+        assert [s.x for s in got] == sorted(pts)
+        for a, b in ((got[0], got[1]), (got[3], got[4])):
+            assert np.array_equal(a.u, b.u)
+            assert np.array_equal(a.u_prime, b.u_prime)
+        _assert_airy(got, x_start, 1e-9)
+
+    @pytest.mark.parametrize("x_start, x_end",
+                             [(1.0, 6.0), (6.0, 1.0), (2.0, 2.0)])
+    def test_default_points_are_endpoints(self, x_start, x_end):
+        got = V.reference_integrate(_airy_R, x_start, _AIRY_U0, _AIRY_DU0,
+                                    x_end, tol=1e-11)
+        assert [s.x for s in got] == [x_start, x_end]
+        _assert_airy(got, x_start, 1e-9)
+
+    def test_no_points_no_samples(self):
+        assert V.reference_integrate(_airy_R, 6.0, _AIRY_U0, _AIRY_DU0, 1.0,
+                                     dense_points=[]) == []
+
+    def test_point_outside_range_raises_before_integrating(self):
+        calls = []
+
+        def r_eval(x):
+            calls.append(x)
+            return np.array([[1.0]])
+
+        with pytest.raises(ValueError, match="outside integration range"):
+            V.reference_integrate(r_eval, 0.0, [1.0], [0.0], 1.0,
+                                  dense_points=[0.5, 1.5])
+        assert calls == []
+
+    @pytest.mark.parametrize("r, u0, du0", [
+        (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
+        (1.0, math.inf, 0.0), (1.0, 1.0, complex(0.0, math.nan))])
+    def test_non_finite_start_data_raises(self, r, u0, du0):
+        # scipy's first step is NaN here and its step loop never ends; the
+        # call cap turns a regression into a failure instead of a hang
+        calls = []
+
+        def r_eval(x):
+            calls.append(x)
+            assert len(calls) < 50, "integration started on bad data"
+            return np.array([[r]])
+
+        with pytest.raises(EvaluationSingularity, match="x_start = 0.5"):
+            V.reference_integrate(r_eval, 0.5, [u0], [du0], 2.0)
+
+    def test_pole_on_path_underflows(self):
+        with np.errstate(all="ignore"), pytest.raises(StepSizeUnderflow):
+            V.reference_integrate(lambda x: np.array([[1.0 / (x - 1.0)**3]]),
+                                  0.0, [1.0], [0.0], 2.0)
+
+    def test_work_count(self, fex1):
+        # R evaluations of the benchmark's reference solve: about 3200 when
+        # the interpolant is built only on steps that hold a dense point
+        calls = []
+
+        def r_eval(x):
+            calls.append(x)
+            return fex1.R_value(x, 0.1)
+
+        pts = [float(v) for v in np.linspace(3.0, 6.0, 13)]
+        V.reference_integrate(r_eval, 3.0, [1.0, 0.5j], [0.3j, -2.0], 6.0,
+                              tol=1e-11, dense_points=pts)
+        assert len(calls) <= 4000
 
 
 class TestOrderScaling:
@@ -181,6 +299,42 @@ class TestCrossingDiagnostics:
                            None, {}, (0.0, 4.0), "real_symmetric")
         prob = split_R(spec, 1.0, None)
         assert V.crossing_diagnostics(prob, 0.0, 4.0) == []
+
+    @pytest.mark.parametrize("name, lo, hi", [
+        ("fex1", 0.2, 12.0), ("fex4", 0.5, 7.0), ("scalar_quadratic", -2, 2),
+        ("complex3", -3.0, 3.0)])
+    def test_stacked_gaps_equal_loop(self, request, name, lo, hi):
+        # the one-matrix-at-a-time scan, neighbours in lexsort order
+        if name == "complex3":
+            # eigenvalues x +- i and x^2/4: ties in the real part, and
+            # changes of order
+            e = parse_expr
+            spec = ProblemSpec(3, "reduced",
+                               ((e("x"), e("1"), e("0")),
+                                (e("-1"), e("x"), e("0")),
+                                (e("0"), e("0"), e("x^2/4"))),
+                               None, {}, (lo, hi), "general")
+            prob = split_R(spec, 1.0, None)
+        else:
+            prob = request.getfixturevalue(name)
+
+        def loop_gap(x):
+            if prob.n == 1:
+                return math.inf
+            vals = np.linalg.eigvals(prob.G_value(x))
+            vals = vals[np.lexsort((vals.imag, vals.real))]
+            return min(abs(vals[i + 1] - vals[i])
+                       for i in range(len(vals) - 1))
+
+        xs = np.linspace(lo, hi, 801)
+        got = V._eigen_gaps(prob, xs)
+        want = [loop_gap(float(x)) for x in xs]
+        if name == "complex3":
+            # numpy's complex abs on an array and on a scalar may take
+            # different code paths and differ in the last bit
+            assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
+        else:
+            assert np.array_equal(got, want)
 
     def test_linear_pair(self):
         spec = ProblemSpec(2, "reduced",
