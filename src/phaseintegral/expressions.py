@@ -12,18 +12,20 @@ Grammar (EBNF, also documented in docs/grammar.md):
 
 Known functions: exp, ln, sqrt, sin, cos.  `x` is the sole variable, `i`
 the imaginary unit; any other name is a scalar parameter bound at
-evaluation time.  Exponents must not depend on x (integer and real powers
-only).
+evaluation time.  An exponent free of x is a real power (a complex one is
+refused); an exponent that depends on x, as in x^x or 2^x, is evaluated as
+exp(g ln b).
 
 The AST doubles as the independent differentiation oracle for the jet
 kernel: `diff` applies the textbook rules with constant folding only.
 
-Values and jets are evaluated apart, each by code compiled once per AST on
-first use.  `eval_expr` runs nested closures over `cmath`; `eval_expr_jet`
-runs a Taylor tape (`JetTape`), a straight-line list of coefficient
-recurrences.  The tree walk through `Jet` arithmetic, `_eval`, is kept as
-the oracle both are tested against: the closures reproduce its order-0 jet
-bit for bit, and the tape its coefficients.
+Each AST, or list of ASTs, is compiled once into a tape (`JetTape`), a
+straight-line list of instructions that runs as a value program
+(`eval_expr`) or as a jet program of coefficient recurrences
+(`eval_expr_jet`).  The tree walk through `Jet` arithmetic, `_eval`, is
+kept as the oracle the tape is tested against: the value program
+reproduces its order-0 jet bit for bit, and the jet program its
+coefficients.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import cmath
 import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import jets
 from .errors import (
@@ -57,15 +59,13 @@ FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos")
 class Expression:
     """Immutable AST node."""
 
-    # Value closure and jet tape built by `eval_expr` and `eval_expr_jet` on
-    # first use: caches, kept out of pickled state and out of equality and
+    # The tape built by `eval_expr`, `eval_expr_jet` or `constant_value` on
+    # first use: a cache, kept out of pickled state and out of equality and
     # hashing.
-    _value_fn = None
     _jet_fn = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_value_fn", None)
         state.pop("_jet_fn", None)
         return state
 
@@ -174,18 +174,21 @@ class Func(Expression):
         return self.arg.params()
 
 
-def _ast_key(e: Expression):
+def _ast_key(e: Expression, exact: bool = False):
+    """Structural key of `e`.  `exact` keys a constant by its repr, which
+    tells 0.0 from -0.0: the tape shares registers by that key."""
     if isinstance(e, Const):
-        return ("c", e.value)
+        return ("c", repr(complex(e.value)) if exact else e.value)
     if isinstance(e, Var):
         return ("x",)
     if isinstance(e, Param):
         return ("p", e.name)
     if isinstance(e, Neg):
-        return ("neg", _ast_key(e.arg))
+        return ("neg", _ast_key(e.arg, exact))
     if isinstance(e, Func):
-        return ("f", e.name, _ast_key(e.arg))
-    return (type(e).__name__, _ast_key(e.left), _ast_key(e.right))
+        return ("f", e.name, _ast_key(e.arg, exact))
+    return (type(e).__name__, _ast_key(e.left, exact),
+            _ast_key(e.right, exact))
 
 
 # --------------------------------------------------------------------------
@@ -479,23 +482,47 @@ def diff_expr(e: Expression) -> Expression:
 
 
 # --------------------------------------------------------------------------
-# jet evaluation
+# evaluation
 # --------------------------------------------------------------------------
 
 _COMPLEX_EXPONENT = "complex exponents are not supported"
+_NO_PARAMS: dict = {}
+
+
+def _compile_tape(e: Expression) -> "JetTape":
+    """The one-expression tape of `e`, cached on `e`."""
+    tape = JetTape([e])
+    object.__setattr__(e, "_jet_fn", tape)
+    return tape
+
+
+def eval_expr(e: Expression, x0: float,
+              params: Mapping[str, complex] | None = None) -> complex:
+    """Value of the expression at x0; raises EvaluationSingularity at poles.
+
+    Equal to `eval_expr_jet(e, x0, 0, params).value`, computed by the value
+    program of the tape compiled from `e` on first use.
+    """
+    tape = e._jet_fn or _compile_tape(e)
+    return tape._run_values(x0, params)[tape._outs[0]]
 
 
 def eval_expr_jet(e: Expression, x0: float, order: int,
                   params: Mapping[str, complex] | None = None) -> Jet:
     """Jet of the expression at x0; raises EvaluationSingularity at poles.
 
-    Runs the one-expression tape compiled from `e` on first use.
+    Runs the jet program of the tape compiled from `e` on first use.
     """
-    tape = e._jet_fn
-    if tape is None:
-        tape = JetTape([e])
-        object.__setattr__(e, "_jet_fn", tape)
-    return tape(x0, order, params)[0]
+    return (e._jet_fn or _compile_tape(e))(x0, order, params)[0]
+
+
+def constant_value(e: Expression) -> complex | None:
+    """The value `e` folds to when it is free of x and of parameters and
+    evaluates without error, else None."""
+    if e.depends_on_x() or e.params():
+        return None
+    tape = e._jet_fn or _compile_tape(e)
+    return tape._init[tape._outs[0]]
 
 
 def _eval(e: Expression, x0: float, order: int, params) -> Jet:
@@ -540,36 +567,31 @@ def _eval(e: Expression, x0: float, order: int, params) -> Jet:
 
 
 # --------------------------------------------------------------------------
-# value evaluation: each AST lowered once into nested closures
+# the tape: one compiled program for values and jets
 # --------------------------------------------------------------------------
 #
-# A closure f(x, p) returns the value at the complex point x with parameters
-# p.  It reproduces the order-0 jet of `_eval` exactly: products are formed
-# as numpy's one-term convolution forms them (0 + a*b, which turns a -0.0
-# into +0.0), quotients by numpy's scaled complex division (`jets.quotient`),
-# and the lead tolerance, branch-point and exponent checks are those of
-# `jets`, in the same evaluation order.  A subtree free of x and of
-# parameters is folded to its value when that evaluates without error.
-
-_NO_PARAMS: dict = {}
-
-
-def eval_expr(e: Expression, x0: float,
-              params: Mapping[str, complex] | None = None) -> complex:
-    """Value of the expression at x0; raises EvaluationSingularity at poles.
-
-    Equal to `eval_expr_jet(e, x0, 0, params).value`, computed by the value
-    closure compiled from `e` on first use.
-    """
-    fn = e._value_fn
-    if fn is None:
-        fn = _lower(e)[0]
-        object.__setattr__(e, "_value_fn", fn)
-    try:
-        return fn(complex(float(x0)), params or _NO_PARAMS)
-    except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
-        raise EvaluationSingularity(
-            f"expression singular at x = {x0}: {exc}") from exc
+# A list of ASTs is lowered once into a straight-line list of instructions
+# over numbered registers (Jorba & Zou's `taylor`; Griewank & Walther,
+# Evaluating Derivatives, ch. 13).  Each instruction has a value kernel, a
+# scalar operation on complex numbers, and a jet kernel, a coefficient
+# recurrence of `jets`, as in the `Jet` methods.  The tape runs as a value
+# program, every register a number, or as a jet program, in which a
+# register holds a coefficient array when its subtree depends on x and a
+# number, formed by the value kernel, when it does not.  A number enters
+# array arithmetic as a scalar -- a lead-coefficient add or a scaled copy
+# (`jets.series_scale` and its kin) -- never as a convolution with a
+# constant jet.
+#
+# The value kernels reproduce the order-0 jet of the tree walk `_eval`
+# exactly: products are formed as numpy's one-term convolution forms them
+# (0 + a*b, which turns a -0.0 into +0.0), quotients by numpy's scaled
+# complex division (`jets.quotient`), and the lead tolerance, branch-point
+# and exponent checks are those of `jets`.  The jet program gives the
+# walk's coefficients (zero signs past the lead aside).  Instructions run in
+# the walk's order (an exponent before its base), so the same error is
+# raised first.  Subtrees with equal exact `_ast_key` share one register,
+# sin and cos of one argument share one instruction, and an instruction on
+# folded constants is folded to its value when that evaluates without error.
 
 
 def _div(a: complex, b: complex) -> complex:
@@ -603,145 +625,44 @@ def _pow_real(b: complex, alpha: float) -> complex:
     return _off_branch(b, "pow") ** alpha
 
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Div: _div}
-
-_UNARY = {
-    "exp": cmath.exp,
-    "ln": lambda v: cmath.log(_off_branch(v, "ln")),
-    "sqrt": lambda v: cmath.sqrt(_off_branch(v, "sqrt")),
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-}
+def _square(b: complex, alpha: float) -> complex:
+    return 0j + (1 + 0j) * (0j + b * b)        # _ipow(b, 2) unrolled
 
 
-def _lower(e: Expression):
-    """(closure, folded value or None) for the subtree `e`."""
-    if isinstance(e, Const):
-        v = complex(e.value)
-        return (lambda x, p: v), v
-    if isinstance(e, Var):
-        return (lambda x, p: x), None
-    if isinstance(e, Param):
-        name = e.name
-
-        def param(x, p):
-            try:
-                return complex(p[name])
-            except KeyError:
-                raise UnboundParameter(
-                    f"parameter {name!r} not bound") from None
-        return param, None
-    if isinstance(e, Neg):
-        f, c = _lower(e.arg)
-        return _fold((lambda x, p: -f(x, p)), c is not None)
-    if isinstance(e, Func):
-        f, c = _lower(e.arg)
-        op = _UNARY[e.name]
-        return _fold((lambda x, p: op(f(x, p))), c is not None)
-    if isinstance(e, Pow):
-        return _lower_pow(e)
-    if not isinstance(e, (Mul, *_BINARY)):
-        raise TypeError(f"cannot evaluate {e!r}")
-    fl, cl = _lower(e.left)
-    fr, cr = _lower(e.right)
-    if isinstance(e, Mul):                # the commonest node: product inlined
-        if cl is not None:
-            fn = lambda x, p: 0j + cl * fr(x, p)
-        elif cr is not None:
-            fn = lambda x, p: 0j + fl(x, p) * cr
-        else:
-            fn = lambda x, p: 0j + fl(x, p) * fr(x, p)
-    else:
-        op = _BINARY[type(e)]
-        if cl is not None:
-            fn = lambda x, p: op(cl, fr(x, p))
-        elif cr is not None:
-            fn = lambda x, p: op(fl(x, p), cr)
-        else:
-            fn = lambda x, p: op(fl(x, p), fr(x, p))
-    return _fold(fn, cl is not None and cr is not None)
+def _real_exponent(g: complex) -> float:
+    if g.imag != 0.0:
+        raise EvaluationSingularity(_COMPLEX_EXPONENT)
+    return g.real
 
 
-def _lower_pow(e: Pow):
-    fb, cb = _lower(e.left)
-    fg, cg = _lower(e.right)
-    if e.right.depends_on_x():
-        def fn(x, p):                    # b^g = exp(g ln b)
-            g = fg(x, p)
-            return cmath.exp(0j + g * cmath.log(_off_branch(fb(x, p), "ln")))
-        return fn, None
-    if cg is None:
-        def fn(x, p):
-            g = fg(x, p)
-            if g.imag != 0.0:
-                raise EvaluationSingularity(_COMPLEX_EXPONENT)
-            return _pow_real(fb(x, p), g.real)
-        return fn, None
-    if cg.imag != 0.0:
-        def fn(x, p):
-            raise EvaluationSingularity(_COMPLEX_EXPONENT)
-        return fn, None
-    alpha = cg.real
-    if alpha == 2.0:                     # _ipow(b, 2) unrolled
-        def fn(x, p):
-            b = fb(x, p)
-            return 0j + (1 + 0j) * (0j + b * b)
-    else:
-        fn = lambda x, p: _pow_real(fb(x, p), alpha)
-    return _fold(fn, cb is not None)
+def _mul(a: complex, b: complex) -> complex:
+    return 0j + a * b
 
 
-def _fold(fn, constant: bool):
-    if constant:
-        try:
-            v = fn(0j, _NO_PARAMS)
-        except Exception:                # raises again at evaluation time
-            return fn, None
-        return (lambda x, p: v), v
-    return fn, None
+def _sincos(v: complex) -> tuple:
+    return cmath.sin(v), cmath.cos(v)
 
 
-def constant_value(e: Expression) -> complex | None:
-    """The value `e` folds to when it is free of x and of parameters and
-    evaluates without error, else None."""
-    if e.depends_on_x() or e.params():
-        return None
-    return _lower(e)[1]
-
-
-# --------------------------------------------------------------------------
-# jet evaluation: the Taylor tape
-# --------------------------------------------------------------------------
-#
-# A list of ASTs is lowered once into a straight-line list of steps over
-# numbered registers (Jorba & Zou's `taylor`; Griewank & Walther, Evaluating
-# Derivatives, ch. 13).  A register holds a coefficient array when its
-# subtree depends on x and a complex number when it does not: a subtree
-# free of x is the value closure of `_lower`, folded to a constant when it
-# can be.  A number enters array arithmetic as a scalar -- a lead-coefficient
-# add or a scaled copy (`jets.series_scale` and its kin) -- never as a
-# convolution with a constant jet.
-# Subtrees with equal `_ast_key` share one register, and sin and cos of one
-# argument share one `series_trig` call.  The recurrences themselves are the
-# kernels of `jets`, as in the `Jet` methods, so the tape gives the tree
-# walk's `_eval` coefficients (zero signs past the lead aside); the steps run
-# in the walk's order, so the same error is raised first.
-
-
-# (array, array), (array, number), (number, array) kernels per binary node
+# value kernel, then the (array, array), (array, number) and (number, array)
+# jet kernels per binary node
 _BINARY_KERNELS = {
-    Add: (operator.add, jets.series_add_lead,
+    Add: (operator.add, operator.add, jets.series_add_lead,
           lambda c, v: jets.series_add_lead(v, c)),
-    Sub: (operator.sub, jets.series_sub_lead, jets.series_sub_from),
-    Mul: (jets.series_mul, jets.series_scale,
+    Sub: (operator.sub, operator.sub, jets.series_sub_lead,
+          jets.series_sub_from),
+    Mul: (_mul, jets.series_mul, jets.series_scale,
           lambda c, v: jets.series_scale(v, c)),
-    Div: (jets.series_div,
+    Div: (_div, jets.series_div,
           lambda v, c: jets.series_div(v, jets.series_const(c, v.size)),
           lambda c, v: jets.series_div(jets.series_const(c, v.size), v)),
 }
 
-_FUNC_KERNELS = {"exp": jets.series_exp, "ln": jets.series_ln,
-                 "sqrt": jets.series_sqrt}
+# value kernel, jet kernel
+_FUNC_KERNELS = {
+    "exp": (cmath.exp, jets.series_exp),
+    "ln": (lambda v: cmath.log(_off_branch(v, "ln")), jets.series_ln),
+    "sqrt": (lambda v: cmath.sqrt(_off_branch(v, "sqrt")), jets.series_sqrt),
+}
 
 
 def _step1(fn, out: int, a: int):
@@ -756,21 +677,33 @@ def _step2(fn, out: int, a: int, b: int):
     return step
 
 
-class JetTape:
-    """Jets of a list of expressions from one compiled Taylor tape.
+def _step_pair(fn, out: int, a: int):
+    def step(r, x, n, p):
+        r[out], r[out + 1] = fn(r[a])
+    return step
 
-    `tape(x0, order, params)` returns one `Jet` per expression and raises
+
+class JetTape:
+    """Values and jets of a list of expressions from one compiled tape.
+
+    `tape(x0, order, params)` returns one `Jet` per expression and
+    `tape.values(x0, params)` one complex value per expression; both raise
     EvaluationSingularity where `eval_expr_jet` does.  The tape holds no
     parameter values; they are read at every call.
     """
 
     def __init__(self, exprs):
-        self._steps: list = []
+        self._values: list = []        # the value program
+        self._steps: list = []         # the jet program, step for step
         self._init: list = []          # folded constants; None: computed
-        self._series: list = []        # register holds an array?
-        self._memo: dict = {}          # _ast_key -> register, while compiling
+        self._series: list = []        # register holds an array in jets?
+        self._memo: dict = {}          # exact _ast_key -> register
         self._outs = [self._node(e) for e in exprs]
         del self._memo
+        # the output registers: a tuple, or a one-item list for one expression
+        i = self._outs[0]
+        self._pick = operator.itemgetter(
+            *self._outs if len(self._outs) > 1 else [slice(i, i + 1)])
 
     def __call__(self, x0: float, order: int,
                  params: Mapping[str, complex] | None = None) -> list:
@@ -790,6 +723,23 @@ class JetTape:
         return [Jet._raw(x0, r[i] if series[i] else jets.series_const(r[i], n))
                 for i in self._outs]
 
+    def values(self, x0: float,
+               params: Mapping[str, complex] | None = None) -> Sequence:
+        return self._pick(self._run_values(x0, params))
+
+    def _run_values(self, x0: float, params) -> list:
+        """The registers after the value program has run at x0."""
+        x = complex(float(x0))
+        p = params or _NO_PARAMS
+        r = list(self._init)
+        try:
+            for step in self._values:
+                step(r, x, 1, p)
+        except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
+            raise EvaluationSingularity(
+                f"expression singular at x = {x0}: {exc}") from exc
+        return r
+
     # -- compilation -------------------------------------------------------
 
     def _register(self, series: bool, value=None) -> int:
@@ -797,78 +747,94 @@ class JetTape:
         self._series.append(series)
         return len(self._init) - 1
 
-    def _emit(self, make, fn, *args) -> int:
-        out = self._register(True)
-        self._steps.append(make(fn, out, *args))
+    def _append(self, value_step, jet_step) -> None:
+        self._values.append(value_step)
+        self._steps.append(jet_step)
+
+    def _emit(self, make, value, jet, *args, width: int = 1) -> int:
+        """First of the `width` registers of one instruction on the
+        registers `args`: `value` is its value kernel and `jet` its jet
+        kernel, run in the jet program when an argument holds an array."""
+        series = any(self._series[a] for a in args)
+        out = len(self._init)
+        for _ in range(width):
+            self._register(series)
+        step = make(value, out, *args)
+        if all(self._init[a] is not None for a in args):
+            r = list(self._init)
+            try:
+                step(r, 0j, 1, _NO_PARAMS)
+            except Exception:                # raises again at evaluation time
+                pass
+            else:
+                self._init[out:out + width] = r[out:out + width]
+                return out
+        self._append(step, make(jet, out, *args) if series else step)
         return out
 
     def _node(self, e: Expression) -> int:
-        key = _ast_key(e)
+        key = _ast_key(e, exact=True)
         got = self._memo.get(key)
         if got is None:
             got = self._memo[key] = self._compile(e)
         return got
 
     def _compile(self, e: Expression) -> int:
-        if not e.depends_on_x():
-            fn, value = _lower(e)
-            if value is not None:
-                return self._register(False, value)
-            out = self._register(False)
-
-            def number(r, x, n, p):
-                r[out] = fn(0j, p)
-            self._steps.append(number)
-            return out
+        if isinstance(e, Const):
+            return self._register(False, complex(e.value))
         if isinstance(e, Var):
             out = self._register(True)
 
-            def variable(r, x, n, p):
+            def value(r, x, n, p):
+                r[out] = x
+
+            def jet(r, x, n, p):
                 r[out] = jets.series_variable(x, n)
-            self._steps.append(variable)
+            self._append(value, jet)
+            return out
+        if isinstance(e, Param):
+            out, name = self._register(False), e.name
+
+            def param(r, x, n, p):
+                try:
+                    r[out] = complex(p[name])
+                except KeyError:
+                    raise UnboundParameter(
+                        f"parameter {name!r} not bound") from None
+            self._append(param, param)
             return out
         if isinstance(e, Neg):
-            return self._emit(_step1, operator.neg, self._node(e.arg))
+            return self._emit(_step1, operator.neg, operator.neg,
+                              self._node(e.arg))
         if isinstance(e, Func):
             if e.name in ("sin", "cos"):
-                return self._trig(e.arg)[e.name == "cos"]
-            return self._emit(_step1, _FUNC_KERNELS[e.name],
+                return self._trig(e.arg) + (e.name == "cos")
+            return self._emit(_step1, *_FUNC_KERNELS[e.name],
                               self._node(e.arg))
         if isinstance(e, Pow):
             return self._pow(e)
         a, b = self._node(e.left), self._node(e.right)
-        vv, vs, sv = _BINARY_KERNELS[type(e)]
+        value, vv, vs, sv = _BINARY_KERNELS[type(e)]
         if self._series[a]:
-            return self._emit(_step2, vv if self._series[b] else vs, a, b)
-        return self._emit(_step2, sv, a, b)
+            return self._emit(_step2, value, vv if self._series[b] else vs,
+                              a, b)
+        return self._emit(_step2, value, sv, a, b)
 
-    def _trig(self, arg: Expression) -> tuple:
-        key = ("trig", _ast_key(arg))
+    def _trig(self, arg: Expression) -> int:
+        """Register of sin(arg); cos(arg) is the next one."""
+        key = ("trig", _ast_key(arg, exact=True))
         got = self._memo.get(key)
         if got is None:
-            a = self._node(arg)
-            s, c = self._register(True), self._register(True)
-
-            def trig(r, x, n, p):
-                r[s], r[c] = jets.series_trig(r[a])
-            self._steps.append(trig)
-            got = self._memo[key] = (s, c)
+            got = self._memo[key] = self._emit(
+                _step_pair, _sincos, jets.series_trig, self._node(arg),
+                width=2)
         return got
 
     def _pow(self, e: Pow) -> int:
         if e.right.depends_on_x():          # b^g = exp(g ln b)
             return self._node(Func("exp", Mul(e.right, Func("ln", e.left))))
         # the exponent is checked before the base is evaluated, as in _eval
-        g = self._node(e.right)
-        alpha = self._init[g]
-        if alpha is None or alpha.imag != 0.0:
-            def check(r, x, n, p):
-                if r[g].imag != 0.0:
-                    raise EvaluationSingularity(_COMPLEX_EXPONENT)
-            self._steps.append(check)
+        alpha = self._emit(_step1, _real_exponent, None, self._node(e.right))
         b = self._node(e.left)
-        if alpha is None:
-            return self._emit(_step2, lambda v, a: jets.series_pow(v, a.real),
-                              b, g)
-        real = alpha.real
-        return self._emit(_step1, lambda v: jets.series_pow(v, real), b)
+        value = _square if self._init[alpha] == 2.0 else _pow_real
+        return self._emit(_step2, value, jets.series_pow, b, alpha)

@@ -93,18 +93,21 @@ class ReducedProblem:
 
     # -- evaluators -------------------------------------------------------
 
-    def G_value(self, x: float) -> np.ndarray:
-        p = self.params
-        return np.array([eval_expr(e, x, p) for row in self.G for e in row],
-                        dtype=complex).reshape(self.n, self.n)
-
-    def G_jet(self, x: float, order: int) -> list:
-        """Jets of the n x n entries from one tape over all of them."""
+    def _tape(self) -> JetTape:
+        """One tape over all n x n entries of G, compiled on first use."""
         tape = self.__dict__.get("_G_tape")
         if tape is None:
             tape = JetTape([e for row in self.G for e in row])
             object.__setattr__(self, "_G_tape", tape)
-        flat = tape(x, order, self.params)
+        return tape
+
+    def G_value(self, x: float) -> np.ndarray:
+        return np.array(self._tape().values(x, self.params),
+                        dtype=complex).reshape(self.n, self.n)
+
+    def G_jet(self, x: float, order: int) -> list:
+        """Jets of the n x n entries from the tape over all of them."""
+        flat = self._tape()(x, order, self.params)
         n = self.n
         return [flat[i * n:(i + 1) * n] for i in range(n)]
 

@@ -144,7 +144,10 @@ def reference_integrate(R_eval: Callable[[float], np.ndarray], x_start: float,
         raise EvaluationSingularity(
             f"non-finite R, u0 or du0 at x_start = {x_start}")
 
+    last = [x_start]            # the latest x at which R was evaluated
+
     def rhs(x, y):
+        last[0] = x
         return np.concatenate([y[n:], -(np.atleast_2d(R_eval(x)) @ y[:n])])
 
     # t_eval must be strictly monotone along the integration; samples are
@@ -159,6 +162,11 @@ def reference_integrate(R_eval: Callable[[float], np.ndarray], x_start: float,
                         rtol=tol, atol=tol * 1e-2,
                         t_eval=xs if forward else xs[::-1])
         if not sol.success:
+            # a step that met a NaN or inf in R is rejected and shrunk
+            # until it underflows; its last stage is where R failed
+            if not np.all(np.isfinite(R_eval(last[0]))):
+                raise EvaluationSingularity(
+                    f"non-finite R at x = {last[0]}: {sol.message}")
             raise StepSizeUnderflow(
                 f"reference integration failed: {sol.message}")
         # sol.y is an empty list when no point was asked for

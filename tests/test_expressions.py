@@ -413,6 +413,9 @@ class TestJetTape:
         lo, hi = prob.domain
         for x in np.linspace(lo, hi, 7)[1:-1]:
             x = float(x)
+            walked = [[_walk(e, x, 0, prob.params).value for e in row]
+                      for row in prob.G]
+            assert np.array_equal(prob.G_value(x), walked)
             for order in (0, 6, 14):
                 got = prob.G_jet(x, order)
                 for i, row in enumerate(prob.G):
@@ -433,6 +436,47 @@ class TestJetTape:
             parse_expr("1 + x*x"), 0.7, 5).coeffs, atol=1e-15)
         assert_allclose(two.coeffs, _walk(parse_expr("x*x - sin(x)"), 0.7, 5,
                                           {}).coeffs, rtol=0, atol=0)
+
+    def test_G_value_runs_one_shared_program(self):
+        # sin x and cos x: one trig step; (x - 1)*cos(x)*sin(x): one chain
+        # of steps, which G12 and G21 share
+        prob = _problem("fulling-pos")
+        prob.G_value(2.0)
+        tape = vars(prob)["_G_tape"]
+        # x, (sin, cos), cos^2, x*cos^2, sin^2, +, - 0, x - 1, *cos, *sin,
+        # x*sin^2, +, - 0
+        assert len(tape._values) == len(tape._steps) == 13
+        assert np.array_equal(prob.G_value(2.0),
+                              np.reshape(tape.values(2.0), (2, 2)))
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(es=st.lists(_asts, min_size=1, max_size=4), x=_points,
+           params=_params)
+    def test_random_ast_lists_share_one_value_program(self, es, x, params):
+        tape = JetTape(es)
+        assert len(tape._values) == len(tape._steps)
+        got = _outcome(lambda: tape.values(x, params))
+        want = [_outcome(lambda e=e: _walk(e, x, 0, params).value)
+                for e in es]
+        raised = [w for w in want if w[0] == "raises"]
+        if raised:      # the class the first raising expression raises
+            assert got == raised[0], ([to_string(e) for e in es], x, got)
+        else:
+            assert got[0] == "value" and len(got[1]) == len(es)
+            assert all(_same_value(g, w[1]) for g, w in zip(got[1], want)), \
+                ([to_string(e) for e in es], x, got, want)
+
+    def test_signed_zero_constants_are_not_shared(self):
+        # 0.0 == -0.0 as AST constants, but at x = -0 the sums x + 0 and
+        # x + (-0) differ in the sign of zero: each keeps its own register
+        es = [Const(0.0), Const(-0.0), Add(Var(), Const(0.0)),
+              Add(Var(), Const(-0.0))]
+        tape = JetTape(es)
+        for e, v, j in zip(es, tape.values(-0.0), tape(-0.0, 2)):
+            want = _walk(e, -0.0, 2, {}).coeffs
+            assert np.asarray(v).tobytes() == want[:1].tobytes()
+            assert j.coeffs.tobytes() == want.tobytes()
 
     def test_parameters_are_read_at_every_call(self):
         e = parse_expr("k*x^2 + exp(k)/x")

@@ -179,11 +179,18 @@ class TestJsonRoundTrip:
 
 
 class TestPickle:
-    def test_evaluated_problem_pickles(self, bec):
-        # eval_expr caches a compiled closure on each expression; the cache
+    def test_evaluated_problem_pickles(self):
+        # G_value runs the tape over all entries of G that it caches on the
+        # problem (and eval_expr caches tapes on expressions): the caches
         # must stay out of the pickled state
+        spec, lam, a = load_problem(example_problem("bec-vortex"))
+        bec = split_R(spec, lam, a)
         before = bec.G_value(55.0)
+        bec.a_value(55.0)
+        assert "_G_tape" in vars(bec)
+        assert "_G_tape" not in bec.__getstate__()
         again = pickle.loads(pickle.dumps(bec))
+        assert "_G_tape" not in vars(again) and again == bec
         assert again.G == bec.G
         assert again.G_value(55.0).tobytes() == before.tobytes()
 

@@ -222,6 +222,18 @@ class TestReferenceIntegrate:
         with pytest.raises(EvaluationSingularity, match="x_start = 0.5"):
             V.reference_integrate(r_eval, 0.5, [u0], [du0], 2.0)
 
+    def test_non_finite_R_on_path_names_x(self):
+        # R turns NaN past x = 1: the rejected steps shrink until they
+        # underflow, and the error names a point where R was not finite
+        def r_eval(x):
+            return np.array([[1.0 if x <= 1.0 else math.nan]])
+
+        with np.errstate(all="ignore"), pytest.raises(
+                EvaluationSingularity, match="non-finite R at x = ") as info:
+            V.reference_integrate(r_eval, 0.0, [1.0], [0.0], 2.0, tol=1e-10)
+        x_bad = float(str(info.value).split("x = ")[1].split(":")[0])
+        assert 1.0 < x_bad <= 2.0
+
     def test_pole_on_path_underflows(self):
         with np.errstate(all="ignore"), pytest.raises(StepSizeUnderflow):
             V.reference_integrate(lambda x: np.array([[1.0 / (x - 1.0)**3]]),
