@@ -5,7 +5,8 @@ phase and the wave phase are indefinite integrals anchored at a
 user-chosen point (integration constant 0 there).  Their integrands are
 available as Taylor jets, so :class:`JetChainIntegral` integrates them with
 the two-point Hermite (Obreshkov) rule on the endpoint jets and keeps one
-partial sum per rung of a fixed ladder, so a value depends on x alone.
+partial sum per rung of a fixed quarter-unit ladder, so a value depends on
+x alone.
 
 :func:`quad` (adaptive Gauss-Kronrod) and :class:`CumulativeIntegral`
 integrate plain values; no path of the library calls them.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-_STEP = 0.0625      # ladder spacing of JetChainIntegral
+_STEP = 0.25        # ladder spacing of JetChainIntegral
 _MIN_STEP = 1e-9    # narrowest panel before JetChainIntegral gives up
 
 # 15-point Kronrod nodes (positive half) and weights, with the embedded
@@ -121,12 +122,14 @@ class JetChainIntegral:
     estimates the error and triggers bisection, so the panel count follows
     from the tolerance.
 
-    The rungs anchor + j/16 are marched outward from the anchor, one panel
-    each; rung j keeps its partial sum and the largest |partial sum| from
-    the anchor to it, the scale its next panel is judged against.  Off the
-    ladder, the value is rung j's sum plus one panel to x judged against
-    rung j's scale, j the rung before x toward the anchor.  A value thus
-    depends on x alone, and the memo on the interval walked.
+    The rungs anchor + j/4 are marched outward from the anchor, one panel
+    each (bisected as the tolerance asks); rung j keeps its partial sum and
+    the largest |partial sum| from the anchor to it, the scale its next
+    panel is judged against.  A first panel from the anchor, with no sum
+    yet, is judged against h max(|f(a)|, |f(b)|).  Off the ladder, the
+    value is rung j's sum plus one panel to x judged against rung j's
+    scale, j the rung before x toward the anchor.  A value thus depends on
+    x alone, and the memo on the interval walked.
     """
 
     def __init__(self, f_jet_at: Callable[[float], "object"], anchor: float,
@@ -149,6 +152,10 @@ class JetChainIntegral:
         w, dw, signs = _hermite_weights(n)
         ca = fa.coeffs[:n + 1]
         cb = fb.coeffs[:n + 1]
+        if scale == 0.0:
+            # a first panel from the anchor has no partial sum to be judged
+            # against; its own value may vanish with the integrand there
+            scale = abs(h) * max(abs(ca[0]), abs(cb[0]))
         terms = (h ** np.arange(n + 1)) * (ca + signs * cb)
         val = h * complex(np.dot(w, terms))
         if n:

@@ -160,8 +160,11 @@ class CorrectionEngine:
     so grids and quadrature nodes share work.
 
     Internally every order-m quantity is carried as a jet of order
-    K - m with K = 2 m_max + 2; each recurrence level consumes at most
-    two derivatives, leaving order >= 2 at the top for wave assembly.
+    K - m with K = max(2 m_max + 2, 6); each recurrence level consumes at
+    most two derivatives, leaving order >= 2 at the top for wave assembly.
+    The floor of 6 keeps the phase and c_par integrands of m_max 0 and 1
+    at jet order >= 4, whose panels span the integrals' quarter-unit
+    ladder with few bisections.
     """
 
     def __init__(self, prob: ReducedProblem, branch: BranchField,
@@ -187,7 +190,7 @@ class CorrectionEngine:
         self.variant = variant
         self.m_max = int(m_max)
         self.anchor = float(anchor if anchor is not None else branch.anchor)
-        self.K = 2 * self.m_max + 2
+        self.K = max(2 * self.m_max + 2, 6)
         self.sgn = +1.0 if variant == "fulling_current" else -1.0
         self._points: dict[float, _Point] = {}
         # (m, i) -> anchored integral of coordinate i of s_m: along s0 for
@@ -397,7 +400,9 @@ class CorrectionEngine:
         if cum is None:
             kf = max(self.K - m - 1, 0)
             # the degenerate coordinates feed a 1e-6 compatibility check; a
-            # looser tolerance keeps their low-order panels from over-bisecting
+            # looser tolerance bounds their bisection where the cluster's
+            # plane turns, since there the basis jets are not the
+            # derivatives of the continued basis values
             tol = {} if i == 0 else {"rtol": 1e-9, "atol": 1e-12}
             cum = self._coords[(m, i)] = JetChainIntegral(
                 lambda t: self._integrand(self._point(t, m, staged=True),

@@ -105,6 +105,22 @@ def test_jet_chain_off_ladder_queries_run_in_flat_memory():
     assert after - before <= 32 * 1024, (before, after)
 
 
+def test_jet_chain_zero_scale_start():
+    # sin vanishes at the anchor: the first panel is judged against the
+    # integrand's magnitude over it, not against its own vanishing value,
+    # which bisected toward the anchor for 217431 evaluations
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return jet_sin(jet_variable(t, 0))
+
+    chain = JetChainIntegral(f, 0.0, rtol=1e-5)
+    want = 1 - math.cos(3.0)
+    assert abs(chain.value(3.0) - want) <= chain.rtol * want
+    assert len(calls) < 5000, len(calls)
+
+
 def test_jet_chain_low_order_bisects_to_tolerance():
     chain = JetChainIntegral(lambda t: jet_sin(jet_variable(t, 2)), 0.0,
                              rtol=1e-10)
@@ -222,9 +238,9 @@ class TestAgainstMpmath:
                 out.append(complex(acc))
         return out
 
-    def _check(self, cum):
-        want = self._mp_cumulative(cum, self.XS)
-        got = [cum.value(x) for x in self.XS]
+    def _check(self, cum, xs=XS):
+        want = self._mp_cumulative(cum, xs)
+        got = [cum.value(x) for x in xs]
         assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
     @pytest.mark.parametrize("m_max", range(4))
@@ -246,23 +262,50 @@ class TestAgainstMpmath:
         for m in (1, 2, 3):     # c_2's integrand vanishes identically here
             self._check(engine._coords[(m, 0)])
 
+    def test_parallel_coefficient_at_raised_order(self, fex1):
+        # m_max 1 carries order-6 jets where 2 m_max + 2 would give 4
+        engine = _fulling_waves(fex1, 1, signs=(+1,))
+        assert engine.K == 6
+        self._check(engine._coords[(1, 0)])
+
+    def test_kato_phase(self):
+        from test_spectral import _complex_pair_rows, _hermitian
+        fld = BranchField(_hermitian(_complex_pair_rows()), 0, "kato", None,
+                          anchor=2.45)
+        self._check(fld._theta1, (2.1, 2.8))
+
+    def test_degenerate_coordinates(self, deg3):
+        fld = BranchField(deg3, 0, "normalized", None, anchor=2.0)
+        engine = CorrectionEngine(deg3, fld, "fulling_current", 2, 2.0)
+        assemble_vector_wave(engine, +1, [2.0, 2.5, 2.9], 2.0, 0.1)
+        for m in (1, 2):
+            self._check(engine._coords[(m, 1)], (1.4, 2.9))
+
 
 def test_fulling_wave_panel_counts(fex1, monkeypatch):
-    # Panels (bisections included) per m_max, both signs, one engine each.
-    # The forward/backward mean took 1404, 1672, 293 and 632.
+    # Panels (bisections included) and base points per m_max, both signs,
+    # one engine each.  The forward/backward mean took 1404, 1672, 293 and
+    # 632 panels; a 1/16 ladder built 62, 124, 49 and 49 points.
     before = [1404, 1672, 293, 632]
-    calls = [0]
-    panel = JetChainIntegral._panel
+    calls = {"_panel": 0, "_base_point": 0}
 
-    def counted(self, *args, **kwargs):
-        calls[0] += 1
-        return panel(self, *args, **kwargs)
+    def counting(cls, name):
+        method = getattr(cls, name)
 
-    monkeypatch.setattr(JetChainIntegral, "_panel", counted)
-    counts = []
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(JetChainIntegral, "_panel")
+    counting(CorrectionEngine, "_base_point")
+    counts, points = [], []
     for m_max in range(4):
-        calls[0] = 0
+        calls.update(_panel=0, _base_point=0)
         _fulling_waves(fex1, m_max)
-        counts.append(calls[0])
+        counts.append(calls["_panel"])
+        points.append(calls["_base_point"])
     assert all(c < b for c, b in zip(counts, before)), counts
     assert sum(counts) <= sum(before) // 2, counts
+    assert sum(counts) <= 250, counts
+    assert all(p <= 20 for p in points), points
