@@ -132,12 +132,9 @@ def _grid(args, prob):
 def _branch_rank(prob, spec_name, x_ref):
     """Map 'lower'/'upper' (by |Q|) or an integer rank to a rank index."""
     if spec_name in ("lower", "upper"):
-        vals = np.linalg.eigvals(prob.G_value(x_ref))
-        vals = vals[np.lexsort((vals.imag, vals.real))]
-        absq = np.abs(np.sqrt(vals.astype(complex)))
-        rank = int(np.argmin(absq)) if spec_name == "lower" \
-            else int(np.argmax(absq))
-        return rank
+        absq = [abs(np.sqrt(BranchField(prob, r).qsq_value(x_ref)))
+                for r in range(prob.n)]
+        return absq.index((min if spec_name == "lower" else max)(absq))
     try:
         rank = int(spec_name)
     except ValueError:

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _ZERO = Const(0.0)
+_POLE_SCAN = 257        # points probed for a singular a_j(x)
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,7 @@ class ReducedProblem:
                               self.domain, self.hermitian_hint)
 
 
-def reduce_first_derivative(spec: ProblemSpec,
-                            pole_scan: int = 257) -> ProblemSpec:
+def reduce_first_derivative(spec: ProblemSpec) -> ProblemSpec:
     """Eliminate a_j(x) u_j' terms; returns an equivalent reduced spec.
 
     The new diagonal is R_jj = Rbar_jj - (a_j**2/2 + a_j')/2 and the
@@ -142,7 +142,7 @@ def reduce_first_derivative(spec: ProblemSpec,
         return spec
     lo, hi = spec.domain
     for a_j in spec.first_derivative:
-        for x in np.linspace(lo, hi, pole_scan)[1:-1]:
+        for x in np.linspace(lo, hi, _POLE_SCAN)[1:-1]:
             try:
                 eval_expr(a_j, float(x), spec.params)
             except EvaluationSingularity as exc:

@@ -14,9 +14,10 @@ raw gauge.  The coupled recurrence then is the scalar one.
 For 2x2 systems they are closed form: the characteristic equation is
 quadratic, Q**2 = (G11 + G22 -/+ sqrt(D))/2 with the discriminant
 D = (G11 - G22)**2 + 4 G12 G21, and P = (G - mu I)/(Q**2 - mu) with mu the
-other eigenvalue.  Branches are identified by the rank of the eigenvalue in
-a crossing-free interval, so the square-root sign is re-derived at every
-point instead of being carried around.
+other eigenvalue.  The rank signs sqrt(D) itself, by real then imaginary
+part, so a complex-conjugate pair is ordered by imaginary part and no
+second eigen-solve is needed; as D = (Q**2 - mu)**2, |D| <= tol**2 is the
+crossing test of the cluster tolerance tol.
 
 For N > 2 the jets are exact too: P is expanded order by order from the
 jet of G by Kato's reduction process, and Q**2 = tr(G P)/d.
@@ -109,9 +110,22 @@ class ComplementBasis:
     vectors: tuple            # (N - d) tuples of N jets
 
 
-def _crossing_guard(delta_val: complex, g_val: np.ndarray) -> bool:
-    scale = 1.0 + np.vdot(g_val, g_val).real        # 1 + sum |g_ij|^2
-    return abs(delta_val) < 1e-8 * scale
+def _cluster_tol(g: np.ndarray) -> float:
+    """The one crossing tolerance at G(x) = g (see `BranchField._members`)."""
+    return math.sqrt(1e-8 * (1.0 + np.vdot(g, g).real))
+
+
+def _discriminant(g):
+    """(tr G, D) of a 2x2 G of values or jets: roots (tr G -/+ sqrt(D))/2."""
+    (g00, g01), (g10, g11) = g
+    diff = g00 - g11
+    return g00 + g11, diff * diff + 4.0 * (g01 * g10)
+
+
+def _upper(root: complex) -> bool:
+    """Is (tr G + root)/2 the upper root?  Ranks go by real part, then by
+    imaginary part, so it is when (Re root, Im root) > (0, 0)."""
+    return (root.real, root.imag) > (0.0, 0.0)
 
 
 def schwartzian(qsq: Jet) -> complex:
@@ -159,8 +173,9 @@ def epsilon0(branch: EigenBranch, a: Expression, x0: float, order: int,
 class BranchField:
     """Continuous access to one eigenvalue branch of G(x).
 
-    `rank` orders eigenvalues ascending by real part (then imaginary part)
-    in a crossing-free interval.  `q_sign` selects the overall sign of
+    `rank` orders eigenvalues ascending by real part, then by imaginary
+    part (N = 2: `_upper`), in an interval free of crossings, the gaps
+    within `_cluster_tol`.  `q_sign` selects the overall sign of
     Q = sqrt(Q**2) used by the double-valued odd-order machinery; +1 is
     the convention closed-form results are quoted in (Q = |Q| for positive
     eigenvalues, Q = -i|Q| for negative ones).
@@ -213,7 +228,13 @@ class BranchField:
     # -- eigenvalue -------------------------------------------------------
 
     def _ranked_values(self, x: float) -> np.ndarray:
-        vals = np.linalg.eigvals(self._g_value(x))
+        g = self._g_value(x)
+        if self.n == 2:         # the closed form's roots, ranked by _upper
+            tr, delta = _discriminant(g.tolist())
+            root = cmath.sqrt(delta)
+            root = root if _upper(root) else -root
+            return np.array([tr - root, tr + root]) * 0.5
+        vals = np.linalg.eigvals(g)
         return vals[np.lexsort((vals.imag, vals.real))]
 
     def qsq_value(self, x: float) -> complex:
@@ -232,18 +253,6 @@ class BranchField:
         `_is_scalar_matrix`), so it holds on the whole domain or nowhere.
         """
         return self._scalar_matrix
-
-    def _guard_crossing(self, x: float, delta: complex):
-        if _crossing_guard(delta, self._g_value(x)):
-            raise CrossingPoint(
-                f"eigenvalues cross within guard radius at x = {x}")
-
-    def _root_matches(self, x: float, tr: complex, root: complex) -> bool:
-        """Does (tr + root)/2, rather than (tr - root)/2, land on this branch?"""
-        target = self.qsq_value(x)
-        plus = 0.5 * (tr + root)
-        minus = 0.5 * (tr - root)
-        return abs(plus - target) <= abs(minus - target)
 
     # -- Q = sqrt(Q^2), upper-sign convention -------------------------------
 
@@ -305,19 +314,14 @@ class BranchField:
         off-diagonal entry: (G12, Q^2 - G11)/sqrt(D) or
         (Q^2 - G22, G21)/sqrt(D), so that e/e_1 = {1, (Q^2 - G11)/G12}.
         """
+        proj = self._eigen_jets(x, order)[1]    # refuses a crossing first
         g = self._g_value(x)
         g12, g21 = abs(g[0, 1]), abs(g[1, 0])
-        scale = 1.0 + max(g12, g21)
-        if g12 >= g21 and g12 > 1e-13 * scale:
-            lead = 0
-        elif g21 > 1e-13 * scale:
-            lead = 1
-        elif abs(g[0, 0] - g[1, 1]) > 1e-13 * scale:
+        if max(g12, g21) <= 1e-13 * (1.0 + max(g12, g21)):
             raise DegenerateParameterization(
                 f"both off-diagonal entries vanish at x = {x}")
-        else:
-            raise CrossingPoint(f"G is fully degenerate at x = {x}")
-        e = self._eigen_jets(x, order)[1][:, :, 1 - lead]
+        lead = 0 if g12 >= g21 else 1
+        e = proj[:, :, 1 - lead]
         c = float(x)
         w = Jet._raw(c, e[:, 1 - lead]) / Jet._raw(c, e[:, lead])
         gg = eval_expr_jet(self.gauge_g, x, order, self.prob.params)
@@ -344,8 +348,14 @@ class BranchField:
         if got is not None:
             return got
         if 0 not in self._frames:
-            _, vecs, _, inside = self._cluster(self.anchor)
-            v = vecs[:, inside]          # unit columns from eigh / eig
+            if self.n == 2 and self._oblique:
+                # eig may order a conjugate pair by round-off; P does not
+                p = self._eigen_jets(self.anchor, 0)[1][0]
+                v = p[:, [np.argmax(np.linalg.norm(p, axis=0))]]
+                v /= np.linalg.norm(v)
+            else:
+                _, vecs, _, inside = self._cluster(self.anchor)
+                v = vecs[:, inside]      # unit columns from eigh / eig
             self._frames[0] = v * np.array([self._lead_phase(c)
                                             for c in v.T])
         # walk outward from the largest cached step on this side
@@ -424,12 +434,11 @@ class BranchField:
     def _members(self, vals: np.ndarray, x: float) -> np.ndarray:
         """Mask of this branch's cluster among the ranked eigenvalues at x.
 
-        Eigenvalues within sqrt(1e-8 (1 + sum |g|^2)) of this branch's form
-        its cluster; an eigenvalue outside the cluster that close to a
-        member is a crossing.
+        Eigenvalues within `_cluster_tol` of this branch's form its
+        cluster; an eigenvalue outside the cluster that close to a member
+        is a crossing.
         """
-        g = self._g_value(x)
-        tol = math.sqrt(1e-8 * (1.0 + np.vdot(g, g).real))
+        tol = _cluster_tol(self._g_value(x))
         inside = np.abs(vals - vals[self.rank]) <= tol
         gaps = np.abs(vals[inside][:, None] - vals[~inside][None, :])
         if gaps.size and gaps.min() <= tol:
@@ -482,12 +491,13 @@ class BranchField:
             g = self._g_jet(x, order)
             sqrt, value = jet_sqrt, (lambda v: v.value)
         (g00, g01), (g10, g11) = g
-        tr = g00 + g11
-        diff = g00 - g11
-        delta = diff * diff + 4.0 * (g01 * g10)
-        self._guard_crossing(x, value(delta))
+        tr, delta = _discriminant(g)
+        # D = (Q**2 - mu)**2: `_members`'s test, before sqrt's branch point
+        if abs(value(delta)) <= _cluster_tol(self._g_value(x)) ** 2:
+            raise CrossingPoint(
+                f"eigenvalues cross within guard radius at x = {x}")
         root = sqrt(delta)
-        if not self._root_matches(x, value(tr), value(root)):
+        if _upper(value(root)) != (self.rank == 1):
             root = -root
         qsq = (tr + root) * 0.5
         inv = 1.0 / root
@@ -667,22 +677,14 @@ def _guard_breakdown(norm_sq: complex, x: float):
 def eigen_n2_closed_form(prob: ReducedProblem, x0: float, order: int,
                          sign: int = +1, gauge_g: Expression | None = None,
                          anchor: float | None = None) -> EigenBranch:
-    """Closed-form branch for N = 2; `sign`=+1 picks (tr - sqrt(D))/2."""
+    """Closed-form N = 2 branch: `sign` = +1 the lower root, -1 the upper."""
     if prob.n != 2:
         raise ValueError("eigen_n2_closed_form requires N = 2")
-    g = prob.G_value(x0)
-    tr = g[0, 0] + g[1, 1]
-    delta = (g[0, 0] - g[1, 1]) ** 2 + 4.0 * g[0, 1] * g[1, 0]
-    if _crossing_guard(delta, g):
-        raise CrossingPoint(f"discriminant within guard radius at x = {x0}")
-    root = np.sqrt(delta)
-    target = 0.5 * (tr - root) if sign > 0 else 0.5 * (tr + root)
-    vals = np.linalg.eigvals(g)
-    vals = vals[np.lexsort((vals.imag, vals.real))]
-    rank = int(np.argmin(np.abs(vals - target)))
     gauge = "raw" if gauge_g is not None else "normalized"
-    field = BranchField(prob, rank, gauge, gauge_g,
+    field = BranchField(prob, 0 if sign > 0 else 1, gauge, gauge_g,
                         anchor if anchor is not None else x0)
+    if field._scalar_matrix:                # G = c(x) I: D vanishes
+        raise CrossingPoint(f"discriminant within guard radius at x = {x0}")
     return field.branch(x0, order)
 
 

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _DRIFT_FLOOR = 1e-14
+_SCAN_POINTS = 801      # crossing scan grid of `crossing_diagnostics`
 
 
 @dataclass
@@ -218,8 +219,7 @@ def _eigen_gaps(prob: ReducedProblem, xs) -> np.ndarray:
     return np.abs(np.diff(vals, axis=-1)).min(axis=-1)
 
 
-def crossing_diagnostics(prob: ReducedProblem, lo: float, hi: float,
-                         scan_points: int = 801) -> list:
+def crossing_diagnostics(prob: ReducedProblem, lo: float, hi: float) -> list:
     """Crossing points of the eigenvalues of G with local exponents.
 
     Scans the minimal eigenvalue gap, refines each local minimum, and
@@ -229,7 +229,7 @@ def crossing_diagnostics(prob: ReducedProblem, lo: float, hi: float,
     def gap(x: float) -> float:
         return float(_eigen_gaps(prob, [x])[0])
 
-    xs = np.linspace(lo, hi, scan_points)
+    xs = np.linspace(lo, hi, _SCAN_POINTS)
     gaps = _eigen_gaps(prob, xs)
     scale = max(1.0, float(np.median(gaps)))
     out = []

@@ -17,6 +17,7 @@ from phaseintegral.spectral import (
     BranchField, eigen_n2_closed_form, eigen_track, epsilon0, kato_gauge,
     schwartzian,
 )
+from phaseintegral.vector import CorrectionEngine
 
 ZERO = parse_expr("0")
 
@@ -727,3 +728,99 @@ class TestFieldMemory:
         finally:
             tracemalloc.stop()
         assert long - short <= 32 * 1024, (short, long)
+
+
+def _conjugate_pair():
+    """G = [[0, 1], [-x, 0]]: the complex-conjugate pair +-i sqrt(x), whose
+    real parts LAPACK returns as 0 and round-off in no fixed order."""
+    return _reduced([["0", "1"], ["-x", "0"]], "general")
+
+
+def _lapack_ranked(g):
+    """The two eigenvalues of g by LAPACK, ranked by real part with ties
+    within 1e-12 of the scale broken by imaginary part."""
+    a, b = np.linalg.eigvals(g)
+    scale = max(abs(a), abs(b))
+    if abs(a.real - b.real) <= 1e-12 * scale:
+        swap = a.imag > b.imag
+    else:
+        swap = a.real > b.real
+    return (b, a) if swap else (a, b)
+
+
+class TestRankRule:
+    """For N = 2 the rank of a branch is read off the closed form's own
+    root; LAPACK serves only as the oracle here."""
+
+    @pytest.mark.parametrize("gauge", ["raw", "normalized"])
+    def test_conjugate_pair_is_never_swapped(self, gauge):
+        # rank 0 is -i sqrt(x) at every point, in the jets, the values and
+        # the engine alike
+        prob = _conjugate_pair()
+        fld = BranchField(prob, 0, gauge, None, anchor=1.0)
+        engine = CorrectionEngine(
+            prob, BranchField(prob, 0, gauge, None, anchor=1.0),
+            "non_hermitian", 2, 1.0)
+        for x in np.linspace(1.0, 3.0, 41):
+            x = float(x)
+            want = -1j * math.sqrt(x)
+            assert abs(fld.qsq_jet(x, 2).value - want) <= 1e-12, x
+            assert abs(fld.qsq_value(x) - want) <= 1e-12, x
+            assert abs(engine.at(x).Qsq.value - want) <= 1e-12, x
+
+    @pytest.mark.parametrize("name", [
+        "fex1", "fex3", "fex4", "bec", "complex-hermitian", "conjugate"])
+    def test_rank_rule_against_lapack(self, name, request):
+        if name == "complex-hermitian":     # Fex1 with phases exp(+-ix)
+            prob = _reduced([["x*cos(x)^2 + sin(x)^2",
+                              "(x - 1)*cos(x)*sin(x)*exp(i*x)"],
+                             ["(x - 1)*cos(x)*sin(x)*exp(-i*x)",
+                              "x*sin(x)^2 + cos(x)^2"]], "hermitian")
+        elif name == "conjugate":
+            prob = _conjugate_pair()
+        else:
+            prob = request.getfixturevalue(name)
+        fields = [BranchField(prob, r, "normalized", None) for r in (0, 1)]
+        checked = 0
+        for x in np.linspace(*prob.domain, 200):
+            x = float(x)
+            want = _lapack_ranked(prob.G_value(x))
+            if abs(want[1] - want[0]) <= 1e-3 * max(map(abs, want)):
+                continue                        # near a crossing
+            checked += 1
+            for fld, w in zip(fields, want):
+                assert abs(fld.qsq_jet(x, 0).value - w) <= 1e-12 * abs(w), x
+                assert abs(fld.qsq_value(x) - w) <= 1e-12 * abs(w), x
+        assert checked >= 195
+
+    @pytest.mark.parametrize("name, gauge, variant", [
+        ("fex1", "normalized", "fulling_current"),
+        ("fex4", "raw", "non_hermitian"),
+        ("conjugate", "normalized", "non_hermitian"),
+    ])
+    def test_a_point_makes_no_second_eigen_solve(self, name, gauge, variant,
+                                                 request, monkeypatch):
+        # the closed form ranks its own roots: building a point asks
+        # neither LAPACK's eigenvalues nor the ranked value of the branch
+        prob = (_conjugate_pair() if name == "conjugate"
+                else request.getfixturevalue(name))
+        engine = CorrectionEngine(
+            prob, BranchField(prob, 1, gauge, None, anchor=2.0), variant, 2,
+            2.0)
+        calls = {"eigvals": 0, "qsq_value": 0}
+        eigvals, qsq_value = np.linalg.eigvals, BranchField.qsq_value
+
+        def counted_eigvals(*args, **kwargs):
+            calls["eigvals"] += 1
+            return eigvals(*args, **kwargs)
+
+        def counted_qsq_value(self, x):
+            calls["qsq_value"] += 1
+            return qsq_value(self, x)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        monkeypatch.setattr(BranchField, "qsq_value", counted_qsq_value)
+        for x in (2.3, 2.45):
+            assert x not in engine._points
+            engine.at(x)
+        assert calls == {"eigvals": 0, "qsq_value": 0}
