@@ -271,7 +271,8 @@ def series_variable(x: float, n: int) -> np.ndarray:
 
 
 def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)[: a.size]
+    # a copy, so that a kept product does not hold the 2n - 1 buffer
+    return np.convolve(a, b)[: a.size].copy()
 
 
 @lru_cache(maxsize=None)
@@ -286,6 +287,18 @@ def series_matrix(c: np.ndarray) -> np.ndarray:
     pad = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,), dtype=complex)
     pad[..., :-1] = c
     return pad[..., _lag_index(c.shape[-1])]
+
+
+def series_contract(coefs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """sum_t coefs[t] vecs[t] for (T, n) series and (T, N, n) vector series,
+    orders last: one (BLAS) matrix product with the coefficients' lag-index
+    Toeplitz blocks, equal to a sum of series_mul products to round-off."""
+    T, n = coefs.shape
+    pad = np.zeros((T, n + 1), dtype=complex)
+    pad[:, :-1] = coefs
+    lag = pad[:, _lag_index(n).T]          # [t, s, p] = coefs[t, p - s]
+    return (vecs.transpose(1, 0, 2).reshape(-1, T * n)
+            @ lag.reshape(T * n, n))
 
 
 # A number c with an array: the constant jet (c, 0, 0, ...) without the

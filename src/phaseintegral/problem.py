@@ -88,18 +88,21 @@ class ReducedProblem:
                     f"hermitian_hint=real_symmetric but G asymmetric at x={x}")
 
     def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_G_tape", None)      # compiled on first use, never pickled
-        return state
+        # the tapes are compiled on first use, never pickled
+        return {k: v for k, v in self.__dict__.items()
+                if not k.endswith("_tape")}
 
     # -- evaluators -------------------------------------------------------
 
-    def _tape(self) -> JetTape:
-        """One tape over all n x n entries of G, compiled on first use."""
-        tape = self.__dict__.get("_G_tape")
+    def _tape(self, with_a: bool = False) -> JetTape:
+        """One tape over all n x n entries of G, and a after them for R,
+        compiled on first use."""
+        key = "_R_tape" if with_a else "_G_tape"
+        tape = self.__dict__.get(key)
         if tape is None:
-            tape = JetTape([e for row in self.G for e in row])
-            object.__setattr__(self, "_G_tape", tape)
+            tape = JetTape([e for row in self.G for e in row]
+                           + [self.a] * with_a)
+            object.__setattr__(self, key, tape)
         return tape
 
     def G_value(self, x: float) -> np.ndarray:
@@ -121,8 +124,9 @@ class ReducedProblem:
     def R_value(self, x: float, lam: float | None = None) -> np.ndarray:
         """R = lambda**-2 G + a I, optionally at an overridden lambda."""
         lam = self.lam if lam is None else lam
-        r = self.G_value(x) / lam**2
-        r.flat[::self.n + 1] += self.a_value(x)
+        *g, a = self._tape(with_a=True).values(x, self.params)
+        r = np.array(g, dtype=complex).reshape(self.n, self.n) / lam**2
+        r.flat[::self.n + 1] += a
         return r
 
     def with_lambda(self, lam: float) -> "ReducedProblem":

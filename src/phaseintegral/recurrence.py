@@ -5,12 +5,14 @@ lambda-power coefficients [Y^c]_t of q = +-Q Y and zeta-derivatives of the
 lower orders.  None of that depends on m, so a point builds it once:
 `PowerTable` by Cauchy products in the lambda index, `PointWork` for the
 derivatives and the coefficients assembled from them, from the point's
-x, Q, eps0 and its growing Y and s lists.
+x, Q, eps0 and its growing Y and s lists (each s_m an (N, n) array).
 """
 
 from __future__ import annotations
 
-from .jets import Jet, jet_const
+import numpy as np
+
+from .jets import Jet, jet_const, series_const, series_div, series_matrix
 
 __all__ = ["PowerTable", "PointWork"]
 
@@ -87,31 +89,37 @@ class PointWork:
     T_r = sum_{a<r} Y_a Y_{r-a}' and
     U_r = eps0 [Y^2]_r + (3/4) sum Y_a' Y_{r-a}' - (1/2) sum_{a<r} Y_a Y_{r-a}''
     (primes are zeta-derivatives) at order K - r - 2.  Callers truncate;
-    truncation commutes exactly with the products and quotients.  It lives
-    only while `vector.CorrectionEngine._point` builds the point's levels,
-    whose Y and s lists it reads as they grow.
+    truncation commutes exactly with the products.  It lives only while
+    `vector.CorrectionEngine._point` builds the point's levels, whose Y and
+    s lists it reads as they grow.
     """
 
     def __init__(self, x: float, Q: Jet, eps0: Jet, Y: list, s: list,
                  K: int):
         self.x, self.Q, self.eps0, self.Y, self.s, self.K = x, Q, eps0, Y, s, K
         self.powers = PowerTable(Y, K)
+        self._over_q = None
         self._dz: dict = {}
         self._lam2: dict = {}
 
-    def zeta(self, j: Jet) -> Jet:
-        """d/d zeta = Q**-1 d/dx (order drops by one)."""
-        return j.diff() / self.Q.truncated(j.order - 1)
+    def zeta(self, j):
+        """d/d zeta = Q**-1 d/dx of a jet or a vector jet (order drops by
+        one): a product with 1/Q, formed by the first call at order K - 1."""
+        if isinstance(j, Jet):
+            return Jet._raw(j.center, self.zeta(j.coeffs))
+        if self._over_q is None:
+            inv = series_div(series_const(1.0, self.K), self.Q.coeffs[:self.K])
+            self._over_q = series_matrix(inv).T
+        n = j.shape[-1] - 1
+        return (j[..., 1:] * np.arange(1, n + 1)) @ self._over_q[:n, :n]
 
     def dz(self, name: str, i: int, times: int):
-        """d^times/d zeta^times of Y[i] (name "Y") or the vector s[i] ("s")."""
+        """d^times/d zeta^times of Y[i] (name "Y") or of s[i] ("s")."""
         got = self._dz.get((name, i, times))
         if got is None:
             prev = ((self.Y if name == "Y" else self.s)[i] if times == 1
                     else self.dz(name, i, times - 1))
-            got = (self.zeta(prev) if name == "Y"
-                   else tuple(map(self.zeta, prev)))
-            self._dz[(name, i, times)] = got
+            got = self._dz[(name, i, times)] = self.zeta(prev)
         return got
 
     def lam2(self, r: int) -> tuple:

@@ -128,6 +128,15 @@ def _upper(root: complex) -> bool:
     return (root.real, root.imag) > (0.0, 0.0)
 
 
+def _rank_order(vals: np.ndarray) -> np.ndarray:
+    """Indices ranking eigenvalues as `_upper` does: by real part, real
+    parts within 1e-12 of the largest modulus ranked by imaginary part."""
+    idx = np.argsort(vals.real, kind="stable")
+    tied = np.diff(vals.real[idx]) <= 1e-12 * np.max(np.abs(vals))
+    band = np.concatenate(([0], np.cumsum(~tied)))
+    return idx[np.lexsort((vals.imag[idx], band))]
+
+
 def schwartzian(qsq: Jet) -> complex:
     """S_x[q] from the jet of q**2 (single-valued form)."""
     if qsq.order < 2:
@@ -235,7 +244,7 @@ class BranchField:
             root = root if _upper(root) else -root
             return np.array([tr - root, tr + root]) * 0.5
         vals = np.linalg.eigvals(g)
-        return vals[np.lexsort((vals.imag, vals.real))]
+        return vals[_rank_order(vals)]
 
     def qsq_value(self, x: float) -> complex:
         return complex(self._ranked_values(x)[self.rank])
@@ -424,7 +433,7 @@ class BranchField:
             left = vecs.conj().T
         else:
             vals, vecs = np.linalg.eig(g)
-            idx = np.lexsort((vals.imag, vals.real))
+            idx = _rank_order(vals)
             vals, vecs = vals[idx], vecs[:, idx]
             left = np.linalg.inv(vecs)
         vals = vals.astype(complex)

@@ -24,6 +24,9 @@ eigenvector-parallel coordinate is fixed by the variant:
 Even-order corrections are invariant under Q -> -Q, odd orders flip sign;
 closed-form comparisons are quoted in the upper sign convention
 (Q = |Q| for positive eigenvalues, Q = -i |Q| for negative ones).
+
+The engine carries each vector jet as one (N, n) coefficient array, orders
+last; `CorrectionSet` holds tuples of N `Jet`s.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ from .errors import (
     TurningPointOnGrid,
     UnsupportedDegeneracy,
 )
-from .jets import Jet, jet_const, jet_exp, jet_pow, jet_sqrt, series_matrix
+from .jets import (
+    Jet, jet_const, jet_exp, jet_pow, jet_sqrt, series_contract, series_matrix,
+)
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
 from .recurrence import PointWork
@@ -87,12 +92,6 @@ class CorrectionSet:
     def Y_values(self) -> list:
         return [j.value for j in self.Y]
 
-    def c_perp_values(self) -> list:
-        return [None if j is None else j.value for j in self.c_perp]
-
-    def c_par_values(self) -> list:
-        return [None if j is None else j.value for j in self.c_par]
-
 
 @dataclass(slots=True)
 class _Point:
@@ -104,52 +103,51 @@ class _Point:
     Q: Jet
     eps0: Jet
     perp: np.ndarray           # -2 Q^2 S, matrix coefficients
-    left: tuple                # left eigenvector P^H s0
-    norm0: Jet                 # (s0, s0)
+    left: np.ndarray           # left eigenvector P^H s0
     basis: list | None         # cluster basis (1 < d < N), basis[0] = s0
-    Y: list
-    s: list
+    Y: list                    # scalar jets
+    s: list                    # vector jets: (N, n) arrays, orders last
     s_perp: list
     c_par: list
     b: list
     work: PointWork | None = None   # while `CorrectionEngine._point` runs
+    over_norm0: Jet | None = None   # 1/(s0, s0), once a level is built
 
 
-# -- small vector-of-jets helpers -------------------------------------------
+# -- vector jets: (N, n) coefficient arrays, orders last ---------------------
 
-def _vzero(x: float, order: int, n: int) -> tuple:
-    return tuple(jet_const(0.0, x, order) for _ in range(n))
-
-
-def _vadd(a, b):
-    return tuple(p + q for p, q in zip(a, b))
+def _jets(x: float, vec) -> tuple | None:
+    return None if vec is None else tuple(Jet._raw(x, row) for row in vec)
 
 
-def _vsub(a, b):
-    return tuple(p - q for p, q in zip(a, b))
+def _diff(vec: np.ndarray) -> np.ndarray:
+    """d/dx of each component (order drops by one)."""
+    return vec[:, 1:] * np.arange(1, vec.shape[1])
 
 
-def _vscale(s, v):
-    return tuple(s * c for c in v)
-
-
-def _vtrunc(v, k: int):
-    return tuple(c.truncated(k) for c in v)
-
-
-def _dot(a, b, k: int) -> Jet:
+def _dot(x: float, a: np.ndarray, b: np.ndarray, k: int) -> Jet:
     """Hilbert scalar product (a, b) = sum conj(a_j) b_j as a jet."""
-    acc = a[0].conj().truncated(k) * b[0].truncated(k)
-    for p, q in zip(a[1:], b[1:]):
-        acc = acc + p.conj().truncated(k) * q.truncated(k)
-    return acc
+    return Jet._raw(x, series_contract(a[:, :k + 1].conj(),
+                                       b[:, None, :k + 1])[0])
 
 
-def _apply(mat: np.ndarray, vec, k: int) -> tuple:
+def _dots(x: float, terms: list, k: int) -> Jet:
+    """sum w (u, v) over the (w, u, v) of `terms`, w real: one contraction."""
+    if not terms:
+        return jet_const(0.0, x, k)
+    return _dot(x, np.concatenate([w * u[:, :k + 1] for w, u, _ in terms]),
+                np.concatenate([v[:, :k + 1] for _, _, v in terms]), k)
+
+
+def _times(c: Jet, vec: np.ndarray) -> np.ndarray:
+    """The vector jet c vec at the order of c."""
+    return series_contract(c.coeffs[None], vec[None, :, :c.coeffs.size])
+
+
+def _apply(mat: np.ndarray, vec: np.ndarray, k: int) -> np.ndarray:
     """mat vec at order k; `mat` holds matrix coefficients, orders first."""
-    v = series_matrix(np.array([c.coeffs[:k + 1] for c in vec]))
-    out = np.einsum("sij,jts->it", mat[:k + 1], v)
-    return tuple(Jet._raw(vec[0].center, row) for row in out)
+    return np.einsum("sij,jts->it", mat[:k + 1],
+                     series_matrix(vec[:, :k + 1]))
 
 
 class CorrectionEngine:
@@ -223,16 +221,18 @@ class CorrectionEngine:
         c_perp = [None] * mm
         if self.prob.n == 2:
             # s_perp = c_perp e2 with e2 = (-conj s0_2, conj s0_1)
+            s0 = pt.s[0]
+            e2 = np.stack((-s0[1].conj(), s0[0].conj()))
             for m in range(1, mm):
                 k = self.K - m
-                s0 = _vtrunc(pt.s[0], k)
-                e2 = (-s0[1].conj(), s0[0].conj())
-                c_perp[m] = _dot(e2, pt.s_perp[m], k) / pt.norm0.truncated(k)
+                c_perp[m] = (_dot(pt.x, e2, pt.s_perp[m], k)
+                             * pt.over_norm0.truncated(k))
+        s, s_perp, b = ([_jets(pt.x, v) for v in vecs[:mm]]
+                        for vecs in (pt.s, pt.s_perp, pt.b))
         return CorrectionSet(
-            x0=float(x), m_max=self.m_max, variant=self.variant,
-            Qsq=pt.Qsq, Q=pt.Q, eps0=pt.eps0, Y=pt.Y[:mm], s=pt.s[:mm],
-            s_perp=pt.s_perp[:mm], c_perp=c_perp, c_par=pt.c_par[:mm],
-            b=pt.b[:mm])
+            x0=pt.x, m_max=self.m_max, variant=self.variant, Qsq=pt.Qsq,
+            Q=pt.Q, eps0=pt.eps0, Y=pt.Y[:mm], s=s, s_perp=s_perp,
+            c_perp=c_perp, c_par=pt.c_par[:mm], b=b)
 
     def _point(self, x: float, m: int, staged: bool = False) -> _Point:
         """The point at x with levels 0..m assembled; `staged` stops level
@@ -241,6 +241,8 @@ class CorrectionEngine:
         if pt is None:
             pt = self._points[x] = self._base_point(x)
         if len(pt.Y if staged else pt.s) - 1 < m:
+            if pt.over_norm0 is None:     # one series quotient per point
+                pt.over_norm0 = 1.0 / _dot(x, pt.s[0], pt.s[0], self.K)
             pt.work = PointWork(x, pt.Q, pt.eps0, pt.Y, pt.s, self.K)
             try:
                 for level in range(len(pt.s), m + 1):
@@ -257,20 +259,21 @@ class CorrectionEngine:
         Qsq = fld.qsq_jet(x, K)
         Q = fld.q_jet(x, K)
         eps0 = fld.eps0_jet(x, K - 2)
-        n = self.prob.n
         # before s0: the Kato phase integral moves the memo elsewhere
         _, proj, res = fld._eigen_jets(x, K)
         perp = np.einsum("ts,sij->tij",                 # -2 Q^2 S
                          series_matrix(-2.0 * Qsq.coeffs), res)
-        basis = fld.basis_jets(x, K) if self._degenerate else None
-        s0 = basis[0] if basis is not None else fld.s0_jets(x, K)
+        basis = [np.array([c.coeffs for c in v]) for v in (
+            fld.basis_jets(x, K) if self._degenerate else [fld.s0_jets(x, K)])]
+        s0 = basis[0]
         # the left eigenvector l = P^H s0 (s0 itself for an orthogonal P),
         # for which (l, s0) = (s0, P s0) = (s0, s0)
         left = (_apply(proj.conj().transpose(0, 2, 1), s0, K)
                 if fld._oblique else s0)
-        return _Point(x, Qsq, Q, eps0, perp, left, _dot(s0, s0, K), basis,
+        return _Point(x, Qsq, Q, eps0, perp, left,
+                      basis if self._degenerate else None,
                       Y=[jet_const(1.0, x, K)], s=[s0],
-                      s_perp=[_vzero(x, K, n)], c_par=[None], b=[None])
+                      s_perp=[np.zeros_like(s0)], c_par=[None], b=[None])
 
     def _stage(self, pt: _Point, m: int):
         """Compute b_m, s_m_perp and Y_m (everything except P s_m)."""
@@ -286,20 +289,20 @@ class CorrectionEngine:
         k = self.K - m
         c_par = self._parallel_jet(pt, m, k)
         pt.c_par.append(c_par)
-        s_m = _vtrunc(pt.s_perp[m], k)
-        s_m = _vadd(s_m, _vscale(c_par, _vtrunc(pt.s[0], k)))
+        coefs, vecs = [c_par.coeffs], [pt.s[0][:, :k + 1]]
         if pt.basis is not None:
             for i in range(1, len(pt.basis)):
-                cj = self._anchored_jet(pt, m, i, k)
-                s_m = _vadd(s_m, _vscale(cj, _vtrunc(pt.basis[i], k)))
-        pt.s.append(s_m)
+                coefs.append(self._anchored_jet(pt, m, i, k).coeffs)
+                vecs.append(pt.basis[i][:, :k + 1])
+        pt.s.append(pt.s_perp[m]
+                    + series_contract(np.array(coefs), np.stack(vecs)))
 
     # ------------------------------------------------------------------
     # b_m : driving vector of the order-m relation
     # ------------------------------------------------------------------
 
     def _compute_b(self, pt: _Point, m: int, k: int,
-                   stop: int | None = None) -> tuple:
+                   stop: int | None = None) -> np.ndarray:
         """b_m at order k, from the point's power table and derivatives.
 
         With P_c = [Y^c] (`recurrence.PowerTable`), ' = d/d zeta, and the
@@ -310,9 +313,10 @@ class CorrectionEngine:
                   + sum_{s<m} 2i P3_{m-1-s} s_s'
                   + sum_{s<m-1} P2_r s_s'' - T_r s_s' + U_r s_s   (r = m-2-s)
 
-        where c2, c4 are [Y^2]_m, [Y^4]_m with Y_m left out.  Each vector
-        takes one product per component with its summed coefficient.
-        Everything that depends only on the point (power table,
+        where c2, c4 are [Y^2]_m, [Y^4]_m with Y_m left out.  The vectors
+        and their summed coefficients are stacked, and b_m is one
+        contraction of the stack.  Everything that depends only on the
+        point (power table,
         zeta-derivatives at full order, T_r and U_r) comes from
         pt.work, which `_point` holds while it builds the point's levels
         and drops when it returns; a call outside that window
@@ -325,16 +329,15 @@ class CorrectionEngine:
         i s_m' in the Kato gauge, where Y_1 = 0.
         """
         work = pt.work or PointWork(pt.x, pt.Q, pt.eps0, pt.Y, pt.s, self.K)
-        s = pt.s
 
         def t(j):
-            return j.truncated(k)
+            return j.coeffs[:k + 1]
 
         P2, P3, P4 = ([t(work.powers.power(c, j)) for j in range(m)]
                       for c in (2, 3, 4))
         c2, s3, s4 = (t(j) for j in work.powers.parts(m))
         c4 = c2 + c2 + s4
-        terms = []
+        coefs, vecs = [], []
         for sigma in range(m if stop is None else stop):
             if sigma == 0:
                 cs = c2 - c4 + (s3 + s3)
@@ -346,45 +349,37 @@ class CorrectionEngine:
                 T, U = work.lam2(r)
                 cs = cs + t(U)
                 cd = cd - t(T)
-                terms.append((P2[r], work.dz("s", sigma, 2)))
-            terms.append((cs, s[sigma]))
-            terms.append((cd, work.dz("s", sigma, 1)))
-        if not terms:           # b~_1: s_0 left out, nothing is left
-            return _vzero(pt.x, k, self.prob.n)
-        b = pt.b
-        out = []
-        for i in range(self.prob.n):
-            acc = None
-            for coef, vec in terms:
-                term = coef * t(vec[i])
-                acc = term if acc is None else acc + term
-            acc = 0.5 * acc
-            for sigma in range(1, m):
-                acc = acc - P2[m - sigma] * t(b[sigma][i])
-            out.append(acc)
-        return tuple(out)
+                coefs.append(0.5 * P2[r])
+                vecs.append(work.dz("s", sigma, 2))
+            coefs += (0.5 * cs, 0.5 * cd)
+            vecs += (pt.s[sigma], work.dz("s", sigma, 1))
+        if not coefs:           # b~_1: s_0 left out, nothing is left
+            return np.zeros((self.prob.n, k + 1), dtype=complex)
+        coefs += [-P2[m - sigma] for sigma in range(1, m)]
+        vecs += pt.b[1:m]
+        return series_contract(np.array(coefs),
+                               np.stack([v[:, :k + 1] for v in vecs]))
 
     # ------------------------------------------------------------------
     # complement solve
     # ------------------------------------------------------------------
 
-    def _solve_perp(self, pt: _Point, b_m: tuple, k: int) -> tuple:
+    def _solve_perp(self, pt: _Point, b_m: np.ndarray, k: int) -> np.ndarray:
         """s_perp = -2 Q^2 S b_m; the non-hermitian theory adds the multiple
         of s0 that makes (s0, s_m) = 0 (P may be oblique there)."""
         s_perp = _apply(pt.perp, b_m, k)
         if self.variant != "non_hermitian":
             return s_perp
-        s0 = _vtrunc(pt.s[0], k)
-        norm0 = pt.norm0.truncated(k)
-        return _vsub(s_perp, _vscale(_dot(s0, s_perp, k) / norm0, s0))
+        along = _dot(pt.x, pt.s[0], s_perp, k) * pt.over_norm0.truncated(k)
+        return s_perp - _times(along, pt.s[0])
 
     # ------------------------------------------------------------------
     # Y_m and the parallel coordinate
     # ------------------------------------------------------------------
 
-    def _compute_Y(self, pt: _Point, b_m: tuple, k: int) -> Jet:
+    def _compute_Y(self, pt: _Point, b_m: np.ndarray, k: int) -> Jet:
         # P b_m = Y_m s0, read off with the left eigenvector l = P^H s0
-        return _dot(pt.left, b_m, k) / pt.norm0.truncated(k)
+        return _dot(pt.x, pt.left, b_m, k) * pt.over_norm0.truncated(k)
 
     def _parallel_jet(self, pt: _Point, m: int, k: int) -> Jet:
         # the conserving variants fix the gauge, so for the whole space s0
@@ -415,46 +410,27 @@ class CorrectionEngine:
         return (self._cpar_f_jet(pt, m, k) if i == 0
                 else self._coord_f_jet(pt, m, i, k))
 
+    def _cpar_weights(self, m: int) -> list:
+        """(a, sgn**a) for 0 < a <= m/2, the weight halved at a = m/2."""
+        return [(a, self.sgn ** a * (0.5 if 2 * a == m else 1.0))
+                for a in range(1, m // 2 + 1)]
+
     def _cpar_f_jet(self, pt: _Point, m: int, k: int) -> Jet:
         """Integrand of the conserving-coordinate integral, as a jet."""
-        sgn = self.sgn
-        e1 = pt.s[0]
-        e1p = tuple(c.diff().truncated(k) for c in e1)
-        sperp = _vtrunc(pt.s_perp[m], k)
         s = pt.s
-        inner = _dot(e1p, sperp, k)
-        if m % 2 == 0:
-            nn = m // 2
-            snp = tuple(c.diff().truncated(k) for c in s[nn])
-            inner = inner - (sgn ** nn) * 0.5 * _dot(_vtrunc(s[nn], k), snp, k)
-            for a in range(1, nn):
-                sap = tuple(c.diff().truncated(k) for c in s[a])
-                inner = inner - (sgn ** a) * _dot(_vtrunc(s[m - a], k), sap, k)
-            return 2.0j * inner.imag()
-        nn = (m - 1) // 2
-        for a in range(1, nn + 1):
-            sap = tuple(c.diff().truncated(k) for c in s[a])
-            inner = inner + (sgn ** a) * _dot(sap, _vtrunc(s[m - a], k), k)
-        if self.variant == "fulling_current":
+        terms = [(1.0, _diff(s[0]), pt.s_perp[m])]
+        for a, w in self._cpar_weights(m):
+            terms.append((-w, s[m - a], _diff(s[a])) if m % 2 == 0
+                         else (w, _diff(s[a]), s[m - a]))
+        inner = _dots(pt.x, terms, k)
+        if m % 2 == 0 or self.variant == "fulling_current":
             return 2.0j * inner.imag()
         return 2.0 * inner.real()
 
     def _cpar_boundary(self, pt: _Point, m: int, k: int) -> Jet:
-        sgn = self.sgn
         s = pt.s
-        out = jet_const(0.0, pt.x, k)
-        if m % 2 == 0:
-            nn = m // 2
-            out = out - (sgn ** nn) * 0.5 * _dot(_vtrunc(s[nn], k),
-                                                 _vtrunc(s[nn], k), k)
-            rng = range(1, nn)
-        else:
-            nn = (m - 1) // 2
-            rng = range(1, nn + 1)
-        for a in rng:
-            out = out - (sgn ** a) * _dot(_vtrunc(s[a], k),
-                                          _vtrunc(s[m - a], k), k)
-        return out
+        return _dots(pt.x, [(-w, s[a], s[m - a])
+                            for a, w in self._cpar_weights(m)], k)
 
     # ------------------------------------------------------------------
     # degenerate-subspace coordinates (real symmetric, 1 < d < N); the
@@ -464,12 +440,10 @@ class CorrectionEngine:
     def _coord_f_jet(self, pt: _Point, m: int, i: int, k: int) -> Jet:
         """(e_i, i Q b~_{m+1} - d/dx s_m_perp), the Kato-coordinate
         integrand of basis vector e_i."""
-        e_i = pt.basis[i]
         btilde = self._compute_b(pt, m + 1, k, stop=m)
-        Q = pt.Q.truncated(k)
-        sperp_p = tuple(c.diff().truncated(k) for c in pt.s_perp[m])
-        inner = _vsub(_vscale(1.0j * Q, _vtrunc(btilde, k)), sperp_p)
-        return _dot(_vtrunc(e_i, k), inner, k)
+        inner = (_times(1.0j * pt.Q.truncated(k), btilde)
+                 - _diff(pt.s_perp[m])[:, :k + 1])
+        return _dot(pt.x, pt.basis[i], inner, k)
 
     def compatibility_residual(self, x: float, m: int) -> float:
         """Residual of the order-(m+1) constraint for k > 1 (1 < d < N
@@ -478,14 +452,9 @@ class CorrectionEngine:
         if pt.basis is None:
             return 0.0
         btilde = self._compute_b(pt, m + 1, 0, stop=m)
-        Q = pt.Q.truncated(0)
-        worst = 0.0
-        for e_k in pt.basis[1:]:
-            smp = tuple(c.diff().truncated(0) for c in pt.s[m])
-            lhs = _dot(_vtrunc(e_k, 0), smp, 0).value
-            rhs = (1.0j * Q * _dot(_vtrunc(e_k, 0), _vtrunc(btilde, 0), 0)).value
-            worst = max(worst, abs(lhs - rhs))
-        return worst
+        inner = _diff(pt.s[m])[:, :1] - 1.0j * pt.Q.value * btilde
+        return max(abs(_dot(pt.x, e_k, inner, 0).value)
+                   for e_k in pt.basis[1:])
 
     # ------------------------------------------------------------------
     # applicability monitor
@@ -590,24 +559,20 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
         pt = engine._point(x, m_max)
         k = 2                   # the order Wave.jet_at promises
         _, qbar = normal_form(pt, k)
-        svec = _vzero(x, k, engine.prob.n)
-        for m in range(m_max + 1):
-            svec = _vadd(svec, _vscale(jet_const((sign * lam) ** m, x, k),
-                                       _vtrunc(pt.s[m], k)))
+        svec = sum((sign * lam) ** m * pt.s[m][:, :k + 1]
+                   for m in range(m_max + 1))
         phase0 = cum.value(x)
         phi = (qbar * (1.0 / lam)).antiderivative(phase0).truncated(k)
+        amp = jet_pow(qbar, -0.5)
         if real_case:
             osc = jet_exp((1j if positive else 1.0) * sign * phi)
-            amp = jet_pow(qbar, -0.5)
-            u = tuple(c * amp * osc for c in svec)
             ph = complex(sign) * (phase0 if positive else -1j * phase0)
-            return u, ph
-        u = tuple(c * jet_pow(qbar, -0.5) * jet_exp(1j * phi) for c in svec)
-        return u, phase0
+        else:
+            osc, ph = jet_exp(1j * phi), phase0
+        return _times(amp * osc, svec), ph
 
     samples = []
     for x in grid:
         u, ph = jets_at(x)
-        samples.append(WaveSample(x, np.array([c.value for c in u]),
-                                  np.array([c.derivative(1) for c in u]), ph))
-    return Wave(samples, lambda x: jets_at(x)[0], lam, sign)
+        samples.append(WaveSample(x, u[:, 0].copy(), u[:, 1].copy(), ph))
+    return Wave(samples, lambda x: _jets(x, jets_at(x)[0]), lam, sign)

@@ -12,7 +12,8 @@ from phaseintegral.errors import (
 from phaseintegral.expressions import diff_expr, eval_expr, parse_expr
 from phaseintegral.jets import (
     Jet, jet_arith, jet_const, jet_cos, jet_derivative, jet_elem, jet_exp,
-    jet_ln, jet_pow, jet_sin, jet_sqrt, jet_variable,
+    jet_ln, jet_pow, jet_sin, jet_sqrt, jet_variable, series_contract,
+    series_mul,
 )
 
 
@@ -75,6 +76,29 @@ class TestArithmetic:
         want = poly_jet(full, x0, order)
         assert_allclose(prod.coeffs, want.coeffs,
                         rtol=1e-14, atol=1e-12 * (1 + np.max(np.abs(full))))
+
+    def test_product_owns_its_coefficients(self):
+        # a kept product must not hold the 2n - 1 convolution buffer
+        a = np.arange(1.0, 9.0) + 0.5j
+        prod = series_mul(a, a[::-1].copy())
+        assert prod.base is None and prod.size == a.size
+        assert np.array_equal(prod, np.convolve(a, a[::-1])[:a.size])
+
+    @pytest.mark.parametrize("terms, n_vec, n", [(1, 1, 1), (9, 2, 8),
+                                                 (4, 3, 15)])
+    def test_contraction_matches_products(self, terms, n_vec, n):
+        # one contraction against the sum of per-component products it
+        # replaces; the sums run in another order, so to round-off
+        rng = np.random.default_rng(terms * n)
+        coefs = rng.normal(size=(terms, n)) + 1j * rng.normal(size=(terms, n))
+        vecs = (rng.normal(size=(terms, n_vec, n))
+                + 1j * rng.normal(size=(terms, n_vec, n)))
+        want = np.array([sum(series_mul(coefs[t], vecs[t, i])
+                             for t in range(terms)) for i in range(n_vec)])
+        got = series_contract(coefs, vecs)
+        assert got.shape == (n_vec, n)
+        assert_allclose(got, want, rtol=0,
+                        atol=1e-15 * terms * n * np.max(np.abs(want)))
 
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=4),
            st.lists(st.floats(-2, 2), min_size=1, max_size=4))

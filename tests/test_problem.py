@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from phaseintegral.errors import SingularCoefficient
 from phaseintegral.examples import example_problem
-from phaseintegral.expressions import Const, eval_expr, eval_expr_jet, parse_expr
+from phaseintegral.expressions import (
+    Const, JetTape, eval_expr, eval_expr_jet, parse_expr,
+)
 from phaseintegral.jets import jet_variable
 from phaseintegral.problem import (
     ProblemSpec, ReducedProblem, langer_auxiliary, load_problem,
@@ -194,6 +196,16 @@ class TestPickle:
         assert again.G == bec.G
         assert again.G_value(55.0).tobytes() == before.tobytes()
 
+    def test_problem_pickles_after_R_value(self, bec):
+        # R_value runs its own tape over G's entries and a: that one is a
+        # cache too
+        before = bec.R_value(55.0, 0.1)
+        assert "_R_tape" in vars(bec)
+        assert "_R_tape" not in bec.__getstate__()
+        again = pickle.loads(pickle.dumps(bec))
+        assert "_R_tape" not in vars(again) and again == bec
+        assert again.R_value(55.0, 0.1).tobytes() == before.tobytes()
+
     def test_problem_pickles_after_G_jet(self, bec):
         # G_jet compiles one tape over all entries and caches it on the
         # problem (and eval_expr_jet caches tapes on expressions): the
@@ -206,6 +218,25 @@ class TestPickle:
         for row_b, row_a in zip(before, after):
             for jb, ja in zip(row_b, row_a):
                 assert jb.coeffs.tobytes() == ja.coeffs.tobytes()
+
+
+def test_R_value_runs_one_tape(monkeypatch):
+    # R's n x n entries of G and a(x) come from one run of one value
+    # program, and G_value's program leaves a out
+    spec, lam, _ = load_problem(example_problem("fulling-pos"))
+    prob = split_R(spec, lam, parse_expr("1/x^2"))
+    runs = []
+    run_values = JetTape._run_values
+
+    def counted(self, x0, params):
+        runs.append(len(self._outs))
+        return run_values(self, x0, params)
+    monkeypatch.setattr(JetTape, "_run_values", counted)
+    prob.R_value(2.0, 0.1)
+    assert runs == [5]
+    runs.clear()
+    prob.G_value(2.0)
+    assert runs == [4]
 
 
 @pytest.mark.parametrize("name", ["fulling-pos", "fulling-neg", "nonhermitian",

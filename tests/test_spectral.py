@@ -768,6 +768,18 @@ class TestRankRule:
             assert abs(fld.qsq_value(x) - want) <= 1e-12, x
             assert abs(engine.at(x).Qsq.value - want) <= 1e-12, x
 
+    def test_conjugate_pair_in_a_block_is_never_swapped(self):
+        # diag([[0, 1], [-x, 0]], 9): LAPACK's ranking for N > 2 follows
+        # the same rule, so rank 0 is -i sqrt(x) at every point
+        prob = _reduced([["0", "1", "0"], ["-x", "0", "0"], ["0", "0", "9"]],
+                        "general")
+        fld = BranchField(prob, 0, "normalized", None, anchor=1.0)
+        for x in np.linspace(1.0, 3.0, 41):
+            x = float(x)
+            want = -1j * math.sqrt(x)
+            assert abs(fld.qsq_jet(x, 2).value - want) <= 1e-12, x
+            assert abs(fld.qsq_value(x) - want) <= 1e-12, x
+
     @pytest.mark.parametrize("name", [
         "fex1", "fex3", "fex4", "bec", "complex-hermitian", "conjugate"])
     def test_rank_rule_against_lapack(self, name, request):

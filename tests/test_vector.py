@@ -13,6 +13,8 @@ from phaseintegral.errors import (
 )
 from phaseintegral.examples import example_problem
 from phaseintegral.expressions import eval_expr_jet, parse_expr
+from phaseintegral import jets, recurrence
+from phaseintegral import vector as vector_module
 from phaseintegral.jets import Jet, jet_const
 from phaseintegral.problem import ProblemSpec, load_problem, split_R
 from phaseintegral.recurrence import PowerTable
@@ -75,8 +77,7 @@ class TestDrivingVector:
                 btilde = eng._compute_b(eng._points[x], m + 1, k, stop=m)
                 want = np.array([1j * (c.diff() / q.truncated(c.order - 1))
                                  .value for c in corr.s[m]])
-                got = np.array([(b - bt).value
-                                for b, bt in zip(corr.b[m + 1], btilde)])
+                got = np.array([b.value for b in corr.b[m + 1]]) - btilde[:, 0]
                 assert np.linalg.norm(want) > 1e-3
                 assert_allclose(got, want, rtol=1e-10,
                                 atol=1e-12 * np.linalg.norm(want))
@@ -348,36 +349,61 @@ class TestHistoryFree:
 
 class TestWorkCounts:
     """The work of one point: Jet products and quotients, counted at the
-    operators, and eigenprojection expansions."""
+    operators, series quotients and vector contractions, counted at their
+    kernels, and eigenprojection expansions."""
 
     @staticmethod
     def _count(monkeypatch, engine, x):
-        counts = {"mul": 0, "div": 0}
+        counts = {"mul": 0, "div": 0, "quotient": 0, "contract": 0}
         for name, key in (("__mul__", "mul"), ("__rmul__", "mul"),
                           ("__truediv__", "div")):
             def counted(self, other, op=getattr(Jet, name), key=key):
                 counts[key] += 1
                 return op(self, other)
             monkeypatch.setattr(Jet, name, counted)
+
+        def kernel(fn, key):
+            def counted(*args):
+                counts[key] += 1
+                return fn(*args)
+            return counted
+        monkeypatch.setattr(jets, "_quotient",
+                            kernel(jets._quotient, "quotient"))
+        contract = kernel(jets.series_contract, "contract")
+        for mod in (jets, vector_module, recurrence):
+            if hasattr(mod, "series_contract"):
+                monkeypatch.setattr(mod, "series_contract", contract)
         engine.at(x)
         monkeypatch.undo()
         return counts
 
     def test_fex1_m6_point(self, fex1, monkeypatch):
-        # before the power table: 2267 products and 174 quotients
+        # before the power table: 2267 products and 174 quotients; with
+        # vector jets as tuples of Jets: 310 products, 47 series quotients
         eng = CorrectionEngine(fex1, field(fex1, 0, anchor=2.5),
                                "simplified_hermitian", 6, 2.5)
         counts = self._count(monkeypatch, eng, 3.7)
         assert counts["mul"] < 2267 // 2, counts
         assert counts["div"] < 174 // 2, counts
+        # per level: one contraction for b_m, (l, b_m) for Y_m, c_perp's
+        # scalar product and c_par s0; (s0, s0) once
+        assert counts["contract"] <= 4 * 6 + 1, counts
+        assert counts["mul"] <= 110, counts
+        assert counts["quotient"] <= 18, counts
 
     def test_fulling_m3_point(self, fex1, monkeypatch):
-        # before the power table: 369 products and 40 quotients
+        # before the power table: 369 products and 40 quotients; with
+        # vector jets as tuples of Jets: 124 products, 23 series quotients
         eng = CorrectionEngine(fex1, field(fex1, 1, anchor=3.0),
                                "fulling_current", 3, 3.0)
         counts = self._count(monkeypatch, eng, 3.0)
         assert counts["mul"] < 369 // 2, counts
         assert counts["div"] < 40, counts
+        # as above, and the c_par integrand's and boundary's scalar
+        # products
+        assert counts["contract"] <= 20, counts
+        assert counts["mul"] <= 50, counts
+        assert counts["quotient"] <= 12, counts
 
     def test_block3_point_runs_one_reduction(self, monkeypatch):
         # a new diag(Fex1, 9) point expands its eigenprojection and reduced
