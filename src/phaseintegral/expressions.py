@@ -20,11 +20,12 @@ The AST doubles as the independent differentiation oracle for the jet
 kernel: `diff` applies the textbook rules with constant folding only.
 
 Each AST, or list of ASTs, is compiled once into a tape (`JetTape`), a
-straight-line list of instructions that runs as a value program
-(`eval_expr`) or as a jet program of coefficient recurrences
-(`eval_expr_jet`).  The tree walk through `Jet` arithmetic, `_eval`, is
-kept as the oracle the tape is tested against: the value program
-reproduces its order-0 jet bit for bit, and the jet program its
+straight-line list of instructions written out as the source of two Python
+functions: a value program (`eval_expr`), which also takes a complex x,
+and a jet program of coefficient recurrences (`eval_expr_jet`), each
+compiled on its first run.  The tree walk through `Jet` arithmetic,
+`_eval`, is kept as the oracle the tape is tested against: the value
+program reproduces its order-0 jet bit for bit, and the jet program its
 coefficients.
 """
 
@@ -504,7 +505,7 @@ def eval_expr(e: Expression, x0: float,
     program of the tape compiled from `e` on first use.
     """
     tape = e._jet_fn or _compile_tape(e)
-    return tape._run_values(x0, params)[tape._outs[0]]
+    return tape._run_values(x0, params)[0]
 
 
 def eval_expr_jet(e: Expression, x0: float, order: int,
@@ -581,6 +582,14 @@ def _eval(e: Expression, x0: float, order: int, params) -> Jet:
 # array arithmetic as a scalar -- a lead-coefficient add or a scaled copy
 # (`jets.series_scale` and its kin) -- never as a convolution with a
 # constant jet.
+#
+# Each program is generated as one Python function, so that a run makes no
+# Python call per instruction beyond its kernel's: a register is a local
+# variable and an instruction one line that calls its kernel, or, for the
+# operator kernels (`_INLINE`), spells out the same arithmetic.  A function
+# is compiled on its first run and kept on the tape.  Folded constants,
+# kernels and parameter names are bound in the function's namespace, never
+# written into its source, so no text of an expression becomes code.
 #
 # The value kernels reproduce the order-0 jet of the tree walk `_eval`
 # exactly: products are formed as numpy's one-term convolution forms them
@@ -665,45 +674,45 @@ _FUNC_KERNELS = {
 }
 
 
-def _step1(fn, out: int, a: int):
-    def step(r, x, n, p):
-        r[out] = fn(r[a])
-    return step
+def _param(p: Mapping[str, complex], name: str) -> complex:
+    try:
+        return complex(p[name])
+    except KeyError:
+        raise UnboundParameter(f"parameter {name!r} not bound") from None
 
 
-def _step2(fn, out: int, a: int, b: int):
-    def step(r, x, n, p):
-        r[out] = fn(r[a], r[b])
-    return step
-
-
-def _step_pair(fn, out: int, a: int):
-    def step(r, x, n, p):
-        r[out], r[out + 1] = fn(r[a])
-    return step
+# the pure-operator kernels, written into a program as their arithmetic
+_INLINE = {operator.add: "{} + {}", operator.sub: "{} - {}",
+           operator.neg: "-{}", _mul: "0j + {} * {}",
+           _square: "0j + (1 + 0j) * (0j + {0} * {0})"}
 
 
 class JetTape:
     """Values and jets of a list of expressions from one compiled tape.
 
     `tape(x0, order, params)` returns one `Jet` per expression and
-    `tape.values(x0, params)` one complex value per expression; both raise
-    EvaluationSingularity where `eval_expr_jet` does.  The tape holds no
-    parameter values; they are read at every call.
+    `tape.values(x0, params)` one complex value per expression, at a real
+    or complex x0; both raise EvaluationSingularity where `eval_expr_jet`
+    does.  Each program is generated as the source of one Python function,
+    a line per instruction and a local variable per register, and compiled
+    on its first run; constants, kernels and parameter names are bound in
+    the function's namespace, never written into its source.  The tape
+    holds no parameter values; they are read at every call.
     """
 
+    _value_program = _jet_program = None      # compiled on first run
+
     def __init__(self, exprs):
-        self._values: list = []        # the value program
-        self._steps: list = []         # the jet program, step for step
+        self._values: list = []        # the value program, a line each
+        self._steps: list = []         # the jet program, line for line
         self._init: list = []          # folded constants; None: computed
         self._series: list = []        # register holds an array in jets?
+        self._ns: dict = {"_param": _param, "_raw": Jet._raw,
+                          "_variable": jets.series_variable,
+                          "_const": jets.series_const}
         self._memo: dict = {}          # exact _ast_key -> register
         self._outs = [self._node(e) for e in exprs]
         del self._memo
-        # the output registers: a tuple, or a one-item list for one expression
-        i = self._outs[0]
-        self._pick = operator.itemgetter(
-            *self._outs if len(self._outs) > 1 else [slice(i, i + 1)])
 
     def __call__(self, x0: float, order: int,
                  params: Mapping[str, complex] | None = None) -> list:
@@ -711,47 +720,75 @@ class JetTape:
         n = order + 1
         if n < 1:
             raise OrderExceeded("jet order must be >= 0")
-        p = params or _NO_PARAMS
-        r = list(self._init)
+        run = self._jet_program or self._compile_program(False)
         try:
-            for step in self._steps:
-                step(r, x0, n, p)
+            return run(x0, n, params or _NO_PARAMS)
         except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
             raise EvaluationSingularity(
                 f"expression singular at x = {x0}: {exc}") from exc
-        series = self._series
-        return [Jet._raw(x0, r[i] if series[i] else jets.series_const(r[i], n))
-                for i in self._outs]
 
-    def values(self, x0: float,
+    def values(self, x0: complex,
                params: Mapping[str, complex] | None = None) -> Sequence:
-        return self._pick(self._run_values(x0, params))
+        return self._run_values(x0, params)
 
-    def _run_values(self, x0: float, params) -> list:
-        """The registers after the value program has run at x0."""
-        x = complex(float(x0))
-        p = params or _NO_PARAMS
-        r = list(self._init)
+    def _run_values(self, x0: complex, params) -> tuple:
+        """The outputs of the value program at x0."""
+        run = self._value_program or self._compile_program(True)
         try:
-            for step in self._values:
-                step(r, x, 1, p)
+            return run(complex(x0), params or _NO_PARAMS)
         except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
             raise EvaluationSingularity(
                 f"expression singular at x = {x0}: {exc}") from exc
-        return r
 
     # -- compilation -------------------------------------------------------
+
+    def _compile_program(self, values: bool):
+        """The value or the jet program as one function, kept on the tape."""
+        reg, ns = self._reg, self._ns
+        ns.update((f"c{i}", v) for i, v in enumerate(self._init)
+                  if v is not None)
+        if values:
+            head, lines = "x, p", self._values
+            out = "(" + "".join(f"{reg(i)}, " for i in self._outs) + ")"
+        else:
+            head, lines = "x, n, p", self._steps
+            out = "[" + ", ".join(
+                f"_raw(x, {reg(i)})" if self._series[i]
+                else f"_raw(x, _const({reg(i)}, n))" for i in self._outs) + "]"
+        source = "".join([f"def run({head}):\n"]
+                         + [f"    {line}\n" for line in lines]
+                         + [f"    return {out}\n"])
+        made: dict = {}
+        exec(compile(source, "<JetTape>", "exec"), ns, made)
+        run = made["run"]
+        setattr(self, "_value_program" if values else "_jet_program", run)
+        return run
+
+    def _reg(self, i: int) -> str:
+        return f"r{i}" if self._init[i] is None else f"c{i}"
 
     def _register(self, series: bool, value=None) -> int:
         self._init.append(value)
         self._series.append(series)
         return len(self._init) - 1
 
-    def _append(self, value_step, jet_step) -> None:
-        self._values.append(value_step)
-        self._steps.append(jet_step)
+    def _append(self, value_line: str, jet_line: str) -> None:
+        self._values.append(value_line)
+        self._steps.append(jet_line)
 
-    def _emit(self, make, value, jet, *args, width: int = 1) -> int:
+    def _line(self, out: int, width: int, kernel, args) -> str:
+        """The line that sets registers out.. to `kernel` of `args`."""
+        operands = [self._reg(a) for a in args]
+        if kernel in _INLINE:
+            expr = _INLINE[kernel].format(*operands)
+        else:
+            name = f"k{len(self._ns)}"
+            self._ns[name] = kernel
+            expr = f"{name}({', '.join(operands)})"
+        targets = ", ".join(f"r{i}" for i in range(out, out + width))
+        return f"{targets} = {expr}"
+
+    def _emit(self, value, jet, *args, width: int = 1) -> int:
         """First of the `width` registers of one instruction on the
         registers `args`: `value` is its value kernel and `jet` its jet
         kernel, run in the jet program when an argument holds an array."""
@@ -759,17 +796,16 @@ class JetTape:
         out = len(self._init)
         for _ in range(width):
             self._register(series)
-        step = make(value, out, *args)
         if all(self._init[a] is not None for a in args):
-            r = list(self._init)
             try:
-                step(r, 0j, 1, _NO_PARAMS)
+                got = value(*[self._init[a] for a in args])
             except Exception:                # raises again at evaluation time
                 pass
             else:
-                self._init[out:out + width] = r[out:out + width]
+                self._init[out:out + width] = got if width > 1 else [got]
                 return out
-        self._append(step, make(jet, out, *args) if series else step)
+        self._append(self._line(out, width, value, args),
+                     self._line(out, width, jet if series else value, args))
         return out
 
     def _node(self, e: Expression) -> int:
@@ -784,41 +820,27 @@ class JetTape:
             return self._register(False, complex(e.value))
         if isinstance(e, Var):
             out = self._register(True)
-
-            def value(r, x, n, p):
-                r[out] = x
-
-            def jet(r, x, n, p):
-                r[out] = jets.series_variable(x, n)
-            self._append(value, jet)
+            self._append(f"r{out} = x", f"r{out} = _variable(x, n)")
             return out
         if isinstance(e, Param):
-            out, name = self._register(False), e.name
-
-            def param(r, x, n, p):
-                try:
-                    r[out] = complex(p[name])
-                except KeyError:
-                    raise UnboundParameter(
-                        f"parameter {name!r} not bound") from None
-            self._append(param, param)
+            out = self._register(False)
+            self._ns[f"n{out}"] = e.name
+            line = f"r{out} = _param(p, n{out})"
+            self._append(line, line)
             return out
         if isinstance(e, Neg):
-            return self._emit(_step1, operator.neg, operator.neg,
-                              self._node(e.arg))
+            return self._emit(operator.neg, operator.neg, self._node(e.arg))
         if isinstance(e, Func):
             if e.name in ("sin", "cos"):
                 return self._trig(e.arg) + (e.name == "cos")
-            return self._emit(_step1, *_FUNC_KERNELS[e.name],
-                              self._node(e.arg))
+            return self._emit(*_FUNC_KERNELS[e.name], self._node(e.arg))
         if isinstance(e, Pow):
             return self._pow(e)
         a, b = self._node(e.left), self._node(e.right)
         value, vv, vs, sv = _BINARY_KERNELS[type(e)]
         if self._series[a]:
-            return self._emit(_step2, value, vv if self._series[b] else vs,
-                              a, b)
-        return self._emit(_step2, value, sv, a, b)
+            return self._emit(value, vv if self._series[b] else vs, a, b)
+        return self._emit(value, sv, a, b)
 
     def _trig(self, arg: Expression) -> int:
         """Register of sin(arg); cos(arg) is the next one."""
@@ -826,15 +848,14 @@ class JetTape:
         got = self._memo.get(key)
         if got is None:
             got = self._memo[key] = self._emit(
-                _step_pair, _sincos, jets.series_trig, self._node(arg),
-                width=2)
+                _sincos, jets.series_trig, self._node(arg), width=2)
         return got
 
     def _pow(self, e: Pow) -> int:
         if e.right.depends_on_x():          # b^g = exp(g ln b)
             return self._node(Func("exp", Mul(e.right, Func("ln", e.left))))
         # the exponent is checked before the base is evaluated, as in _eval
-        alpha = self._emit(_step1, _real_exponent, None, self._node(e.right))
+        alpha = self._emit(_real_exponent, None, self._node(e.right))
         b = self._node(e.left)
         value = _square if self._init[alpha] == 2.0 else _pow_real
-        return self._emit(_step2, value, jets.series_pow, b, alpha)
+        return self._emit(value, jets.series_pow, b, alpha)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -511,6 +512,64 @@ class TestJetTape:
                                 2.5).at(3.1)
         assert len(corr.Y) == 7
         assert walks[0] == 0
+
+    def test_parameter_name_reaches_the_programs_as_data(self):
+        # quotes, a newline and a comment sign: a name the parser never
+        # makes, which would break the generated source if it were written
+        # into it
+        name = "k'\"\n# x"
+        e = Add(Mul(Param(name), Var()), Param(name))
+        tape = JetTape([e, Var()])
+        params = {name: 3.0}
+        assert list(tape.values(2.0, params)) == [9.0, 2.0]
+        assert np.array_equal(tape(2.0, 3, params)[0].coeffs,
+                              _walk(e, 2.0, 3, params).coeffs)
+        for run in (lambda: tape.values(2.0, {"k": 3.0}),
+                    lambda: tape(2.0, 3), lambda: eval_expr(e, 2.0)):
+            with pytest.raises(UnboundParameter, match=re.escape(repr(name))):
+                run()
+
+    def test_each_program_is_compiled_once(self, monkeypatch):
+        sources = []
+
+        def counted(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        monkeypatch.setattr(expressions, "compile", counted, raising=False)
+        tape = JetTape([parse_expr("x*cos(x)^2 + k/x"), parse_expr("sin(x)")])
+        params = {"k": 2.0}
+        for x in np.linspace(1.0, 2.0, 1000):
+            tape.values(x, params)
+            tape(x, 4, params)
+        assert len(sources) == 2 and sources[0] != sources[1]
+
+
+def cauchy_coeffs(f, x0, r, M):
+    """Taylor coefficients 0..M-1 of f at x0 from M values on the circle
+    |x - x0| = r: the trapezoid rule for Cauchy's integral, as one FFT."""
+    vals = np.array([f(x0 + r * w)
+                     for w in np.exp(2j * np.pi * np.arange(M) / M)])
+    powers = (r ** np.arange(M)).reshape((M,) + (1,) * (vals.ndim - 1))
+    return np.fft.fft(vals, axis=0) / M / powers
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_example_G_jets_against_cauchy_integral(name):
+    # the value program at complex x is an oracle for the jet program: the
+    # coefficients on two circles must both match the order-8 jets
+    prob = _problem(name)
+    lo, hi = prob.domain
+    order = 8
+    for x in np.linspace(lo, hi, 5)[1:-1]:
+        x = float(x)
+        want = np.moveaxis([[j.coeffs for j in row]
+                            for row in prob.G_jet(x, order)], -1, 0)
+        for r in (0.5, 1.0):
+            got = cauchy_coeffs(prob.G_value, x, r, 64)
+            powers = (r ** np.arange(64))[:, None, None]
+            rms = np.sqrt(np.sum(np.abs(got * powers) ** 2, axis=0))
+            err = np.abs(got[:order + 1] - want) * powers[:order + 1]
+            assert np.all(err <= 1e-12 * rms), (name, x, r, np.max(err / rms))
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
