@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from phaseintegral.examples import example_problem
@@ -5,6 +6,15 @@ from phaseintegral.expressions import parse_expr
 from phaseintegral.problem import ProblemSpec, load_problem, split_R
 from phaseintegral.spectral import BranchField
 from phaseintegral.vector import CorrectionEngine
+
+
+def cauchy_coeffs(f, x0, r, M):
+    """Taylor coefficients 0..M-1 of f at x0 from M values on the circle
+    |x - x0| = r: the trapezoid rule for Cauchy's integral, as one FFT."""
+    vals = np.array([f(x0 + r * w)
+                     for w in np.exp(2j * np.pi * np.arange(M) / M)])
+    powers = (r ** np.arange(M)).reshape((M,) + (1,) * (vals.ndim - 1))
+    return np.fft.fft(vals, axis=0) / M / powers
 
 
 def _reduced(name):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import cauchy_coeffs
 from phaseintegral import expressions
 from phaseintegral.errors import (
     BranchPointEvaluation, DivisionByZeroLeadCoefficient,
@@ -542,15 +543,6 @@ class TestJetTape:
             tape.values(x, params)
             tape(x, 4, params)
         assert len(sources) == 2 and sources[0] != sources[1]
-
-
-def cauchy_coeffs(f, x0, r, M):
-    """Taylor coefficients 0..M-1 of f at x0 from M values on the circle
-    |x - x0| = r: the trapezoid rule for Cauchy's integral, as one FFT."""
-    vals = np.array([f(x0 + r * w)
-                     for w in np.exp(2j * np.pi * np.arange(M) / M)])
-    powers = (r ** np.arange(M)).reshape((M,) + (1,) * (vals.ndim - 1))
-    return np.fft.fft(vals, axis=0) / M / powers
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import cauchy_coeffs
 from phaseintegral.errors import CrossingPoint, TurningPoint
 from phaseintegral.examples import example_problem
 from phaseintegral.expressions import parse_expr
@@ -406,6 +407,88 @@ class TestReducedResolvent:
                     want = [complex(c) for c in mpmath.taylor(
                         resolvent(i, j), x, self.ORDER)]
                     assert_allclose(res[:, i, j], want, rtol=0, atol=1e-13)
+
+
+class _LapackBranch:
+    """Q**2, P and S of one branch at complex z from LAPACK alone, packed
+    as one vector: P = V[:, c] (V^-1)[c, :] and
+    S = sum_{j not in c} P_j/(lambda_j - Q**2), where the cluster c is the
+    d eigenvalues nearest the last Q**2, so that calls along a path follow
+    the branch by nearest neighbour."""
+
+    def __init__(self, prob, qsq, d):
+        self.prob, self.last, self.d = prob, qsq, d
+
+    def __call__(self, z):
+        vals, vecs = np.linalg.eig(self.prob.G_value(z))
+        left = np.linalg.inv(vecs)
+        inside = np.zeros(len(vals), dtype=bool)
+        inside[np.argsort(np.abs(vals - self.last))[:self.d]] = True
+        qsq = self.last = vals[inside].mean()
+        proj = vecs[:, inside] @ left[inside]
+        res = (vecs[:, ~inside] / (vals[~inside] - qsq)) @ left[~inside]
+        return np.concatenate(([qsq], proj.ravel(), res.ravel()))
+
+
+def _cauchy_mismatch(prob, x0, r, qsq, proj, res, d):
+    """max over coefficients k <= order of |lib_k - c_k| r**k / rms, for each
+    of Q**2, P and S; c_k are the Cauchy coefficients of `_LapackBranch` on
+    the circle |z - x0| = r, rms the RMS of its values there."""
+    oracle = _LapackBranch(prob, qsq[0], d)
+    for t in np.linspace(0.0, r, 17)[1:-1]:     # out to the circle's start
+        oracle(x0 + t)
+    got = cauchy_coeffs(oracle, x0, r, 64)
+    order, n = len(qsq) - 1, prob.n
+    powers = r ** np.arange(64)[:, None]
+    out = []
+    for part, lib in zip(np.split(got, [1, 1 + n * n], axis=1),
+                         (qsq, proj, res)):
+        scaled = part * powers
+        rms = np.sqrt(np.sum(np.abs(scaled) ** 2))
+        err = (np.abs(part[:order + 1] - lib.reshape(order + 1, -1))
+               * powers[:order + 1])
+        out.append(np.max(err) / rms)
+    return out
+
+
+class TestCauchyOracle:
+    """Q**2, P and S from `_eigen_jets` at order 8 against the Cauchy
+    coefficients of a LAPACK eigen-solve at complex z, which shares no
+    Taylor kernel with the library: on two circles, each well inside the
+    distance to the nearest crossing or pole, to 1e-12 of the circle's RMS
+    per coefficient."""
+
+    ORDER = 8
+    CASES = {    # name: (x0, radii, ranks)
+        "fex1": (3.0, (0.5, 1.0), (0, 1)),      # crossing at x = 1
+        "fex3": (3.0, (0.5, 1.0), (0, 1)),
+        "fex4": (3.0, (0.5, 1.0), (0, 1)),      # oblique P
+        "bec": (30.0, (3.0, 6.0), (0, 1)),      # pole at 0, branch points +-1
+        "block3": (3.0, (0.5, 1.0), (0, 1, 2)),  # crossings at 1 and 9
+        "deg3": (2.0, (0.5, 1.0), (0, 2)),      # d = 2; crossings 2.5 +- 4.3i
+    }
+
+    def _jets(self, name, rank, request):
+        prob = _block3() if name == "block3" else request.getfixturevalue(name)
+        x0 = self.CASES[name][0]
+        fld = BranchField(prob, rank, "normalized", None, anchor=x0)
+        return prob, x0, fld.degeneracy(x0), fld._eigen_jets(x0, self.ORDER)
+
+    @pytest.mark.parametrize("name, rank", [
+        (name, rank) for name, (_, _, ranks) in CASES.items()
+        for rank in ranks])
+    def test_eigen_jets(self, name, rank, request):
+        prob, x0, d, jets = self._jets(name, rank, request)
+        for r in self.CASES[name][1]:
+            worst = _cauchy_mismatch(prob, x0, r, *jets, d)
+            assert max(worst) <= 1e-12, (name, rank, r, worst)
+
+    def test_catches_a_wrong_projector_coefficient(self, request):
+        prob, x0, d, (qsq, proj, res) = self._jets("fex4", 1, request)
+        proj = proj.copy()
+        proj[4, 0, 1] += 1e-9
+        worst = _cauchy_mismatch(prob, x0, 0.5, qsq, proj, res, d)
+        assert worst[1] > 1e-12, worst
 
 
 class TestComplement:
