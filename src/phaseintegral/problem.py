@@ -125,9 +125,9 @@ class ReducedProblem:
         """R = lambda**-2 G + a I, optionally at an overridden lambda."""
         lam = self.lam if lam is None else lam
         *g, a = self._tape(with_a=True).values(x, self.params)
-        r = np.array(g, dtype=complex).reshape(self.n, self.n) / lam**2
-        r.flat[::self.n + 1] += a
-        return r
+        r = np.array(g, dtype=complex) / lam**2     # G row by row
+        r[::self.n + 1] += a
+        return r.reshape(self.n, self.n)
 
     def with_lambda(self, lam: float) -> "ReducedProblem":
         """Same G and a, rebound small parameter (R changes accordingly)."""

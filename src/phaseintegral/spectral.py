@@ -39,6 +39,10 @@ Gauges:
              eigenvectors, otherwise exp(i theta1) times the section pinned
              at the anchor, theta1 = i * int (e~, e~') dx along it.
 
+The continuation walk runs on values (P from the closed form on complex
+numbers, or from the eigen-solve); Q**2, P, S and the eigenbasis at order
+>= 1 run on coefficient arrays, and become Jets only where returned.
+
 A `BranchField` keeps one point: G(x) and the eigen-jets of the last x
 asked.  What else it holds is bounded by the interval it has walked (the
 continued frames, theta1 for a complex Kato gauge, and the sibling fields
@@ -50,6 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -65,7 +70,10 @@ from .errors import (
     ZeroAtEvaluationPoint,
 )
 from .expressions import Const, Expression, constant_value, eval_expr_jet
-from .jets import Jet, jet_const, jet_exp, jet_sqrt, lead_is_zero
+from .jets import (
+    Jet, jet_const, jet_exp, jet_sqrt, lead_is_zero, series_const,
+    series_contract, series_div, series_matrix, series_mul, series_sqrt,
+)
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
 
@@ -115,11 +123,12 @@ def _cluster_tol(g: np.ndarray) -> float:
     return math.sqrt(1e-8 * (1.0 + np.vdot(g, g).real))
 
 
-def _discriminant(g):
-    """(tr G, D) of a 2x2 G of values or jets: roots (tr G -/+ sqrt(D))/2."""
+def _discriminant(g, times=mul):
+    """(tr G, D) of a 2x2 G of values, or of coefficient arrays with
+    `times` = series_mul: roots (tr G -/+ sqrt(D))/2."""
     (g00, g01), (g10, g11) = g
     diff = g00 - g11
-    return g00 + g11, diff * diff + 4.0 * (g01 * g10)
+    return g00 + g11, times(diff, diff) + 4.0 * times(g01, g10)
 
 
 def _upper(root: complex) -> bool:
@@ -208,7 +217,7 @@ class BranchField:
         self._real_vectors = prob.hermitian_hint == "real_symmetric"
         self._oblique = prob.hermitian_hint not in ("real_symmetric",
                                                     "hermitian")
-        self._frames: dict[int, np.ndarray] = {}
+        self._frames: dict[int, list] = {}
         self._theta1: JetChainIntegral | None = None
         self._siblings: dict[int, "BranchField"] = {}
         self._scalar_matrix = _is_scalar_matrix(prob.G)
@@ -220,12 +229,10 @@ class BranchField:
 
     # -- G at one point ------------------------------------------------------
 
-    def _g_jet(self, x: float, order: int):
-        if order == 0:          # the values are the order-0 jets
-            g, c = self._g_value(x), float(x)
-            return [[Jet._raw(c, g[i, j:j + 1]) for j in range(self.n)]
-                    for i in range(self.n)]
-        return self.prob.G_jet(x, order)
+    def _g_coeffs(self, x: float, order: int) -> np.ndarray:
+        """Taylor coefficients of G at x, N x N x (order + 1)."""
+        return np.array([[c.coeffs for c in row]
+                         for row in self.prob.G_jet(x, order)])
 
     def _g_value(self, x: float) -> np.ndarray:
         """G(x), kept for the last x only: an eigen-solve asks for it
@@ -313,7 +320,8 @@ class BranchField:
         anchor.
         """
         if self._theta1 is not None:
-            return self._gram_schmidt(x, self._frame(self.anchor), order)[0]
+            return _vector_jets(x, self._gram_schmidt(
+                x, self._frame(self.anchor), order))[0]
         return self.basis_jets(x, order)[0]
 
     def _s0_raw(self, x: float, order: int) -> tuple:
@@ -338,13 +346,13 @@ class BranchField:
 
     # -- continuation -------------------------------------------------------
 
-    def _reference(self, x: float) -> np.ndarray:
-        """The continued eigenbasis at x (N x d values)."""
+    def _reference(self, x: float) -> list:
+        """The continued eigenbasis at x: d columns of N complex values."""
         return self._carry(x, self._frame(x))
 
-    def _frame(self, x: float) -> np.ndarray:
+    def _frame(self, x: float) -> list:
         """Continued eigenbasis at the last alignment step between the
-        anchor and x.
+        anchor and x, as `_reference` gives it.
 
         The walk starts from the eigenvectors at the anchor, each with its
         largest component made real and positive, and moves outward in
@@ -359,14 +367,14 @@ class BranchField:
         if 0 not in self._frames:
             if self.n == 2 and self._oblique:
                 # eig may order a conjugate pair by round-off; P does not
-                p = self._eigen_jets(self.anchor, 0)[1][0]
+                p = np.array(self._projector(self.anchor))
                 v = p[:, [np.argmax(np.linalg.norm(p, axis=0))]]
                 v /= np.linalg.norm(v)
             else:
                 _, vecs, _, inside = self._cluster(self.anchor)
                 v = vecs[:, inside]      # unit columns from eigh / eig
-            self._frames[0] = v * np.array([self._lead_phase(c)
-                                            for c in v.T])
+            self._frames[0] = [(c * self._lead_phase(c)).tolist()
+                               for c in v.T]
         # walk outward from the largest cached step on this side
         have = max((abs(j) for j in self._frames
                     if j == 0 or (j > 0) == (sgn > 0)), default=0)
@@ -383,20 +391,25 @@ class BranchField:
             return 1.0 if z.real >= 0 else -1.0
         return z.conjugate() / abs(z)
 
-    def _carry(self, t: float, prev: np.ndarray) -> np.ndarray:
-        """The eigenbasis at t that continues `prev`: order 0 of
-        `_gram_schmidt`, on plain numpy values."""
-        basis = self._eigen_jets(t, 0)[1][0] @ prev
-        for j in range(basis.shape[1]):
-            v = basis[:, j]             # a view: the steps below write basis
-            for i in range(j):
-                v -= np.vdot(basis[:, i], v) * basis[:, i]
-            norm_sq = complex(np.vdot(v, v))
+    def _carry(self, t: float, prev: list) -> list:
+        """The eigenbasis at t that continues the columns `prev`: order 0
+        of `_gram_schmidt`, in plain complex arithmetic."""
+        rows = self._projector(t)
+        basis = []
+        for ref in prev:
+            v = [sum(map(mul, row, ref)) for row in rows]
+            for e in basis:
+                ip = _inner(e, v)
+                v = [a - ip * b for a, b in zip(v, e)]
+            norm_sq = _inner(v, v).real             # (v, v) is exactly real
             _guard_breakdown(norm_sq, t)
-            v /= cmath.sqrt(norm_sq)
+            scale = 1.0 / math.sqrt(norm_sq)    # numpy's v / sqrt(norm_sq)
+            v = [a * scale for a in v]
             if self._oblique:
-                z = complex(np.vdot(prev[:, j], v))
-                v *= cmath.sqrt(z.conjugate() / z)
+                z = _inner(ref, v)
+                phase = cmath.sqrt(z.conjugate() / z)
+                v = [a * phase for a in v]
+            basis.append(v)
         return basis
 
     # -- Kato phase for complex non-degenerate vectors ----------------------
@@ -454,15 +467,54 @@ class BranchField:
             raise CrossingPoint(f"eigenvalue gap too small at x = {x}")
         return inside
 
+    def _branch_cluster(self, x: float):
+        """`_cluster` at x, refused where the branch's cluster is not the
+        size it has at the anchor (a crossing) or is the whole space."""
+        vals, vecs, left, inside = self._cluster(x)
+        d = int(inside.sum())
+        if self._d is None:
+            self._d = int(self._cluster(self.anchor)[3].sum())
+        if d != self._d:
+            raise CrossingPoint(
+                f"eigenvalues cross within guard radius at x = {x}")
+        if d == self.n:
+            raise UnsupportedDegeneracy(
+                f"every eigenvalue is in one cluster at x = {x}; G = c(x) I "
+                "is recognized only from its expressions")
+        return vals, vecs, left, inside
+
+    def _minus_root(self, x: float, delta0: complex) -> bool:
+        """N = 2: is the branch's root of D(x) = delta0 minus the principal
+        one?  After `_members`'s crossing test, as D = (Q**2 - mu)**2."""
+        if abs(delta0) <= _cluster_tol(self._g_value(x)) ** 2:
+            raise CrossingPoint(
+                f"eigenvalues cross within guard radius at x = {x}")
+        return _upper(cmath.sqrt(delta0)) != (self.rank == 1)
+
+    def _projector(self, x: float) -> list:
+        """P at x as rows of complex numbers: the walk's order-0 solve."""
+        if self._scalar_matrix:
+            return np.eye(self.n, dtype=complex).tolist()
+        if self.n == 2:         # the closed form of `_closed_form`
+            g = self._g_value(x).tolist()
+            (g00, g01), (g10, g11) = g
+            tr, delta = _discriminant(g)
+            minus = self._minus_root(x, delta)
+            root = -cmath.sqrt(delta) if minus else cmath.sqrt(delta)
+            qsq = (tr + root) * 0.5
+            inv = 1.0 / root
+            return [[(qsq - g11) * inv, g01 * inv],
+                    [g10 * inv, (qsq - g00) * inv]]
+        _, vecs, left, inside = self._branch_cluster(x)
+        return (vecs[:, inside] @ left[inside]).tolist()
+
     def _eigen_jets(self, x: float, order: int):
         """(Q**2 coefficients, eigenprojection coefficients P_0..P_order,
         reduced resolvent coefficients S_0..S_order).
 
         Only the last point asked for at order >= 1 is kept: the next
         calls are for the same x at the same or a lower order (a base
-        point's s0 after its Q**2, the continued basis at order 0 before
-        the jets).  Order-0 results are not kept, so the continuation walk
-        between two base points does not evict the second one.
+        point's s0 after its Q**2); the continuation walk does not come here.
         """
         memo = self._projs
         if memo is not None and memo[0] == x and memo[1] >= order:
@@ -480,44 +532,30 @@ class BranchField:
     def _whole_space(self, x: float, order: int):
         """G = c(x) I (N = 1 included): the cluster is the whole space, so
         Q**2 = tr G/N, P = I and S = 0."""
-        g = self._g_jet(x, order)
-        tr = g[0][0]
-        for j in range(1, self.n):
-            tr = tr + g[j][j]
+        tr = np.trace(self._g_coeffs(x, order))
         proj = np.zeros((order + 1, self.n, self.n), dtype=complex)
         proj[0] = np.eye(self.n)
-        return (tr * (1.0 / self.n)).coeffs, proj, np.zeros_like(proj)
+        return tr * (1.0 / self.n), proj, np.zeros_like(proj)
 
     def _closed_form(self, x: float, order: int):
         """N = 2: Q**2 = (tr G + sqrt(D))/2 with the root's sign matched to
         this branch, and P = (G - mu I)/(Q**2 - mu), where mu = tr G - Q**2
         is the other eigenvalue, so Q**2 - mu = sqrt(D) and the diagonal
-        of G - mu I is (Q**2 - G22, Q**2 - G11).  S = (P - I)/(Q**2 - mu)."""
-        if order == 0:          # the same steps on plain complex numbers
-            g = self._g_value(x).tolist()
-            sqrt, value = cmath.sqrt, complex
-        else:
-            g = self._g_jet(x, order)
-            sqrt, value = jet_sqrt, (lambda v: v.value)
-        (g00, g01), (g10, g11) = g
-        tr, delta = _discriminant(g)
-        # D = (Q**2 - mu)**2: `_members`'s test, before sqrt's branch point
-        if abs(value(delta)) <= _cluster_tol(self._g_value(x)) ** 2:
-            raise CrossingPoint(
-                f"eigenvalues cross within guard radius at x = {x}")
-        root = sqrt(delta)
-        if _upper(value(root)) != (self.rank == 1):
-            root = -root
+        of G - mu I is (Q**2 - G22, Q**2 - G11).  S = (P - I)/(Q**2 - mu).
+        Each division by sqrt(D) is one product with the lag-index Toeplitz
+        matrix of its series reciprocal."""
+        g = self._g_coeffs(x, order)
+        tr, delta = _discriminant(g, series_mul)
+        minus = self._minus_root(x, complex(delta[0]))
+        root = -series_sqrt(delta) if minus else series_sqrt(delta)
         qsq = (tr + root) * 0.5
-        inv = 1.0 / root
-        proj = [[(qsq - g11) * inv, g01 * inv], [g10 * inv, (qsq - g00) * inv]]
-        (p00, p01), (p10, p11) = proj
-        res = [[(p00 - 1.0) * inv, p01 * inv], [p10 * inv, (p11 - 1.0) * inv]]
-        if order == 0:
-            return np.array([qsq]), np.array([proj]), np.array([res])
-        return (qsq.coeffs,) + tuple(
-            np.array([[c.coeffs for c in row] for row in mat]).transpose(2, 0, 1)
-            for mat in (proj, res))
+        lag = series_matrix(series_div(series_const(1.0, order + 1), root)).T
+        proj = g.copy()
+        proj[0, 0], proj[1, 1] = qsq - g[1, 1], qsq - g[0, 0]
+        proj = proj @ lag
+        res = proj.copy()
+        res[[0, 1], [0, 1], 0] -= 1.0
+        return qsq, proj.transpose(2, 0, 1), (res @ lag).transpose(2, 0, 1)
 
     def _reduction(self, x: float, order: int):
         """N > 2: Kato's reduction process, run in the eigenbasis of
@@ -532,20 +570,9 @@ class BranchField:
         S + P = (G - Q**2 + P)**-1 is a series inverse whose lead term is
         diagonal in this basis.
         """
-        vals, vecs, left, inside = self._cluster(x)
+        vals, vecs, left, inside = self._branch_cluster(x)
         d = int(inside.sum())
-        if self._d is None:
-            self._d = int(self._cluster(self.anchor)[3].sum())
-        if d != self._d:
-            raise CrossingPoint(
-                f"eigenvalues cross within guard radius at x = {x}")
-        if d == self.n:
-            raise UnsupportedDegeneracy(
-                f"every eigenvalue is in one cluster at x = {x}; G = c(x) I "
-                "is recognized only from its expressions")
-        g = self._g_jet(x, order)
-        gt = left @ np.array([[c.coeffs for c in row] for row in g]
-                             ).transpose(2, 0, 1) @ vecs
+        gt = left @ self._g_coeffs(x, order).transpose(2, 0, 1) @ vecs
         gt[0] = np.diag(vals)
         within = inside[:, None] == inside[None, :]
         sign = np.where(within, np.where(inside[:, None], -1.0, 1.0), 0.0)
@@ -569,34 +596,34 @@ class BranchField:
             wt[k] = -wt[0] @ (mt[1:k + 1] @ wt[k - 1::-1]).sum(0)
         return qsq, vecs @ pt @ left, vecs @ (wt - pt) @ left
 
-    def _gram_schmidt(self, x: float, ref: np.ndarray, order: int) -> tuple:
-        """Gram-Schmidt of P ref as jets: the eigenbasis continuing `ref`.
+    def _gram_schmidt(self, x: float, ref: list, order: int):
+        """Gram-Schmidt of P ref: the eigenbasis continuing the columns
+        `ref`, as a d x N x (order + 1) coefficient array (at order 0 the
+        columns of values `_carry` gives).
 
         Each column e_j has (ref_j, e_j) real and positive.  For an
         orthogonal projector Gram-Schmidt gives that already; for an oblique
         one each column takes the phase sqrt(conj(z)/z), z = (ref_j, e_j).
+        For u the projected column, e_j = u sqrt(1/(u, u)), or with the
+        phase u sqrt(conj(w)/(w (u, u))), w = (ref_j, u).
         """
         if order == 0:
-            return _column_jets(x, self._carry(x, ref))
-        cols = (self._eigen_jets(x, order)[1] @ ref).transpose(2, 1, 0)
-        c = float(x)
-        basis = []
-        for j, col in enumerate(cols):
-            v = [Jet._raw(c, a) for a in col]
-            for e in basis:
-                ip = _vdot(e, v)
-                v = [a - ip * b for a, b in zip(v, e)]
-            norm_sq = _vdot(v, v)
-            _guard_breakdown(norm_sq.value, x)
-            inv = 1.0 / jet_sqrt(norm_sq)
-            v = [a * inv for a in v]
+            return self._carry(x, ref)
+        ref = np.array(ref)
+        basis = np.einsum("tij,cj->cit", self._eigen_jets(x, order)[1], ref)
+        for j, u in enumerate(basis):
+            if j:
+                ips = np.array([_inner(e, u) for e in basis[:j]])
+                u = u - series_contract(ips, basis[:j])
+            norm_sq = _inner(u, u)
+            _guard_breakdown(norm_sq[0], x)
+            num, den = series_const(1.0, order + 1), norm_sq
             if self._oblique:
-                z = sum(a * complex(r).conjugate()
-                        for r, a in zip(ref[:, j], v))
-                phase = jet_sqrt(z.conj() / z)
-                v = [a * phase for a in v]
-            basis.append(tuple(v))
-        return tuple(basis)
+                w = ref[j].conj() @ u
+                num, den = w.conj(), series_mul(w, norm_sq)
+            factor = series_sqrt(series_div(num, den))
+            basis[j] = u @ series_matrix(factor).T
+        return basis
 
     def basis_jets(self, x: float, order: int) -> tuple:
         """Orthonormal basis jets of the branch's eigenspace.
@@ -604,9 +631,9 @@ class BranchField:
         One unit eigenvector for d = 1; d vectors inside a degenerate
         cluster, each continued from the anchor.
         """
-        if order == 0:          # the continued basis is already the values
-            return _column_jets(x, self._reference(x))
-        return self._gram_schmidt(x, self._reference(x), order)
+        ref = self._reference(x)      # at order 0 already the values
+        return _vector_jets(x, ref if order == 0
+                            else self._gram_schmidt(x, ref, order))
 
     # -- public assembly ------------------------------------------------------
 
@@ -657,19 +684,22 @@ def _is_scalar_matrix(G) -> bool:
         if i != j)
 
 
-def _vdot(a, b) -> Jet:
-    """(a, b) = sum conj(a_j) b_j for vectors of jets."""
-    acc = a[0].conj() * b[0]
-    for p, q in zip(a[1:], b[1:]):
-        acc = acc + p.conj() * q
-    return acc
+def _inner(a, b):
+    """(a, b) = sum conj(a_j) b_j: of two lists of complex numbers, or of
+    two N x n coefficient arrays as a series."""
+    if isinstance(a, list):
+        return sum(map(mul, map(complex.conjugate, a), b))
+    return series_contract(a.conj(), b[:, None, :])[0]
 
 
-def _column_jets(x: float, cols: np.ndarray) -> tuple:
-    """The columns of an N x d array of values as order-0 jets."""
+def _vector_jets(x: float, vecs) -> tuple:
+    """A d x N x n coefficient array, or d lists of N values (order 0), as
+    d vectors of N jets."""
     c = float(x)
-    return tuple(tuple(Jet._raw(c, a) for a in col)
-                 for col in cols.T[:, :, None])
+    if isinstance(vecs, list):
+        return tuple(tuple([Jet._raw(c, np.array([a])) for a in vec])
+                     for vec in vecs)
+    return tuple(tuple([Jet._raw(c, a) for a in vec]) for vec in vecs)
 
 
 def _guard_breakdown(norm_sq: complex, x: float):

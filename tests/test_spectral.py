@@ -8,11 +8,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cauchy_coeffs
+from phaseintegral import jets, spectral
 from phaseintegral.errors import CrossingPoint, TurningPoint
 from phaseintegral.examples import example_problem
 from phaseintegral.expressions import parse_expr
 from phaseintegral.jets import Jet, jet_const, jet_pow, jet_variable
-from phaseintegral.problem import ProblemSpec, load_problem, split_R
+from phaseintegral.problem import (
+    ProblemSpec, ReducedProblem, load_problem, split_R,
+)
 from phaseintegral.quadrature import quad
 from phaseintegral.spectral import (
     BranchField, eigen_n2_closed_form, eigen_track, epsilon0, kato_gauge,
@@ -771,6 +774,90 @@ class TestOrderZero:
             fld.qsq_jet(1.0, 0)
         with pytest.raises(CrossingPoint):
             fld.s0_jets(1.0, 0)
+
+
+# --------------------------------------------------------------------------
+# work counts
+# --------------------------------------------------------------------------
+
+class TestWorkCounts:
+    """The work of the branch data, counted at the Jet constructors and
+    operators, at `G_jet` and `_reduction`, and at the series root and
+    quotient kernels: the continuation walk runs on values and the order-K
+    eigen-jets on coefficient arrays."""
+
+    OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+           "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        got = {"jets": 0, "jet_ops": 0, "G_jet": 0, "reductions": [],
+               "sqrt": 0, "quotient": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                got[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        raw, init = Jet._raw.__func__, Jet.__init__
+        monkeypatch.setattr(Jet, "_raw", classmethod(counted(raw, "jets")))
+        monkeypatch.setattr(Jet, "__init__", counted(init, "jets"))
+        for op in self.OPS:
+            monkeypatch.setattr(Jet, op, counted(getattr(Jet, op), "jet_ops"))
+        monkeypatch.setattr(ReducedProblem, "G_jet",
+                            counted(ReducedProblem.G_jet, "G_jet"))
+        reduction = BranchField._reduction
+
+        def counted_reduction(self, x, order):
+            got["reductions"].append(order)
+            return reduction(self, x, order)
+        monkeypatch.setattr(BranchField, "_reduction", counted_reduction)
+        sqrt = counted(jets.series_sqrt, "sqrt")
+        for mod in (jets, spectral):
+            monkeypatch.setattr(mod, "series_sqrt", sqrt)
+        monkeypatch.setattr(jets, "_quotient",
+                            counted(jets._quotient, "quotient"))
+        return got
+
+    @pytest.mark.parametrize("name", ["fex1", "fex4", "block3"])
+    def test_walk_steps_make_no_jet(self, name, request):
+        # ten order-0 steps of the continuation walk and the carry to a
+        # point between two steps
+        prob = _block3() if name == "block3" else request.getfixturevalue(name)
+        fld = BranchField(prob, 1, "normalized", None, anchor=2.5)
+        fld._frame(2.5)
+        counts = request.getfixturevalue("counts")
+        fld._reference(3.55)
+        assert len(fld._frames) == 11
+        assert counts == {"jets": 0, "jet_ops": 0, "G_jet": 0,
+                          "reductions": [], "sqrt": 0, "quotient": 0}
+
+    def test_n2_point_takes_one_root_and_one_reciprocal(self, fex1, counts):
+        # Q**2, P and S of a new point: one root of D and one reciprocal of
+        # it; its unit eigenvector: one root and one quotient more.  Fex1's
+        # G has no root or quotient of its own.
+        fld = BranchField(fex1, 1, "normalized", None, anchor=2.5)
+        fld._reference(3.7)
+        fld._eigen_jets(3.7, 14)
+        assert (counts["sqrt"], counts["quotient"]) == (1, 1)
+        fld.basis_jets(3.7, 14)
+        assert (counts["sqrt"], counts["quotient"]) == (2, 2)
+        assert counts["jet_ops"] == 0
+        assert counts["G_jet"] == 1
+
+    def test_oblique_unit_vector_takes_one_root_and_one_quotient(
+            self, fex4, counts):
+        # the phase of an oblique projector's column rides on the same root
+        # and quotient as its norm
+        fld = BranchField(fex4, 0, "normalized", None, anchor=2.5)
+        fld._reference(3.7)
+        fld._eigen_jets(3.7, 14)
+        sqrt, quotient = counts["sqrt"], counts["quotient"]
+        fld.basis_jets(3.7, 14)
+        assert (counts["sqrt"] - sqrt, counts["quotient"] - quotient) \
+            == (1, 1)
+        assert counts["jet_ops"] == 0
 
 
 # --------------------------------------------------------------------------
