@@ -598,8 +598,7 @@ class BranchField:
 
     def _gram_schmidt(self, x: float, ref: list, order: int):
         """Gram-Schmidt of P ref: the eigenbasis continuing the columns
-        `ref`, as a d x N x (order + 1) coefficient array (at order 0 the
-        columns of values `_carry` gives).
+        `ref`, as a d x N x (order + 1) coefficient array.
 
         Each column e_j has (ref_j, e_j) real and positive.  For an
         orthogonal projector Gram-Schmidt gives that already; for an oblique
@@ -608,14 +607,14 @@ class BranchField:
         phase u sqrt(conj(w)/(w (u, u))), w = (ref_j, u).
         """
         if order == 0:
-            return self._carry(x, ref)
+            return np.array(self._carry(x, ref))[:, :, None]
         ref = np.array(ref)
         basis = np.einsum("tij,cj->cit", self._eigen_jets(x, order)[1], ref)
         for j, u in enumerate(basis):
             if j:
-                ips = np.array([_inner(e, u) for e in basis[:j]])
+                ips = np.array([_series_inner(e, u) for e in basis[:j]])
                 u = u - series_contract(ips, basis[:j])
-            norm_sq = _inner(u, u)
+            norm_sq = _series_inner(u, u)
             _guard_breakdown(norm_sq[0], x)
             num, den = series_const(1.0, order + 1), norm_sq
             if self._oblique:
@@ -632,7 +631,7 @@ class BranchField:
         cluster, each continued from the anchor.
         """
         ref = self._reference(x)      # at order 0 already the values
-        return _vector_jets(x, ref if order == 0
+        return _vector_jets(x, np.array(ref)[:, :, None] if order == 0
                             else self._gram_schmidt(x, ref, order))
 
     # -- public assembly ------------------------------------------------------
@@ -684,21 +683,19 @@ def _is_scalar_matrix(G) -> bool:
         if i != j)
 
 
-def _inner(a, b):
-    """(a, b) = sum conj(a_j) b_j: of two lists of complex numbers, or of
-    two N x n coefficient arrays as a series."""
-    if isinstance(a, list):
-        return sum(map(mul, map(complex.conjugate, a), b))
+def _inner(a: list, b: list) -> complex:
+    """(a, b) = sum conj(a_j) b_j of two lists of complex numbers."""
+    return sum(map(mul, map(complex.conjugate, a), b))
+
+
+def _series_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a, b) of two N x n coefficient arrays, as a series."""
     return series_contract(a.conj(), b[:, None, :])[0]
 
 
-def _vector_jets(x: float, vecs) -> tuple:
-    """A d x N x n coefficient array, or d lists of N values (order 0), as
-    d vectors of N jets."""
+def _vector_jets(x: float, vecs: np.ndarray) -> tuple:
+    """A d x N x n coefficient array as d vectors of N jets."""
     c = float(x)
-    if isinstance(vecs, list):
-        return tuple(tuple([Jet._raw(c, np.array([a])) for a in vec])
-                     for vec in vecs)
     return tuple(tuple([Jet._raw(c, a) for a in vec]) for vec in vecs)
 
 
