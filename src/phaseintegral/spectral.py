@@ -598,7 +598,7 @@ class BranchField:
 
     def _gram_schmidt(self, x: float, ref: list, order: int):
         """Gram-Schmidt of P ref: the eigenbasis continuing the columns
-        `ref`, as a d x N x (order + 1) coefficient array.
+        `ref`, d x N x (order + 1) coefficients (values at order 0).
 
         Each column e_j has (ref_j, e_j) real and positive.  For an
         orthogonal projector Gram-Schmidt gives that already; for an oblique
@@ -607,7 +607,7 @@ class BranchField:
         phase u sqrt(conj(w)/(w (u, u))), w = (ref_j, u).
         """
         if order == 0:
-            return np.array(self._carry(x, ref))[:, :, None]
+            return self._carry(x, ref)
         ref = np.array(ref)
         basis = np.einsum("tij,cj->cit", self._eigen_jets(x, order)[1], ref)
         for j, u in enumerate(basis):
@@ -631,7 +631,7 @@ class BranchField:
         cluster, each continued from the anchor.
         """
         ref = self._reference(x)      # at order 0 already the values
-        return _vector_jets(x, np.array(ref)[:, :, None] if order == 0
+        return _vector_jets(x, ref if order == 0
                             else self._gram_schmidt(x, ref, order))
 
     # -- public assembly ------------------------------------------------------
@@ -693,9 +693,12 @@ def _series_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return series_contract(a.conj(), b[:, None, :])[0]
 
 
-def _vector_jets(x: float, vecs: np.ndarray) -> tuple:
-    """A d x N x n coefficient array as d vectors of N jets."""
+def _vector_jets(x: float, vecs) -> tuple:
+    """d x N x n coefficients or d lists of N values as d vectors of jets."""
     c = float(x)
+    if isinstance(vecs, list):
+        return tuple(tuple([Jet._raw(c, np.array([a])) for a in vec])
+                     for vec in vecs)
     return tuple(tuple([Jet._raw(c, a) for a in vec]) for vec in vecs)
 
 

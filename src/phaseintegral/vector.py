@@ -196,7 +196,7 @@ class CorrectionEngine:
         self._coords: dict[tuple, JetChainIntegral] = {}
         # the anchor's eigen-solve raises what a crossing there raises (or a
         # G equal to c(x) I only through identities) before a point is built
-        branch._eigen_jets(self.anchor, 0)
+        branch._projector(self.anchor)
         d = branch.degeneracy(self.anchor)
         # a cluster short of the whole space has its own basis and Kato
         # coordinates; the whole space (P = I) is the scalar theory
