@@ -140,5 +140,10 @@ class InputError(PhaseIntegralError):
     """A command line argument or problem source is missing or malformed."""
 
 
+class InvalidInput(InputError, ValueError):
+    """A problem or argument value outside its documented range (also a
+    ValueError, as these checks raised before)."""
+
+
 class UnknownExample(InputError):
     """Requested builtin example does not exist."""

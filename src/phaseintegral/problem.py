@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EvaluationSingularity, SingularCoefficient
+from .errors import EvaluationSingularity, InvalidInput, SingularCoefficient
 from .expressions import (
     Add, Const, Expression, JetTape, Mul, Pow, Sub, Var,
     diff_expr, eval_expr, eval_expr_jet, parse_expr, to_string,
@@ -75,7 +75,7 @@ class ReducedProblem:
 
     def __post_init__(self):
         if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+            raise InvalidInput("lambda must be positive")
         if self.hermitian_hint == "real_symmetric":
             self._check_symmetry()
 
@@ -84,7 +84,7 @@ class ReducedProblem:
         for x in np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 7):
             g = self.G_value(float(x))
             if np.max(np.abs(g - g.T)) > 1e-12 * (1.0 + np.max(np.abs(g))):
-                raise ValueError(
+                raise InvalidInput(
                     f"hermitian_hint=real_symmetric but G asymmetric at x={x}")
 
     def __getstate__(self):

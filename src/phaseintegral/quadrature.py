@@ -128,8 +128,11 @@ class JetChainIntegral:
     panel is judged against.  A first panel from the anchor, with no sum
     yet, is judged against h max(|f(a)|, |f(b)|).  Off the ladder, the
     value is rung j's sum plus one panel to x judged against rung j's
-    scale, j the rung before x toward the anchor.  A value thus depends on
-    x alone, and the memo on the interval walked.
+    scale, j the rung before x toward the anchor.  Besides the sums it
+    keeps the integrand's jet at the outermost rung walked on each side,
+    where the next march there starts, and at the last off-ladder x
+    (`jet_at`): each is the jet a new evaluation would give, so a value
+    still depends on x alone, and the memo on the interval walked.
     """
 
     def __init__(self, f_jet_at: Callable[[float], "object"], anchor: float,
@@ -140,6 +143,8 @@ class JetChainIntegral:
         self.atol = atol
         # rung j -> (partial sum, largest |partial sum| from the anchor)
         self._rungs: dict[int, tuple] = {0: (0.0 + 0.0j, 0.0)}
+        # +1, -1: (x, jet) of each side's outermost rung; 0: last off-ladder x
+        self._kept: dict[int, tuple] = {}
 
     def _panel(self, a: float, b: float, scale: float, fa=None,
                fb=None) -> complex:
@@ -179,9 +184,10 @@ class JetChainIntegral:
         """(partial sum, scale, jet at rung j or None) of rung j, marched
         to from the end of the walked interval on its side."""
         step = 1 if j > 0 else -1
-        i, f_i = j, None
+        i = j
         while i not in self._rungs:
             i -= step
+        f_i = self.jet_at(self._rung_x(i))
         while i != j:
             acc, scale = self._rungs[i]
             a, b = self._rung_x(i), self._rung_x(i + step)
@@ -189,7 +195,12 @@ class JetChainIntegral:
             acc = acc + self._panel(a, b, scale, f_a, f_i)
             i += step
             self._rungs[i] = (acc, max(scale, abs(acc)))
+            self._kept[step] = (b, f_i)
         return self._rungs[j] + (f_i,)
+
+    def jet_at(self, x: float):
+        """The integrand's jet at x if it is kept, else None."""
+        return next((jet for at, jet in self._kept.values() if at == x), None)
 
     def value(self, x: float) -> complex:
         x = float(x)
@@ -201,7 +212,9 @@ class JetChainIntegral:
         if (self._rung_x(j) - x) * t > 0:
             j -= 1 if t > 0 else -1
         acc, scale, f_j = self._rung(j)
-        return acc + self._panel(self._rung_x(j), x, scale, f_j)
+        f_x = self.f_jet_at(x)
+        self._kept[0] = (x, f_x)
+        return acc + self._panel(self._rung_x(j), x, scale, f_j, f_x)
 
     def __call__(self, x: float) -> complex:
         return self.value(x)

@@ -65,6 +65,7 @@ from .errors import (
     DegenerateParameterization,
     GramSchmidtBreakdown,
     InsufficientJetOrder,
+    InvalidInput,
     TurningPoint,
     UnsupportedDegeneracy,
     ZeroAtEvaluationPoint,
@@ -157,20 +158,21 @@ def schwartzian(qsq: Jet) -> complex:
 
 def _schwartzian_jet(qsq: Jet) -> Jet:
     """Jet of S_x[q] = (5/16) ((q^2)'/q^2)^2 - (1/4) (q^2)''/q^2."""
-    k = qsq.order - 2
-    g = qsq.truncated(k)
-    gp = qsq.diff().truncated(k)
-    gpp = qsq.diff().diff().truncated(k)
-    ratio = gp / g
-    return (5.0 / 16.0) * (ratio * ratio) - (1.0 / 4.0) * (gpp / g)
+    c = qsq.coeffs
+    k = c.size - 3
+    dc = c[1:] * np.arange(1, c.size)
+    ddc = dc[1:] * np.arange(1, dc.size)
+    ratio = series_div(dc[:k + 1], c[:k + 1])
+    return Jet._raw(qsq.center, series_mul(ratio, ratio) * complex(5.0 / 16.0)
+                    - series_div(ddc[:k + 1], c[:k + 1]) * complex(0.25))
 
 
 def _eps0(qsq: Jet, a_of: Callable[[], Jet], x0: float, order: int) -> Jet:
     """Jet of (S_x[Q] + a) / Q**2; `qsq` has order >= order + 2."""
     if lead_is_zero(qsq.coeffs):
         raise TurningPoint(f"Q**2 vanishes at x = {x0}")
-    s = _schwartzian_jet(qsq.truncated(order + 2))
-    return (s + a_of()) / qsq.truncated(order)
+    s = _schwartzian_jet(qsq.truncated(order + 2)).coeffs + a_of().coeffs
+    return Jet._raw(qsq.center, series_div(s, qsq.coeffs[:order + 1]))
 
 
 def epsilon0(branch: EigenBranch, a: Expression, x0: float, order: int,
@@ -203,9 +205,9 @@ class BranchField:
                  gauge: str = "normalized", gauge_g: Expression | None = None,
                  anchor: float | None = None, q_sign: int = +1):
         if rank < 0 or rank >= prob.n:
-            raise ValueError(f"rank {rank} out of range for N={prob.n}")
+            raise InvalidInput(f"rank {rank} out of range for N={prob.n}")
         if gauge not in ("raw", "normalized", "kato"):
-            raise ValueError(f"unknown gauge {gauge!r}")
+            raise InvalidInput(f"unknown gauge {gauge!r}")
         self.prob = prob
         self.n = prob.n
         self.rank = rank

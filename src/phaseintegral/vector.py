@@ -41,13 +41,15 @@ from .errors import (
     ApplicabilityWarning,
     CompatibilityViolation,
     GaugeNotFixed,
+    InvalidInput,
     NonPositiveYWarning,
     TurningPoint,
     TurningPointOnGrid,
     UnsupportedDegeneracy,
 )
 from .jets import (
-    Jet, jet_const, jet_exp, jet_pow, jet_sqrt, series_contract, series_matrix,
+    Jet, jet_const, jet_exp, jet_pow, series_contract, series_matrix,
+    series_mul,
 )
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
@@ -168,9 +170,9 @@ class CorrectionEngine:
     def __init__(self, prob: ReducedProblem, branch: BranchField,
                  variant: str, m_max: int, anchor: float | None = None):
         if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+            raise InvalidInput(f"unknown variant {variant!r}")
         if m_max < 0:
-            raise ValueError("m_max must be >= 0")
+            raise InvalidInput("m_max must be >= 0")
         hint = prob.hermitian_hint
         if variant in _HERMITIAN_VARIANTS and hint not in (
                 "real_symmetric", "hermitian"):
@@ -329,13 +331,9 @@ class CorrectionEngine:
         i s_m' in the Kato gauge, where Y_1 = 0.
         """
         work = pt.work or PointWork(pt.x, pt.Q, pt.eps0, pt.Y, pt.s, self.K)
-
-        def t(j):
-            return j.coeffs[:k + 1]
-
-        P2, P3, P4 = ([t(work.powers.power(c, j)) for j in range(m)]
+        P2, P3, P4 = ([work.powers.power(c, j)[:k + 1] for j in range(m)]
                       for c in (2, 3, 4))
-        c2, s3, s4 = (t(j) for j in work.powers.parts(m))
+        c2, s3, s4 = (a[:k + 1] for a in work.powers.parts(m))
         c4 = c2 + c2 + s4
         coefs, vecs = [], []
         for sigma in range(m if stop is None else stop):
@@ -347,8 +345,8 @@ class CorrectionEngine:
             if sigma <= m - 2:
                 r = m - 2 - sigma
                 T, U = work.lam2(r)
-                cs = cs + t(U)
-                cd = cd - t(T)
+                cs = cs + U[:k + 1]
+                cd = cd - T[:k + 1]
                 coefs.append(0.5 * P2[r])
                 vecs.append(work.dz("s", sigma, 2))
             coefs += (0.5 * cs, 0.5 * cd)
@@ -403,8 +401,11 @@ class CorrectionEngine:
                 lambda t: self._integrand(self._point(t, m, staged=True),
                                           m, i, kf),
                 self.anchor, **tol)
-        f_jet = self._integrand(pt, m, i, max(k - 1, 0))
-        return f_jet.antiderivative(cum.value(pt.x)).truncated(k)
+        value = cum.value(pt.x)
+        f_jet = cum.jet_at(pt.x)        # kept if the value ended at x
+        if f_jet is None:
+            f_jet = self._integrand(pt, m, i, max(k - 1, 0))
+        return f_jet.antiderivative(value).truncated(k)
 
     def _integrand(self, pt: _Point, m: int, i: int, k: int) -> Jet:
         return (self._cpar_f_jet(pt, m, k) if i == 0
@@ -525,16 +526,19 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
     kq = engine.K - m_max
 
     def normal_form(pt: _Point, k: int) -> tuple:
-        """(Y, momentum) at order k: |Q| Y when Q**2 is real, +-Q Y
+        """(Y, momentum) at order k, Y as coefficients: |Q| Y when Q**2 is
+        real (|Q| is Q or i Q, whichever has a positive real part), +-Q Y
         otherwise."""
-        y = jet_const(0.0, pt.x, k)
+        y = np.zeros(k + 1, dtype=complex)
         for m in range(m_max + 1):
-            y = y + (sign * lam) ** m * pt.Y[m].truncated(k)
+            y = y + pt.Y[m].coeffs[:k + 1] * complex((sign * lam) ** m)
+        q = pt.Q.coeffs[:k + 1]
         if real_case:
-            qsq = pt.Qsq.truncated(k)
-            absq = jet_sqrt(qsq) if positive else jet_sqrt(-qsq)
-            return y, absq * y
-        return y, float(sign) * pt.Q.truncated(k) * y
+            q = q if positive else q * 1j
+            q = -q if q[0].real < 0.0 else q
+        else:
+            q = q * complex(sign)
+        return y, Jet._raw(pt.x, series_mul(q, y))
 
     def qbar_jet(t: float) -> Jet:
         # staged data is enough here: Y_m never needs the parallel part
@@ -546,7 +550,7 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
         if real_case and (pt.Qsq.value.real > 0) != positive:
             raise TurningPointOnGrid(f"Q**2 changes sign at x = {t}")
         y, qbar = normal_form(pt, kq)
-        if real_case and y.value.real <= 0.0 and not warned_y:
+        if real_case and y[0].real <= 0.0 and not warned_y:
             warned_y.append(t)
             warnings.warn(
                 f"Re Y{'+' if sign > 0 else '-'} <= 0 at x = {t}",

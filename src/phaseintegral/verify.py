@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationSingularity, GridMismatch, StepSizeUnderflow
+from .errors import (EvaluationSingularity, GridMismatch, InvalidInput,
+                     StepSizeUnderflow)
 from .problem import ReducedProblem
 from .scalar import Wave, WaveSample
 
@@ -129,12 +130,12 @@ def reference_integrate(R_eval: Callable[[float], np.ndarray], x_start: float,
     from scipy.integrate import solve_ivp
 
     if not 1e-12 <= tol <= 1e-4:
-        raise ValueError("tol outside [1e-12, 1e-4]")
+        raise InvalidInput("tol outside [1e-12, 1e-4]")
     pts = sorted(dense_points) if dense_points is not None else [x_start, x_end]
     lo, hi = min(x_start, x_end), max(x_start, x_end)
     for x in pts:
         if not lo <= x <= hi:
-            raise ValueError(f"dense point {x} outside integration range")
+            raise InvalidInput(f"dense point {x} outside integration range")
     u0 = np.asarray(u0, dtype=complex)
     du0 = np.asarray(du0, dtype=complex)
     n = u0.size
@@ -240,7 +241,8 @@ def crossing_diagnostics(prob: ReducedProblem, lo: float, hi: float) -> list:
             for _ in range(80):          # ternary refinement
                 m1 = a + (b - a) / 3.0
                 m2 = b - (b - a) / 3.0
-                if gap(m1) < gap(m2):
+                g1, g2 = _eigen_gaps(prob, [m1, m2])    # one batched solve
+                if g1 < g2:
                     b = m2
                 else:
                     a = m1

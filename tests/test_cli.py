@@ -242,6 +242,20 @@ class TestReduce:
                                "/nonexistent.json", "--at", "1")
         assert code == 2
 
+    def test_asymmetric_real_symmetric_problem(self, capsys, tmp_path):
+        # a file whose G contradicts its own hermitian_hint is an input
+        # error (exit 2), not an internal one
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "n": 2, "form": "reduced", "R": [["x", "1"], ["2", "x"]],
+            "domain": [0.5, 2.0], "hermitian_hint": "real_symmetric",
+            "lambda": 1.0, "params": {}}))
+        code, out, err = run_cli(capsys, "corrections", "--problem",
+                                 str(path), "--branch", "0", "--theory",
+                                 "simplified", "--order", "2", "--at", "1.0")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "asymmetric" in err
+
 
 class TestEigen:
     def test_eigen_table(self, capsys):

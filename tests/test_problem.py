@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from phaseintegral.errors import SingularCoefficient
+from phaseintegral.errors import InputError, SingularCoefficient
 from phaseintegral.examples import example_problem
 from phaseintegral.expressions import (
     Const, JetTape, eval_expr, eval_expr_jet, parse_expr,
@@ -178,6 +178,31 @@ class TestJsonRoundTrip:
         spec, lam, a = load_problem(bad)
         with pytest.raises(ValueError):
             split_R(spec, lam, a)
+
+    def test_input_checks_raise_input_errors(self):
+        # what a problem file or a command line argument can get wrong is
+        # an InputError (the CLI's exit 2) and still a ValueError
+        from phaseintegral.spectral import BranchField
+        from phaseintegral.vector import CorrectionEngine
+        spec, lam, a = load_problem(example_problem("fulling-pos"))
+        prob = split_R(spec, lam, a)
+        fld = BranchField(prob, 0, anchor=3.0)
+        R = lambda x: prob.R_value(x)   # noqa: E731
+        bad = [
+            lambda: split_R(spec, -1.0, a),
+            lambda: BranchField(prob, 2),
+            lambda: BranchField(prob, 0, "rawg"),
+            lambda: CorrectionEngine(prob, fld, "fulling", 2, 3.0),
+            lambda: CorrectionEngine(prob, fld, "simplified_hermitian", -1),
+            lambda: V.reference_integrate(R, 3.0, [1, 0], [0, 1], 4.0,
+                                          tol=1e-2),
+            lambda: V.reference_integrate(R, 3.0, [1, 0], [0, 1], 4.0,
+                                          dense_points=[5.0]),
+        ]
+        for make in bad:
+            with pytest.raises(InputError) as info:
+                make()
+            assert isinstance(info.value, ValueError)
 
 
 class TestPickle:

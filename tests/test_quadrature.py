@@ -86,6 +86,39 @@ def test_jet_chain_value_depends_on_x_alone():
     assert chain.value(1.03) == fresh
 
 
+def _held_jets(obj) -> int:
+    """Jets reachable from obj through dicts, lists and tuples."""
+    if isinstance(obj, Jet):
+        return 1
+    if isinstance(obj, dict):
+        return sum(map(_held_jets, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return sum(map(_held_jets, obj))
+    return 0
+
+
+def test_jet_chain_evaluates_each_node_once():
+    # a march starts from the jet its side's last march ended on, so rungs
+    # asked in order evaluate each node once; the integral keeps that one
+    # jet per side, not one per rung
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return jet_exp(jet_variable(t, 6))
+
+    xs = [0.5 + j / 4 for j in range(1, 41)]
+    chain = JetChainIntegral(f, 0.5)
+    got = [chain.value(x) for x in xs]
+    assert len(calls) == len(set(calls)) == 41, len(calls)
+    assert got == [JetChainIntegral(f, 0.5).value(x) for x in xs]
+    chain = JetChainIntegral(lambda t: jet_sin(jet_variable(t, 6)), 0.0)
+    chain.value(100.0)
+    chain.value(-100.0)
+    assert len(chain._rungs) == 801
+    assert _held_jets(vars(chain)) <= 2
+
+
 def test_jet_chain_off_ladder_queries_run_in_flat_memory():
     # the memo holds the rungs of the interval walked, not the points asked
     chain = JetChainIntegral(lambda t: jet_exp(jet_variable(t, 4)), 0.0)

@@ -17,6 +17,7 @@ from phaseintegral import jets, recurrence
 from phaseintegral import vector as vector_module
 from phaseintegral.jets import Jet, jet_const
 from phaseintegral.problem import ProblemSpec, load_problem, split_R
+from phaseintegral.quadrature import JetChainIntegral
 from phaseintegral.recurrence import PowerTable
 from phaseintegral.scalar import scalar_corrections
 from phaseintegral.spectral import BranchField
@@ -269,20 +270,21 @@ class TestPowerTable:
     @settings(max_examples=30, deadline=None)
     @given(_integer_y())
     def test_table_equals_composition_sums(self, Y):
+        # the table's entries are coefficient arrays, the oracle's Jets
         known = [Y[0]]               # Y_t becomes known level by level
         table = PowerTable(known, _TABLE_K)
         for c in (2, 3, 4):
-            assert table.power(c, 0) is Y[0]
+            assert table.power(c, 0) is Y[0].coeffs
         for t in range(1, _TABLE_T + 1):
             k = _TABLE_K - t
             c2, _, s4 = table.parts(t)          # before Y_t is known
             assert np.array_equal(
-                c2.coeffs, _composition_sum(Y, 2, t, k, True).coeffs)
+                c2, _composition_sum(Y, 2, t, k, True).coeffs)
             assert np.array_equal(
-                (c2 + c2 + s4).coeffs, _composition_sum(Y, 4, t, k, True).coeffs)
+                c2 + c2 + s4, _composition_sum(Y, 4, t, k, True).coeffs)
             known.append(Y[t])
             for c in (2, 3, 4):
-                assert np.array_equal(table.power(c, t).coeffs,
+                assert np.array_equal(table.power(c, t),
                                       _composition_sum(Y, c, t, k).coeffs)
 
     @pytest.mark.parametrize("m_max", [6, 8])
@@ -354,9 +356,10 @@ class TestWorkCounts:
 
     @staticmethod
     def _count(monkeypatch, engine, x):
-        counts = {"mul": 0, "div": 0, "quotient": 0, "contract": 0}
+        counts = {"mul": 0, "div": 0, "add": 0, "quotient": 0, "contract": 0}
         for name, key in (("__mul__", "mul"), ("__rmul__", "mul"),
-                          ("__truediv__", "div")):
+                          ("__truediv__", "div"), ("__add__", "add"),
+                          ("__radd__", "add")):
             def counted(self, other, op=getattr(Jet, name), key=key):
                 counts[key] += 1
                 return op(self, other)
@@ -379,7 +382,9 @@ class TestWorkCounts:
 
     def test_fex1_m6_point(self, fex1, monkeypatch):
         # before the power table: 2267 products and 174 quotients; with
-        # vector jets as tuples of Jets: 310 products, 47 series quotients
+        # vector jets as tuples of Jets: 310 products, 47 series quotients;
+        # with the power table and eps0 on Jets: 91 products, 108 sums and
+        # 4 quotients
         eng = CorrectionEngine(fex1, field(fex1, 0, anchor=2.5),
                                "simplified_hermitian", 6, 2.5)
         counts = self._count(monkeypatch, eng, 3.7)
@@ -388,7 +393,10 @@ class TestWorkCounts:
         # per level: one contraction for b_m, (l, b_m) for Y_m, c_perp's
         # scalar product and c_par s0; (s0, s0) once
         assert counts["contract"] <= 4 * 6 + 1, counts
-        assert counts["mul"] <= 110, counts
+        # per level: Y_m and c_perp times 1/(s0, s0)
+        assert counts["mul"] <= 2 * 6 + 4, counts
+        # the recurrence sums coefficient arrays, never Jets
+        assert counts["add"] == 0, counts
         assert counts["quotient"] <= 18, counts
 
     def test_fulling_m3_point(self, fex1, monkeypatch):
@@ -404,6 +412,31 @@ class TestWorkCounts:
         assert counts["contract"] <= 20, counts
         assert counts["mul"] <= 50, counts
         assert counts["quotient"] <= 12, counts
+
+    def test_fulling_m0_wave_pair_evaluates_each_node_once(self, fex1,
+                                                           monkeypatch):
+        # each integral evaluates its integrand once per node: a march
+        # starts from the jet the last one ended on (48 calls for these
+        # 26 nodes when every march evaluated its start again)
+        calls, made = [], []
+        init = JetChainIntegral.__init__
+
+        def counting(chain, f_jet_at, anchor, *args, **kwargs):
+            index = len(made)
+            made.append(chain)
+
+            def f(t):
+                calls.append((index, t))
+                return f_jet_at(t)
+            init(chain, f, anchor, *args, **kwargs)
+        monkeypatch.setattr(JetChainIntegral, "__init__", counting)
+        eng = CorrectionEngine(fex1, field(fex1, 1, anchor=3.0),
+                               "fulling_current", 0, 3.0)
+        grid = [3.0 + j / 4 for j in range(13)]
+        for sign in (+1, -1):
+            assemble_vector_wave(eng, sign, grid, 3.0, 0.1)
+        assert len(made) == 2
+        assert len(calls) == len(set(calls)) == 26, len(calls)
 
     def test_block3_point_runs_one_reduction(self, monkeypatch):
         # a new diag(Fex1, 9) point expands its eigenprojection and reduced
