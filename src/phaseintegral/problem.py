@@ -50,11 +50,11 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.form not in ("reduced", "schrodinger_like"):
-            raise ValueError(f"unknown form {self.form!r}")
+            raise InvalidInput(f"unknown form {self.form!r}")
         if len(self.matrix) != self.n or any(len(r) != self.n for r in self.matrix):
-            raise ValueError("matrix must be n x n")
+            raise InvalidInput("matrix must be n x n")
         if (self.first_derivative is not None) != (self.form == "schrodinger_like"):
-            raise ValueError("first_derivative present iff form is schrodinger_like")
+            raise InvalidInput("first_derivative present iff form is schrodinger_like")
 
     def matrix_value(self, x: float) -> np.ndarray:
         return np.array([[eval_expr(e, x, self.params) for e in row]

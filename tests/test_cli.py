@@ -242,19 +242,27 @@ class TestReduce:
                                "/nonexistent.json", "--at", "1")
         assert code == 2
 
-    def test_asymmetric_real_symmetric_problem(self, capsys, tmp_path):
-        # a file whose G contradicts its own hermitian_hint is an input
-        # error (exit 2), not an internal one
+    @pytest.mark.parametrize("change, message", [
+        ({"R": [["x", "1"], ["2", "x"]], "hermitian_hint": "real_symmetric"},
+         "asymmetric"),
+        ({"form": "foo"}, "unknown form"),
+        ({"R": [["x", "1"]]}, "n x n"),
+        ({"first_derivative": ["1", "1"]}, "first_derivative"),
+    ], ids=["asymmetric-real-symmetric", "unknown-form", "not-square",
+            "first-derivative-in-reduced-form"])
+    def test_inconsistent_problem_file(self, capsys, tmp_path, change,
+                                       message):
+        # what a problem file gets wrong is an input error (exit 2), not an
+        # internal one
+        data = {"n": 2, "form": "reduced", "R": [["x", "1"], ["1", "x"]],
+                "domain": [0.5, 2.0], "lambda": 1.0, "params": {}}
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "n": 2, "form": "reduced", "R": [["x", "1"], ["2", "x"]],
-            "domain": [0.5, 2.0], "hermitian_hint": "real_symmetric",
-            "lambda": 1.0, "params": {}}))
+        path.write_text(json.dumps({**data, **change}))
         code, out, err = run_cli(capsys, "corrections", "--problem",
                                  str(path), "--branch", "0", "--theory",
                                  "simplified", "--order", "2", "--at", "1.0")
         assert code == 2 and out == ""
-        assert err.startswith("input error: ") and "asymmetric" in err
+        assert err.startswith("input error: ") and message in err
 
 
 class TestEigen:
