@@ -286,7 +286,7 @@ def series_matrix(c: np.ndarray) -> np.ndarray:
     last axis: T @ b is the Cauchy product c b, truncated like series_mul."""
     pad = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,), dtype=complex)
     pad[..., :-1] = c
-    return pad[..., _lag_index(c.shape[-1])]
+    return pad.take(_lag_index(c.shape[-1]), axis=-1)
 
 
 def series_contract(coefs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -296,7 +296,7 @@ def series_contract(coefs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     T, n = coefs.shape
     pad = np.zeros((T, n + 1), dtype=complex)
     pad[:, :-1] = coefs
-    lag = pad[:, _lag_index(n).T]          # [t, s, p] = coefs[t, p - s]
+    lag = pad.take(_lag_index(n).T, axis=1)     # [t, s, p] = coefs[t, p - s]
     return (vecs.transpose(1, 0, 2).reshape(-1, T * n)
             @ lag.reshape(T * n, n))
 

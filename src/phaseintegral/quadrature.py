@@ -130,9 +130,12 @@ class JetChainIntegral:
     value is rung j's sum plus one panel to x judged against rung j's
     scale, j the rung before x toward the anchor.  Besides the sums it
     keeps the integrand's jet at the outermost rung walked on each side,
-    where the next march there starts, and at the last off-ladder x
-    (`jet_at`): each is the jet a new evaluation would give, so a value
-    still depends on x alone, and the memo on the interval walked.
+    where the next march there starts, at the last off-ladder x
+    (`jet_at`), and at the rung a one-rung march left or the last
+    off-ladder panel started from, where the next bisected panel of an
+    outward sweep starts: never one per rung.  Each is the jet a new
+    evaluation would give, so a value still depends on x alone, and the
+    memo on the interval walked.
     """
 
     def __init__(self, f_jet_at: Callable[[float], "object"], anchor: float,
@@ -143,7 +146,9 @@ class JetChainIntegral:
         self.atol = atol
         # rung j -> (partial sum, largest |partial sum| from the anchor)
         self._rungs: dict[int, tuple] = {0: (0.0 + 0.0j, 0.0)}
-        # +1, -1: (x, jet) of each side's outermost rung; 0: last off-ladder x
+        # (x, jet) of +1, -1: each side's outermost rung; 0: the last
+        # off-ladder x; 2: the rung a one-rung march left or the last
+        # off-ladder panel started from
         self._kept: dict[int, tuple] = {}
 
     def _panel(self, a: float, b: float, scale: float, fa=None,
@@ -188,6 +193,10 @@ class JetChainIntegral:
         while i not in self._rungs:
             i -= step
         f_i = self.jet_at(self._rung_x(i))
+        if i != j and f_i is None:
+            f_i = self.f_jet_at(self._rung_x(i))
+        if j - i == step:                # as an outward sweep goes
+            self._kept[2] = (self._rung_x(i), f_i)
         while i != j:
             acc, scale = self._rungs[i]
             a, b = self._rung_x(i), self._rung_x(i + step)
@@ -212,6 +221,9 @@ class JetChainIntegral:
         if (self._rung_x(j) - x) * t > 0:
             j -= 1 if t > 0 else -1
         acc, scale, f_j = self._rung(j)
+        if f_j is None:            # a rung inside the walked interval
+            f_j = self.f_jet_at(self._rung_x(j))
+            self._kept[2] = (self._rung_x(j), f_j)
         f_x = self.f_jet_at(x)
         self._kept[0] = (x, f_x)
         return acc + self._panel(self._rung_x(j), x, scale, f_j, f_x)

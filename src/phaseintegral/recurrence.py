@@ -1,143 +1,176 @@
-"""Per-point work of the order-m recurrence, each piece built once.
+"""Per-point tables of the order-m recurrence.
 
 b_m (`vector.CorrectionEngine._compute_b`) needs at every level m the
-lambda-power coefficients [Y^c]_t of q = +-Q Y and zeta-derivatives of the
-lower orders.  None of that depends on m, so a point builds it once:
-`PowerTable` by Cauchy products in the lambda index, `PointWork` for the
-derivatives and the coefficients assembled from them, from the point's
-x, Q, eps0 and its growing Y and s lists (each Y_m a jet, each s_m an
-(N, n) array).  What it builds are coefficient arrays, multiplied and summed
-as jet arithmetic would, in the same order, so the bits are the jets'.
+lambda-power coefficients [Y^c]_t of q = +-Q Y, zeta-derivatives of the
+lower orders and the lambda^2-block coefficients built from them, none of
+which depends on m.  A point keeps them as preallocated tables, one row per
+lambda index and orders last; a level fills one row of each, and a sum
+over the lambda index is one `_lam_sum` of a table slice with a reversed
+slice.  Row t is exact to order K - t and enters a sum only truncated to
+the order of a later level.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import series_const, series_div, series_matrix, series_mul
+from .jets import Jet, series_matrix, series_mul
 
 __all__ = ["PowerTable", "PointWork"]
 
+# columns of the scalar table: PowerTable's, then those PointWork fills
+_Y, _P2, _P3, _P4, _DY, _DDY, _T, _U = range(8)
+# (Y_t, P2_t, P3_t, P4_t) from (F2_t, S3_t, S4_t, Y_t)
+_POWERS = np.array([[0, 0, 0, 1], [1, 0, 0, 2], [1, 1, 0, 3], [2, 0, 1, 4.0]])
+# (S_j, D1_j, D2_j, B_j) of `PointWork` from the columns at rows j, j - 1,
+# j - 2, and b_m's coefficient of s_0 from (F2_m, S3_m, S4_m)
+_AT_J, _AT_J1, _AT_J2 = np.zeros((3, 4, 8), dtype=complex)
+_AT_J[0, _P2], _AT_J[0, _P4], _AT_J[3, _P2] = 0.5, -0.5, -1.0
+_AT_J1[1, _P3] = 1j
+_AT_J2[0, _U], _AT_J2[1, _T], _AT_J2[2, _P2] = 0.5, -0.5, 0.5
+_LEAD = np.array([-0.5, 1.0, -0.5])
 
-def _pairs(a: list, b: list, t: int, k: int) -> np.ndarray:
-    """sum_{i=1}^{t-1} a[i] b[t-i] at order k, the terms coefficient arrays
-    summed from zero in index order; a is b means a symmetric sum."""
-    acc = np.zeros(k + 1, dtype=complex)
-    if a is b:
-        for i in range(1, (t + 1) // 2):
-            acc = acc + np.convolve(a[i][:k + 1], a[t - i][:k + 1])[:k + 1]
-        acc = acc + acc
-        if t % 2 == 0 and t >= 2:
-            h = a[t // 2][:k + 1]
-            acc = acc + np.convolve(h, h)[:k + 1]
-        return acc
-    for i in range(1, t):
-        acc = acc + np.convolve(a[i][:k + 1], b[t - i][:k + 1])[:k + 1]
-    return acc
+
+def _lam_sum(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """sum_i a[i, c] b[i, d] for (T, C, n) and (T, D, n) rows, each term a
+    Cauchy product at order k: (C, D, k + 1) from one matrix product.  With
+    b a reversed slice this is a Cauchy product in the lambda index."""
+    T, C = a.shape[:2]
+    D, w = b.shape[1], k + 1
+    if not T:
+        return np.zeros((C, D, w), dtype=complex)
+    toeplitz = series_matrix(b[..., :w]).transpose(0, 3, 1, 2)
+    return (a[..., :w].transpose(1, 0, 2).reshape(C, T * w)
+            @ toeplitz.reshape(T * w, D * w)).reshape(C, D, w)
 
 
 class PowerTable:
     """[Y^c]_t, the lambda^t coefficient of Y^c, for c = 2, 3, 4.
 
-    Built by Cauchy products in the lambda index, P2 = Y Y, P3 = P2 Y and
-    P4 = P2 P2, one t at a time as the Y_t become known.  Y_0 is the exact
-    constant 1 and never enters a product, so the sums over 0 < i < t
+    Y_0 = 1 never enters a product, so the sums over 0 < i < t
 
-        F2_t = sum Y_i Y_{t-i},  S3_t = sum P2_i Y_{t-i},
-        S4_t = sum P2_i P2_{t-i}
+        F2_t = sum Y_i Y_{t-i},  S3_t = sum Y_i P2_{t-i},
+        S4_t = sum P2_i P2_{t-i}    (`parts(t)`)
 
-    (`parts(t)`) need only Y_1 .. Y_{t-1}, and once Y_t is known
-
-        P2_t = F2_t + 2 Y_t,  P3_t = F2_t + S3_t + 3 Y_t,
-        P4_t = 2 F2_t + S4_t + 4 Y_t.
-
-    F2_t and 2 F2_t + S4_t are [Y^2]_t and [Y^4]_t with Y_t left out.
-    `Y` is the point's list of Y_t jets; entry t is a coefficient array of
-    order K - t, the order of Y_t.
+    need only Y_1 .. Y_{t-1}; once Y_t is known, P2_t = F2_t + 2 Y_t,
+    P3_t = F2_t + S3_t + 3 Y_t and P4_t = 2 F2_t + S4_t + 4 Y_t.  `Y` holds
+    the Y_t, as table rows or as jets, read as [Y^c]_t is first asked for;
+    `rows[t]` starts with (Y_t, P2_t, P3_t, P4_t), and [Y^c]_0 is Y_0.
     """
 
-    def __init__(self, Y: list, K: int):
-        self._Y = Y                   # grows as the levels are staged
-        self._K = K
-        self._parts = [None]
-        self._P = {c: [Y[0].coeffs] for c in (2, 3, 4)}
+    def __init__(self, Y, K: int):
+        self._Y, self._K = Y, K       # Y grows as the levels are staged
+        self.rows = np.zeros((K + 1, 8, K + 1), dtype=complex)
+        self.rows[0, :_P4 + 1] = self._read(0)
+        self._parts = np.zeros((K + 1, 4, K + 1), dtype=complex)
+        self._known = self._split = 1
 
-    def parts(self, t: int) -> tuple:
-        """(F2_t, S3_t, S4_t)."""
-        while len(self._parts) <= t:
-            s = len(self._parts)
-            k = self._K - s
-            Y = [y.coeffs for y in self._Y[:s]]
-            P2 = [self.power(2, i) for i in range(s)]
-            self._parts.append((_pairs(Y, Y, s, k), _pairs(P2, Y, s, k),
-                                _pairs(P2, P2, s, k)))
-        return self._parts[t]
+    def _read(self, t: int) -> np.ndarray:
+        y = self._Y[t]
+        return y.coeffs if isinstance(y, Jet) else y[:self._K - t + 1]
+
+    def parts(self, t: int) -> np.ndarray:
+        """(F2_t, S3_t, S4_t) as the rows of one array."""
+        while self._split <= t:
+            s = self._split
+            self._fill(s - 1)
+            rows = self.rows[:s, :_P2 + 1]
+            sums = _lam_sum(rows[1:], rows[:0:-1], self._K - s)
+            self._parts[s, :3, :self._K - s + 1] = sums[(0, 0, 1), (0, 1, 1)]
+            self._split += 1
+        return self._parts[t, :3, :self._K - t + 1]
+
+    def _fill(self, t: int):
+        """rows[.. t]; needs Y_t."""
+        while self._known <= t:
+            s = self._known
+            n = self._K - s + 1
+            self.parts(s)
+            self._parts[s, 3, :n] = self._read(s)
+            self.rows[s, :_P4 + 1, :n] = _POWERS @ self._parts[s, :, :n]
+            self._known += 1
 
     def power(self, c: int, t: int) -> np.ndarray:
         """[Y^c]_t; needs Y_t."""
-        P = self._P[c]
-        while len(P) <= t:
-            s = len(P)
-            f2, s3, s4 = self.parts(s)
-            free = f2 if c == 2 else f2 + s3 if c == 3 else f2 + f2 + s4
-            P.append(free + self._Y[s].coeffs[:self._K - s + 1] * complex(c))
-        return P[t]
+        if t == 0:
+            return self._read(0)
+        self._fill(t)
+        return self.rows[t, c - 1, :self._K - t + 1]
 
 
-class PointWork:
-    """Work of one point's recurrence that no level changes, built once.
+class PointWork(PowerTable):
+    """The tables of one point's recurrence that its levels only extend.
 
-    Holds the point's power table, the zeta-derivatives of s_sigma and
-    Y_a at their full order, the lambda^2-block coefficients
-    T_r = sum_{a<r} Y_a Y_{r-a}' and
-    U_r = eps0 [Y^2]_r + (3/4) sum Y_a' Y_{r-a}' - (1/2) sum_{a<r} Y_a Y_{r-a}''
-    (primes are zeta-derivatives) at order K - r - 2.  Callers truncate;
-    truncation commutes exactly with the products.  It lives only while
-    `vector.CorrectionEngine._point` builds the point's levels, whose Y and
-    s lists it reads as they grow.
+    With P_c = [Y^c] and ' = d/d zeta, b_m is, for j = m - sigma,
+
+        b_m = sum_{sigma<m} S_j s_sigma + D1_j s_sigma' + D2_j s_sigma''
+                            + B_j b_sigma,
+        S_j = (P2_j - P4_j + U_{j-2}) / 2,  D1_j = i P3_{j-1} - T_{j-2} / 2,
+        D2_j = P2_{j-2} / 2,                B_j = -P2_j,
+        T_r = sum_{a<r} Y_a Y_{r-a}',
+        U_r = eps0 P2_r + (3/4) sum Y_a' Y_{r-a}'
+              - (1/2) sum_{a<r} Y_a Y_{r-a}'',
+
+    no term with a negative index, b_0 = 0, and at sigma = 0 the coefficient
+    (2 S3_m - F2_m - S4_m + U_{m-2}) / 2 in place of S_m, whose Y_m is not
+    known yet.  The power table's rows go on with (Y', Y'', T, U), and
+    `vecs[sigma]` holds (s_sigma, s_sigma', s_sigma'', b_sigma).  It lives
+    only while `vector.CorrectionEngine._point` builds the point's levels,
+    whose Y, s and b tables it reads as they grow.
     """
 
-    def __init__(self, x: float, Q, eps0, Y: list, s: list, K: int):
-        self.x, self.Q, self.eps0, self.Y, self.s, self.K = x, Q, eps0, Y, s, K
-        self.powers = PowerTable(Y, K)
-        self._over_q = None
-        self._dz: dict = {}
-        self._lam2: dict = {}
+    def __init__(self, over_q: np.ndarray, eps0: np.ndarray, Y: np.ndarray,
+                 s: np.ndarray, b: np.ndarray, K: int):
+        super().__init__(Y, K)
+        self.over_q, self.eps0, self.s, self.b = over_q, eps0, s, b
+        self.vecs = np.zeros((s.shape[0], 4) + s.shape[1:], dtype=complex)
+        self._zeta = None
+        self._vec = self._lam = 0     # rows with derivatives, with T and U
 
-    def zeta(self, j: np.ndarray) -> np.ndarray:
-        """d/d zeta = Q**-1 d/dx of a series or a vector series (order drops by
-        one): a product with 1/Q, formed by the first call at order K - 1."""
-        if self._over_q is None:
-            inv = series_div(series_const(1.0, self.K), self.Q.coeffs[:self.K])
-            self._over_q = series_matrix(inv).T
-        n = j.shape[-1] - 1
-        return (j[..., 1:] * np.arange(1, n + 1)) @ self._over_q[:n, :n]
+    def terms(self, m: int, k: int, stop: int) -> tuple:
+        """The (4 m, k + 1) coefficients and (4 m, N, k + 1) vectors of b_m,
+        with s_sigma, s_sigma' and s_sigma'' left out from sigma = stop."""
+        for sigma in range(self._vec, stop):
+            self._derivatives(sigma)
+        lead = _LEAD @ self.parts(m)[:, :k + 1]
+        for r in range(self._lam, m - 1):
+            self._lam2(r)
+        X = self.rows[..., :k + 1]
+        coefs = _AT_J @ X[m:0:-1] + _AT_J1 @ X[m - 1::-1]
+        if m >= 2:
+            coefs[:m - 1] += _AT_J2 @ X[m - 2::-1]
+        coefs[0, 0] += lead
+        coefs[stop:, :3] = 0.0
+        self.vecs[stop:m, 3] = self.b[stop:m]
+        vecs = self.vecs[:m, ..., :k + 1]
+        return coefs.reshape(-1, k + 1), vecs.reshape((-1,) + vecs.shape[2:])
 
-    def dz(self, name: str, i: int, times: int) -> np.ndarray:
-        """d^times/d zeta^times of Y[i] (name "Y") or of s[i] ("s")."""
-        got = self._dz.get((name, i, times))
-        if got is None:
-            prev = ((self.Y[i].coeffs if name == "Y" else self.s[i])
-                    if times == 1 else self.dz(name, i, times - 1))
-            got = self._dz[(name, i, times)] = self.zeta(prev)
-        return got
+    def _derivatives(self, sigma: int):
+        """Y_sigma', Y_sigma'' and vector row sigma, from one product of the
+        stacked s_sigma and Y_sigma; needs s_sigma."""
+        K, N = self._K, self.s.shape[1]
+        if self._zeta is None:
+            # d/d zeta = Q**-1 d/dx: the first derivative's matrix, then the
+            # second's
+            d1 = np.zeros((K + 1, K), dtype=complex)
+            d1[1:] = (np.arange(1, K + 1)[:, None]
+                      * series_matrix(self.over_q).T)
+            self._zeta = np.concatenate((d1, d1 @ d1[:K, :K - 1]), axis=1)
+        d = np.concatenate((self.s[sigma], self._Y[sigma][None])) @ self._zeta
+        row, scalar = self.vecs[sigma], self.rows[sigma]
+        row[0], row[3] = self.s[sigma], self.b[sigma]
+        row[1, :, :-1], row[2, :, :-2] = d[:N, :K], d[:N, K:]
+        scalar[_DY, :-1], scalar[_DDY, :-2] = d[N, :K], d[N, K:]
+        self._vec = sigma + 1
 
-    def lam2(self, r: int) -> tuple:
-        """(T_r, U_r)."""
-        got = self._lam2.get(r)
-        if got is None:
-            k = self.K - r - 2
-            eps0 = self.eps0.coeffs[:k + 1]
-            if r == 0:
-                got = (np.zeros(k + 1, dtype=complex), eps0)
-            else:
-                Y = [y.coeffs for y in self.Y[:r]]
-                dy = [None] + [self.dz("Y", a, 1) for a in range(1, r + 1)]
-                ddy = [None] + [self.dz("Y", a, 2) for a in range(1, r + 1)]
-                T = dy[r][:k + 1] + _pairs(Y, dy, r, k)
-                U = (series_mul(eps0, self.powers.power(2, r)[:k + 1])
-                     + _pairs(dy, dy, r, k) * complex(0.75)
-                     - (ddy[r][:k + 1] + _pairs(Y, ddy, r, k)) * complex(0.5))
-                got = (T, U)
-            self._lam2[r] = got
-        return got
+    def _lam2(self, r: int):
+        """T_r and U_r at order K - r - 2: the three sums are one kernel
+        call, (Y, Y') against (Y', Y''), as Y_0' = Y_0'' = 0."""
+        k = self._K - r - 2
+        sums = _lam_sum(self.rows[:r + 1, _Y:_DY + 1:_DY],
+                        self.rows[r::-1, _DY:_DDY + 1], k)
+        out = self.rows[r, :, :k + 1]
+        out[_T] = sums[0, 0]
+        out[_U] = (series_mul(self.eps0[:k + 1], self.power(2, r)[:k + 1])
+                   + 0.75 * sums[1, 0] - 0.5 * sums[0, 1])
+        self._lam = r + 1

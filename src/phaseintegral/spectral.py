@@ -582,10 +582,11 @@ class BranchField:
         res[~within] = 1.0 / (vals[:, None] - vals[None, :])[~within]
         pt = np.zeros_like(gt)
         pt[0] = np.diag(inside.astype(complex))
+        chain = "jab,jbc->ac"                  # sum_j a_j b_j, one einsum
         for k in range(1, order + 1):
             gj, pj = gt[1:k + 1], pt[k - 1::-1]    # G_j, P_{k-j}, j >= 1
-            c = (pt[1:k] @ pt[k - 1:0:-1]).sum(0)
-            f = (gj @ pj - pj @ gj).sum(0)
+            c = np.einsum(chain, pt[1:k], pt[k - 1:0:-1])
+            f = np.einsum(chain, gj, pj) - np.einsum(chain, pj, gj)
             pt[k] = sign * c - res * f
         tr = np.einsum("jab,lba->jl", gt, pt)
         qsq = np.array([np.trace(tr[::-1], offset=k - order)
@@ -595,7 +596,7 @@ class BranchField:
         wt = np.zeros_like(gt)
         wt[0] = np.diag(1.0 / np.diagonal(mt[0]))
         for k in range(1, order + 1):
-            wt[k] = -wt[0] @ (mt[1:k + 1] @ wt[k - 1::-1]).sum(0)
+            wt[k] = -wt[0] @ np.einsum(chain, mt[1:k + 1], wt[k - 1::-1])
         return qsq, vecs @ pt @ left, vecs @ (wt - pt) @ left
 
     def _gram_schmidt(self, x: float, ref: list, order: int):

@@ -25,8 +25,9 @@ Even-order corrections are invariant under Q -> -Q, odd orders flip sign;
 closed-form comparisons are quoted in the upper sign convention
 (Q = |Q| for positive eigenvalues, Q = -i |Q| for negative ones).
 
-The engine carries each vector jet as one (N, n) coefficient array, orders
-last; `CorrectionSet` holds tuples of N `Jet`s.
+The engine keeps each point's corrections as tables with one row per order
+m, orders last: Y_m a row, each vector s_m an (N, n) row.  `CorrectionSet`
+holds them as `Jet`s, tuples of N for a vector.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .errors import (
     UnsupportedDegeneracy,
 )
 from .jets import (
-    Jet, jet_const, jet_exp, jet_pow, series_contract, series_matrix,
-    series_mul,
+    Jet, jet_exp, jet_pow, series_const, series_contract, series_div,
+    series_matrix, series_mul,
 )
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
@@ -97,8 +98,9 @@ class CorrectionSet:
 
 @dataclass(slots=True)
 class _Point:
-    """One point of an engine: branch data, then one entry per level in
-    Y, s_perp and b (staged) and in s and c_par (finished)."""
+    """One point of an engine: branch data, then one table row per level
+    (orders last, row m exact to order K - m) in Y, s_perp and b (staged)
+    and in s and c_par (finished)."""
 
     x: float
     Qsq: Jet
@@ -107,19 +109,26 @@ class _Point:
     perp: np.ndarray           # -2 Q^2 S, matrix coefficients
     left: np.ndarray           # left eigenvector P^H s0
     basis: list | None         # cluster basis (1 < d < N), basis[0] = s0
-    Y: list                    # scalar jets
-    s: list                    # vector jets: (N, n) arrays, orders last
-    s_perp: list
-    c_par: list
-    b: list
-    work: PointWork | None = None   # while `CorrectionEngine._point` runs
-    over_norm0: Jet | None = None   # 1/(s0, s0), once a level is built
+    Y: np.ndarray              # (levels, K + 1)
+    s: np.ndarray              # (levels, N, K + 1)
+    s_perp: np.ndarray
+    b: np.ndarray
+    c_par: np.ndarray          # (levels, K + 1)
+    staged: int = 1            # levels with Y, s_perp and b
+    finished: int = 1          # levels with s and c_par too
+    # while `CorrectionEngine._point` runs: the recurrence's tables and
+    # `CorrectionEngine._solver`'s matrix
+    work: PointWork | None = None
+    solve: np.ndarray | None = None
+    # 1/(s0, s0) and 1/Q (to order K - 1), once a level is built
+    over_norm0: np.ndarray | None = None
+    over_q: np.ndarray | None = None
 
 
 # -- vector jets: (N, n) coefficient arrays, orders last ---------------------
 
-def _jets(x: float, vec) -> tuple | None:
-    return None if vec is None else tuple(Jet._raw(x, row) for row in vec)
+def _jets(x: float, vec: np.ndarray) -> tuple:
+    return tuple(Jet._raw(x, row) for row in vec)
 
 
 def _diff(vec: np.ndarray) -> np.ndarray:
@@ -127,29 +136,22 @@ def _diff(vec: np.ndarray) -> np.ndarray:
     return vec[:, 1:] * np.arange(1, vec.shape[1])
 
 
-def _dot(x: float, a: np.ndarray, b: np.ndarray, k: int) -> Jet:
-    """Hilbert scalar product (a, b) = sum conj(a_j) b_j as a jet."""
-    return Jet._raw(x, series_contract(a[:, :k + 1].conj(),
-                                       b[:, None, :k + 1])[0])
+def _dot(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Hilbert scalar product (a, b) = sum conj(a_j) b_j at order k."""
+    return series_contract(a[:, :k + 1].conj(), b[:, None, :k + 1])[0]
 
 
-def _dots(x: float, terms: list, k: int) -> Jet:
+def _dots(terms: list, k: int) -> np.ndarray:
     """sum w (u, v) over the (w, u, v) of `terms`, w real: one contraction."""
     if not terms:
-        return jet_const(0.0, x, k)
-    return _dot(x, np.concatenate([w * u[:, :k + 1] for w, u, _ in terms]),
+        return np.zeros(k + 1, dtype=complex)
+    return _dot(np.concatenate([w * u[:, :k + 1] for w, u, _ in terms]),
                 np.concatenate([v[:, :k + 1] for _, _, v in terms]), k)
 
 
-def _times(c: Jet, vec: np.ndarray) -> np.ndarray:
-    """The vector jet c vec at the order of c."""
-    return series_contract(c.coeffs[None], vec[None, :, :c.coeffs.size])
-
-
-def _apply(mat: np.ndarray, vec: np.ndarray, k: int) -> np.ndarray:
-    """mat vec at order k; `mat` holds matrix coefficients, orders first."""
-    return np.einsum("sij,jts->it", mat[:k + 1],
-                     series_matrix(vec[:, :k + 1]))
+def _times(c: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The vector series c vec at the order of c."""
+    return series_contract(c[None], vec[None, :, :c.size])
 
 
 class CorrectionEngine:
@@ -192,6 +194,10 @@ class CorrectionEngine:
         self.anchor = float(anchor if anchor is not None else branch.anchor)
         self.K = max(2 * self.m_max + 2, 6)
         self.sgn = +1.0 if variant == "fulling_current" else -1.0
+        # the conserving variants fix the gauge, so for the whole space s0
+        # is constant and S = 0: every s_m vanishes and so does c_par
+        self._conserving = (variant in _CONSERVING
+                            and not branch._scalar_matrix)
         self._points: dict[float, _Point] = {}
         # (m, i) -> anchored integral of coordinate i of s_m: along s0 for
         # i = 0, along basis vector i of a degenerate cluster for i >= 1
@@ -218,23 +224,27 @@ class CorrectionEngine:
     # ------------------------------------------------------------------
 
     def at(self, x: float) -> CorrectionSet:
+        """The corrections at x; the point's table rows become jets here."""
         pt = self._point(float(x), self.m_max)
-        mm = self.m_max + 1
+        x, K, mm = pt.x, self.K, self.m_max + 1
+
+        def jets(table, first=0):
+            make = _jets if table.ndim == 3 else Jet._raw
+            return [None] * first + [make(x, table[m, ..., :K - m + 1])
+                                     for m in range(first, mm)]
         c_perp = [None] * mm
-        if self.prob.n == 2:
-            # s_perp = c_perp e2 with e2 = (-conj s0_2, conj s0_1)
+        if self.prob.n == 2 and mm > 1:
+            # s_perp = c_perp e2 with e2 = (-conj s0_2, conj s0_1): every
+            # level in one contraction
             s0 = pt.s[0]
-            e2 = np.stack((-s0[1].conj(), s0[0].conj()))
-            for m in range(1, mm):
-                k = self.K - m
-                c_perp[m] = (_dot(pt.x, e2, pt.s_perp[m], k)
-                             * pt.over_norm0.truncated(k))
-        s, s_perp, b = ([_jets(pt.x, v) for v in vecs[:mm]]
-                        for vecs in (pt.s, pt.s_perp, pt.b))
+            reads_e2 = _times(pt.over_norm0, np.stack((-s0[1], s0[0])))
+            c_perp = jets(series_contract(
+                reads_e2, pt.s_perp.transpose(1, 0, 2)), 1)
         return CorrectionSet(
-            x0=pt.x, m_max=self.m_max, variant=self.variant, Qsq=pt.Qsq,
-            Q=pt.Q, eps0=pt.eps0, Y=pt.Y[:mm], s=s, s_perp=s_perp,
-            c_perp=c_perp, c_par=pt.c_par[:mm], b=b)
+            x0=x, m_max=self.m_max, variant=self.variant, Qsq=pt.Qsq,
+            Q=pt.Q, eps0=pt.eps0, Y=jets(pt.Y), s=jets(pt.s),
+            s_perp=jets(pt.s_perp), c_perp=c_perp, c_par=jets(pt.c_par, 1),
+            b=jets(pt.b, 1))
 
     def _point(self, x: float, m: int, staged: bool = False) -> _Point:
         """The point at x with levels 0..m assembled; `staged` stops level
@@ -242,18 +252,22 @@ class CorrectionEngine:
         pt = self._points.get(x)
         if pt is None:
             pt = self._points[x] = self._base_point(x)
-        if len(pt.Y if staged else pt.s) - 1 < m:
-            if pt.over_norm0 is None:     # one series quotient per point
-                pt.over_norm0 = 1.0 / _dot(x, pt.s[0], pt.s[0], self.K)
-            pt.work = PointWork(x, pt.Q, pt.eps0, pt.Y, pt.s, self.K)
+        if (pt.staged if staged else pt.finished) <= m:
+            pt.work = self._work(pt)
             try:
-                for level in range(len(pt.s), m + 1):
+                for level in range(pt.finished, m + 1):
                     self._stage(pt, level)
                     if level < m or not staged:
                         self._finish_level(pt, level)
             finally:
-                pt.work = None
+                pt.work = pt.solve = None
         return pt
+
+    def _work(self, pt: _Point) -> PointWork:
+        K = self.K
+        if pt.over_q is None:       # one series quotient per point
+            pt.over_q = series_div(series_const(1.0, K), pt.Q.coeffs[:K])
+        return PointWork(pt.over_q, pt.eps0.coeffs, pt.Y, pt.s, pt.b, K)
 
     def _base_point(self, x: float) -> _Point:
         K = self.K
@@ -270,34 +284,50 @@ class CorrectionEngine:
         s0 = basis[0]
         # the left eigenvector l = P^H s0 (s0 itself for an orthogonal P),
         # for which (l, s0) = (s0, P s0) = (s0, s0)
-        left = (_apply(proj.conj().transpose(0, 2, 1), s0, K)
+        left = (np.einsum("sji,jts->it", proj.conj(), series_matrix(s0))
                 if fld._oblique else s0)
+        levels = self.m_max + 1
+        Y, c_par = np.zeros((2, levels, K + 1), dtype=complex)
+        Y[0, 0] = 1.0
+        s, s_perp, b = np.zeros((3, levels) + s0.shape, dtype=complex)
+        s[0] = s0
         return _Point(x, Qsq, Q, eps0, perp, left,
                       basis if self._degenerate else None,
-                      Y=[jet_const(1.0, x, K)], s=[s0],
-                      s_perp=[np.zeros_like(s0)], c_par=[None], b=[None])
+                      Y=Y, s=s, s_perp=s_perp, b=b, c_par=c_par)
 
     def _stage(self, pt: _Point, m: int):
         """Compute b_m, s_m_perp and Y_m (everything except P s_m)."""
-        if len(pt.Y) - 1 >= m:
+        if pt.staged > m:
             return   # already staged by an integrand evaluation
+        if pt.solve is None:
+            pt.solve = self._solver(pt)
         k = self.K - m
-        b_m = self._compute_b(pt, m, k)
-        pt.b.append(b_m)
-        pt.s_perp.append(self._solve_perp(pt, b_m, k))
-        pt.Y.append(self._compute_Y(pt, b_m, k))
+        N = pt.s.shape[1]
+        pt.b[m, :, :k + 1] = self._compute_b(pt, m, k)
+        # rows t <= k of the solve against all of b_m (zero beyond k)
+        out = (pt.solve[:k + 1].reshape((k + 1) * (N + 1), -1)
+               @ pt.b[m].ravel()).reshape(k + 1, N + 1).T
+        pt.s_perp[m, :, :k + 1] = out[:N]
+        pt.Y[m, :k + 1] = out[N]
+        pt.staged = m + 1
 
     def _finish_level(self, pt: _Point, m: int):
         k = self.K - m
-        c_par = self._parallel_jet(pt, m, k)
-        pt.c_par.append(c_par)
-        coefs, vecs = [c_par.coeffs], [pt.s[0][:, :k + 1]]
+        coefs, vecs = [], []
+        if self._conserving:
+            pt.c_par[m, :k + 1] = (self._anchored(pt, m, 0, k)
+                                   + self._cpar_boundary(pt, m, k))
+            coefs.append(pt.c_par[m, :k + 1])
+            vecs.append(pt.s[0, :, :k + 1])
         if pt.basis is not None:
             for i in range(1, len(pt.basis)):
-                coefs.append(self._anchored_jet(pt, m, i, k).coeffs)
+                coefs.append(self._anchored(pt, m, i, k))
                 vecs.append(pt.basis[i][:, :k + 1])
-        pt.s.append(pt.s_perp[m]
-                    + series_contract(np.array(coefs), np.stack(vecs)))
+        pt.s[m, :, :k + 1] = pt.s_perp[m, :, :k + 1]
+        if coefs:
+            pt.s[m, :, :k + 1] += series_contract(np.array(coefs),
+                                                  np.stack(vecs))
+        pt.finished = m + 1
 
     # ------------------------------------------------------------------
     # b_m : driving vector of the order-m relation
@@ -305,88 +335,57 @@ class CorrectionEngine:
 
     def _compute_b(self, pt: _Point, m: int, k: int,
                    stop: int | None = None) -> np.ndarray:
-        """b_m at order k, from the point's power table and derivatives.
-
-        With P_c = [Y^c] (`recurrence.PowerTable`), ' = d/d zeta, and the
-        lambda^2-block coefficients T_r, U_r of `PointWork`:
-
-          2 b_m = (c2 - c4 + 2 sum_{0<s<m} P2_{m-s} Y_s) s_0
-                  + sum_{0<s<m} (P2_{m-s} - P4_{m-s}) s_s - 2 P2_{m-s} b_s
-                  + sum_{s<m} 2i P3_{m-1-s} s_s'
-                  + sum_{s<m-1} P2_r s_s'' - T_r s_s' + U_r s_s   (r = m-2-s)
-
-        where c2, c4 are [Y^2]_m, [Y^4]_m with Y_m left out.  The vectors
-        and their summed coefficients are stacked, and b_m is one
-        contraction of the stack.  Everything that depends only on the
-        point (power table,
-        zeta-derivatives at full order, T_r and U_r) comes from
-        pt.work, which `_point` holds while it builds the point's levels
-        and drops when it returns; a call outside that window
-        (b~ of an integrand or of the compatibility check) builds a
-        temporary one.
+        """b_m at order k: one contraction of the terms
+        `recurrence.PointWork` slices from its tables.  The work lives in
+        pt.work while `_point` builds the point's levels; a call outside
+        that window (b~ of an integrand or of the compatibility check)
+        builds a temporary one.
 
         The s_sigma sum ends before sigma = `stop` (default m).
         b~_{m+1} = _compute_b(pt, m + 1, k, stop=m) is the part of b_{m+1}
         independent of s_m: b_{m+1} - b~_{m+1} = i s_m' - Y_1 s_m, so
         i s_m' in the Kato gauge, where Y_1 = 0.
         """
-        work = pt.work or PointWork(pt.x, pt.Q, pt.eps0, pt.Y, pt.s, self.K)
-        P2, P3, P4 = ([work.powers.power(c, j)[:k + 1] for j in range(m)]
-                      for c in (2, 3, 4))
-        c2, s3, s4 = (a[:k + 1] for a in work.powers.parts(m))
-        c4 = c2 + c2 + s4
-        coefs, vecs = [], []
-        for sigma in range(m if stop is None else stop):
-            if sigma == 0:
-                cs = c2 - c4 + (s3 + s3)
-            else:
-                cs = P2[m - sigma] - P4[m - sigma]
-            cd = 2j * P3[m - 1 - sigma]
-            if sigma <= m - 2:
-                r = m - 2 - sigma
-                T, U = work.lam2(r)
-                cs = cs + U[:k + 1]
-                cd = cd - T[:k + 1]
-                coefs.append(0.5 * P2[r])
-                vecs.append(work.dz("s", sigma, 2))
-            coefs += (0.5 * cs, 0.5 * cd)
-            vecs += (pt.s[sigma], work.dz("s", sigma, 1))
-        if not coefs:           # b~_1: s_0 left out, nothing is left
-            return np.zeros((self.prob.n, k + 1), dtype=complex)
-        coefs += [-P2[m - sigma] for sigma in range(1, m)]
-        vecs += pt.b[1:m]
-        return series_contract(np.array(coefs),
-                               np.stack([v[:, :k + 1] for v in vecs]))
+        work = pt.work or self._work(pt)
+        return series_contract(*work.terms(m, k, m if stop is None else stop))
 
     # ------------------------------------------------------------------
-    # complement solve
+    # complement solve and Y_m
     # ------------------------------------------------------------------
 
-    def _solve_perp(self, pt: _Point, b_m: np.ndarray, k: int) -> np.ndarray:
-        """s_perp = -2 Q^2 S b_m; the non-hermitian theory adds the multiple
-        of s0 that makes (s0, s_m) = 0 (P may be oblique there)."""
-        s_perp = _apply(pt.perp, b_m, k)
-        if self.variant != "non_hermitian":
-            return s_perp
-        along = _dot(pt.x, pt.s[0], s_perp, k) * pt.over_norm0.truncated(k)
-        return s_perp - _times(along, pt.s[0])
+    def _solver(self, pt: _Point) -> np.ndarray:
+        """[t, i, j, q], the coefficient of b_m[j, q] in s_m_perp[i, t]
+        (i < N) and in Y_m[t] (i = N), block Toeplitz in (t, q), so its
+        rows and columns to order k give both at order k.
+
+        s_perp = -2 Q^2 S b_m, and P b_m = Y_m s0 is read off with the left
+        eigenvector l = P^H s0: Y_m = (l, b_m) / (s0, s0).  The
+        non-hermitian theory subtracts s0 (s0, s_perp) / (s0, s0), which
+        makes (s0, s_m) = 0 (P may be oblique there)."""
+        s0, (N, n) = pt.s[0], pt.s.shape[1:]
+        if pt.over_norm0 is None:         # one series quotient per point
+            pt.over_norm0 = series_div(series_const(1.0, n),
+                                       _dot(s0, s0, n - 1))
+        solve = np.empty((n, N + 1, N, n), dtype=complex)
+        solve[:, :N] = series_matrix(
+            pt.perp.transpose(1, 2, 0)).transpose(2, 0, 1, 3)
+        solve[:, N] = series_matrix(
+            _times(pt.over_norm0, pt.left.conj())).transpose(1, 0, 2)
+        if self.variant == "non_hermitian":
+            # [i, t, i'] = (s0_i conj(s0_i') / (s0, s0))_t, then its
+            # Toeplitz blocks [(t, i), (t', i')]
+            along = series_matrix(s0) @ _times(pt.over_norm0, s0.conj()).T
+            along = series_matrix(along.transpose(0, 2, 1)).transpose(
+                2, 0, 3, 1).reshape(n * N, n * N)
+            perp = solve[:, :N].reshape(n * N, N * n)
+            solve[:, :N] -= (along @ perp).reshape(n, N, N, n)
+        return solve
 
     # ------------------------------------------------------------------
-    # Y_m and the parallel coordinate
+    # the parallel coordinate
     # ------------------------------------------------------------------
 
-    def _compute_Y(self, pt: _Point, b_m: np.ndarray, k: int) -> Jet:
-        # P b_m = Y_m s0, read off with the left eigenvector l = P^H s0
-        return _dot(pt.x, pt.left, b_m, k) * pt.over_norm0.truncated(k)
-
-    def _parallel_jet(self, pt: _Point, m: int, k: int) -> Jet:
-        # the conserving variants fix the gauge, so for the whole space s0
-        # is constant and S = 0: every s_m vanishes and so does c_par
-        if self.variant not in _CONSERVING or self.field._scalar_matrix:
-            return jet_const(0.0, pt.x, k)
-        return self._anchored_jet(pt, m, 0, k) + self._cpar_boundary(pt, m, k)
-
-    def _anchored_jet(self, pt: _Point, m: int, i: int, k: int) -> Jet:
+    def _anchored(self, pt: _Point, m: int, i: int, k: int) -> np.ndarray:
         """Coordinate i of s_m at order k from its anchored integral (i = 0:
         c_par less its boundary term; i >= 1: on cluster basis vector i)."""
         cum = self._coords.get((m, i))
@@ -405,46 +404,46 @@ class CorrectionEngine:
         f_jet = cum.jet_at(pt.x)        # kept if the value ended at x
         if f_jet is None:
             f_jet = self._integrand(pt, m, i, max(k - 1, 0))
-        return f_jet.antiderivative(value).truncated(k)
+        return f_jet.antiderivative(value).coeffs[:k + 1]
 
     def _integrand(self, pt: _Point, m: int, i: int, k: int) -> Jet:
-        return (self._cpar_f_jet(pt, m, k) if i == 0
-                else self._coord_f_jet(pt, m, i, k))
+        return Jet._raw(pt.x, self._cpar_f(pt, m, k) if i == 0
+                        else self._coord_f(pt, m, i, k))
 
     def _cpar_weights(self, m: int) -> list:
         """(a, sgn**a) for 0 < a <= m/2, the weight halved at a = m/2."""
         return [(a, self.sgn ** a * (0.5 if 2 * a == m else 1.0))
                 for a in range(1, m // 2 + 1)]
 
-    def _cpar_f_jet(self, pt: _Point, m: int, k: int) -> Jet:
-        """Integrand of the conserving-coordinate integral, as a jet."""
+    def _cpar_f(self, pt: _Point, m: int, k: int) -> np.ndarray:
+        """Integrand of the conserving-coordinate integral."""
         s = pt.s
         terms = [(1.0, _diff(s[0]), pt.s_perp[m])]
         for a, w in self._cpar_weights(m):
             terms.append((-w, s[m - a], _diff(s[a])) if m % 2 == 0
                          else (w, _diff(s[a]), s[m - a]))
-        inner = _dots(pt.x, terms, k)
+        inner = _dots(terms, k)
         if m % 2 == 0 or self.variant == "fulling_current":
-            return 2.0j * inner.imag()
-        return 2.0 * inner.real()
+            return inner - inner.conj()             # 2i Im
+        return inner + inner.conj()                 # 2 Re
 
-    def _cpar_boundary(self, pt: _Point, m: int, k: int) -> Jet:
+    def _cpar_boundary(self, pt: _Point, m: int, k: int) -> np.ndarray:
         s = pt.s
-        return _dots(pt.x, [(-w, s[a], s[m - a])
-                            for a, w in self._cpar_weights(m)], k)
+        return _dots([(-w, s[a], s[m - a])
+                      for a, w in self._cpar_weights(m)], k)
 
     # ------------------------------------------------------------------
     # degenerate-subspace coordinates (real symmetric, 1 < d < N); the
     # basis comes from BranchField.basis_jets
     # ------------------------------------------------------------------
 
-    def _coord_f_jet(self, pt: _Point, m: int, i: int, k: int) -> Jet:
+    def _coord_f(self, pt: _Point, m: int, i: int, k: int) -> np.ndarray:
         """(e_i, i Q b~_{m+1} - d/dx s_m_perp), the Kato-coordinate
         integrand of basis vector e_i."""
         btilde = self._compute_b(pt, m + 1, k, stop=m)
-        inner = (_times(1.0j * pt.Q.truncated(k), btilde)
+        inner = (_times(1.0j * pt.Q.coeffs[:k + 1], btilde)
                  - _diff(pt.s_perp[m])[:, :k + 1])
-        return _dot(pt.x, pt.basis[i], inner, k)
+        return _dot(pt.basis[i], inner, k)
 
     def compatibility_residual(self, x: float, m: int) -> float:
         """Residual of the order-(m+1) constraint for k > 1 (1 < d < N
@@ -454,8 +453,7 @@ class CorrectionEngine:
             return 0.0
         btilde = self._compute_b(pt, m + 1, 0, stop=m)
         inner = _diff(pt.s[m])[:, :1] - 1.0j * pt.Q.value * btilde
-        return max(abs(_dot(pt.x, e_k, inner, 0).value)
-                   for e_k in pt.basis[1:])
+        return max(abs(_dot(e_k, inner, 0)[0]) for e_k in pt.basis[1:])
 
     # ------------------------------------------------------------------
     # applicability monitor
@@ -525,13 +523,14 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
     warned_y: list = []
     kq = engine.K - m_max
 
+    weights = np.array([(sign * lam) ** m for m in range(m_max + 1)],
+                       dtype=complex)
+
     def normal_form(pt: _Point, k: int) -> tuple:
         """(Y, momentum) at order k, Y as coefficients: |Q| Y when Q**2 is
         real (|Q| is Q or i Q, whichever has a positive real part), +-Q Y
         otherwise."""
-        y = np.zeros(k + 1, dtype=complex)
-        for m in range(m_max + 1):
-            y = y + pt.Y[m].coeffs[:k + 1] * complex((sign * lam) ** m)
+        y = weights @ pt.Y[:, :k + 1]
         q = pt.Q.coeffs[:k + 1]
         if real_case:
             q = q if positive else q * 1j
@@ -563,8 +562,7 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
         pt = engine._point(x, m_max)
         k = 2                   # the order Wave.jet_at promises
         _, qbar = normal_form(pt, k)
-        svec = sum((sign * lam) ** m * pt.s[m][:, :k + 1]
-                   for m in range(m_max + 1))
+        svec = np.tensordot(weights, pt.s[:, :, :k + 1], 1)
         phase0 = cum.value(x)
         phi = (qbar * (1.0 / lam)).antiderivative(phase0).truncated(k)
         amp = jet_pow(qbar, -0.5)
@@ -573,7 +571,7 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
             ph = complex(sign) * (phase0 if positive else -1j * phase0)
         else:
             osc, ph = jet_exp(1j * phi), phase0
-        return _times(amp * osc, svec), ph
+        return _times((amp * osc).coeffs, svec), ph
 
     samples = []
     for x in grid:

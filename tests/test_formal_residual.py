@@ -187,6 +187,35 @@ def test_formal_residual_vanishes(case, rank, variant, gauge):
         assert max(E) <= RTOL * scale, (x, E, scale)
 
 
+# m_max 12, twice the order above, on the cases with a projection on
+# (s0, s_m) = 0, a negative Q**2 and c_par integrals, and the simplified
+# theory for N = 2 and N = 3: about 1 s
+_HIGH_ORDER = {"nonhermitian": None, "fulling-neg": None,
+               "fulling-pos": ("simplified_hermitian",),
+               "block3": ("simplified_hermitian",)}
+
+
+def _high_order_params():
+    for case in _CASES:
+        name, _, ranks, variants, gauges, _, _ = case
+        if name not in _HIGH_ORDER:
+            continue
+        for rank in ranks:
+            for variant in _HIGH_ORDER[name] or variants:
+                for gauge in gauges:
+                    yield pytest.param(case, rank, variant, gauge,
+                                       id=f"{name}-r{rank}-{variant}-{gauge}")
+
+
+@pytest.mark.parametrize("case, rank, variant, gauge",
+                         list(_high_order_params()))
+def test_formal_residual_vanishes_at_m_max_12(case, rank, variant, gauge):
+    prob, eng = _engine(case, rank, variant, gauge, 12)
+    for x in case[-1]:
+        E, scale = formal_residual(prob, eng.at(x))
+        assert max(E) <= RTOL * scale, (x, E, scale)
+
+
 class TestFormalResidualCatches:
     """A perturbation of 1e-8 in the engine's output fails the bound by
     two orders of magnitude: the check is not blind to Y_m or to s_m."""

@@ -119,6 +119,26 @@ def test_jet_chain_evaluates_each_node_once():
     assert _held_jets(vars(chain)) <= 2
 
 
+def test_jet_chain_off_ladder_grid_evaluates_each_node_once():
+    # an outward sweep that bisects, as a wave's phase integral asks the
+    # integrals it nests: each panel between the last two rungs starts from
+    # the rung the march left, whose jet is kept (the rung evaluated again
+    # for 0.375, 0.625 and 0.875 when only the outermost rung was kept)
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return jet_exp(jet_variable(t, 6))
+
+    xs = [0.25, 0.125, 0.5, 0.375, 0.3125, 0.75, 0.625, 0.6875, 1.0,
+          0.875, 0.9]
+    chain = JetChainIntegral(f, 0.0)
+    got = [chain.value(x) for x in xs]
+    assert len(calls) == len(set(calls)) == len(xs) + 1, sorted(calls)
+    assert got == [JetChainIntegral(f, 0.0).value(x) for x in xs]
+    assert _held_jets(vars(chain)) <= 4
+
+
 def test_jet_chain_off_ladder_queries_run_in_flat_memory():
     # the memo holds the rungs of the interval walked, not the points asked
     chain = JetChainIntegral(lambda t: jet_exp(jet_variable(t, 4)), 0.0)

@@ -314,13 +314,27 @@ class TestHistoryFree:
     engine answered before: each anchored integral keeps one partial sum
     per ladder rung and reaches x from the rung before it."""
 
-    @pytest.mark.parametrize("case", ["fulling", "fex3", "complex-kato"])
+    @pytest.mark.parametrize("case", ["fulling", "fex3", "complex-kato",
+                                      "fex4-raw", "block3"])
     def test_at_ignores_earlier_queries(self, case, request):
+        g = None
         if case == "complex-kato":
             from test_spectral import _complex_pair_rows, _hermitian
             prob, variant, anchor, rank = (_hermitian(_complex_pair_rows()),
                                            "fulling_current", 2.2, 0)
             x, before, gauge = 2.53, (2.54, 2.52, 2.8), "kato"
+        elif case == "fex4-raw":
+            # no integrals: the point's own tables, with the projection on
+            # (s0, s_m) = 0 and an oblique-capable left eigenvector
+            prob, variant, anchor, rank = (request.getfixturevalue("fex4"),
+                                           "non_hermitian", 2.0, 1)
+            x, before, gauge = 2.53, (2.54, 2.52, 2.8), "raw"
+            g = parse_expr("2*cos(x)")
+        elif case == "block3":
+            # N = 3 through the numeric reduction, no integrals
+            prob, variant, anchor, rank = (_fex1_like(_block_rows()),
+                                           "simplified_hermitian", 3.0, 1)
+            x, before, gauge = 4.03, (4.04, 4.02, 5.5), "normalized"
         else:
             prob = request.getfixturevalue(
                 "fex1" if case == "fulling" else "fex3")
@@ -331,8 +345,8 @@ class TestHistoryFree:
 
         def engine():
             return CorrectionEngine(
-                prob, field(prob, rank, anchor=anchor, gauge=gauge), variant,
-                3, anchor)
+                prob, field(prob, rank, anchor=anchor, gauge=gauge, g=g),
+                variant, 3, anchor)
 
         fresh = engine().at(x)
         eng = engine()
@@ -384,7 +398,8 @@ class TestWorkCounts:
         # before the power table: 2267 products and 174 quotients; with
         # vector jets as tuples of Jets: 310 products, 47 series quotients;
         # with the power table and eps0 on Jets: 91 products, 108 sums and
-        # 4 quotients
+        # 4 quotients; with Y_m and c_perp on arrays: no product and 11
+        # contractions
         eng = CorrectionEngine(fex1, field(fex1, 0, anchor=2.5),
                                "simplified_hermitian", 6, 2.5)
         counts = self._count(monkeypatch, eng, 3.7)
@@ -398,6 +413,56 @@ class TestWorkCounts:
         # the recurrence sums coefficient arrays, never Jets
         assert counts["add"] == 0, counts
         assert counts["quotient"] <= 18, counts
+
+    def test_fex1_m6_levels_make_no_jet_operation(self, fex1, monkeypatch):
+        # between the base point and the CorrectionSet every series is a
+        # table row: Y_m, c_perp, [Y^c], the lambda^2 block and b_m (12 Jet
+        # products and a quotient when Y_m and c_perp were Jet products)
+        eng = CorrectionEngine(fex1, field(fex1, 0, anchor=2.5),
+                               "simplified_hermitian", 6, 2.5)
+        eng._points[3.7] = eng._base_point(3.7)
+        ops = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            def counted(self, *other, op=getattr(Jet, name), name=name):
+                ops.append(name)
+                return op(self, *other)
+            monkeypatch.setattr(Jet, name, counted)
+        corr = eng.at(3.7)
+        monkeypatch.undo()
+        assert ops == [], ops
+        assert len(corr.Y) == len(corr.c_perp) == 7
+
+    def test_fex1_m6_lambda_sums_per_level(self, fex1, monkeypatch):
+        # a level's sums over the lambda index ([Y^c]'s parts and the
+        # lambda^2 block) are a fixed number of kernel calls and b_m one
+        # contraction, whatever m (each sum was m - 1 products)
+        calls = {"kernel": 0, "contract": 0}
+
+        def counting(fn, key):
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+            return counted
+        monkeypatch.setattr(recurrence, "_lam_sum",
+                            counting(recurrence._lam_sum, "kernel"))
+        monkeypatch.setattr(vector_module, "series_contract",
+                            counting(vector_module.series_contract, "contract"))
+        levels = []
+        stage = CorrectionEngine._stage
+
+        def staged(self, pt, m):
+            before = dict(calls)
+            stage(self, pt, m)
+            levels.append(tuple(calls[key] - before[key]
+                                for key in ("kernel", "contract")))
+        monkeypatch.setattr(CorrectionEngine, "_stage", staged)
+        CorrectionEngine(fex1, field(fex1, 0, anchor=2.5),
+                         "simplified_hermitian", 6, 2.5).at(3.7)
+        monkeypatch.undo()
+        # level 1 also forms the point's 1/(s0, s0) and solve matrix
+        assert len(levels) == 6
+        assert levels[0][0] == 1 and set(levels[1:]) == {(2, 1)}, levels
 
     def test_fulling_m3_point(self, fex1, monkeypatch):
         # before the power table: 369 products and 40 quotients; with
