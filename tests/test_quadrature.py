@@ -122,8 +122,9 @@ def test_jet_chain_evaluates_each_node_once():
 def test_jet_chain_off_ladder_grid_evaluates_each_node_once():
     # an outward sweep that bisects, as a wave's phase integral asks the
     # integrals it nests: each panel between the last two rungs starts from
-    # the rung the march left, whose jet is kept (the rung evaluated again
-    # for 0.375, 0.625 and 0.875 when only the outermost rung was kept)
+    # the rung the march left, whose jet is kept (19 calls when only the
+    # outermost rung was kept: the anchor and the rung before each later
+    # off-ladder x were evaluated again)
     calls = []
 
     def f(t):
