@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     BranchPointEvaluation,
     DivisionByZeroLeadCoefficient,
+    InvalidInput,
     MismatchedJets,
     OrderExceeded,
 )
@@ -301,6 +302,12 @@ def series_contract(coefs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
             @ lag.reshape(T * n, n))
 
 
+def series_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Hilbert scalar product (a, b) = sum conj(a_j) b_j of (N, n)
+    vector series, at the order of b."""
+    return series_contract(a[:, :b.shape[1]].conj(), b[:, None])[0]
+
+
 # A number c with an array: the constant jet (c, 0, 0, ...) without the
 # convolution or the copy it would cost, and with the same coefficients.
 
@@ -478,7 +485,7 @@ def jet_arith(op: str, a: Jet, b: Jet) -> Jet:
     try:
         f = _ARITH[op]
     except KeyError:
-        raise ValueError(f"unknown jet operation {op!r}") from None
+        raise InvalidInput(f"unknown jet operation {op!r}") from None
     return f(a, b)
 
 
@@ -486,12 +493,12 @@ def jet_elem(f: str, a: Jet, exponent: float | None = None) -> Jet:
     """Elementary composition; `f` in {exp, ln, sqrt, sin, cos, pow_real}."""
     if f == "pow_real":
         if exponent is None:
-            raise ValueError("pow_real needs an exponent")
+            raise InvalidInput("pow_real needs an exponent")
         return jet_pow(a, exponent)
     try:
         g = _ELEM[f]
     except KeyError:
-        raise ValueError(f"unknown elementary function {f!r}") from None
+        raise InvalidInput(f"unknown elementary function {f!r}") from None
     return g(a)
 
 

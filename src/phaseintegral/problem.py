@@ -170,8 +170,8 @@ def split_R(spec: ProblemSpec, lam: float = 1.0,
             a: Expression | None = None) -> ReducedProblem:
     """Form G = lambda**2 (R - a I) so that R = lambda**-2 G + a I."""
     if spec.form != "reduced":
-        raise ValueError("split_R needs a reduced spec; "
-                         "call reduce_first_derivative first")
+        raise InvalidInput("split_R needs a reduced spec; "
+                           "call reduce_first_derivative first")
     a = a if a is not None else _ZERO
     lam2 = Const(lam * lam)
     rows = []

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientJetOrder, ModelSingularity
+from .errors import InsufficientJetOrder, InvalidInput, ModelSingularity
 from .expressions import Expression, eval_expr_jet
 from .jets import Jet, jet_const
 
@@ -173,7 +173,7 @@ def model_epsilon00(model: tuple, d: Expression | None, x0: float,
         dlog = -eta / (x0 * x0)
         qm2 = c * cmath.exp(eta / x0)
     else:
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise InvalidInput(f"unknown model kind {kind!r}")
 
     if abs(qm2) < 1e-300:
         raise ModelSingularity("model Q_M^2 underflowed to zero")

@@ -73,7 +73,8 @@ from .errors import (
 from .expressions import Const, Expression, constant_value, eval_expr_jet
 from .jets import (
     Jet, jet_const, jet_exp, jet_sqrt, lead_is_zero, series_const,
-    series_contract, series_div, series_matrix, series_mul, series_sqrt,
+    series_contract, series_div, series_inner, series_matrix, series_mul,
+    series_sqrt,
 )
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
@@ -615,9 +616,9 @@ class BranchField:
         basis = np.einsum("tij,cj->cit", self._eigen_jets(x, order)[1], ref)
         for j, u in enumerate(basis):
             if j:
-                ips = np.array([_series_inner(e, u) for e in basis[:j]])
+                ips = np.array([series_inner(e, u) for e in basis[:j]])
                 u = u - series_contract(ips, basis[:j])
-            norm_sq = _series_inner(u, u)
+            norm_sq = series_inner(u, u)
             _guard_breakdown(norm_sq[0], x)
             num, den = series_const(1.0, order + 1), norm_sq
             if self._oblique:
@@ -691,11 +692,6 @@ def _inner(a: list, b: list) -> complex:
     return sum(map(mul, map(complex.conjugate, a), b))
 
 
-def _series_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a, b) of two N x n coefficient arrays, as a series."""
-    return series_contract(a.conj(), b[:, None, :])[0]
-
-
 def _vector_jets(x: float, vecs) -> tuple:
     """d x N x n coefficients or d lists of N values as d vectors of jets."""
     c = float(x)
@@ -721,7 +717,7 @@ def eigen_n2_closed_form(prob: ReducedProblem, x0: float, order: int,
                          anchor: float | None = None) -> EigenBranch:
     """Closed-form N = 2 branch: `sign` = +1 the lower root, -1 the upper."""
     if prob.n != 2:
-        raise ValueError("eigen_n2_closed_form requires N = 2")
+        raise InvalidInput("eigen_n2_closed_form requires N = 2")
     gauge = "raw" if gauge_g is not None else "normalized"
     field = BranchField(prob, 0 if sign > 0 else 1, gauge, gauge_g,
                         anchor if anchor is not None else x0)
@@ -736,7 +732,7 @@ def eigen_track(prob: ReducedProblem, grid: Sequence[float], rank: int,
     """Branch snapshots along a strictly increasing grid."""
     grid = [float(x) for x in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
+        raise InvalidInput("grid must be strictly increasing")
     field = BranchField(prob, rank, gauge, gauge_g, anchor=grid[0])
     return [field.branch(x, order) for x in grid]
 

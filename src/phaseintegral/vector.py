@@ -26,8 +26,10 @@ closed-form comparisons are quoted in the upper sign convention
 (Q = |Q| for positive eigenvalues, Q = -i |Q| for negative ones).
 
 The engine keeps each point's corrections as tables with one row per order
-m, orders last: Y_m a row, each vector s_m an (N, n) row.  `CorrectionSet`
-holds them as `Jet`s, tuples of N for a vector.
+m, orders last: Y_m a row, each vector s_m an (N, n) row.  Y, s and b are
+columns of the point's `recurrence.PointWork`, built with the point and
+kept as long as it.  `CorrectionSet` holds them as `Jet`s, tuples of N for
+a vector.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
 )
 from .jets import (
     Jet, jet_exp, jet_pow, series_const, series_contract, series_div,
-    series_matrix, series_mul,
+    series_inner, series_matrix, series_mul,
 )
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
@@ -98,9 +100,9 @@ class CorrectionSet:
 
 @dataclass(slots=True)
 class _Point:
-    """One point of an engine: branch data, then one table row per level
-    (orders last, row m exact to order K - m) in Y, s_perp and b (staged)
-    and in s and c_par (finished)."""
+    """One point of an engine: branch data, the recurrence's tables, then
+    one table row per level (orders last, row m exact to order K - m) in Y,
+    s_perp and b (staged) and in s and c_par (finished)."""
 
     x: float
     Qsq: Jet
@@ -109,20 +111,19 @@ class _Point:
     perp: np.ndarray           # -2 Q^2 S, matrix coefficients
     left: np.ndarray           # left eigenvector P^H s0
     basis: list | None         # cluster basis (1 < d < N), basis[0] = s0
-    Y: np.ndarray              # (levels, K + 1)
-    s: np.ndarray              # (levels, N, K + 1)
+    work: PointWork            # the recurrence's tables
+    Y: np.ndarray              # (levels, K + 1), work.Y
+    s: np.ndarray              # (levels, N, K + 1), work.s
     s_perp: np.ndarray
-    b: np.ndarray
+    b: np.ndarray              # work.b
     c_par: np.ndarray          # (levels, K + 1)
     staged: int = 1            # levels with Y, s_perp and b
     finished: int = 1          # levels with s and c_par too
-    # while `CorrectionEngine._point` runs: the recurrence's tables and
+    # while `CorrectionEngine._point` extends the point:
     # `CorrectionEngine._solver`'s matrix
-    work: PointWork | None = None
     solve: np.ndarray | None = None
-    # 1/(s0, s0) and 1/Q (to order K - 1), once a level is built
+    # 1/(s0, s0), once a level is built
     over_norm0: np.ndarray | None = None
-    over_q: np.ndarray | None = None
 
 
 # -- vector jets: (N, n) coefficient arrays, orders last ---------------------
@@ -136,17 +137,13 @@ def _diff(vec: np.ndarray) -> np.ndarray:
     return vec[:, 1:] * np.arange(1, vec.shape[1])
 
 
-def _dot(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Hilbert scalar product (a, b) = sum conj(a_j) b_j at order k."""
-    return series_contract(a[:, :k + 1].conj(), b[:, None, :k + 1])[0]
-
-
 def _dots(terms: list, k: int) -> np.ndarray:
     """sum w (u, v) over the (w, u, v) of `terms`, w real: one contraction."""
     if not terms:
         return np.zeros(k + 1, dtype=complex)
-    return _dot(np.concatenate([w * u[:, :k + 1] for w, u, _ in terms]),
-                np.concatenate([v[:, :k + 1] for _, _, v in terms]), k)
+    return series_inner(
+        np.concatenate([w * u[:, :k + 1] for w, u, _ in terms]),
+        np.concatenate([v[:, :k + 1] for _, _, v in terms]))
 
 
 def _times(c: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -253,21 +250,12 @@ class CorrectionEngine:
         if pt is None:
             pt = self._points[x] = self._base_point(x)
         if (pt.staged if staged else pt.finished) <= m:
-            pt.work = self._work(pt)
-            try:
-                for level in range(pt.finished, m + 1):
-                    self._stage(pt, level)
-                    if level < m or not staged:
-                        self._finish_level(pt, level)
-            finally:
-                pt.work = pt.solve = None
+            for level in range(pt.finished, m + 1):
+                self._stage(pt, level)
+                if level < m or not staged:
+                    self._finish_level(pt, level)
+            pt.solve = None
         return pt
-
-    def _work(self, pt: _Point) -> PointWork:
-        K = self.K
-        if pt.over_q is None:       # one series quotient per point
-            pt.over_q = series_div(series_const(1.0, K), pt.Q.coeffs[:K])
-        return PointWork(pt.over_q, pt.eps0.coeffs, pt.Y, pt.s, pt.b, K)
 
     def _base_point(self, x: float) -> _Point:
         K = self.K
@@ -287,13 +275,12 @@ class CorrectionEngine:
         left = (np.einsum("sji,jts->it", proj.conj(), series_matrix(s0))
                 if fld._oblique else s0)
         levels = self.m_max + 1
-        Y, c_par = np.zeros((2, levels, K + 1), dtype=complex)
-        Y[0, 0] = 1.0
-        s, s_perp, b = np.zeros((3, levels) + s0.shape, dtype=complex)
-        s[0] = s0
+        work = PointWork(Q.coeffs, eps0.coeffs, s0, levels, K)
         return _Point(x, Qsq, Q, eps0, perp, left,
-                      basis if self._degenerate else None,
-                      Y=Y, s=s, s_perp=s_perp, b=b, c_par=c_par)
+                      basis if self._degenerate else None, work,
+                      Y=work.Y, s=work.s, b=work.b,
+                      s_perp=np.zeros((levels,) + s0.shape, dtype=complex),
+                      c_par=np.zeros((levels, K + 1), dtype=complex))
 
     def _stage(self, pt: _Point, m: int):
         """Compute b_m, s_m_perp and Y_m (everything except P s_m)."""
@@ -335,19 +322,16 @@ class CorrectionEngine:
 
     def _compute_b(self, pt: _Point, m: int, k: int,
                    stop: int | None = None) -> np.ndarray:
-        """b_m at order k: one contraction of the terms
-        `recurrence.PointWork` slices from its tables.  The work lives in
-        pt.work while `_point` builds the point's levels; a call outside
-        that window (b~ of an integrand or of the compatibility check)
-        builds a temporary one.
+        """b_m at order k: one contraction of the terms the point's
+        `recurrence.PointWork` slices from its tables.
 
         The s_sigma sum ends before sigma = `stop` (default m).
         b~_{m+1} = _compute_b(pt, m + 1, k, stop=m) is the part of b_{m+1}
         independent of s_m: b_{m+1} - b~_{m+1} = i s_m' - Y_1 s_m, so
         i s_m' in the Kato gauge, where Y_1 = 0.
         """
-        work = pt.work or self._work(pt)
-        return series_contract(*work.terms(m, k, m if stop is None else stop))
+        return series_contract(*pt.work.terms(m, k,
+                                              m if stop is None else stop))
 
     # ------------------------------------------------------------------
     # complement solve and Y_m
@@ -365,7 +349,7 @@ class CorrectionEngine:
         s0, (N, n) = pt.s[0], pt.s.shape[1:]
         if pt.over_norm0 is None:         # one series quotient per point
             pt.over_norm0 = series_div(series_const(1.0, n),
-                                       _dot(s0, s0, n - 1))
+                                       series_inner(s0, s0))
         solve = np.empty((n, N + 1, N, n), dtype=complex)
         solve[:, :N] = series_matrix(
             pt.perp.transpose(1, 2, 0)).transpose(2, 0, 1, 3)
@@ -443,7 +427,7 @@ class CorrectionEngine:
         btilde = self._compute_b(pt, m + 1, k, stop=m)
         inner = (_times(1.0j * pt.Q.coeffs[:k + 1], btilde)
                  - _diff(pt.s_perp[m])[:, :k + 1])
-        return _dot(pt.basis[i], inner, k)
+        return series_inner(pt.basis[i], inner)
 
     def compatibility_residual(self, x: float, m: int) -> float:
         """Residual of the order-(m+1) constraint for k > 1 (1 < d < N
@@ -453,7 +437,7 @@ class CorrectionEngine:
             return 0.0
         btilde = self._compute_b(pt, m + 1, 0, stop=m)
         inner = _diff(pt.s[m])[:, :1] - 1.0j * pt.Q.value * btilde
-        return max(abs(_dot(e_k, inner, 0)[0]) for e_k in pt.basis[1:])
+        return max(abs(series_inner(e_k, inner)[0]) for e_k in pt.basis[1:])
 
     # ------------------------------------------------------------------
     # applicability monitor

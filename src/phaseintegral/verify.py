@@ -76,7 +76,7 @@ def wronskian(w1, w2, kind: str = "generalized") -> ConservationReport:
             val = complex(np.dot(a.u, b.u_prime) - np.dot(b.u, a.u_prime))
             name = "wronskian_symmetric"
         else:
-            raise ValueError(f"unknown wronskian kind {kind!r}")
+            raise InvalidInput(f"unknown wronskian kind {kind!r}")
         xs.append(a.x)
         vals.append(val)
     return _report(name, xs, vals)
@@ -198,7 +198,7 @@ def order_scaling(make_wave: Callable[[float], Wave],
     """
     lambdas = [float(v) for v in lambdas]
     if len(lambdas) < 3:
-        raise ValueError("need at least three lambda values")
+        raise InvalidInput("need at least three lambda values")
     res = []
     for lam in lambdas:
         wave = make_wave(lam)

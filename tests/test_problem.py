@@ -204,6 +204,44 @@ class TestJsonRoundTrip:
                 make()
             assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("name", [
+        "split_R", "eigen_n2_closed_form", "eigen_track", "jet_arith",
+        "jet_elem-pow_real", "jet_elem-name", "wronskian", "order_scaling",
+        "model_epsilon00"])
+    def test_library_misuse_raises_library_errors(self, name):
+        # the library helpers that no problem file reaches raise the
+        # package's InvalidInput too, still a ValueError
+        from phaseintegral.errors import PhaseIntegralError
+        from phaseintegral.jets import jet_arith, jet_elem
+        from phaseintegral.scalar import model_epsilon00
+        from phaseintegral.spectral import eigen_n2_closed_form, eigen_track
+        spec, lam, a = load_problem(example_problem("fulling-pos"))
+        prob = split_R(spec, lam, a)
+        one = split_R(*load_problem(example_problem("scalar-quadratic")))
+        j = jet_variable(1.0, 2)
+        sample = WaveSample(1.0, np.ones(2, complex), np.ones(2, complex), 0j)
+        wave = Wave([sample], lambda x: None, 1.0, 1)
+        call = {
+            "split_R": lambda: split_R(ProblemSpec(
+                1, "schrodinger_like", ((parse_expr("x"),),),
+                (parse_expr("1"),), {}, (0.5, 4.0), "real_symmetric")),
+            "eigen_n2_closed_form": lambda: eigen_n2_closed_form(one, 1.0,
+                                                                 2),
+            "eigen_track": lambda: eigen_track(prob, [3.0, 3.0], 0, 2),
+            "jet_arith": lambda: jet_arith("pow", j, j),
+            "jet_elem-pow_real": lambda: jet_elem("pow_real", j),
+            "jet_elem-name": lambda: jet_elem("tan", j),
+            "wronskian": lambda: V.wronskian(wave, wave, "plain"),
+            "order_scaling": lambda: V.order_scaling(
+                lambda lam: wave, lambda lam: prob.R_value, [0.1, 0.2],
+                [3.0]),
+            "model_epsilon00": lambda: model_epsilon00(("log", 1.0), None,
+                                                       1.0),
+        }[name]
+        with pytest.raises(PhaseIntegralError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+
 
 class TestPickle:
     def test_evaluated_problem_pickles(self):

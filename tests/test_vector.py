@@ -18,7 +18,7 @@ from phaseintegral import vector as vector_module
 from phaseintegral.jets import Jet, jet_const
 from phaseintegral.problem import ProblemSpec, load_problem, split_R
 from phaseintegral.quadrature import JetChainIntegral
-from phaseintegral.recurrence import PowerTable
+from phaseintegral.recurrence import PointWork
 from phaseintegral.scalar import scalar_corrections
 from phaseintegral.spectral import BranchField
 from phaseintegral.vector import (
@@ -82,6 +82,26 @@ class TestDrivingVector:
                 assert np.linalg.norm(want) > 1e-3
                 assert_allclose(got, want, rtol=1e-10,
                                 atol=1e-12 * np.linalg.norm(want))
+
+    def test_lower_levels_ignore_higher_rows(self, deg3):
+        # a point built to m_max 4 keeps Y_{m+1} .. Y_4 in its tables; b~ and
+        # the compatibility residual at level m read none of them, and equal
+        # those of a point built only to level m
+        def engine():
+            return CorrectionEngine(deg3, field(deg3, 0),
+                                    "simplified_hermitian", 4, 2.0)
+        x = 2.3
+        built = engine()
+        built.at(x)
+        for m in (1, 2, 3):
+            fresh = engine()
+            assert (built.compatibility_residual(x, m)
+                    == fresh.compatibility_residual(x, m))
+            k = built.K - m - 1
+            got, want = (eng._compute_b(eng._points[x], m + 1, k, stop=m)
+                         for eng in (built, fresh))
+            assert np.linalg.norm(want) > 1e-3
+            assert np.array_equal(got, want), m
 
     def test_constant_problem_all_b_vanish(self):
         spec = ProblemSpec(2, "reduced",
@@ -270,11 +290,16 @@ class TestPowerTable:
     @settings(max_examples=30, deadline=None)
     @given(_integer_y())
     def test_table_equals_composition_sums(self, Y):
-        # the table's entries are coefficient arrays, the oracle's Jets
-        known = [Y[0]]               # Y_t becomes known level by level
-        table = PowerTable(known, _TABLE_K)
+        # the table's entries are coefficient arrays, the oracle's Jets;
+        # Y_t is written into the work's Y table level by level (Q, eps0
+        # and s0 feed only the derivatives and the lambda^2 block)
+        n = _TABLE_K + 1
+        table = PointWork(np.ones(n, dtype=complex),
+                          np.zeros(n - 2, dtype=complex),
+                          np.ones((1, n), dtype=complex), _TABLE_T + 1,
+                          _TABLE_K)
         for c in (2, 3, 4):
-            assert table.power(c, 0) is Y[0].coeffs
+            assert np.array_equal(table.power(c, 0), Y[0].coeffs)
         for t in range(1, _TABLE_T + 1):
             k = _TABLE_K - t
             c2, _, s4 = table.parts(t)          # before Y_t is known
@@ -282,7 +307,7 @@ class TestPowerTable:
                 c2, _composition_sum(Y, 2, t, k, True).coeffs)
             assert np.array_equal(
                 c2 + c2 + s4, _composition_sum(Y, 4, t, k, True).coeffs)
-            known.append(Y[t])
+            table.Y[t, :k + 1] = Y[t].coeffs
             for c in (2, 3, 4):
                 assert np.array_equal(table.power(c, t),
                                       _composition_sum(Y, c, t, k).coeffs)
@@ -299,14 +324,6 @@ class TestPowerTable:
             else:
                 assert_allclose(corr.Y[m].value, sc.Y[m // 2].value,
                                 rtol=1e-12)
-
-    def test_point_work_is_dropped_after_assembly(self, fex1):
-        # anchor 3, point 4.5: the c_par integrands stage ladder points too
-        eng = CorrectionEngine(fex1, field(fex1, 1, anchor=3.0),
-                               "fulling_current", 3, 3.0)
-        eng.at(4.5)
-        assert len(eng._points) > 1
-        assert all(pt.work is None for pt in eng._points.values())
 
 
 class TestHistoryFree:
@@ -463,6 +480,46 @@ class TestWorkCounts:
         # level 1 also forms the point's 1/(s0, s0) and solve matrix
         assert len(levels) == 6
         assert levels[0][0] == 1 and set(levels[1:]) == {(2, 1)}, levels
+
+    def test_each_point_builds_its_work_once(self, fex1, monkeypatch):
+        # anchor 3, point 4.5: the c_par integrands stage ladder points too,
+        # one level per integral, and a point's tables outlive each
+        # extension
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return PointWork(*args)
+        monkeypatch.setattr(vector_module, "PointWork", counted)
+        eng = CorrectionEngine(fex1, field(fex1, 1, anchor=3.0),
+                               "fulling_current", 3, 3.0)
+        eng.at(4.5)
+        eng.compatibility_residual(4.5, 2)
+        assert len(eng._points) > 1
+        assert len(made) == len(eng._points)
+        assert all(pt.solve is None for pt in eng._points.values())
+
+    def test_lambda_sums_grow_linearly_with_m_max(self, fex1, monkeypatch):
+        # the nested c_par integrals extend the same nodes one level per
+        # integral; each level fills one row, never replaying rows from 0
+        # (119, 319 and 615 calls when every extension rebuilt the tables)
+        calls = []
+        lam_sum = recurrence._lam_sum
+
+        def counted(*args):
+            calls.append(1)
+            return lam_sum(*args)
+        monkeypatch.setattr(recurrence, "_lam_sum", counted)
+        counts = {}
+        for m_max in (6, 10, 14):
+            calls.clear()
+            eng = CorrectionEngine(fex1, field(fex1, 0, anchor=3.0),
+                                   "fulling_current", m_max, 3.0)
+            eng.at(3.7)
+            counts[m_max] = len(calls)
+            # two sums a level (the parts, the lambda^2 block) per point
+            assert len(calls) <= 2 * (m_max + 1) * len(eng._points), counts
+        assert counts[14] - counts[10] == counts[10] - counts[6], counts
 
     def test_fulling_m3_point(self, fex1, monkeypatch):
         # before the power table: 369 products and 40 quotients; with
