@@ -118,7 +118,8 @@ class PointWork:
     def terms(self, m: int, k: int, stop: int) -> tuple:
         """The (4 m, k + 1) coefficients and (4 m, N, k + 1) vectors of b_m,
         with s_sigma, s_sigma' and s_sigma'' left out from sigma = stop.
-        Row m is never read: Y_m, if already known, is not part of b_m."""
+        Of row m only the parts are read: Y_m and its powers, which the
+        point may already have, are not part of b_m."""
         for sigma in range(self._vec, stop):
             self._derivatives(sigma)
         lead = _LEAD @ self.parts(m)[:, :k + 1]

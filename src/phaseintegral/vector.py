@@ -226,7 +226,8 @@ class CorrectionEngine:
         x, K, mm = pt.x, self.K, self.m_max + 1
 
         def jets(table, first=0):
-            make = _jets if table.ndim == 3 else Jet._raw
+            # views of a copy: the set does not keep the point's work alive
+            make, table = _jets if table.ndim == 3 else Jet._raw, table.copy()
             return [None] * first + [make(x, table[m, ..., :K - m + 1])
                                      for m in range(first, mm)]
         c_perp = [None] * mm

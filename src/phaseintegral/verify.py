@@ -64,6 +64,8 @@ def wronskian(w1, w2, kind: str = "generalized") -> ConservationReport:
     """W_N = Re[(u1, u2') - (u2, u1')]; symmetric variant drops conjugation."""
     s1 = list(w1)
     s2 = list(w2)
+    if kind not in ("generalized", "symmetric"):
+        raise InvalidInput(f"unknown wronskian kind {kind!r}")
     if len(s1) != len(s2) or any(a.x != b.x for a, b in zip(s1, s2)):
         raise GridMismatch("wronskian needs two waves on the same grid")
     xs, vals = [], []
@@ -71,15 +73,11 @@ def wronskian(w1, w2, kind: str = "generalized") -> ConservationReport:
         if kind == "generalized":
             val = complex(np.real(np.vdot(a.u, b.u_prime)
                                   - np.vdot(b.u, a.u_prime)))
-            name = "wronskian_generalized"
-        elif kind == "symmetric":
-            val = complex(np.dot(a.u, b.u_prime) - np.dot(b.u, a.u_prime))
-            name = "wronskian_symmetric"
         else:
-            raise InvalidInput(f"unknown wronskian kind {kind!r}")
+            val = complex(np.dot(a.u, b.u_prime) - np.dot(b.u, a.u_prime))
         xs.append(a.x)
         vals.append(val)
-    return _report(name, xs, vals)
+    return _report(f"wronskian_{kind}", xs, vals)
 
 
 def residual(wave: Wave, R_eval: Callable[[float], np.ndarray],

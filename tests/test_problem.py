@@ -231,7 +231,7 @@ class TestJsonRoundTrip:
             "jet_arith": lambda: jet_arith("pow", j, j),
             "jet_elem-pow_real": lambda: jet_elem("pow_real", j),
             "jet_elem-name": lambda: jet_elem("tan", j),
-            "wronskian": lambda: V.wronskian(wave, wave, "plain"),
+            "wronskian": lambda: V.wronskian([], [], "plain"),
             "order_scaling": lambda: V.order_scaling(
                 lambda lam: wave, lambda lam: prob.R_value, [0.1, 0.2],
                 [3.0]),
