@@ -151,6 +151,10 @@ class PointWork:
         row[1, :, :-1], row[2, :, :-2] = d[:N, :K], d[:N, K:]
         scalar[_DY, :-1], scalar[_DDY, :-2] = d[N, :K], d[N, K:]
         self._vec = sigma + 1
+        if self._vec == len(self.vecs) - 1:
+            # b_m and b~ read the derivatives of sigma < m <= m_max only:
+            # with those of m_max - 1 filled, the matrix is not needed
+            self._zeta = None
 
     def _lam2(self, r: int):
         """T_r and U_r at order K - r - 2: the three sums are one kernel

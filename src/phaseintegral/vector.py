@@ -499,6 +499,8 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
     lam = engine.prob.lam if lam is None else float(lam)
     anchor = engine.anchor if anchor is None else float(anchor)
     grid = [float(x) for x in grid]
+    if not grid:
+        raise InvalidInput("assemble_vector_wave needs a grid point")
     sign = +1 if sign >= 0 else -1
     m_max = engine.m_max
 

@@ -45,6 +45,8 @@ class ConservationReport:
 
 
 def _report(quantity: str, xs, values) -> ConservationReport:
+    if not xs:
+        raise InvalidInput(f"{quantity} needs at least one sample")
     v = np.asarray(values, dtype=complex)
     med = complex(np.median(v.real), np.median(v.imag))
     drift = float(np.max(np.abs(v - med)) / (abs(med) + _DRIFT_FLOOR))

@@ -859,6 +859,127 @@ class TestWorkCounts:
             == (1, 1)
         assert counts["jet_ops"] == 0
 
+    @pytest.mark.parametrize("name, solver", [
+        ("block3", "eigh"), ("oblique3", "eig"), ("oblique3", "inv")])
+    def test_n_gt_2_stretch_makes_one_eigen_solve(self, name, solver,
+                                                  monkeypatch):
+        # ten new steps of the walk: G at each, then one stacked solve
+        prob = _block3() if name == "block3" else _oblique3()
+        fld = BranchField(prob, 1, "normalized", None, anchor=2.5)
+        fld._frame(2.5)
+        shapes = []
+        solve = getattr(np.linalg, solver)
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, solver, counted)
+        fld._frame(3.55)
+        assert len(fld._frames) == 11
+        assert shapes == [(10, 3, 3)]
+
+    @pytest.mark.parametrize("name", ["fex1", "fex4"])
+    def test_n2_step_makes_one_g_value_and_no_jet(self, name, request,
+                                                  monkeypatch):
+        # a new walk step, then the step from the frame to the point
+        prob = request.getfixturevalue(name)
+        fld = BranchField(prob, 1, "normalized", None, anchor=2.5)
+        fld._frame(3.55)
+        counts = request.getfixturevalue("counts")
+        calls = []
+        g_value = ReducedProblem.G_value
+
+        def counted(self, x):
+            calls.append(x)
+            return g_value(self, x)
+        monkeypatch.setattr(ReducedProblem, "G_value", counted)
+        fld._frame(3.65)
+        assert len(calls) == 1 and len(fld._frames) == 12
+        fld._reference(3.62)
+        assert calls[1:] == [3.62]
+        assert counts == {"jets": 0, "jet_ops": 0, "G_jet": 0,
+                          "reductions": [], "sqrt": 0, "quotient": 0}
+
+
+# --------------------------------------------------------------------------
+# walked stretches
+# --------------------------------------------------------------------------
+
+def _frame_bits(frame):
+    return np.array(frame, dtype=complex).tobytes()
+
+
+def _jet_bits(vec):
+    return np.array([c.coeffs for c in vec]).tobytes()
+
+
+def _poisoned_block3(third, hint):
+    """diag(Fex1, third) on a domain that keeps the construction's probes
+    away from x < 0.65: rank 0 and 1 cross at x = 1."""
+    rows = [["x*cos(x)^2 + sin(x)^2", "(x - 1)*cos(x)*sin(x)", "0"],
+            ["(x - 1)*cos(x)*sin(x)", "x*sin(x)^2 + cos(x)^2", "0"],
+            ["0", "0", third]]
+    mat = tuple(tuple(parse_expr(e) for e in r) for r in rows)
+    return split_R(ProblemSpec(3, "reduced", mat, None, {}, (1.5, 8.5),
+                               hint), 1.0, None)
+
+
+# zero from x = 0.65 up, 2e200 (0.65 - x) below
+_STEP_UP = "(1e200*(0.65 - x + sqrt((x - 0.65)^2)))"
+
+
+class TestWalkStretch:
+    """For N > 2 the walk solves each new stretch of steps as one stack,
+    for N = 2 it steps on the closed form: a frame or an order-0 vector
+    must not depend on the stretches its steps were walked in, and an
+    error must come at its own step."""
+
+    @pytest.mark.parametrize("name", ["fex1", "fex4", "block3", "oblique3"])
+    def test_same_bits_in_one_stretch_or_many(self, name, request):
+        # oblique3 takes the eig + inv path, fex4 the oblique N = 2 one
+        prob = (_block3() if name == "block3" else _oblique3()
+                if name == "oblique3" else request.getfixturevalue(name))
+        xs = [float(x) for x in np.linspace(1.2, 8.4, 37)]
+        for rank in range(prob.n):
+            one = BranchField(prob, rank, "normalized", None, anchor=2.5)
+            one._frame(8.4)
+            one._frame(1.2)                 # one stretch on each side
+            many = BranchField(prob, rank, "normalized", None, anchor=2.5)
+            for x in np.random.default_rng(rank).permutation(xs):
+                many.s0_jets(float(x), 0)   # short stretches, out of order
+            assert many._frames.keys() == one._frames.keys()
+            for key, frame in one._frames.items():
+                assert _frame_bits(many._frames[key]) == _frame_bits(frame)
+            for x in xs:
+                assert _jet_bits(many.s0_jets(x, 0)) \
+                    == _jet_bits(one.s0_jets(x, 0)), (rank, x)
+
+    @pytest.mark.parametrize("hint", ["real_symmetric", "general"])
+    @pytest.mark.parametrize("third", [
+        f"9 + {_STEP_UP}*{_STEP_UP}",                       # inf
+        f"9 + {_STEP_UP}*{_STEP_UP} - {_STEP_UP}*{_STEP_UP}",  # nan
+        "9 + 1/(x - 0.5)",                      # raises at the step 0.5
+    ], ids=["inf", "nan", "singular"])
+    def test_errors_keep_walk_order(self, hint, third):
+        # walking down from 2.5, the crossing at x = 1 comes before the
+        # steps where G is not finite (or cannot be evaluated), which the
+        # stretch evaluates first
+        plain = BranchField(_poisoned_block3("9", hint), 0, "normalized",
+                            None, anchor=2.5)
+        with pytest.raises(CrossingPoint) as want:
+            plain._frame(0.3)
+        fld = BranchField(_poisoned_block3(third, hint), 0, "normalized",
+                          None, anchor=2.5)
+        if "1/" not in third:               # G is not finite below 0.65
+            assert not np.isfinite(fld.prob.G_value(0.55)).all()
+        with pytest.raises(CrossingPoint) as got:
+            fld._frame(0.3)
+        assert str(got.value) == str(want.value)
+        assert "x = 1.0" in str(got.value)
+        assert fld._frames.keys() == plain._frames.keys()
+        for key, frame in plain._frames.items():
+            assert _frame_bits(fld._frames[key]) == _frame_bits(frame)
+
 
 # --------------------------------------------------------------------------
 # retained state

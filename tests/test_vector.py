@@ -326,6 +326,48 @@ class TestPowerTable:
                                 rtol=1e-12)
 
 
+class TestPointMemory:
+    def test_finished_point_drops_its_zeta_matrix(self, fex1, monkeypatch):
+        # m_max 3: once the derivatives of s_2 are filled, no b_m or b~
+        # needs d/d zeta; the point's b~ and CorrectionSet keep the bits of
+        # a point that keeps the matrix
+        def build():
+            eng = CorrectionEngine(fex1, field(fex1, 1, anchor=2.5),
+                                   "simplified_hermitian", 3, 2.5)
+            corr = eng.at(3.7)
+            pt = eng._points[3.7]
+            btilde = [eng._compute_b(pt, m + 1, eng.K - m - 1, stop=m)
+                      for m in range(4)]
+            return pt.work, corr, btilde
+
+        dropped = build()
+        derivatives = PointWork._derivatives
+
+        def keeping(self, sigma):
+            zeta = self._zeta
+            derivatives(self, sigma)
+            if self._zeta is None:
+                self._zeta = zeta
+        monkeypatch.setattr(PointWork, "_derivatives", keeping)
+        kept = build()
+        assert dropped[0]._zeta is None
+        assert kept[0]._zeta is not None
+
+        def bits(obj):
+            if obj is None:
+                return None
+            if isinstance(obj, Jet):
+                return obj.coeffs.tobytes()
+            if isinstance(obj, np.ndarray):
+                return obj.tobytes()
+            return [bits(o) for o in obj]
+        for name in ("Qsq", "Q", "eps0", "Y", "s", "s_perp", "c_perp",
+                     "c_par", "b"):
+            assert bits(getattr(dropped[1], name)) \
+                == bits(getattr(kept[1], name)), name
+        assert bits(dropped[2]) == bits(kept[2])
+
+
 class TestHistoryFree:
     """A point's corrections depend on x alone, not on the points the
     engine answered before: each anchored integral keeps one partial sum

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from phaseintegral.errors import (EvaluationSingularity, GridMismatch,
-                                  StepSizeUnderflow)
+                                  InvalidInput, StepSizeUnderflow)
 from phaseintegral.expressions import parse_expr
 from phaseintegral.problem import ProblemSpec, split_R
 from phaseintegral.scalar import Wave, WaveSample
@@ -39,6 +40,22 @@ class TestCurrentAndWronskian:
         w2 = assemble_vector_wave(eng, -1, [0.0, 1.5], 0.0, 1.0)
         with pytest.raises(GridMismatch):
             V.wronskian(w1, w2)
+
+    @pytest.mark.parametrize("call", [
+        lambda eng: assemble_vector_wave(eng, +1, []),
+        lambda eng: V.current_sigma([]),
+        lambda eng: V.wronskian([], []),
+    ], ids=["wave-grid", "current-sigma", "wronskian"])
+    def test_empty_input_raises_invalid_input(self, fex1, call):
+        # no grid point, no sample: refused as an input error, with no
+        # numpy warning from a median of nothing before it
+        eng = CorrectionEngine(fex1, BranchField(fex1, 1, "normalized", None,
+                                                 anchor=3.0),
+                               "fulling_current", 1, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                call(eng)
 
     def test_sigma_equals_wronskian_for_real_pairs(self, fex3):
         # real hermitian, Q^2 < 0: sigma of u1 + i u2 equals W(u1, u2)
