@@ -72,7 +72,9 @@ class PointWork:
     and `vecs[sigma]` holds (s_sigma, s_sigma', s_sigma'', b_sigma).  `Y`,
     `s` and `b` are the point's tables, views of those columns that
     `vector.CorrectionEngine` writes as it builds the point's levels; the
-    scalar table has one row more, for b~ at the top level.
+    scalar table has one row more, for b~ at the top level.  The matrix of
+    d/d zeta is kept only until the derivatives of s_{m_max - 1}, the last
+    that b_m or b~ reads, are filled.
     """
 
     def __init__(self, Q: np.ndarray, eps0: np.ndarray, s0: np.ndarray,

@@ -39,9 +39,11 @@ Gauges:
              eigenvectors, otherwise exp(i theta1) times the section pinned
              at the anchor, theta1 = i * int (e~, e~') dx along it.
 
-The continuation walk runs on values (P from the closed form on complex
-numbers, or from the eigen-solve); Q**2, P, S and the eigenbasis at order
->= 1 run on coefficient arrays, and become Jets only where returned.
+The continuation walk runs on values: an N = 2 step is the closed form
+on G's entries as complex numbers; for N > 2 the steps not walked yet are
+one stretch, with G evaluated at all of them and one stacked eigen-solve,
+and a single x is a stretch of one.  Q**2, P, S and the eigenbasis at
+order >= 1 run on coefficient arrays, and become Jets only where returned.
 
 A `BranchField` keeps one point: G(x) and the eigen-jets of the last x
 asked.  What else it holds is bounded by the interval it has walked (the
@@ -363,7 +365,7 @@ class BranchField:
         """The continued eigenbasis at x: d columns of N complex values, one
         `_walk` step from the frame before it."""
         frame = self._frame(x)
-        if self._closed_walk:       # `_walk`'s N = 2 step, without the loop
+        if self._closed_walk:   # `_walk`'s N = 2 step, without the generator
             return self._closed_step(x, frame)
         return next(self._walk([x], frame))
 
@@ -373,8 +375,8 @@ class BranchField:
 
         The walk starts from the eigenvectors at the anchor, each with its
         largest component made real and positive, and moves outward in
-        steps of _ALIGN_STEP, each step continuing the last (`_carry`).
-        The steps not walked yet are one `_walk`.
+        steps of _ALIGN_STEP, each step continuing the last (`_carry`, or
+        `_closed_step` for N = 2).  The steps not walked yet are one `_walk`.
         """
         k = int(math.floor(abs(x - self.anchor) / _ALIGN_STEP + 1e-12))
         sgn = 1.0 if x >= self.anchor else -1.0
@@ -391,7 +393,7 @@ class BranchField:
             else:
                 _, vecs, _, inside = self._cluster(self.anchor)
                 v = vecs[:, inside]      # unit columns from eigh / eig
-                self._d = int(inside.sum())     # for `_refuse`, solved here
+                self._d = int(inside.sum())     # `_anchor_size`, known here
             self._frames[0] = [(c * self._lead_phase(c)).tolist()
                                for c in v.T]
         # walk outward from the largest cached step on this side
@@ -555,12 +557,6 @@ class BranchField:
             self._d = int(self._cluster(self.anchor)[3].sum())
         return self._d
 
-    def _branch_cluster(self, x: float):
-        """`_cluster` at x, refused by `_refuse`."""
-        got = self._cluster(x)
-        self._refuse(x, int(got[3].sum()))
-        return got
-
     def _minus_root(self, x: float, delta0: complex, root0: complex,
                     tol: float) -> bool:
         """N = 2: is the branch's root of D(x) = delta0 minus the principal
@@ -699,8 +695,9 @@ class BranchField:
         S + P = (G - Q**2 + P)**-1 is a series inverse whose lead term is
         diagonal in this basis.
         """
-        vals, vecs, left, inside = self._branch_cluster(x)
+        vals, vecs, left, inside = self._cluster(x)
         d = int(inside.sum())
+        self._refuse(x, d)
         gt = left @ self._g_coeffs(x, order).transpose(2, 0, 1) @ vecs
         gt[0] = np.diag(vals)
         within = inside[:, None] == inside[None, :]
