@@ -39,11 +39,9 @@ Gauges:
              eigenvectors, otherwise exp(i theta1) times the section pinned
              at the anchor, theta1 = i * int (e~, e~') dx along it.
 
-The continuation walk runs on values: an N = 2 step is the closed form
-on G's entries as complex numbers; for N > 2 the steps not walked yet are
-one stretch, with G evaluated at all of them and one stacked eigen-solve,
-and a single x is a stretch of one.  Q**2, P, S and the eigenbasis at
-order >= 1 run on coefficient arrays, and become Jets only where returned.
+The continuation walk runs on values (P from the closed form on complex
+numbers, or from the eigen-solve); Q**2, P, S and the eigenbasis at order
+>= 1 run on coefficient arrays, and become Jets only where returned.
 
 A `BranchField` keeps one point: G(x) and the eigen-jets of the last x
 asked.  What else it holds is bounded by the interval it has walked (the
@@ -124,7 +122,7 @@ class ComplementBasis:
 
 def _cluster_tol(entries) -> float:
     """The one crossing tolerance at G(x), from its entries as complex
-    numbers (see `BranchField._masks`)."""
+    numbers (see `BranchField._members`)."""
     total = 1.0
     for z in entries:
         total += z.real * z.real + z.imag * z.imag
@@ -146,16 +144,12 @@ def _upper(root: complex) -> bool:
 
 
 def _rank_order(vals: np.ndarray) -> np.ndarray:
-    """Indices ranking eigenvalues (..., N) as `_upper` does, along the last
-    axis: by real part, real parts within 1e-12 of the largest modulus
-    ranked by imaginary part."""
-    idx = np.argsort(vals.real, axis=-1, kind="stable")
-    ranked = np.take_along_axis(vals, idx, -1)
-    tied = np.diff(ranked.real, axis=-1) <= 1e-12 * np.max(
-        np.abs(vals), axis=-1, keepdims=True)
-    band = np.zeros(vals.shape, dtype=int)
-    band[..., 1:] = np.cumsum(~tied, axis=-1)
-    return np.take_along_axis(idx, np.lexsort((ranked.imag, band)), -1)
+    """Indices ranking eigenvalues as `_upper` does: by real part, real
+    parts within 1e-12 of the largest modulus ranked by imaginary part."""
+    idx = np.argsort(vals.real, kind="stable")
+    tied = np.diff(vals.real[idx]) <= 1e-12 * np.max(np.abs(vals))
+    band = np.concatenate(([0], np.cumsum(~tied)))
+    return idx[np.lexsort((vals.imag[idx], band))]
 
 
 def schwartzian(qsq: Jet) -> complex:
@@ -234,8 +228,6 @@ class BranchField:
         self._theta1: JetChainIntegral | None = None
         self._siblings: dict[int, "BranchField"] = {}
         self._scalar_matrix = _is_scalar_matrix(prob.G)
-        # N = 2 outside G = c(x) I: walk steps on the closed form
-        self._closed_walk = self.n == 2 and not self._scalar_matrix
         self._gval: tuple = (None, None)  # (x, G(x)) of the last x
         self._projs: tuple | None = None  # (x, order, _eigen_jets result)
         self._d: int | None = None        # cluster size at the anchor
@@ -362,12 +354,8 @@ class BranchField:
     # -- continuation -------------------------------------------------------
 
     def _reference(self, x: float) -> list:
-        """The continued eigenbasis at x: d columns of N complex values, one
-        `_walk` step from the frame before it."""
-        frame = self._frame(x)
-        if self._closed_walk:   # `_walk`'s N = 2 step, without the generator
-            return self._closed_step(x, frame)
-        return next(self._walk([x], frame))
+        """The continued eigenbasis at x: d columns of N complex values."""
+        return self._carry(x, self._frame(x))
 
     def _frame(self, x: float) -> list:
         """Continued eigenbasis at the last alignment step between the
@@ -375,8 +363,7 @@ class BranchField:
 
         The walk starts from the eigenvectors at the anchor, each with its
         largest component made real and positive, and moves outward in
-        steps of _ALIGN_STEP, each step continuing the last (`_carry`, or
-        `_closed_step` for N = 2).  The steps not walked yet are one `_walk`.
+        steps of _ALIGN_STEP, each step continuing the last (`_carry`).
         """
         k = int(math.floor(abs(x - self.anchor) / _ALIGN_STEP + 1e-12))
         sgn = 1.0 if x >= self.anchor else -1.0
@@ -393,34 +380,16 @@ class BranchField:
             else:
                 _, vecs, _, inside = self._cluster(self.anchor)
                 v = vecs[:, inside]      # unit columns from eigh / eig
-                self._d = int(inside.sum())     # `_anchor_size`, known here
             self._frames[0] = [(c * self._lead_phase(c)).tolist()
                                for c in v.T]
         # walk outward from the largest cached step on this side
         have = max((abs(j) for j in self._frames
                     if j == 0 or (j > 0) == (sgn > 0)), default=0)
         frame = self._frames[int(have * sgn)]
-        steps = range(have + 1, k + 1)
-        ts = [self.anchor + sgn * j * _ALIGN_STEP for j in steps]
-        for j, frame in zip(steps, self._walk(ts, frame)):
+        for j in range(have + 1, k + 1):
+            frame = self._carry(self.anchor + sgn * j * _ALIGN_STEP, frame)
             self._frames[int(j * sgn)] = frame
         return self._frames[key]
-
-    def _walk(self, ts: list, frame: list):
-        """The eigenbasis at each t of `ts` in turn, each continuing the
-        last from `frame`.  Lazy: a step's error is raised after every
-        earlier step has been yielded.  N = 2 steps are `_closed_step`;
-        for N > 2 the P of all of `ts` come from one `_stretch`."""
-        if self._closed_walk:
-            for t in ts:
-                frame = self._closed_step(t, frame)
-                yield frame
-            return
-        projectors = (map(self._projector, ts) if self._scalar_matrix
-                      else self._stretch(ts))
-        for t, rows in zip(ts, projectors):
-            frame = self._carry(t, rows, frame)
-            yield frame
 
     def _lead_phase(self, v: np.ndarray) -> complex:
         """Phase that makes the largest component of v real and positive."""
@@ -429,10 +398,28 @@ class BranchField:
             return 1.0 if z.real >= 0 else -1.0
         return z.conjugate() / abs(z)
 
-    def _carry(self, t: float, rows: list, prev: list) -> list:
+    def _carry(self, t: float, prev: list) -> list:
         """The eigenbasis at t that continues the columns `prev`: order 0
-        of `_gram_schmidt` with P(t) = `rows`, in plain complex
-        arithmetic."""
+        of `_gram_schmidt`, in plain complex arithmetic."""
+        rows = self._projector(t)
+        if self.n == 2 and len(prev) == 1:
+            # the loop below written out for one column of two components:
+            # the same sums in the same order, so the same bits
+            (p00, p01), (p10, p11) = rows
+            (r0, r1), = prev
+            v0 = 0 + p00 * r0 + p01 * r1
+            v1 = 0 + p10 * r0 + p11 * r1
+            # (v, v): the real part of conj(a) a is a.real**2 + a.imag**2
+            norm_sq = (0 + (v0.real * v0.real + v0.imag * v0.imag)
+                       + (v1.real * v1.real + v1.imag * v1.imag))
+            _guard_breakdown(norm_sq, t)
+            scale = 1.0 / math.sqrt(norm_sq)
+            v0, v1 = v0 * scale, v1 * scale
+            if self._oblique:
+                z = 0 + r0.conjugate() * v0 + r1.conjugate() * v1
+                phase = cmath.sqrt(z.conjugate() / z)
+                v0, v1 = v0 * phase, v1 * phase
+            return [[v0, v1]]
         basis = []
         for ref in prev:
             v = [sum(map(mul, row, ref)) for row in rows]
@@ -449,26 +436,6 @@ class BranchField:
                 v = [a * phase for a in v]
             basis.append(v)
         return basis
-
-    def _closed_step(self, t: float, prev: list) -> list:
-        """N = 2: `_carry` of the one column of `prev` with the closed-form
-        P at t, written out for two components: the same sums, in the
-        same order, without the loops."""
-        p00, p01, p10, p11 = self._closed_values(t)
-        (r0, r1), = prev
-        v0 = 0 + p00 * r0 + p01 * r1
-        v1 = 0 + p10 * r0 + p11 * r1
-        # (v, v): the real part of conj(a) a is a.real**2 + a.imag**2
-        norm_sq = (0 + (v0.real * v0.real + v0.imag * v0.imag)
-                   + (v1.real * v1.real + v1.imag * v1.imag))
-        _guard_breakdown(norm_sq, t)
-        scale = 1.0 / math.sqrt(norm_sq)
-        v0, v1 = v0 * scale, v1 * scale
-        if self._oblique:
-            z = 0 + r0.conjugate() * v0 + r1.conjugate() * v1
-            phase = cmath.sqrt(z.conjugate() / z)
-            v0, v1 = v0 * phase, v1 * phase
-        return [[v0, v1]]
 
     # -- Kato phase for complex non-degenerate vectors ----------------------
 
@@ -492,75 +459,60 @@ class BranchField:
 
     # -- eigenprojection jets -----------------------------------------------
 
-    def _solve(self, gs: np.ndarray):
-        """Ranked eigen-solves of a stack of G, (B, N, N), one LAPACK call
-        each: values (B, N), right vectors as columns and left vectors as
-        rows (B, N, N)."""
-        if self._real_vectors:
-            vals, vecs = np.linalg.eigh(gs.real)
-            left = vecs.transpose(0, 2, 1)
-        elif not self._oblique:
-            vals, vecs = np.linalg.eigh(gs)
-            left = vecs.conj().transpose(0, 2, 1)
-        else:
-            vals, vecs = np.linalg.eig(gs)
-            idx = _rank_order(vals)
-            vals = np.take_along_axis(vals, idx, -1)
-            vecs = np.take_along_axis(vecs, idx[:, None], -1)
-            left = np.linalg.inv(vecs)
-        return (vals.astype(complex), vecs.astype(complex),
-                left.astype(complex))
-
     def _cluster(self, x: float):
         """Ranked eigen-solve at x and the mask of this branch's cluster:
         (values, right vectors as columns, left vectors as rows, mask)."""
         g = self._g_value(x)
-        vals, vecs, left = (a[0] for a in self._solve(g[None]))
-        return (vals, vecs, left,
-                self._members(vals, _cluster_tol(g.ravel().tolist()), x))
+        if self._real_vectors:
+            vals, vecs = np.linalg.eigh(g.real)
+            left = vecs.T
+        elif not self._oblique:
+            vals, vecs = np.linalg.eigh(g)
+            left = vecs.conj().T
+        else:
+            vals, vecs = np.linalg.eig(g)
+            idx = _rank_order(vals)
+            vals, vecs = vals[idx], vecs[:, idx]
+            left = np.linalg.inv(vecs)
+        vals = vals.astype(complex)
+        return (vals, vecs.astype(complex), left.astype(complex),
+                self._members(vals, x))
 
-    def _masks(self, vals: np.ndarray, tol):
-        """Masks (..., N) of this branch's cluster among ranked eigenvalues
-        (..., N) at tolerances (...), and whether each has a crossing.
+    def _members(self, vals: np.ndarray, x: float) -> np.ndarray:
+        """Mask of this branch's cluster among the ranked eigenvalues at x.
 
-        Eigenvalues within the tolerance of this branch's form its
+        Eigenvalues within `_cluster_tol` of this branch's form its
         cluster; an eigenvalue outside the cluster that close to a member
         is a crossing.
         """
-        tol = np.asarray(tol)
-        dist = np.abs(vals[..., :, None] - vals[..., None, :])
-        inside = dist[..., self.rank, :] <= tol[..., None]
-        apart = inside[..., :, None] & ~inside[..., None, :]
-        return inside, np.where(apart, dist, np.inf).min(axis=(-2, -1)) <= tol
-
-    def _members(self, vals: np.ndarray, tol: float, x: float) -> np.ndarray:
-        """`_masks` at one x, refused at a crossing."""
-        inside, crossing = self._masks(vals, tol)
-        if crossing:
+        tol = _cluster_tol(self._g_value(x).ravel().tolist())
+        inside = np.abs(vals - vals[self.rank]) <= tol
+        gaps = np.abs(vals[inside][:, None] - vals[~inside][None, :])
+        if gaps.size and gaps.min() <= tol:
             raise CrossingPoint(f"eigenvalue gap too small at x = {x}")
         return inside
 
-    def _refuse(self, x: float, d: int):
-        """Refuse a cluster at x that is not the size it has at the anchor
-        (a crossing) or is the whole space."""
-        if d != self._anchor_size():
+    def _branch_cluster(self, x: float):
+        """`_cluster` at x, refused where the branch's cluster is not the
+        size it has at the anchor (a crossing) or is the whole space."""
+        vals, vecs, left, inside = self._cluster(x)
+        d = int(inside.sum())
+        if self._d is None:
+            self._d = int(self._cluster(self.anchor)[3].sum())
+        if d != self._d:
             raise CrossingPoint(
                 f"eigenvalues cross within guard radius at x = {x}")
         if d == self.n:
             raise UnsupportedDegeneracy(
                 f"every eigenvalue is in one cluster at x = {x}; G = c(x) I "
                 "is recognized only from its expressions")
-
-    def _anchor_size(self) -> int:
-        """The size of the branch's cluster at the anchor."""
-        if self._d is None:
-            self._d = int(self._cluster(self.anchor)[3].sum())
-        return self._d
+        return vals, vecs, left, inside
 
     def _minus_root(self, x: float, delta0: complex, root0: complex,
                     tol: float) -> bool:
         """N = 2: is the branch's root of D(x) = delta0 minus the principal
-        one, root0?  After `_masks`'s crossing test, as D = (Q**2 - mu)**2."""
+        one, root0?  After `_members`'s crossing test at tolerance tol, as
+        D = (Q**2 - mu)**2."""
         if abs(delta0) <= tol ** 2:
             raise CrossingPoint(
                 f"eigenvalues cross within guard radius at x = {x}")
@@ -570,66 +522,19 @@ class BranchField:
         """P at x as rows of complex numbers: the walk's order-0 solve."""
         if self._scalar_matrix:
             return np.eye(self.n, dtype=complex).tolist()
-        if self.n > 2:
-            return next(self._stretch([x]))
-        p00, p01, p10, p11 = self._closed_values(x)
-        return [[p00, p01], [p10, p11]]
-
-    def _closed_values(self, x: float) -> tuple:
-        """N = 2: the entries of P at x, row by row, from the closed form
-        of `_closed_form` on G's entries read once."""
-        g = self._g_value(x).tolist()
-        (g00, g01), (g10, g11) = g
-        tr, delta = _discriminant(g)
-        root = cmath.sqrt(delta)
-        if self._minus_root(x, delta, root, _cluster_tol(g[0] + g[1])):
-            root = -root
-        qsq = (tr + root) * 0.5
-        inv = 1.0 / root
-        return (qsq - g11) * inv, g01 * inv, g10 * inv, (qsq - g00) * inv
-
-    def _stretch(self, ts: list):
-        """N > 2: P at each t of `ts` from stacked solves, yielded in walk
-        order.  G is evaluated at every t first, then one `_solve` and
-        one product of the cluster columns cover the stack.  A step's
-        error is raised only when the walk reaches it: the steps before
-        the first refused one are yielded first, and an error of G is
-        raised after the steps before it.  From the first non-finite G on
-        (a non-finite tolerance), each G is solved on its own, since one
-        in a stack fails the stack's solve (eig refuses it, eigh may not
-        converge)."""
-        size, n = self._anchor_size(), self.n
-        gs, failed = [], None
-        for t in ts:
-            try:
-                gs.append(self._g_value(t))
-            except Exception as exc:    # raised when the walk reaches t
-                failed = exc
-                break
-        stack = np.array(gs).reshape(-1, n, n)
-        tols = [_cluster_tol(g) for g in stack.reshape(len(gs), -1).tolist()]
-        first = next((j for j, tol in enumerate(tols)
-                      if not math.isfinite(tol)), len(tols))
-        runs = [(j, j + 1) for j in range(first, len(tols))]
-        if first:
-            runs.insert(0, (0, first))
-        for a, b in runs:
-            vals, vecs, left = self._solve(stack[a:b])
-            tol = np.array(tols[a:b])
-            inside, crossing = self._masks(vals, tol)
-            refused = (crossing | (inside.sum(axis=1) != size)
-                       | (size == n)).tolist()
-            ok = refused.index(True) if True in refused else b - a
-            # the cluster's columns of V and rows of V**-1 at each step
-            sel = inside[:ok]
-            cols = vecs[:ok].transpose(0, 2, 1)[sel].reshape(ok, size, n)
-            rows = left[:ok][sel].reshape(ok, size, n)
-            yield from (cols.transpose(0, 2, 1) @ rows).tolist()
-            if ok < b - a:
-                t = ts[a + ok]
-                self._refuse(t, int(self._members(vals[ok], tol[ok], t).sum()))
-        if failed is not None:
-            raise failed
+        if self.n == 2:         # the closed form of `_closed_form`
+            g = self._g_value(x).tolist()       # G's entries read once
+            (g00, g01), (g10, g11) = g
+            tr, delta = _discriminant(g)
+            root = cmath.sqrt(delta)
+            if self._minus_root(x, delta, root, _cluster_tol(g[0] + g[1])):
+                root = -root
+            qsq = (tr + root) * 0.5
+            inv = 1.0 / root
+            return [[(qsq - g11) * inv, g01 * inv],
+                    [g10 * inv, (qsq - g00) * inv]]
+        _, vecs, left, inside = self._branch_cluster(x)
+        return (vecs[:, inside] @ left[inside]).tolist()
 
     def _eigen_jets(self, x: float, order: int):
         """(Q**2 coefficients, eigenprojection coefficients P_0..P_order,
@@ -695,9 +600,8 @@ class BranchField:
         S + P = (G - Q**2 + P)**-1 is a series inverse whose lead term is
         diagonal in this basis.
         """
-        vals, vecs, left, inside = self._cluster(x)
+        vals, vecs, left, inside = self._branch_cluster(x)
         d = int(inside.sum())
-        self._refuse(x, d)
         gt = left @ self._g_coeffs(x, order).transpose(2, 0, 1) @ vecs
         gt[0] = np.diag(vals)
         within = inside[:, None] == inside[None, :]
@@ -734,7 +638,7 @@ class BranchField:
         phase u sqrt(conj(w)/(w (u, u))), w = (ref_j, u).
         """
         if order == 0:
-            return next(self._walk([x], ref))
+            return self._carry(x, ref)
         ref = np.array(ref)
         basis = np.einsum("tij,cj->cit", self._eigen_jets(x, order)[1], ref)
         for j, u in enumerate(basis):
@@ -764,8 +668,7 @@ class BranchField:
     # -- public assembly ------------------------------------------------------
 
     def degeneracy(self, x: float) -> int:
-        tol = _cluster_tol(self._g_value(x).ravel().tolist())
-        return int(self._members(self._ranked_values(x), tol, x).sum())
+        return int(self._members(self._ranked_values(x), x).sum())
 
     def branch(self, x: float, order: int) -> EigenBranch:
         qsq = self.qsq_jet(x, order)

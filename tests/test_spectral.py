@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from conftest import cauchy_coeffs
 from phaseintegral import jets, spectral
-from phaseintegral.errors import CrossingPoint, TurningPoint
+from phaseintegral.errors import (
+    CrossingPoint, EvaluationSingularity, GramSchmidtBreakdown, TurningPoint)
 from phaseintegral.examples import example_problem
 from phaseintegral.expressions import parse_expr
 from phaseintegral.jets import Jet, jet_const, jet_pow, jet_variable
@@ -859,25 +860,6 @@ class TestWorkCounts:
             == (1, 1)
         assert counts["jet_ops"] == 0
 
-    @pytest.mark.parametrize("name, solver", [
-        ("block3", "eigh"), ("oblique3", "eig"), ("oblique3", "inv")])
-    def test_n_gt_2_stretch_makes_one_eigen_solve(self, name, solver,
-                                                  monkeypatch):
-        # ten new steps of the walk: G at each, then one stacked solve
-        prob = _block3() if name == "block3" else _oblique3()
-        fld = BranchField(prob, 1, "normalized", None, anchor=2.5)
-        fld._frame(2.5)
-        shapes = []
-        solve = getattr(np.linalg, solver)
-
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return solve(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, solver, counted)
-        fld._frame(3.55)
-        assert len(fld._frames) == 11
-        assert shapes == [(10, 3, 3)]
-
     @pytest.mark.parametrize("name", ["fex1", "fex4"])
     def test_n2_step_makes_one_g_value_and_no_jet(self, name, request,
                                                   monkeypatch):
@@ -929,10 +911,10 @@ _STEP_UP = "(1e200*(0.65 - x + sqrt((x - 0.65)^2)))"
 
 
 class TestWalkStretch:
-    """For N > 2 the walk solves each new stretch of steps as one stack,
-    for N = 2 it steps on the closed form: a frame or an order-0 vector
-    must not depend on the stretches its steps were walked in, and an
-    error must come at its own step."""
+    """A query walks the steps between the last frame on its side and x:
+    a frame or an order-0 vector must not depend on the stretches its
+    steps were walked in, and an error must come at its own step, however
+    a stretch's steps are solved (ROADMAP item 6 would stack them)."""
 
     @pytest.mark.parametrize("name", ["fex1", "fex4", "block3", "oblique3"])
     def test_same_bits_in_one_stretch_or_many(self, name, request):
@@ -962,8 +944,8 @@ class TestWalkStretch:
     ], ids=["inf", "nan", "singular"])
     def test_errors_keep_walk_order(self, hint, third):
         # walking down from 2.5, the crossing at x = 1 comes before the
-        # steps where G is not finite (or cannot be evaluated), which the
-        # stretch evaluates first
+        # steps where G is not finite (or cannot be evaluated), which a
+        # stacked stretch would evaluate first
         plain = BranchField(_poisoned_block3("9", hint), 0, "normalized",
                             None, anchor=2.5)
         with pytest.raises(CrossingPoint) as want:
@@ -979,6 +961,28 @@ class TestWalkStretch:
         assert fld._frames.keys() == plain._frames.keys()
         for key, frame in plain._frames.items():
             assert _frame_bits(fld._frames[key]) == _frame_bits(frame)
+
+    @pytest.mark.parametrize("hint", ["real_symmetric", "general"])
+    @pytest.mark.parametrize("c, before", [(2.6, None), (3.05, 3.0)],
+                             ids=["first-step", "lone-x"])
+    def test_singular_g_at_a_stretch_start(self, hint, c, before):
+        # G cannot be evaluated at the stretch's first t: the first step
+        # walked from the anchor, or one x past a frame already walked
+        fld = BranchField(_poisoned_block3(f"9 + 1e-3/(x - {c})", hint), 0,
+                          "normalized", None, anchor=2.5)
+        if before is not None:
+            fld.s0_jets(before, 0)
+        with pytest.raises(EvaluationSingularity):
+            fld.s0_jets(c, 0)
+
+    @pytest.mark.parametrize("x", [0.75, 1.05, 1.35])
+    def test_two_column_anchor_frame_breaks_down(self, fex1, x):
+        # fex1's ranks cross at the anchor 1.0, so its frame holds both
+        # eigenvectors: one branch's P cannot carry the second column
+        for rank in (0, 1):
+            fld = BranchField(fex1, rank, "normalized", None, anchor=1.0)
+            with pytest.raises(GramSchmidtBreakdown):
+                fld.s0_jets(x, 0)
 
 
 # --------------------------------------------------------------------------
