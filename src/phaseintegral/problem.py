@@ -8,18 +8,23 @@ then split as
     R(x) = lambda**-2 G(x) + a(x) I
 
 around a user-chosen auxiliary function a(x) and formal small parameter
-lambda (default 1, retained for order-scaling studies).
+lambda (default 1, retained for order-scaling studies).  Two helpers serve
+the choice of a(x) in the modified approximation: `langer_auxiliary`
+builds a Langer-type a(x), and `model_epsilon00` gives the eps0 (with
+a = 0) that a singularity model of Q**2 predicts.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import EvaluationSingularity, InvalidInput, SingularCoefficient
+from .errors import (EvaluationSingularity, InvalidInput, ModelSingularity,
+                     SingularCoefficient)
 from .expressions import (
     Add, Const, Expression, JetTape, Mul, Pow, Sub, Var,
     diff_expr, eval_expr, eval_expr_jet, parse_expr, to_string,
@@ -28,7 +33,7 @@ from .jets import Jet
 
 __all__ = [
     "ProblemSpec", "ReducedProblem", "reduce_first_derivative", "split_R",
-    "langer_auxiliary", "load_problem", "problem_to_dict",
+    "langer_auxiliary", "model_epsilon00", "load_problem", "problem_to_dict",
 ]
 
 _ZERO = Const(0.0)
@@ -197,6 +202,64 @@ def langer_auxiliary(c_a: float, d_a: Expression | None = None) -> Expression:
     if d_a is None or d_a == _ZERO:
         return core
     return Mul(core, Add(Const(1.0), d_a))
+
+
+def model_epsilon00(model: tuple, d: Expression | None, x0: float,
+                    params=None) -> complex:
+    """Local eps0 (with a = 0) predicted by a singularity model of Q**2.
+
+    model is one of
+        ("power", m, c)      Q_M^2 = c x^m
+        ("exp_pole", eta, c) Q_M^2 = c x^-4 exp(eta/x)
+        ("exp_flat", eta, c) Q_M^2 = c exp(eta/x)
+        ("bounded", c0)      Q_0^2 = x^-2 (c0 + d(x))
+    and d(x) the correcting function (Q^2 = Q_M^2 (1 + d)).
+    """
+    if x0 == 0.0:
+        raise ModelSingularity("model evaluation at the reference point x = 0")
+    if d is None:
+        dv, dp, dpp = 0.0 + 0j, 0.0 + 0j, 0.0 + 0j
+    else:
+        jd = eval_expr_jet(d, x0, 2, params or {})
+        dv, dp, dpp = jd.value, jd.derivative(1), jd.derivative(2)
+
+    kind = model[0]
+    if kind == "bounded":
+        c0 = complex(model[1])
+        den = c0 + dv
+        if abs(den) < 1e-300:
+            raise ModelSingularity("c0 + d(x) vanishes: eps0 model singular")
+        r1 = x0 * dp / den
+        return -0.25 / den * (1.0 + (x0 * dp + x0 * x0 * dpp) / den
+                              - 1.25 * r1 * r1)
+
+    if kind == "power":
+        m, c = float(model[1]), complex(model[2])
+        s_over = m * (m + 4.0) / (16.0 * x0 * x0)
+        dlog = m / x0
+        qm2 = c * x0 ** m
+    elif kind == "exp_pole":
+        eta, c = complex(model[1]), complex(model[2])
+        s_over = eta * eta / (16.0 * x0 ** 4)
+        dlog = -4.0 / x0 - eta / (x0 * x0)
+        qm2 = c * x0 ** (-4.0) * cmath.exp(eta / x0)
+    elif kind == "exp_flat":
+        eta, c = complex(model[1]), complex(model[2])
+        s_over = eta * (eta - 8.0 * x0) / (16.0 * x0 ** 4)
+        dlog = -eta / (x0 * x0)
+        qm2 = c * cmath.exp(eta / x0)
+    else:
+        raise InvalidInput(f"unknown model kind {kind!r}")
+
+    if abs(qm2) < 1e-300:
+        raise ModelSingularity("model Q_M^2 underflowed to zero")
+    gamma = 1.0 / (1.0 + dv)
+    qsq = qm2 * (1.0 + dv)
+    if abs(qsq) < 1e-300:
+        raise ModelSingularity("Q^2 vanishes in the model")
+    return (s_over / qsq
+            + 0.125 * gamma * (dp * dlog - 2.0 * dpp) / qsq
+            + 0.3125 * gamma * gamma * dp * dp / qsq)
 
 
 # --------------------------------------------------------------------------

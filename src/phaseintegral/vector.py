@@ -57,8 +57,8 @@ from .jets import (
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
 from .recurrence import PointWork
-from .scalar import Wave, WaveSample
 from .spectral import BranchField
+from .verify import Wave, WaveSample
 
 __all__ = [
     "VARIANTS", "CorrectionSet", "CorrectionEngine", "vector_corrections",

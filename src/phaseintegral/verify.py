@@ -5,6 +5,10 @@ residuals use the waves' own analytic jets, the reference trajectories come
 from scipy's DOP853 Runge-Kutta pair (order 8, embedded 5 and 3), and
 conservation drifts are measured against the median sample (robust to
 boundary quadrature noise).
+
+`Wave` and `WaveSample` live here: the phase integral waves and the
+reference trajectories are both sampled into them, and this module does
+not import the engine.
 """
 
 from __future__ import annotations
@@ -17,16 +21,40 @@ import numpy as np
 from .errors import (EvaluationSingularity, GridMismatch, InvalidInput,
                      StepSizeUnderflow)
 from .problem import ReducedProblem
-from .scalar import Wave, WaveSample
 
 __all__ = [
-    "ConservationReport", "current_sigma", "wronskian", "residual",
-    "reference_integrate", "order_scaling", "crossing_diagnostics",
-    "OrderScalingResult",
+    "Wave", "WaveSample", "ConservationReport", "current_sigma", "wronskian",
+    "residual", "reference_integrate", "order_scaling",
+    "crossing_diagnostics", "OrderScalingResult",
 ]
 
 _DRIFT_FLOOR = 1e-14
 _SCAN_POINTS = 801      # crossing scan grid of `crossing_diagnostics`
+
+
+@dataclass
+class WaveSample:
+    x: float
+    u: np.ndarray          # complex, one entry per component
+    u_prime: np.ndarray
+    phase: complex         # running integral lambda**-1 int q dx from anchor
+
+
+@dataclass
+class Wave:
+    """Sampled approximation plus its analytic jet evaluator.
+
+    `jet_at(x)` returns per-component jets of order >= 2, so residual
+    checks can use exact second derivatives instead of finite differences.
+    """
+
+    samples: list
+    jet_at: Callable[[float], tuple]
+    lam: float
+    sign: int
+
+    def __iter__(self):
+        return iter(self.samples)
 
 
 @dataclass

@@ -16,9 +16,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_bvp
 
+from conftest import scalar_corrections
 from phaseintegral.expressions import diff_expr, eval_expr, eval_expr_jet, parse_expr
 from phaseintegral.problem import ProblemSpec, split_R
-from phaseintegral.scalar import scalar_corrections
 from phaseintegral.spectral import BranchField
 from phaseintegral.vector import CorrectionEngine, assemble_vector_wave
 from phaseintegral import verify as V

@@ -16,7 +16,7 @@ from phaseintegral.problem import (
     ProblemSpec, ReducedProblem, langer_auxiliary, load_problem,
     problem_to_dict, reduce_first_derivative, split_R,
 )
-from phaseintegral.scalar import Wave, WaveSample
+from phaseintegral.verify import Wave, WaveSample
 from phaseintegral import verify as V
 
 
@@ -213,7 +213,7 @@ class TestJsonRoundTrip:
         # package's InvalidInput too, still a ValueError
         from phaseintegral.errors import PhaseIntegralError
         from phaseintegral.jets import jet_arith, jet_elem
-        from phaseintegral.scalar import model_epsilon00
+        from phaseintegral.problem import model_epsilon00
         from phaseintegral.spectral import eigen_n2_closed_form, eigen_track
         spec, lam, a = load_problem(example_problem("fulling-pos"))
         prob = split_R(spec, lam, a)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import scalar_corrections
 from phaseintegral.errors import (
     InsufficientJetOrder, ModelSingularity, TurningPoint,
 )
 from phaseintegral.expressions import diff_expr, eval_expr, parse_expr
 from phaseintegral.jets import jet_const, jet_variable
-from phaseintegral.scalar import model_epsilon00, scalar_corrections
+from phaseintegral.problem import model_epsilon00
 from phaseintegral.vector import assemble_vector_wave
 from phaseintegral import verify as V
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import scalar_corrections
 from phaseintegral.errors import (
     ApplicabilityWarning, CrossingPoint, GaugeNotFixed,
     NonPositiveYWarning, UnsupportedDegeneracy,
@@ -19,7 +20,6 @@ from phaseintegral.jets import Jet, jet_const
 from phaseintegral.problem import ProblemSpec, load_problem, split_R
 from phaseintegral.quadrature import JetChainIntegral
 from phaseintegral.recurrence import PointWork
-from phaseintegral.scalar import scalar_corrections
 from phaseintegral.spectral import BranchField
 from phaseintegral.vector import (
     VARIANTS, CorrectionEngine, assemble_vector_wave, p_coefficients,

@@ -9,10 +9,10 @@ from phaseintegral.errors import (EvaluationSingularity, GridMismatch,
                                   InvalidInput, StepSizeUnderflow)
 from phaseintegral.expressions import parse_expr
 from phaseintegral.problem import ProblemSpec, split_R
-from phaseintegral.scalar import Wave, WaveSample
 from phaseintegral.spectral import BranchField
 from phaseintegral.vector import CorrectionEngine, assemble_vector_wave
 from phaseintegral import verify as V
+from phaseintegral.verify import Wave, WaveSample
 
 
 class TestCurrentAndWronskian:
