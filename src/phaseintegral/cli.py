@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 import warnings
 
@@ -97,10 +98,10 @@ def _load(args):
     for kv in args.param or []:
         name, _, val = kv.partition("=")
         try:
-            data.setdefault("params", {})[name] = float(val)
-        except ValueError:
-            raise InputError(
-                f"bad --param {kv!r} (expected name=value)") from None
+            data.setdefault("params", {})[name] = _finite(val)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise InputError(f"bad --param {kv!r} (expected name=value, "
+                             "value a finite number)") from None
     spec, lam, a = load_problem(data)
     spec = reduce_first_derivative(spec)
     return split_R(spec, lam, a)
@@ -118,10 +119,10 @@ def _grid(args, prob):
         return sorted(args.at)
     if args.range:
         try:
-            lo, hi, step = (float(v) for v in args.range.split(":"))
-        except ValueError:
-            raise InputError(
-                f"bad --range {args.range!r} (expected lo:hi:step)") from None
+            lo, hi, step = (_finite(v) for v in args.range.split(":"))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise InputError(f"bad --range {args.range!r} (expected "
+                             "lo:hi:step, finite numbers)") from None
         if step <= 0 or hi <= lo:
             raise InputError("grid step must be > 0 and hi > lo")
         n = int(np.floor((hi - lo) / step + 1e-9)) + 1
@@ -347,6 +348,9 @@ def _checked(kind, ok, what):
     return parse
 
 
+_finite = _checked(float, math.isfinite, "not a finite number")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pia",
@@ -366,13 +370,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", default=0, help="m_max",
                        type=_checked(int, lambda v: v >= 0, "must be >= 0"))
         p.add_argument("--lambda", dest="lam", default=None,
-                       type=_checked(float, lambda v: v > 0, "must be > 0"))
+                       type=_checked(_finite, lambda v: v > 0, "must be > 0"))
         p.add_argument("--gauge", default=None,
                        help="normalized | kato | raw[:g-expression]")
-        p.add_argument("--anchor", type=float, default=None)
+        p.add_argument("--anchor", type=_finite, default=None)
         if grid:
             p.add_argument("--range", help="grid lo:hi:step")
-            p.add_argument("--at", action="append", type=float,
+            p.add_argument("--at", action="append", type=_finite,
                            help="evaluation point (repeatable)")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", default="csv", choices=("csv", "json"))
@@ -403,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True,
                    choices=("residual", "current", "wronskian",
                             "order-scaling", "crossings"))
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite, default=None)
     p.set_defaults(func=cmd_verify)
     return ap
 

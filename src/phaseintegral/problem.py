@@ -38,6 +38,13 @@ __all__ = [
 
 _ZERO = Const(0.0)
 _POLE_SCAN = 257        # points probed for a singular a_j(x)
+_HINTS = ("real_symmetric", "hermitian", "general")
+
+
+def _check_hint(hint: str):
+    if hint not in _HINTS:
+        raise InvalidInput(f"unknown hermitian_hint {hint!r} "
+                           f"(expected one of {', '.join(_HINTS)})")
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,7 @@ class ProblemSpec:
             raise InvalidInput("matrix must be n x n")
         if (self.first_derivative is not None) != (self.form == "schrodinger_like"):
             raise InvalidInput("first_derivative present iff form is schrodinger_like")
+        _check_hint(self.hermitian_hint)
 
     def matrix_value(self, x: float) -> np.ndarray:
         return np.array([[eval_expr(e, x, self.params) for e in row]
@@ -81,6 +89,7 @@ class ReducedProblem:
     def __post_init__(self):
         if self.lam <= 0:
             raise InvalidInput("lambda must be positive")
+        _check_hint(self.hermitian_hint)
         if self.hermitian_hint == "real_symmetric":
             self._check_symmetry()
 
@@ -306,5 +315,8 @@ def load_problem(source) -> tuple[ProblemSpec, float, Expression]:
     hint = data.get("hermitian_hint", "general")
     spec = ProblemSpec(n, form, matrix, first, params, domain, hint)
     lam = float(data.get("lambda", 1.0))
+    # json reads NaN and Infinity, which would poison every G(x)
+    if not all(map(cmath.isfinite, [*params.values(), *domain, lam])):
+        raise InvalidInput("params, domain and lambda must be finite")
     a = parse_expr(data["a"]) if "a" in data else _ZERO
     return spec, lam, a

@@ -63,6 +63,7 @@ from .errors import (
     CrossingPoint,
     DegenerateComplexGauge,
     DegenerateParameterization,
+    EvaluationSingularity,
     GramSchmidtBreakdown,
     InsufficientJetOrder,
     InvalidInput,
@@ -127,6 +128,13 @@ def _cluster_tol(entries) -> float:
     for z in entries:
         total += z.real * z.real + z.imag * z.imag
     return math.sqrt(1e-8 * total)
+
+
+def _finite(x: float, what: str = "x") -> float:
+    """x, refused unless it is a finite number."""
+    if not math.isfinite(x):
+        raise InvalidInput(f"{what} = {x} is not finite")
+    return x
 
 
 def _discriminant(g, times=mul):
@@ -218,8 +226,9 @@ class BranchField:
         self.rank = rank
         self.gauge = gauge
         self.gauge_g = gauge_g if gauge_g is not None else Const(1.0)
-        self.anchor = float(anchor if anchor is not None
-                            else 0.5 * (prob.domain[0] + prob.domain[1]))
+        self.anchor = _finite(float(
+            anchor if anchor is not None
+            else 0.5 * (prob.domain[0] + prob.domain[1])), "anchor")
         self.q_sign = int(q_sign)
         self._real_vectors = prob.hermitian_hint == "real_symmetric"
         self._oblique = prob.hermitian_hint not in ("real_symmetric",
@@ -228,7 +237,7 @@ class BranchField:
         self._theta1: JetChainIntegral | None = None
         self._siblings: dict[int, "BranchField"] = {}
         self._scalar_matrix = _is_scalar_matrix(prob.G)
-        self._gval: tuple = (None, None)  # (x, G(x)) of the last x
+        self._gval: tuple = (None,)       # (x, G(x), its tol) of the last x
         self._projs: tuple | None = None  # (x, order, _eigen_jets result)
         self._d: int | None = None        # cluster size at the anchor
         if gauge == "kato" and not self._real_vectors:
@@ -239,14 +248,25 @@ class BranchField:
     def _g_coeffs(self, x: float, order: int) -> np.ndarray:
         """Taylor coefficients of G at x, N x N x (order + 1)."""
         return np.array([[c.coeffs for c in row]
-                         for row in self.prob.G_jet(x, order)])
+                         for row in self.prob.G_jet(_finite(x), order)])
 
     def _g_value(self, x: float) -> np.ndarray:
-        """G(x), kept for the last x only: an eigen-solve asks for it
-        several times in a row (ranked values, guard, cluster mask)."""
+        """G(x), kept for the last x only with its `_cluster_tol`: an
+        eigen-solve asks for them several times in a row (ranked values,
+        guard, cluster mask).  A G that is not finite is refused here,
+        before any solve."""
         if self._gval[0] != x:
-            self._gval = (x, self.prob.G_value(x))
+            g = self.prob.G_value(_finite(x))
+            tol = _cluster_tol(g.ravel().tolist())
+            if not math.isfinite(tol):      # G has an inf or NaN entry
+                raise EvaluationSingularity(f"G is not finite at x = {x}")
+            self._gval = (x, g, tol)
         return self._gval[1]
+
+    def _tol(self, x: float) -> float:
+        """The crossing tolerance `_cluster_tol` at G(x)."""
+        self._g_value(x)
+        return self._gval[2]
 
     # -- eigenvalue -------------------------------------------------------
 
@@ -365,7 +385,8 @@ class BranchField:
         largest component made real and positive, and moves outward in
         steps of _ALIGN_STEP, each step continuing the last (`_carry`).
         """
-        k = int(math.floor(abs(x - self.anchor) / _ALIGN_STEP + 1e-12))
+        k = int(math.floor(abs(_finite(x) - self.anchor) / _ALIGN_STEP
+                           + 1e-12))
         sgn = 1.0 if x >= self.anchor else -1.0
         key = int(k * sgn)
         got = self._frames.get(key)
@@ -485,7 +506,7 @@ class BranchField:
         cluster; an eigenvalue outside the cluster that close to a member
         is a crossing.
         """
-        tol = _cluster_tol(self._g_value(x).ravel().tolist())
+        tol = self._tol(x)
         inside = np.abs(vals - vals[self.rank]) <= tol
         gaps = np.abs(vals[inside][:, None] - vals[~inside][None, :])
         if gaps.size and gaps.min() <= tol:
@@ -527,7 +548,7 @@ class BranchField:
             (g00, g01), (g10, g11) = g
             tr, delta = _discriminant(g)
             root = cmath.sqrt(delta)
-            if self._minus_root(x, delta, root, _cluster_tol(g[0] + g[1])):
+            if self._minus_root(x, delta, root, self._tol(x)):
                 root = -root
             qsq = (tr + root) * 0.5
             inv = 1.0 / root
@@ -575,7 +596,7 @@ class BranchField:
         g = self._g_coeffs(x, order)
         tr, delta = _discriminant(g, series_mul)
         delta0 = complex(delta[0])
-        tol = _cluster_tol(self._g_value(x).ravel().tolist())
+        tol = self._tol(x)
         minus = self._minus_root(x, delta0, cmath.sqrt(delta0), tol)
         root = -series_sqrt(delta) if minus else series_sqrt(delta)
         qsq = (tr + root) * 0.5
@@ -760,6 +781,8 @@ def eigen_track(prob: ReducedProblem, grid: Sequence[float], rank: int,
                 gauge_g: Expression | None = None) -> list:
     """Branch snapshots along a strictly increasing grid."""
     grid = [float(x) for x in grid]
+    if not grid:
+        raise InvalidInput("eigen_track needs a grid point")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInput("grid must be strictly increasing")
     field = BranchField(prob, rank, gauge, gauge_g, anchor=grid[0])

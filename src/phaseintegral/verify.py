@@ -132,6 +132,8 @@ def residual(wave: Wave, R_eval: Callable[[float], np.ndarray],
 
 def relative_residual(wave: Wave, R_eval, points=None) -> float:
     rows = residual(wave, R_eval, points)
+    if not rows:
+        raise InvalidInput("a relative residual needs a point")
     return max(r / (s + 1e-300) for _, r, s in rows)
 
 
@@ -255,6 +257,9 @@ def crossing_diagnostics(prob: ReducedProblem, lo: float, hi: float) -> list:
     estimates the exponent p of D ~ (x - x_cr)^p from a log-log fit of the
     gap (D is proportional to the gap times a smooth factor).
     """
+    if not np.isfinite([lo, hi]).all():
+        raise InvalidInput(f"crossing scan over [{lo}, {hi}] is not finite")
+
     def gap(x: float) -> float:
         return float(_eigen_gaps(prob, [x])[0])
 

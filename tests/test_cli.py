@@ -248,8 +248,9 @@ class TestReduce:
         ({"form": "foo"}, "unknown form"),
         ({"R": [["x", "1"]]}, "n x n"),
         ({"first_derivative": ["1", "1"]}, "first_derivative"),
+        ({"hermitian_hint": "real_symetric"}, "unknown hermitian_hint"),
     ], ids=["asymmetric-real-symmetric", "unknown-form", "not-square",
-            "first-derivative-in-reduced-form"])
+            "first-derivative-in-reduced-form", "hint-misspelt"])
     def test_inconsistent_problem_file(self, capsys, tmp_path, change,
                                        message):
         # what a problem file gets wrong is an input error (exit 2), not an
@@ -357,10 +358,21 @@ class TestInputErrors:
          "--branch", "1"),
         ("wave", "--example", "fulling-pos", "--at", "3", "--order", "-1"),
         ("wave", "--example", "fulling-pos", "--at", "3", "--lambda", "0"),
+        # non-finite numbers
+        ("wave", "--example", "fulling-pos", "--at", "nan"),
+        ("wave", "--example", "fulling-pos", "--at", "3", "--anchor", "nan"),
+        ("wave", "--example", "fulling-pos", "--range", "1:nan:1"),
+        ("wave", "--example", "fulling-pos", "--range", "1:inf:1"),
+        ("wave", "--example", "bec-vortex", "--at", "60", "--param",
+         "k=nan"),
+        ("wave", "--example", "fulling-pos", "--at", "3", "--lambda", "inf"),
+        ("verify", "--example", "fulling-pos", "--check", "current", "--at",
+         "3", "--at", "4", "--tol", "nan"),
     ], ids=["range-reversed", "branch-out-of-range", "branch-not-a-rank",
             "reduce-without-problem", "unknown-gauge", "raw-gauge-misspelt",
             "param-not-a-number", "scalar-branch-out-of-range",
-            "order-negative", "lambda-zero"])
+            "order-negative", "lambda-zero", "at-nan", "anchor-nan",
+            "range-nan", "range-inf", "param-nan", "lambda-inf", "tol-nan"])
     def test_bad_argument_exit_code(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

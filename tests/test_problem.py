@@ -190,6 +190,8 @@ class TestJsonRoundTrip:
         R = lambda x: prob.R_value(x)   # noqa: E731
         bad = [
             lambda: split_R(spec, -1.0, a),
+            lambda: ReducedProblem(prob.n, prob.G, prob.a, 1.0, {},
+                                   prob.domain, "hermitan"),
             lambda: BranchField(prob, 2),
             lambda: BranchField(prob, 0, "rawg"),
             lambda: CorrectionEngine(prob, fld, "fulling", 2, 3.0),
@@ -241,6 +243,70 @@ class TestJsonRoundTrip:
         with pytest.raises(PhaseIntegralError) as info:
             call()
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("name, error", [
+        ("field-anchor", "InvalidInput"), ("s0-jets", "InvalidInput"),
+        ("qsq-value-inf", "InvalidInput"), ("engine-anchor", "InvalidInput"),
+        ("engine-at", "InvalidInput"), ("crossings", "InvalidInput"),
+        ("file-param", "InvalidInput"), ("file-lambda", "InvalidInput"),
+        ("file-domain", "InvalidInput"),
+        ("nan-g-degeneracy", "EvaluationSingularity"),
+        ("nan-g-s0-jets", "EvaluationSingularity"),
+        ("nan-g-engine-at", "EvaluationSingularity"),
+        ("nan-g-n3-s0-jets", "EvaluationSingularity"),
+        ("nan-g-n3-general-qsq", "EvaluationSingularity")])
+    def test_non_finite_input_raises_library_errors(self, name, error):
+        # a non-finite x or anchor is refused as input; a G that is not
+        # finite at x (json reads NaN) is an evaluation error naming x
+        import dataclasses
+        from phaseintegral import errors
+        from phaseintegral.spectral import BranchField
+        from phaseintegral.vector import CorrectionEngine
+        nan, inf = float("nan"), float("inf")
+        prob = split_R(*load_problem(example_problem("fulling-pos")))
+        fld = BranchField(prob, 0, anchor=3.0)
+        spec, lam, a = load_problem(example_problem("bec-vortex"))
+        bec = split_R(dataclasses.replace(
+            spec, params={**spec.params, "k": complex(nan)}), lam, a)
+        rows3 = [[f"{v}*x" if i == j else "0.1" for j in range(3)]
+                 for i, v in enumerate((1, 2, "k"))]
+
+        def n3(hint):
+            mat = tuple(tuple(parse_expr(e) for e in r) for r in rows3)
+            return split_R(ProblemSpec(3, "reduced", mat, None, {"k": nan},
+                                       (1.0, 3.0), hint))
+
+        def file(**change):
+            return load_problem({**example_problem("fulling-pos"), **change})
+
+        call = {
+            "field-anchor": lambda: BranchField(prob, 0, anchor=nan),
+            "s0-jets": lambda: fld.s0_jets(nan, 0),
+            "qsq-value-inf": lambda: fld.qsq_value(inf),
+            "engine-anchor": lambda: CorrectionEngine(
+                prob, fld, "simplified_hermitian", 2, nan),
+            "engine-at": lambda: CorrectionEngine(
+                prob, fld, "simplified_hermitian", 2, 3.0).at(nan),
+            "crossings": lambda: V.crossing_diagnostics(prob, nan, 3.0),
+            "file-param": lambda: file(params={"k": nan}),
+            "file-lambda": lambda: file(**{"lambda": nan}),
+            "file-domain": lambda: file(domain=[0.5, inf]),
+            "nan-g-degeneracy": lambda: BranchField(
+                bec, 0, anchor=60.0).degeneracy(60.0),
+            "nan-g-s0-jets": lambda: BranchField(
+                bec, 0, anchor=60.0).s0_jets(60.0, 0),
+            "nan-g-engine-at": lambda: CorrectionEngine(
+                bec, BranchField(bec, 0, anchor=60.0),
+                "simplified_hermitian", 2, 60.0).at(60.0),
+            "nan-g-n3-s0-jets": lambda: BranchField(
+                n3("real_symmetric"), 0, anchor=2.0).s0_jets(2.0, 0),
+            "nan-g-n3-general-qsq": lambda: BranchField(
+                n3("general"), 0, anchor=2.0).qsq_value(2.0),
+        }[name]
+        with pytest.raises(getattr(errors, error)) as info:
+            call()
+        if error == "EvaluationSingularity":
+            assert "not finite at x = " in str(info.value)
 
 
 class TestPickle:

@@ -524,6 +524,42 @@ class TestComplement:
         assert _sign_match(s0, [1.0, 0.0])
         assert _sign_match([c.value for c in perp], [0.0, 1.0])
 
+    def test_coupled_3x3_sibling_fields(self):
+        # N > 2: the complement is the other ranks' eigenvectors, each from
+        # a sibling field; block3 with its third component coupled in
+        rows = [["x*cos(x)^2 + sin(x)^2", "(x - 1)*cos(x)*sin(x)",
+                 "0.3*sin(x)"],
+                ["(x - 1)*cos(x)*sin(x)", "x*sin(x)^2 + cos(x)^2",
+                 "0.2*cos(x)"],
+                ["0.3*sin(x)", "0.2*cos(x)", "9"]]
+        spec = ProblemSpec(3, "reduced",
+                           tuple(tuple(parse_expr(t) for t in r)
+                                 for r in rows),
+                           None, {}, (0.2, 8.5), "real_symmetric")
+        prob = split_R(spec, 1.0, None)
+        h = 1e-5
+
+        def values(fld, x):
+            return np.array([[c.value for c in v]
+                             for v in fld.complement_jets(x, 0)])
+
+        for rank in range(3):
+            fld = BranchField(prob, rank, "normalized", None, anchor=3.0)
+            for x in (2.65, 3.05, 3.45):
+                comp = fld.complement_jets(x, 1)
+                vals = np.array([[c.value for c in v] for v in comp])
+                s0 = np.array([c.value for c in fld.s0_jets(x, 0)])
+                g = prob.G_value(x)
+                assert vals.shape == (2, 3)
+                assert np.abs(vals.conj() @ vals.T - np.eye(2)).max() < 1e-12
+                assert np.abs(vals.conj() @ s0).max() < 1e-12
+                for v in vals:
+                    assert np.linalg.norm(g @ v - (v.conj() @ g @ v) * v) \
+                        < 1e-12
+                slope = (values(fld, x + h) - values(fld, x - h)) / (2 * h)
+                first = np.array([[c.coeffs[1] for c in v] for v in comp])
+                assert np.abs(first - slope).max() < 1e-8, (rank, x)
+
 
 class TestSchwartzianAndEps0:
     def test_constant_q(self):

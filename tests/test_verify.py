@@ -9,7 +9,7 @@ from phaseintegral.errors import (EvaluationSingularity, GridMismatch,
                                   InvalidInput, StepSizeUnderflow)
 from phaseintegral.expressions import parse_expr
 from phaseintegral.problem import ProblemSpec, split_R
-from phaseintegral.spectral import BranchField
+from phaseintegral.spectral import BranchField, eigen_track
 from phaseintegral.vector import CorrectionEngine, assemble_vector_wave
 from phaseintegral import verify as V
 from phaseintegral.verify import Wave, WaveSample
@@ -45,7 +45,15 @@ class TestCurrentAndWronskian:
         lambda eng: assemble_vector_wave(eng, +1, []),
         lambda eng: V.current_sigma([]),
         lambda eng: V.wronskian([], []),
-    ], ids=["wave-grid", "current-sigma", "wronskian"])
+        lambda eng: eigen_track(eng.prob, [], 0, 0),
+        lambda eng: V.relative_residual(
+            assemble_vector_wave(eng, +1, [3.0]), eng.prob.R_value, []),
+        lambda eng: V.order_scaling(
+            lambda lam: assemble_vector_wave(eng, +1, [3.0], lam=lam),
+            lambda lam: (lambda x: eng.prob.R_value(x, lam)),
+            [0.2, 0.1, 0.05], []),
+    ], ids=["wave-grid", "current-sigma", "wronskian", "eigen-track",
+            "relative-residual", "order-scaling"])
     def test_empty_input_raises_invalid_input(self, fex1, call):
         # no grid point, no sample: refused as an input error, with no
         # numpy warning from a median of nothing before it
