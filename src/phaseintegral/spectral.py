@@ -121,12 +121,13 @@ class ComplementBasis:
     vectors: tuple            # (N - d) tuples of N jets
 
 
-def _cluster_tol(entries) -> float:
-    """The one crossing tolerance at G(x), from its entries as complex
+def _cluster_tol(rows) -> float:
+    """The one crossing tolerance at G(x), from its rows of complex
     numbers (see `BranchField._members`)."""
     total = 1.0
-    for z in entries:
-        total += z.real * z.real + z.imag * z.imag
+    for row in rows:
+        for z in row:
+            total += z.real * z.real + z.imag * z.imag
     return math.sqrt(1e-8 * total)
 
 
@@ -237,7 +238,7 @@ class BranchField:
         self._theta1: JetChainIntegral | None = None
         self._siblings: dict[int, "BranchField"] = {}
         self._scalar_matrix = _is_scalar_matrix(prob.G)
-        self._gval: tuple = (None,)       # (x, G(x), its tol) of the last x
+        self._gval: tuple = (None,)       # x and `_g_point` of the last x
         self._projs: tuple | None = None  # (x, order, _eigen_jets result)
         self._d: int | None = None        # cluster size at the anchor
         if gauge == "kato" and not self._real_vectors:
@@ -250,30 +251,26 @@ class BranchField:
         return np.array([[c.coeffs for c in row]
                          for row in self.prob.G_jet(_finite(x), order)])
 
-    def _g_value(self, x: float) -> np.ndarray:
-        """G(x), kept for the last x only with its `_cluster_tol`: an
-        eigen-solve asks for them several times in a row (ranked values,
-        guard, cluster mask).  A G that is not finite is refused here,
-        before any solve."""
+    def _g_point(self, x: float) -> tuple:
+        """(G(x), its rows as lists of complex numbers, `_cluster_tol` at
+        G(x)), kept for the last x only: an eigen-solve asks for them
+        several times in a row (ranked values, guard, cluster mask).  A G
+        that is not finite is refused here, before any solve."""
         if self._gval[0] != x:
             g = self.prob.G_value(_finite(x))
-            tol = _cluster_tol(g.ravel().tolist())
+            rows = g.tolist()
+            tol = _cluster_tol(rows)
             if not math.isfinite(tol):      # G has an inf or NaN entry
                 raise EvaluationSingularity(f"G is not finite at x = {x}")
-            self._gval = (x, g, tol)
-        return self._gval[1]
-
-    def _tol(self, x: float) -> float:
-        """The crossing tolerance `_cluster_tol` at G(x)."""
-        self._g_value(x)
-        return self._gval[2]
+            self._gval = (x, g, rows, tol)
+        return self._gval[1:]
 
     # -- eigenvalue -------------------------------------------------------
 
     def _ranked_values(self, x: float) -> np.ndarray:
-        g = self._g_value(x)
+        g, rows, _ = self._g_point(x)
         if self.n == 2:         # the closed form's roots, ranked by _upper
-            tr, delta = _discriminant(g.tolist())
+            tr, delta = _discriminant(rows)
             root = cmath.sqrt(delta)
             root = root if _upper(root) else -root
             return np.array([tr - root, tr + root]) * 0.5
@@ -359,7 +356,7 @@ class BranchField:
         (Q^2 - G22, G21)/sqrt(D), so that e/e_1 = {1, (Q^2 - G11)/G12}.
         """
         proj = self._eigen_jets(x, order)[1]    # refuses a crossing first
-        g = self._g_value(x)
+        g = self._g_point(x)[0]
         g12, g21 = abs(g[0, 1]), abs(g[1, 0])
         if max(g12, g21) <= 1e-13 * (1.0 + max(g12, g21)):
             raise DegenerateParameterization(
@@ -483,7 +480,7 @@ class BranchField:
     def _cluster(self, x: float):
         """Ranked eigen-solve at x and the mask of this branch's cluster:
         (values, right vectors as columns, left vectors as rows, mask)."""
-        g = self._g_value(x)
+        g = self._g_point(x)[0]
         if self._real_vectors:
             vals, vecs = np.linalg.eigh(g.real)
             left = vecs.T
@@ -506,7 +503,7 @@ class BranchField:
         cluster; an eigenvalue outside the cluster that close to a member
         is a crossing.
         """
-        tol = self._tol(x)
+        tol = self._g_point(x)[2]
         inside = np.abs(vals - vals[self.rank]) <= tol
         gaps = np.abs(vals[inside][:, None] - vals[~inside][None, :])
         if gaps.size and gaps.min() <= tol:
@@ -544,11 +541,11 @@ class BranchField:
         if self._scalar_matrix:
             return np.eye(self.n, dtype=complex).tolist()
         if self.n == 2:         # the closed form of `_closed_form`
-            g = self._g_value(x).tolist()       # G's entries read once
+            _, g, tol = self._g_point(x)        # G's entries read once
             (g00, g01), (g10, g11) = g
             tr, delta = _discriminant(g)
             root = cmath.sqrt(delta)
-            if self._minus_root(x, delta, root, self._tol(x)):
+            if self._minus_root(x, delta, root, tol):
                 root = -root
             qsq = (tr + root) * 0.5
             inv = 1.0 / root
@@ -596,7 +593,7 @@ class BranchField:
         g = self._g_coeffs(x, order)
         tr, delta = _discriminant(g, series_mul)
         delta0 = complex(delta[0])
-        tol = self._tol(x)
+        tol = self._g_point(x)[2]
         minus = self._minus_root(x, delta0, cmath.sqrt(delta0), tol)
         root = -series_sqrt(delta) if minus else series_sqrt(delta)
         qsq = (tr + root) * 0.5
