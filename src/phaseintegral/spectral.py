@@ -262,8 +262,8 @@ class BranchField:
             tol = _cluster_tol(rows)
             if not math.isfinite(tol):      # G has an inf or NaN entry
                 raise EvaluationSingularity(f"G is not finite at x = {x}")
-            self._gval = (x, g, rows, tol)
-        return self._gval[1:]
+            self._gval = (x, (g, rows, tol))
+        return self._gval[1]
 
     # -- eigenvalue -------------------------------------------------------
 
