@@ -204,6 +204,12 @@ def jet_variable(center: float, order: int) -> Jet:
     return Jet(center, series_variable(center, order + 1))
 
 
+def row_jets(center: float, vec: np.ndarray) -> tuple:
+    """The rows of (N, n) coefficients, orders last, as N jets."""
+    center = float(center)
+    return tuple([Jet._raw(center, row) for row in vec])
+
+
 # -- coefficient kernels ------------------------------------------------
 #
 # Each recurrence exists once, as a kernel from coefficient arrays to a

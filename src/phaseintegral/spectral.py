@@ -73,9 +73,8 @@ from .errors import (
 )
 from .expressions import Const, Expression, constant_value, eval_expr_jet
 from .jets import (
-    Jet, jet_const, jet_exp, jet_sqrt, lead_is_zero, series_const,
-    series_contract, series_div, series_inner, series_matrix, series_mul,
-    series_sqrt,
+    Jet, lead_is_zero, row_jets, series_const, series_contract, series_div,
+    series_exp, series_inner, series_matrix, series_mul, series_sqrt,
 )
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
@@ -91,11 +90,16 @@ _ALIGN_STEP = 0.1
 
 @dataclass
 class EigenBranch:
-    """Point snapshot of a tracked branch (all derivative data as jets)."""
+    """Point snapshot of a tracked branch: coefficient arrays, orders last."""
 
     x0: float
-    Qsq: Jet
-    s0: tuple                 # tuple of Jet, length N
+    Qsq: np.ndarray
+    Q: np.ndarray
+    eps0: Optional[np.ndarray]  # two orders short; None below order 2
+    s0: np.ndarray              # (N, n)
+    left: np.ndarray            # P^H s0 (s0 itself for an orthogonal P)
+    S: np.ndarray               # reduced resolvent, (N, N, n)
+    basis: Optional[np.ndarray]  # (d, N, n) for a cluster with 1 < d < N
     degeneracy: int
     gauge: str                # "raw" | "normalized" | "kato"
     branch_id: int
@@ -106,11 +110,11 @@ class EigenBranch:
         return len(self.s0)
 
     def s0_values(self) -> np.ndarray:
-        return np.array([v.value for v in self.s0], dtype=complex)
+        return self.s0[:, 0].copy()
 
     def eigen_residual(self, G_value: np.ndarray) -> float:
         v = self.s0_values()
-        r = G_value @ v - self.Qsq.value * v
+        r = G_value @ v - self.Qsq[0] * v
         return float(np.linalg.norm(r))
 
 
@@ -167,37 +171,36 @@ def schwartzian(qsq: Jet) -> complex:
         raise InsufficientJetOrder("schwartzian needs a jet of order >= 2")
     if lead_is_zero(qsq.coeffs):
         raise ZeroAtEvaluationPoint("q**2 vanishes at the evaluation point")
-    return _schwartzian_jet(qsq).value
+    return complex(_schwartzian(qsq.coeffs)[0])
 
 
-def _schwartzian_jet(qsq: Jet) -> Jet:
-    """Jet of S_x[q] = (5/16) ((q^2)'/q^2)^2 - (1/4) (q^2)''/q^2."""
-    c = qsq.coeffs
+def _schwartzian(c: np.ndarray) -> np.ndarray:
+    """S_x[q] = (5/16) ((q^2)'/q^2)^2 - (1/4) (q^2)''/q^2, two orders short."""
     k = c.size - 3
     dc = c[1:] * np.arange(1, c.size)
     ddc = dc[1:] * np.arange(1, dc.size)
     ratio = series_div(dc[:k + 1], c[:k + 1])
-    return Jet._raw(qsq.center, series_mul(ratio, ratio) * complex(5.0 / 16.0)
-                    - series_div(ddc[:k + 1], c[:k + 1]) * complex(0.25))
+    return (series_mul(ratio, ratio) * complex(5.0 / 16.0)
+            - series_div(ddc[:k + 1], c[:k + 1]) * complex(0.25))
 
 
-def _eps0(qsq: Jet, a_of: Callable[[], Jet], x0: float, order: int) -> Jet:
-    """Jet of (S_x[Q] + a) / Q**2; `qsq` has order >= order + 2."""
-    if lead_is_zero(qsq.coeffs):
+def _eps0(qsq: np.ndarray, a_jet: Callable, x0: float, order: int):
+    """(S_x[Q] + a) / Q**2 to `order`; `qsq` has order >= order + 2."""
+    if lead_is_zero(qsq):
         raise TurningPoint(f"Q**2 vanishes at x = {x0}")
-    s = _schwartzian_jet(qsq.truncated(order + 2)).coeffs + a_of().coeffs
-    return Jet._raw(qsq.center, series_div(s, qsq.coeffs[:order + 1]))
+    s = _schwartzian(qsq[:order + 3]) + a_jet(x0, order).coeffs
+    return series_div(s, qsq[:order + 1])
 
 
 def epsilon0(branch: EigenBranch, a: Expression, x0: float, order: int,
              params=None) -> Jet:
     """Jet of eps0 = (S_x[Q] + a) / Q**2 for a branch snapshot."""
     qsq = branch.Qsq
-    if qsq.order < order + 2:
+    if qsq.size < order + 3:
         raise InsufficientJetOrder(
-            f"need Qsq jet of order {order + 2}, have {qsq.order}")
-    return _eps0(qsq, lambda: eval_expr_jet(a, x0, order, params or {}),
-                 x0, order)
+            f"need Qsq jet of order {order + 2}, have {qsq.size - 1}")
+    return Jet._raw(float(branch.x0), _eps0(
+        qsq, lambda t, k: eval_expr_jet(a, t, k, params or {}), x0, order))
 
 
 # --------------------------------------------------------------------------
@@ -297,65 +300,58 @@ class BranchField:
     # -- Q = sqrt(Q^2), upper-sign convention -------------------------------
 
     def q_jet(self, x: float, order: int) -> Jet:
-        qsq = self.qsq_jet(x, order)
-        if lead_is_zero(qsq.coeffs):
+        return Jet._raw(float(x), self._q(x, self._eigen_jets(x, order)[0]))
+
+    def _q(self, x: float, qsq: np.ndarray) -> np.ndarray:
+        if lead_is_zero(qsq):
             raise TurningPoint(f"Q**2 vanishes at x = {x}")
-        val = qsq.value
-        if abs(val.imag) <= 1e-12 * abs(val):
-            if val.real > 0:
-                q = jet_sqrt(qsq)              # +|Q|
-            else:
-                q = -1j * jet_sqrt(-qsq)       # -i |Q|
+        val = complex(qsq[0])
+        if abs(val.imag) <= 1e-12 * abs(val) and val.real <= 0:
+            q = series_sqrt(-qsq) * -1j        # -i |Q|
         else:
-            q = jet_sqrt(qsq)                  # principal branch
+            q = series_sqrt(qsq)               # +|Q|, or the principal branch
         return q if self.q_sign > 0 else -q
 
     def eps0_jet(self, x: float, order: int) -> Jet:
-        return _eps0(self.qsq_jet(x, order + 2),
-                     lambda: self.prob.a_jet(x, order), x, order)
+        return Jet._raw(float(x), _eps0(self._eigen_jets(x, order + 2)[0],
+                                        self.prob.a_jet, x, order))
 
     # -- eigenvector --------------------------------------------------------
 
     def s0_jets(self, x: float, order: int) -> tuple:
+        return row_jets(x, self._s0(x, order))
+
+    def _s0(self, x: float, order: int, proj=None, basis=None) -> np.ndarray:
+        """s0 in the field's gauge, (N, order + 1) coefficients."""
         if self._scalar_matrix:
             # any vector is an eigenvector: the coordinate axis of the rank,
             # in the raw gauge times the gauge factor g
-            lead = (eval_expr_jet(self.gauge_g, x, order, self.prob.params)
-                    if self.gauge == "raw" else jet_const(1.0, x, order))
-            return tuple(lead if j == self.rank else jet_const(0.0, x, order)
-                         for j in range(self.n))
+            s0 = np.zeros((self.n, order + 1), dtype=complex)
+            s0[self.rank] = (self._gauge_factor(x, order) if self.gauge == "raw"
+                             else series_const(1.0, order + 1))
+            return s0
         if self.gauge == "raw" and self.n == 2:
-            return self._s0_raw(x, order)
-        unit = self._unit_jets(x, order)
-        if self.gauge == "raw":
-            g = eval_expr_jet(self.gauge_g, x, order, self.prob.params)
-            return tuple(g * c for c in unit)
+            return self._s0_raw(x, order, proj)
         if self._theta1 is not None:
-            return self._apply_kato_phase(x, unit)
+            return self._kato(x, self._section(x, order, proj))
+        unit = (self._basis(x, order, proj) if basis is None else basis)[0]
+        if self.gauge == "raw":
+            g = self._gauge_factor(x, order)
+            return np.array([series_mul(g, c) for c in unit])
         return unit
 
-    def _unit_jets(self, x: float, order: int) -> tuple:
-        """Unit eigenvector before the Kato phase (the first basis vector
-        of a cluster with d > 1): the Gram-Schmidt of P applied to the
-        continued basis at x.
+    def _gauge_factor(self, x: float, order: int) -> np.ndarray:
+        return eval_expr_jet(self.gauge_g, x, order, self.prob.params).coeffs
 
-        With a Kato phase to integrate, P is applied to the anchor's basis
-        instead, so that theta1 integrates one smooth section pinned at the
-        anchor.
-        """
-        if self._theta1 is not None:
-            return _vector_jets(x, self._gram_schmidt(
-                x, self._frame(self.anchor), order))[0]
-        return self.basis_jets(x, order)[0]
-
-    def _s0_raw(self, x: float, order: int) -> tuple:
+    def _s0_raw(self, x: float, order: int, proj=None) -> np.ndarray:
         """g e/e_1, or g e/e_2 when G21 is the larger off-diagonal entry.
 
         e is the column of P = (G - mu I)/sqrt(D) that holds the larger
         off-diagonal entry: (G12, Q^2 - G11)/sqrt(D) or
         (Q^2 - G22, G21)/sqrt(D), so that e/e_1 = {1, (Q^2 - G11)/G12}.
         """
-        proj = self._eigen_jets(x, order)[1]    # refuses a crossing first
+        if proj is None:                        # refuses a crossing first
+            proj = self._eigen_jets(x, order)[1]
         g = self._g_point(x)[0]
         g12, g21 = abs(g[0, 1]), abs(g[1, 0])
         if max(g12, g21) <= 1e-13 * (1.0 + max(g12, g21)):
@@ -363,10 +359,9 @@ class BranchField:
                 f"both off-diagonal entries vanish at x = {x}")
         lead = 0 if g12 >= g21 else 1
         e = proj[:, :, 1 - lead]
-        c = float(x)
-        w = Jet._raw(c, e[:, 1 - lead]) / Jet._raw(c, e[:, lead])
-        gg = eval_expr_jet(self.gauge_g, x, order, self.prob.params)
-        return (gg, gg * w) if lead == 0 else (gg * w, gg)
+        gg = self._gauge_factor(x, order)
+        gw = series_mul(gg, series_div(e[:, 1 - lead], e[:, lead]))
+        return np.array([gg, gw] if lead == 0 else [gw, gg])
 
     # -- continuation -------------------------------------------------------
 
@@ -458,22 +453,27 @@ class BranchField:
     # -- Kato phase for complex non-degenerate vectors ----------------------
 
     def _theta1_jet(self, t: float):
-        e = self._unit_jets(t, 5)
-        ip = e[0].conj().truncated(4) * e[0].diff()
-        for c in e[1:]:
-            ip = ip + c.conj().truncated(4) * c.diff()
-        return 1j * ip        # real by orthonormality
+        e = self._section(t, 5)
+        ip = [series_mul(c.conj()[:5], c[1:] * np.arange(1, 6)) for c in e]
+        return Jet._raw(float(t), sum(ip[1:], ip[0]) * 1j)  # real: e is unit
 
-    def _apply_kato_phase(self, x: float, unit) -> tuple:
-        order = unit[0].order
+    def _section(self, x: float, order: int, proj=None) -> np.ndarray:
+        """The unit vector the Kato phase multiplies: the Gram-Schmidt of P
+        applied to the anchor's basis, one smooth section pinned there."""
+        return self._gram_schmidt(x, self._frame(self.anchor), order, proj)[0]
+
+    def _kato(self, x: float, unit: np.ndarray) -> np.ndarray:
+        """exp(i theta) times the section `unit`, theta its phase
+        integrated from the anchor."""
+        n = unit.shape[1]
         theta0 = self._theta1.value(x)
-        if order == 0:
-            w = cmath.exp(1j * theta0)
-            return tuple(c * w for c in unit)
-        ips = sum(c.conj().truncated(order - 1) * c.diff() for c in unit)
-        theta_jet = (1j * ips).antiderivative(theta0)
-        factor = jet_exp(1j * theta_jet)
-        return tuple(c * factor for c in unit)
+        if n == 1:
+            return unit * cmath.exp(1j * theta0)
+        ips = sum(series_mul(c.conj()[:n - 1], c[1:] * np.arange(1, n))
+                  for c in unit)                    # (e, e')
+        theta = np.concatenate(([theta0], ips * 1j / np.arange(1, n)))
+        factor = series_exp(theta * 1j)
+        return np.array([series_mul(c, factor) for c in unit])
 
     # -- eigenprojection jets -----------------------------------------------
 
@@ -645,7 +645,7 @@ class BranchField:
             wt[k] = -wt[0] @ np.einsum(chain, mt[1:k + 1], wt[k - 1::-1])
         return qsq, vecs @ pt @ left, vecs @ (wt - pt) @ left
 
-    def _gram_schmidt(self, x: float, ref: list, order: int):
+    def _gram_schmidt(self, x: float, ref: list, order: int, proj=None):
         """Gram-Schmidt of P ref: the eigenbasis continuing the columns
         `ref`, d x N x (order + 1) coefficients (values at order 0).
 
@@ -656,9 +656,11 @@ class BranchField:
         phase u sqrt(conj(w)/(w (u, u))), w = (ref_j, u).
         """
         if order == 0:
-            return self._carry(x, ref)
+            return np.array(self._carry(x, ref))[:, :, None]
+        if proj is None:
+            proj = self._eigen_jets(x, order)[1]
         ref = np.array(ref)
-        basis = np.einsum("tij,cj->cit", self._eigen_jets(x, order)[1], ref)
+        basis = np.einsum("tij,cj->cit", proj, ref)
         for j, u in enumerate(basis):
             if j:
                 ips = np.array([series_inner(e, u) for e in basis[:j]])
@@ -671,7 +673,12 @@ class BranchField:
                 num, den = w.conj(), series_mul(w, norm_sq)
             factor = series_sqrt(series_div(num, den))
             basis[j] = u @ series_matrix(factor).T
-        return basis
+        return np.ascontiguousarray(basis)
+
+    def _basis(self, x: float, order: int, proj=None) -> np.ndarray:
+        # at order 0 the values, `_reference(x)`
+        return self._gram_schmidt(x, self._reference(x) if order
+                                  else self._frame(x), order, proj)
 
     def basis_jets(self, x: float, order: int) -> tuple:
         """Orthonormal basis jets of the branch's eigenspace.
@@ -679,9 +686,7 @@ class BranchField:
         One unit eigenvector for d = 1; d vectors inside a degenerate
         cluster, each continued from the anchor.
         """
-        ref = self._reference(x)      # at order 0 already the values
-        return _vector_jets(x, ref if order == 0
-                            else self._gram_schmidt(x, ref, order))
+        return tuple(row_jets(x, v) for v in self._basis(x, order))
 
     # -- public assembly ------------------------------------------------------
 
@@ -689,10 +694,20 @@ class BranchField:
         return int(self._members(self._ranked_values(x), x).sum())
 
     def branch(self, x: float, order: int) -> EigenBranch:
-        qsq = self.qsq_jet(x, order)
-        s0 = self.s0_jets(x, order)
-        return EigenBranch(x, qsq, s0, self.degeneracy(x), self.gauge,
-                           self.rank, self.gauge_g if self.gauge == "raw" else None)
+        """The branch at x to `order`, from one eigen-solve: everything the
+        correction engine reads of a point (see `EigenBranch`)."""
+        qsq, proj, res = self._eigen_jets(x, order)
+        q = self._q(x, qsq)
+        eps0 = _eps0(qsq, self.prob.a_jet, x, order - 2) if order > 1 else None
+        d = round(np.trace(proj[0]).real)           # P's trace is its rank
+        basis = self._basis(x, order, proj) if 1 < d < self.n else None
+        s0 = self._s0(x, order, proj, basis)
+        # (l, s0) = (s0, P s0) = (s0, s0)
+        left = (np.einsum("sji,jts->it", proj.conj(), series_matrix(s0))
+                if self._oblique else s0)
+        return EigenBranch(x, qsq, q, eps0, s0, left, res.transpose(1, 2, 0),
+                           basis, d, self.gauge, self.rank,
+                           self.gauge_g if self.gauge == "raw" else None)
 
     def complement_jets(self, x: float, order: int) -> tuple:
         """Orthonormal-complement vectors: the eigenvectors of the other
@@ -735,17 +750,6 @@ def _is_scalar_matrix(G) -> bool:
 def _inner(a: list, b: list) -> complex:
     """(a, b) = sum conj(a_j) b_j of two lists of complex numbers."""
     return sum(map(mul, map(complex.conjugate, a), b))
-
-
-def _vector_jets(x: float, vecs) -> tuple:
-    """d x N x n coefficients or d lists of N values as d vectors of jets
-    (a list of values as one (N, 1) array, whose rows are the jets)."""
-    c, raw, out = float(x), Jet._raw, []
-    for vec in vecs:
-        if isinstance(vec, list):
-            vec = np.array(vec)[:, None]
-        out.append(tuple([raw(c, vec[i]) for i in range(len(vec))]))
-    return tuple(out)
 
 
 def _guard_breakdown(norm_sq: complex, x: float):

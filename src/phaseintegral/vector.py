@@ -51,13 +51,13 @@ from .errors import (
     UnsupportedDegeneracy,
 )
 from .jets import (
-    Jet, jet_exp, jet_pow, series_const, series_contract, series_div,
-    series_inner, series_matrix, series_mul,
+    Jet, jet_exp, jet_pow, row_jets, series_const, series_contract,
+    series_div, series_inner, series_matrix, series_mul,
 )
 from .problem import ReducedProblem
 from .quadrature import JetChainIntegral
 from .recurrence import PointWork
-from .spectral import BranchField
+from .spectral import BranchField, EigenBranch
 from .verify import Wave, WaveSample
 
 __all__ = [
@@ -100,17 +100,14 @@ class CorrectionSet:
 
 @dataclass(slots=True)
 class _Point:
-    """One point of an engine: branch data, the recurrence's tables, then
-    one table row per level (orders last, row m exact to order K - m) in Y,
-    s_perp and b (staged) and in s and c_par (finished)."""
+    """One point of an engine: branch snapshot, the recurrence's tables,
+    then one table row per level (orders last, row m exact to order K - m)
+    in Y, s_perp and b (staged) and in s and c_par (finished)."""
 
     x: float
-    Qsq: Jet
-    Q: Jet
-    eps0: Jet
+    branch: EigenBranch        # Q**2, Q, eps0, s0, S, ... to order K
     perp: np.ndarray           # -2 Q^2 S, matrix coefficients
-    left: np.ndarray           # left eigenvector P^H s0
-    basis: list | None         # cluster basis (1 < d < N), basis[0] = s0
+    basis: np.ndarray | None   # cluster basis (1 < d < N), basis[0] = s0
     work: PointWork            # the recurrence's tables
     Y: np.ndarray              # (levels, K + 1), work.Y
     s: np.ndarray              # (levels, N, K + 1), work.s
@@ -127,10 +124,6 @@ class _Point:
 
 
 # -- vector jets: (N, n) coefficient arrays, orders last ---------------------
-
-def _jets(x: float, vec: np.ndarray) -> tuple:
-    return tuple(Jet._raw(x, row) for row in vec)
-
 
 def _diff(vec: np.ndarray) -> np.ndarray:
     """d/dx of each component (order drops by one)."""
@@ -191,18 +184,17 @@ class CorrectionEngine:
         self.anchor = float(anchor if anchor is not None else branch.anchor)
         self.K = max(2 * self.m_max + 2, 6)
         self.sgn = +1.0 if variant == "fulling_current" else -1.0
-        # the conserving variants fix the gauge, so for the whole space s0
-        # is constant and S = 0: every s_m vanishes and so does c_par
-        self._conserving = (variant in _CONSERVING
-                            and not branch._scalar_matrix)
         self._points: dict[float, _Point] = {}
         # (m, i) -> anchored integral of coordinate i of s_m: along s0 for
         # i = 0, along basis vector i of a degenerate cluster for i >= 1
         self._coords: dict[tuple, JetChainIntegral] = {}
         # the anchor's eigen-solve raises what a crossing there raises (or a
         # G equal to c(x) I only through identities) before a point is built
-        branch._projector(self.anchor)
+        branch.qsq_jet(self.anchor, 0)
         d = branch.degeneracy(self.anchor)
+        # so d = N is G = c(x) I by its expressions, where the conserving
+        # variants' s0 is constant and S = 0: every s_m and c_par vanishes
+        self._conserving = variant in _CONSERVING and d < prob.n
         # a cluster short of the whole space has its own basis and Kato
         # coordinates; the whole space (P = I) is the scalar theory
         self._degenerate = 1 < d < prob.n
@@ -227,7 +219,7 @@ class CorrectionEngine:
 
         def jets(table, first=0):
             # views of a copy: the set does not keep the point's work alive
-            make, table = _jets if table.ndim == 3 else Jet._raw, table.copy()
+            make, table = row_jets if table.ndim == 3 else Jet._raw, table.copy()
             return [None] * first + [make(x, table[m, ..., :K - m + 1])
                                      for m in range(first, mm)]
         c_perp = [None] * mm
@@ -239,8 +231,9 @@ class CorrectionEngine:
             c_perp = jets(series_contract(
                 reads_e2, pt.s_perp.transpose(1, 0, 2)), 1)
         return CorrectionSet(
-            x0=x, m_max=self.m_max, variant=self.variant, Qsq=pt.Qsq,
-            Q=pt.Q, eps0=pt.eps0, Y=jets(pt.Y), s=jets(pt.s),
+            x0=x, m_max=self.m_max, variant=self.variant,
+            Qsq=Jet._raw(x, pt.branch.Qsq), Q=Jet._raw(x, pt.branch.Q),
+            eps0=Jet._raw(x, pt.branch.eps0), Y=jets(pt.Y), s=jets(pt.s),
             s_perp=jets(pt.s_perp), c_perp=c_perp, c_par=jets(pt.c_par, 1),
             b=jets(pt.b, 1))
 
@@ -260,25 +253,15 @@ class CorrectionEngine:
 
     def _base_point(self, x: float) -> _Point:
         K = self.K
-        fld = self.field
-        Qsq = fld.qsq_jet(x, K)
-        Q = fld.q_jet(x, K)
-        eps0 = fld.eps0_jet(x, K - 2)
-        # before s0: the Kato phase integral moves the memo elsewhere
-        _, proj, res = fld._eigen_jets(x, K)
-        perp = np.einsum("ts,sij->tij",                 # -2 Q^2 S
-                         series_matrix(-2.0 * Qsq.coeffs), res)
-        basis = [np.array([c.coeffs for c in v]) for v in (
-            fld.basis_jets(x, K) if self._degenerate else [fld.s0_jets(x, K)])]
-        s0 = basis[0]
-        # the left eigenvector l = P^H s0 (s0 itself for an orthogonal P),
-        # for which (l, s0) = (s0, P s0) = (s0, s0)
-        left = (np.einsum("sji,jts->it", proj.conj(), series_matrix(s0))
-                if fld._oblique else s0)
+        br = self.field.branch(x, K)
+        perp = np.einsum("ts,ijs->tij",                 # -2 Q^2 S
+                         series_matrix(-2.0 * br.Qsq), br.S)
+        # a degenerate cluster (real symmetric) runs on its unit basis
+        basis = br.basis if self._degenerate else None
+        s0 = br.s0 if basis is None else basis[0]
         levels = self.m_max + 1
-        work = PointWork(Q.coeffs, eps0.coeffs, s0, levels, K)
-        return _Point(x, Qsq, Q, eps0, perp, left,
-                      basis if self._degenerate else None, work,
+        work = PointWork(br.Q, br.eps0, s0, levels, K)
+        return _Point(x, br, perp, basis, work,
                       Y=work.Y, s=work.s, b=work.b,
                       s_perp=np.zeros((levels,) + s0.shape, dtype=complex),
                       c_par=np.zeros((levels, K + 1), dtype=complex))
@@ -344,10 +327,12 @@ class CorrectionEngine:
         rows and columns to order k give both at order k.
 
         s_perp = -2 Q^2 S b_m, and P b_m = Y_m s0 is read off with the left
-        eigenvector l = P^H s0: Y_m = (l, b_m) / (s0, s0).  The
-        non-hermitian theory subtracts s0 (s0, s_perp) / (s0, s0), which
-        makes (s0, s_m) = 0 (P may be oblique there)."""
+        eigenvector l = P^H s0 (s0 itself for a degenerate cluster's unit
+        basis): Y_m = (l, b_m) / (s0, s0).  The non-hermitian theory
+        subtracts s0 (s0, s_perp) / (s0, s0), which makes (s0, s_m) = 0 (P
+        may be oblique there)."""
         s0, (N, n) = pt.s[0], pt.s.shape[1:]
+        left = pt.branch.left if pt.basis is None else s0
         if pt.over_norm0 is None:         # one series quotient per point
             pt.over_norm0 = series_div(series_const(1.0, n),
                                        series_inner(s0, s0))
@@ -355,7 +340,7 @@ class CorrectionEngine:
         solve[:, :N] = series_matrix(
             pt.perp.transpose(1, 2, 0)).transpose(2, 0, 1, 3)
         solve[:, N] = series_matrix(
-            _times(pt.over_norm0, pt.left.conj())).transpose(1, 0, 2)
+            _times(pt.over_norm0, left.conj())).transpose(1, 0, 2)
         if self.variant == "non_hermitian":
             # [i, t, i'] = (s0_i conj(s0_i') / (s0, s0))_t, then its
             # Toeplitz blocks [(t, i), (t', i')]
@@ -426,7 +411,7 @@ class CorrectionEngine:
         """(e_i, i Q b~_{m+1} - d/dx s_m_perp), the Kato-coordinate
         integrand of basis vector e_i."""
         btilde = self._compute_b(pt, m + 1, k, stop=m)
-        inner = (_times(1.0j * pt.Q.coeffs[:k + 1], btilde)
+        inner = (_times(1.0j * pt.branch.Q[:k + 1], btilde)
                  - _diff(pt.s_perp[m])[:, :k + 1])
         return series_inner(pt.basis[i], inner)
 
@@ -437,7 +422,7 @@ class CorrectionEngine:
         if pt.basis is None:
             return 0.0
         btilde = self._compute_b(pt, m + 1, 0, stop=m)
-        inner = _diff(pt.s[m])[:, :1] - 1.0j * pt.Q.value * btilde
+        inner = _diff(pt.s[m])[:, :1] - 1.0j * complex(pt.branch.Q[0]) * btilde
         return max(abs(series_inner(e_k, inner)[0]) for e_k in pt.basis[1:])
 
     # ------------------------------------------------------------------
@@ -518,7 +503,7 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
         real (|Q| is Q or i Q, whichever has a positive real part), +-Q Y
         otherwise."""
         y = weights @ pt.Y[:, :k + 1]
-        q = pt.Q.coeffs[:k + 1]
+        q = pt.branch.Q[:k + 1]
         if real_case:
             q = q if positive else q * 1j
             q = -q if q[0].real < 0.0 else q
@@ -533,7 +518,7 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
         except TurningPoint as exc:
             raise TurningPointOnGrid(
                 f"turning point reached near x = {t}") from exc
-        if real_case and (pt.Qsq.value.real > 0) != positive:
+        if real_case and (pt.branch.Qsq[0].real > 0) != positive:
             raise TurningPointOnGrid(f"Q**2 changes sign at x = {t}")
         y, qbar = normal_form(pt, kq)
         if real_case and y[0].real <= 0.0 and not warned_y:
@@ -564,4 +549,4 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
     for x in grid:
         u, ph = jets_at(x)
         samples.append(WaveSample(x, u[:, 0].copy(), u[:, 1].copy(), ph))
-    return Wave(samples, lambda x: _jets(x, jets_at(x)[0]), lam, sign)
+    return Wave(samples, lambda x: row_jets(x, jets_at(x)[0]), lam, sign)

@@ -191,7 +191,7 @@ class TestSingularityModels:
         # each model formula must agree with eps0 computed directly from
         # the modeled Q^2 via the Schwartzian (independent route)
         from phaseintegral.expressions import eval_expr_jet
-        from phaseintegral.spectral import _schwartzian_jet
+        from phaseintegral.spectral import schwartzian
         cases = [
             (("power", 3.0, 2.0), "0.2*x^2", "2*x^3*(1 + 0.2*x^2)"),
             (("power", -2.0, 1.0), "x", "(1/x^2)*(1 + x)"),
@@ -206,7 +206,7 @@ class TestSingularityModels:
             else:
                 got = model_epsilon00(model, parse_expr(d_text), x0)
             qsq = eval_expr_jet(parse_expr(qsq_text), x0, 4)
-            want = _schwartzian_jet(qsq).value / qsq.value
+            want = schwartzian(qsq) / qsq.value
             assert_allclose(got, want, rtol=1e-10), model
 
     def test_singularities(self):

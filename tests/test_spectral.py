@@ -38,12 +38,12 @@ def _sign_match(got, want, tol=1e-10):
 class TestClosedFormEigen:
     def test_fex1_lower_branch(self, fex1):
         br = eigen_n2_closed_form(fex1, 3.0, 4, sign=+1)
-        assert_allclose(br.Qsq.coeffs, [1.0] + [0.0] * 4, atol=1e-12)
+        assert_allclose(br.Qsq, [1.0] + [0.0] * 4, atol=1e-12)
         assert _sign_match(br.s0_values(), [math.sin(3), -math.cos(3)])
 
     def test_fex1_upper_branch(self, fex1):
         br = eigen_n2_closed_form(fex1, 3.0, 4, sign=-1)
-        assert_allclose(br.Qsq.coeffs, [3.0, 1.0, 0, 0, 0], atol=1e-12)
+        assert_allclose(br.Qsq, [3.0, 1.0, 0, 0, 0], atol=1e-12)
         assert _sign_match(br.s0_values(), [math.cos(3), math.sin(3)])
 
     def test_full_degeneracy_is_crossing_for_closed_form(self):
@@ -67,8 +67,8 @@ class TestTracking:
         lower = eigen_track(fex1, grid, 0, 2)
         upper = eigen_track(fex1, grid, 1, 2)
         for x, bl, bu in zip(grid, lower, upper):
-            assert_allclose(bl.Qsq.value, 1.0, atol=1e-12)
-            assert_allclose(bu.Qsq.value, x, atol=1e-12)
+            assert_allclose(bl.Qsq[0], 1.0, atol=1e-12)
+            assert_allclose(bu.Qsq[0], x, atol=1e-12)
 
     def test_constant_matrix_constant_branch(self):
         spec = ProblemSpec(2, "reduced",
@@ -77,7 +77,7 @@ class TestTracking:
                            None, {}, (0.0, 4.0), "real_symmetric")
         prob = split_R(spec, 1.0, None)
         branches = eigen_track(prob, np.linspace(0.0, 4.0, 7), 0, 2)
-        vals = [b.Qsq.value for b in branches]
+        vals = [b.Qsq[0] for b in branches]
         vecs = [b.s0_values() for b in branches]
         assert_allclose(vals, [1.0] * 7, atol=1e-13)
         for v in vecs[1:]:
@@ -162,16 +162,17 @@ class TestKatoGauge:
                            None, {}, (2.0, 2.9), "hermitian")
         prob = split_R(spec, 1.0, None)
         fld = BranchField(prob, 0, "kato", None, anchor=2.2)
-        section = BranchField(prob, 0, "kato", None, anchor=2.2)._unit_jets
+        # the section's coefficients, (N, order + 1)
+        section = BranchField(prob, 0, "kato", None, anchor=2.2)._section
 
         def integrand(t):
             e = section(t, 1)
-            return 1j * sum(c.conj().value * c.diff().value for c in e)
+            return 1j * sum(c[0].conjugate() * c[1] for c in e)
 
         theta = quad(integrand, 2.2, 2.7)
         assert abs(theta.imag) < 1e-10        # theta1 is real
         e_kato = np.array([c.value for c in fld.s0_jets(2.7, 0)])
-        e_section = np.array([c.value for c in section(2.7, 0)])
+        e_section = section(2.7, 0)[:, 0]
         ratio = e_kato / e_section
         assert_allclose(ratio, np.full(2, ratio[0]), atol=1e-10)
         assert_allclose(ratio[0], cmath.exp(1j * theta), atol=1e-9)
