@@ -464,16 +464,22 @@ class BranchField:
 
     def _kato(self, x: float, unit: np.ndarray) -> np.ndarray:
         """exp(i theta) times the section `unit`, theta its phase
-        integrated from the anchor."""
+        integrated from the anchor.  Refused where it has turned away from
+        the continued eigenvector: past a quarter turn from the anchor the
+        section P e_anchor has vanished and changed sign."""
         n = unit.shape[1]
         theta0 = self._theta1.value(x)
         if n == 1:
-            return unit * cmath.exp(1j * theta0)
-        ips = sum(series_mul(c.conj()[:n - 1], c[1:] * np.arange(1, n))
-                  for c in unit)                    # (e, e')
-        theta = np.concatenate(([theta0], ips * 1j / np.arange(1, n)))
-        factor = series_exp(theta * 1j)
-        return np.array([series_mul(c, factor) for c in unit])
+            out = unit * cmath.exp(1j * theta0)
+        else:
+            ips = sum(series_mul(c.conj()[:n - 1], c[1:] * np.arange(1, n))
+                      for c in unit)                # (e, e')
+            theta = np.concatenate(([theta0], ips * 1j / np.arange(1, n)))
+            factor = series_exp(theta * 1j)
+            out = np.array([series_mul(c, factor) for c in unit])
+        if _inner(self._reference(x)[0], out[:, 0].tolist()).real <= 0.0:
+            raise _breakdown(x)
+        return out
 
     # -- eigenprojection jets -----------------------------------------------
 
@@ -752,11 +758,15 @@ def _inner(a: list, b: list) -> complex:
     return sum(map(mul, map(complex.conjugate, a), b))
 
 
+def _breakdown(x: float) -> GramSchmidtBreakdown:
+    return GramSchmidtBreakdown(
+        f"eigenbasis continuation degenerates at x = {x}; "
+        "evaluate on a subinterval anchored closer to it")
+
+
 def _guard_breakdown(norm_sq: complex, x: float):
     if abs(norm_sq) < 1e-24:
-        raise GramSchmidtBreakdown(
-            f"eigenbasis continuation degenerates at x = {x}; "
-            "evaluate on a subinterval anchored closer to it")
+        raise _breakdown(x)
 
 
 # --------------------------------------------------------------------------

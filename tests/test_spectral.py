@@ -1,5 +1,6 @@
 import cmath
 import gc
+import json
 import math
 import tracemalloc
 
@@ -201,6 +202,47 @@ def _hermitian(rows):
     spec = ProblemSpec(len(rows), "reduced", tuple(map(tuple, rows)), None,
                        {}, (2.0, 2.9), "hermitian")
     return split_R(spec, 1.0, None)
+
+
+def _quarter_turn_field():
+    """G = U diag(1, 3) U^H, U = [[cos x, -sin x w], [sin x conj(w), cos x]]
+    with w = exp(0.7i): eigenvectors with a constant complex phase that
+    turn at unit rate, so the Kato section P(x) e(1) vanishes at 1 + pi/2."""
+    rows = [["cos(x)^2 + 3*sin(x)^2", "-2*cos(x)*sin(x)*exp(0.7*i)"],
+            ["-2*cos(x)*sin(x)*exp(-0.7*i)", "sin(x)^2 + 3*cos(x)^2"]]
+    return {"n": 2, "form": "reduced", "R": rows, "params": {},
+            "domain": [-2.0, 8.0], "hermitian_hint": "hermitian",
+            "lambda": 1.0}
+
+
+class TestKatoQuarterTurn:
+    """Past a quarter turn from the anchor the Kato section has changed
+    sign; the gauge is refused there, never returned flipped."""
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_refused_past_the_turn(self, rank):
+        spec, lam, a = load_problem(_quarter_turn_field())
+        prob = split_R(spec, lam, a)
+        kato = BranchField(prob, rank, "kato", None, anchor=1.0)
+        plain = BranchField(prob, rank, "normalized", None, anchor=1.0)
+        before = _values(kato.s0_jets(2.565, 0))
+        assert_allclose(before, _values(plain.s0_jets(2.565, 0)), atol=1e-3)
+        for x in (1.0 + math.pi / 2, 2.575, 3.0, 4.5):
+            with pytest.raises(GramSchmidtBreakdown, match="anchored closer"):
+                kato.s0_jets(x, 0)
+            with pytest.raises(GramSchmidtBreakdown):
+                kato.s0_jets(x, 3)
+
+    def test_cli_exits_3(self, capsys, tmp_path):
+        from phaseintegral.cli import main
+        path = tmp_path / "turn.json"
+        path.write_text(json.dumps(_quarter_turn_field()))
+        code = main(["corrections", "--problem", str(path), "--branch", "0",
+                     "--theory", "simplified", "--order", "1", "--at", "3",
+                     "--anchor", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("evaluation error: GramSchmidtBreakdown:")
 
 
 class TestKatoGaugeBlock3:
