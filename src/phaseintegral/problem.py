@@ -87,19 +87,26 @@ class ReducedProblem:
     hermitian_hint: str = "general"
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise InvalidInput("lambda must be positive")
+        if not 0 < self.lam < float("inf"):     # refuses NaN too
+            raise InvalidInput(f"lambda = {self.lam} must be finite and "
+                               "positive")
         _check_hint(self.hermitian_hint)
         if self.hermitian_hint == "real_symmetric":
             self._check_symmetry()
 
     def _check_symmetry(self):
+        """Probe G for what real_symmetric promises: the real path solves
+        eigh(G.real), so an imaginary part would be dropped silently."""
         lo, hi = self.domain
         for x in np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 7):
             g = self.G_value(float(x))
-            if np.max(np.abs(g - g.T)) > 1e-12 * (1.0 + np.max(np.abs(g))):
+            tol = 1e-12 * (1.0 + np.max(np.abs(g)))
+            if np.max(np.abs(g - g.T)) > tol:
                 raise InvalidInput(
                     f"hermitian_hint=real_symmetric but G asymmetric at x={x}")
+            if np.max(np.abs(g.imag)) > tol:
+                raise InvalidInput(
+                    f"hermitian_hint=real_symmetric but G not real at x={x}")
 
     def __getstate__(self):
         # the tapes are compiled on first use, never pickled

@@ -482,6 +482,8 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
     values, never from finite differences.
     """
     lam = engine.prob.lam if lam is None else float(lam)
+    if not 0 < lam < float("inf"):          # refuses NaN too
+        raise InvalidInput(f"lambda = {lam} must be finite and positive")
     anchor = engine.anchor if anchor is None else float(anchor)
     grid = [float(x) for x in grid]
     if not grid:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from phaseintegral.errors import InputError, SingularCoefficient
+from phaseintegral.errors import InputError, InvalidInput, SingularCoefficient
 from phaseintegral.examples import example_problem
 from phaseintegral.expressions import (
     Const, JetTape, eval_expr, eval_expr_jet, parse_expr,
@@ -205,6 +205,37 @@ class TestJsonRoundTrip:
             with pytest.raises(InputError) as info:
                 make()
             assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        # NaN passed `lam <= 0`; an infinite wave lambda bisected the phase
+        # quadrature 25 levels deep and raised QuadratureFailure
+        from phaseintegral.spectral import BranchField
+        from phaseintegral.vector import CorrectionEngine, assemble_vector_wave
+        spec, one, a = load_problem(example_problem("fulling-pos"))
+        prob = split_R(spec, one, a)
+        engine = CorrectionEngine(prob, BranchField(prob, 1, anchor=3.0),
+                                  "fulling_current", 0, 3.0)
+        for make in (lambda: split_R(spec, lam, a),
+                     lambda: ReducedProblem(prob.n, prob.G, prob.a, lam),
+                     lambda: prob.with_lambda(lam),
+                     lambda: assemble_vector_wave(engine, +1, [3.0, 3.5],
+                                                  lam=lam)):
+            with pytest.raises(InvalidInput, match="lambda = "):
+                make()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_real_symmetric_refuses_complex_entries(self, n):
+        # the real path solves eigh(G.real): labelled real_symmetric,
+        # diag([[x, 0.3i x], [0.3i x, 3]], 9) gave rank 0 Q^2 = 1.2 at
+        # x = 1.2, where the eigenvalue is 1.2751
+        rows = [["x", "0.3*i*x", "0"], ["0.3*i*x", "3", "0"],
+                ["0", "0", "9"]]
+        spec, lam, a = load_problem({
+            "n": n, "R": [r[:n] for r in rows[:n]], "domain": [0.5, 2.5],
+            "hermitian_hint": "real_symmetric"})
+        with pytest.raises(InvalidInput, match="not real at x=0.502"):
+            split_R(spec, lam, a)
 
     @pytest.mark.parametrize("name", [
         "split_R", "eigen_n2_closed_form", "eigen_track", "jet_arith",
