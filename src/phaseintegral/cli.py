@@ -43,6 +43,8 @@ _THEORY = {
     "non_hermitian": "non_hermitian",
 }
 
+_MAX_GRID = 10**6       # points a --range may have
+
 _EXIT_INPUT = 2
 _EXIT_EVAL = 3
 _EXIT_VERIFY = 4
@@ -125,8 +127,11 @@ def _grid(args, prob):
                              "lo:hi:step, finite numbers)") from None
         if step <= 0 or hi <= lo:
             raise InputError("grid step must be > 0 and hi > lo")
-        n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-        return [lo + i * step for i in range(n)]
+        last = (hi - lo) / step + 1e-9          # inf if the quotient overflows
+        if not last < _MAX_GRID:
+            raise InputError(f"--range {args.range!r} has more than "
+                             f"{_MAX_GRID} points")
+        return [lo + i * step for i in range(int(np.floor(last)) + 1)]
     raise InputError("need --at or --range")
 
 

@@ -267,6 +267,19 @@ class TestReduce:
 
 
 class TestEigen:
+    def test_complex_real_symmetric_exit_code(self, capsys, tmp_path):
+        # labelled real_symmetric, G has an imaginary part: refused before
+        # the real path drops it
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({
+            "n": 3, "R": [["x", "0.3*i*x", "0"], ["0.3*i*x", "3", "0"],
+                          ["0", "0", "9"]],
+            "domain": [0.5, 2.5], "hermitian_hint": "real_symmetric"}))
+        code, out, err = run_cli(capsys, "eigen", "--problem", str(path),
+                                 "--range", "0.6:2.4:0.6")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "not real" in err
+
     def test_eigen_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "eigen", "--example", "fulling-pos", "--range", "2:10:2")
@@ -368,11 +381,17 @@ class TestInputErrors:
         ("wave", "--example", "fulling-pos", "--at", "3", "--lambda", "inf"),
         ("verify", "--example", "fulling-pos", "--check", "current", "--at",
          "3", "--at", "4", "--tol", "nan"),
+        # more grid points than --range allows: the count overflows, or is
+        # finite and refused before a point is built
+        ("eigen", "--example", "fulling-pos", "--range", "0:1e300:1e-300"),
+        ("eigen", "--example", "fulling-pos", "--range", "0:1:1e-300"),
+        ("eigen", "--example", "fulling-pos", "--range", "2:4:1e-6"),
     ], ids=["range-reversed", "branch-out-of-range", "branch-not-a-rank",
             "reduce-without-problem", "unknown-gauge", "raw-gauge-misspelt",
             "param-not-a-number", "scalar-branch-out-of-range",
             "order-negative", "lambda-zero", "at-nan", "anchor-nan",
-            "range-nan", "range-inf", "param-nan", "lambda-inf", "tol-nan"])
+            "range-nan", "range-inf", "param-nan", "lambda-inf", "tol-nan",
+            "range-overflow", "range-too-many", "range-above-limit"])
     def test_bad_argument_exit_code(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
