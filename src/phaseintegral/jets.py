@@ -207,7 +207,7 @@ def jet_variable(center: float, order: int) -> Jet:
 def row_jets(center: float, vec: np.ndarray) -> tuple:
     """The rows of (N, n) coefficients, orders last, as N jets."""
     center = float(center)
-    return tuple([Jet._raw(center, row) for row in vec])
+    return tuple([Jet._raw(center, vec[i]) for i in range(len(vec))])
 
 
 # -- coefficient kernels ------------------------------------------------

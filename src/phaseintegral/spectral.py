@@ -41,7 +41,9 @@ Gauges:
 
 The continuation walk runs on values (P from the closed form on complex
 numbers, or from the eigen-solve); Q**2, P, S and the eigenbasis at order
->= 1 run on coefficient arrays, and become Jets only where returned.
+>= 1 run on coefficient arrays.  `BranchField.branch` returns a point's
+snapshot as arrays, from one eigen-solve; `qsq_jet`, `q_jet`, `eps0_jet`,
+`s0_jets` and `basis_jets` are Jet views of the same computation.
 
 A `BranchField` keeps one point: G(x) and the eigen-jets of the last x
 asked.  What else it holds is bounded by the interval it has walked (the
@@ -564,9 +566,9 @@ class BranchField:
         """(Q**2 coefficients, eigenprojection coefficients P_0..P_order,
         reduced resolvent coefficients S_0..S_order).
 
-        Only the last point asked for at order >= 1 is kept: the next
-        calls are for the same x at the same or a lower order (a base
-        point's s0 after its Q**2); the continuation walk does not come here.
+        Only the last point asked for at order >= 1 is kept, for the Jet
+        views of one x asked one after another (Q**2, then s0) at the same
+        or a lower order; the continuation walk does not come here.
         """
         memo = self._projs
         if memo is not None and memo[0] == x and memo[1] >= order:

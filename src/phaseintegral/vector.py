@@ -188,10 +188,10 @@ class CorrectionEngine:
         # (m, i) -> anchored integral of coordinate i of s_m: along s0 for
         # i = 0, along basis vector i of a degenerate cluster for i >= 1
         self._coords: dict[tuple, JetChainIntegral] = {}
-        # the anchor's eigen-solve raises what a crossing there raises (or a
-        # G equal to c(x) I only through identities) before a point is built
-        branch.qsq_jet(self.anchor, 0)
-        d = branch.degeneracy(self.anchor)
+        # the continued basis at the anchor has d vectors, and its
+        # eigen-solve raises what a crossing there raises (or a G equal to
+        # c(x) I only through identities) before a point is built
+        d = len(branch.basis_jets(self.anchor, 0))
         # so d = N is G = c(x) I by its expressions, where the conserving
         # variants' s0 is constant and S = 0: every s_m and c_par vanishes
         self._conserving = variant in _CONSERVING and d < prob.n
