@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,6 +40,13 @@ __all__ = [
 _ZERO = Const(0.0)
 _POLE_SCAN = 257        # points probed for a singular a_j(x)
 _HINTS = ("real_symmetric", "hermitian", "general")
+
+
+def check_lambda(lam: float) -> float:
+    """lam, refused unless it is finite and positive."""
+    if not 0 < lam < math.inf:              # NaN fails too
+        raise InvalidInput(f"lambda = {lam} must be finite and positive")
+    return lam
 
 
 def _check_hint(hint: str):
@@ -87,9 +95,7 @@ class ReducedProblem:
     hermitian_hint: str = "general"
 
     def __post_init__(self):
-        if not 0 < self.lam < float("inf"):     # refuses NaN too
-            raise InvalidInput(f"lambda = {self.lam} must be finite and "
-                               "positive")
+        check_lambda(self.lam)
         _check_hint(self.hermitian_hint)
         if self.hermitian_hint == "real_symmetric":
             self._check_symmetry()

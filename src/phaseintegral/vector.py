@@ -54,7 +54,7 @@ from .jets import (
     Jet, jet_exp, jet_pow, row_jets, series_const, series_contract,
     series_div, series_inner, series_matrix, series_mul,
 )
-from .problem import ReducedProblem
+from .problem import ReducedProblem, check_lambda
 from .quadrature import JetChainIntegral
 from .recurrence import PointWork
 from .spectral import BranchField, EigenBranch
@@ -192,8 +192,9 @@ class CorrectionEngine:
         # eigen-solve raises what a crossing there raises (or a G equal to
         # c(x) I only through identities) before a point is built
         d = len(branch.basis_jets(self.anchor, 0))
-        # so d = N is G = c(x) I by its expressions, where the conserving
-        # variants' s0 is constant and S = 0: every s_m and c_par vanishes
+        # past that check d = N means G = c(x) I by its expressions, where
+        # the conserving variants' s0 is constant and S = 0: every s_m and
+        # c_par vanishes
         self._conserving = variant in _CONSERVING and d < prob.n
         # a cluster short of the whole space has its own basis and Kato
         # coordinates; the whole space (P = I) is the scalar theory
@@ -481,9 +482,7 @@ def assemble_vector_wave(engine: CorrectionEngine, sign: int,
     complex form.  Derivative samples come from the same jets as the
     values, never from finite differences.
     """
-    lam = engine.prob.lam if lam is None else float(lam)
-    if not 0 < lam < float("inf"):          # refuses NaN too
-        raise InvalidInput(f"lambda = {lam} must be finite and positive")
+    lam = engine.prob.lam if lam is None else check_lambda(float(lam))
     anchor = engine.anchor if anchor is None else float(anchor)
     grid = [float(x) for x in grid]
     if not grid:
