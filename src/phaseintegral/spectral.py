@@ -42,8 +42,9 @@ Gauges:
 The continuation walk runs on values (P from the closed form on complex
 numbers, or from the eigen-solve); Q**2, P, S and the eigenbasis at order
 >= 1 run on coefficient arrays.  `BranchField.branch` returns a point's
-snapshot as arrays, from one eigen-solve; `qsq_jet`, `q_jet`, `eps0_jet`,
-`s0_jets` and `basis_jets` are Jet views of the same computation.
+snapshot as arrays, from one eigen-solve at x (a complex Kato gauge adds
+its phase integral's); `qsq_jet`, `q_jet`, `eps0_jet`, `s0_jets` and
+`basis_jets` are Jet views of the same computation.
 
 A `BranchField` keeps one point: G(x) and the eigen-jets of the last x
 asked.  What else it holds is bounded by the interval it has walked (the
@@ -96,7 +97,7 @@ class EigenBranch:
 
     x0: float
     Qsq: np.ndarray
-    Q: np.ndarray
+    Q: Optional[np.ndarray]     # None at a turning point, as is eps0
     eps0: Optional[np.ndarray]  # two orders short; None below order 2
     s0: np.ndarray              # (N, n)
     left: np.ndarray            # P^H s0 (s0 itself for an orthogonal P)
@@ -244,6 +245,7 @@ class BranchField:
         self._siblings: dict[int, "BranchField"] = {}
         self._scalar_matrix = _is_scalar_matrix(prob.G)
         self._gval: tuple = (None,)       # x and `_g_point` of the last x
+        self._eig: tuple = (None,)        # x and `_cluster` of the last x
         self._projs: tuple | None = None  # (x, order, _eigen_jets result)
         self._d: int | None = None        # cluster size at the anchor
         if gauge == "kato" and not self._real_vectors:
@@ -323,7 +325,7 @@ class BranchField:
     def s0_jets(self, x: float, order: int) -> tuple:
         return row_jets(x, self._s0(x, order))
 
-    def _s0(self, x: float, order: int, proj=None, basis=None) -> np.ndarray:
+    def _s0(self, x: float, order: int) -> np.ndarray:
         """s0 in the field's gauge, (N, order + 1) coefficients."""
         if self._scalar_matrix:
             # any vector is an eigenvector: the coordinate axis of the rank,
@@ -333,27 +335,29 @@ class BranchField:
                              else series_const(1.0, order + 1))
             return s0
         if self.gauge == "raw" and self.n == 2:
-            return self._s0_raw(x, order, proj)
+            return self._s0_raw(x, order)
         if self._theta1 is not None:
-            return self._kato(x, self._section(x, order, proj))
-        unit = (self._basis(x, order, proj) if basis is None else basis)[0]
-        if self.gauge == "raw":
-            g = self._gauge_factor(x, order)
-            return np.array([series_mul(g, c) for c in unit])
-        return unit
+            return self._kato(x, self._section(x, order))
+        return self._gauged(x, order, self._basis(x, order)[0])
+
+    def _gauged(self, x: float, order: int, unit: np.ndarray) -> np.ndarray:
+        """The unit eigenvector `unit` times g in the raw gauge."""
+        if self.gauge != "raw":
+            return unit
+        g = self._gauge_factor(x, order)
+        return np.array([series_mul(g, c) for c in unit])
 
     def _gauge_factor(self, x: float, order: int) -> np.ndarray:
         return eval_expr_jet(self.gauge_g, x, order, self.prob.params).coeffs
 
-    def _s0_raw(self, x: float, order: int, proj=None) -> np.ndarray:
+    def _s0_raw(self, x: float, order: int) -> np.ndarray:
         """g e/e_1, or g e/e_2 when G21 is the larger off-diagonal entry.
 
         e is the column of P = (G - mu I)/sqrt(D) that holds the larger
         off-diagonal entry: (G12, Q^2 - G11)/sqrt(D) or
         (Q^2 - G22, G21)/sqrt(D), so that e/e_1 = {1, (Q^2 - G11)/G12}.
         """
-        if proj is None:                        # refuses a crossing first
-            proj = self._eigen_jets(x, order)[1]
+        proj = self._eigen_jets(x, order)[1]    # refuses a crossing first
         g = self._g_point(x)[0]
         g12, g21 = abs(g[0, 1]), abs(g[1, 0])
         if max(g12, g21) <= 1e-13 * (1.0 + max(g12, g21)):
@@ -459,10 +463,10 @@ class BranchField:
         ip = [series_mul(c.conj()[:5], c[1:] * np.arange(1, 6)) for c in e]
         return Jet._raw(float(t), sum(ip[1:], ip[0]) * 1j)  # real: e is unit
 
-    def _section(self, x: float, order: int, proj=None) -> np.ndarray:
+    def _section(self, x: float, order: int) -> np.ndarray:
         """The unit vector the Kato phase multiplies: the Gram-Schmidt of P
         applied to the anchor's basis, one smooth section pinned there."""
-        return self._gram_schmidt(x, self._frame(self.anchor), order, proj)[0]
+        return self._gram_schmidt(x, self._frame(self.anchor), order)[0]
 
     def _kato(self, x: float, unit: np.ndarray) -> np.ndarray:
         """exp(i theta) times the section `unit`, theta its phase
@@ -470,6 +474,7 @@ class BranchField:
         the continued eigenvector: past a quarter turn from the anchor the
         section P e_anchor has vanished and changed sign."""
         n = unit.shape[1]
+        w = self._reference(x)[0]       # before theta1 walks elsewhere
         theta0 = self._theta1.value(x)
         if n == 1:
             out = unit * cmath.exp(1j * theta0)
@@ -479,7 +484,7 @@ class BranchField:
             theta = np.concatenate(([theta0], ips * 1j / np.arange(1, n)))
             factor = series_exp(theta * 1j)
             out = np.array([series_mul(c, factor) for c in unit])
-        if _inner(self._reference(x)[0], out[:, 0].tolist()).real <= 0.0:
+        if _inner(w, out[:, 0].tolist()).real <= 0.0:
             raise _breakdown(x)
         return out
 
@@ -487,7 +492,10 @@ class BranchField:
 
     def _cluster(self, x: float):
         """Ranked eigen-solve at x and the mask of this branch's cluster:
-        (values, right vectors as columns, left vectors as rows, mask)."""
+        (values, right vectors as columns, left vectors as rows, mask),
+        kept for the last x only, as `_g_point` keeps G(x)."""
+        if self._eig[0] == x:
+            return self._eig[1]
         g = self._g_point(x)[0]
         if self._real_vectors:
             vals, vecs = np.linalg.eigh(g.real)
@@ -501,8 +509,9 @@ class BranchField:
             vals, vecs = vals[idx], vecs[:, idx]
             left = np.linalg.inv(vecs)
         vals = vals.astype(complex)
-        return (vals, vecs.astype(complex), left.astype(complex),
-                self._members(vals, x))
+        self._eig = (x, (vals, vecs.astype(complex), left.astype(complex),
+                         self._members(vals, x)))
+        return self._eig[1]
 
     def _members(self, vals: np.ndarray, x: float) -> np.ndarray:
         """Mask of this branch's cluster among the ranked eigenvalues at x.
@@ -566,7 +575,7 @@ class BranchField:
         """(Q**2 coefficients, eigenprojection coefficients P_0..P_order,
         reduced resolvent coefficients S_0..S_order).
 
-        Only the last point asked for at order >= 1 is kept, for the Jet
+        Only the last point asked for is kept, for `branch` and the Jet
         views of one x asked one after another (Q**2, then s0) at the same
         or a lower order; the continuation walk does not come here.
         """
@@ -579,8 +588,7 @@ class BranchField:
             got = self._closed_form(x, order)
         else:
             got = self._reduction(x, order)
-        if order:
-            self._projs = (x, order, got)
+        self._projs = (x, order, got)
         return got
 
     def _whole_space(self, x: float, order: int):
@@ -653,7 +661,7 @@ class BranchField:
             wt[k] = -wt[0] @ np.einsum(chain, mt[1:k + 1], wt[k - 1::-1])
         return qsq, vecs @ pt @ left, vecs @ (wt - pt) @ left
 
-    def _gram_schmidt(self, x: float, ref: list, order: int, proj=None):
+    def _gram_schmidt(self, x: float, ref: list, order: int):
         """Gram-Schmidt of P ref: the eigenbasis continuing the columns
         `ref`, d x N x (order + 1) coefficients (values at order 0).
 
@@ -665,10 +673,8 @@ class BranchField:
         """
         if order == 0:
             return np.array(self._carry(x, ref))[:, :, None]
-        if proj is None:
-            proj = self._eigen_jets(x, order)[1]
         ref = np.array(ref)
-        basis = np.einsum("tij,cj->cit", proj, ref)
+        basis = np.einsum("tij,cj->cit", self._eigen_jets(x, order)[1], ref)
         for j, u in enumerate(basis):
             if j:
                 ips = np.array([series_inner(e, u) for e in basis[:j]])
@@ -683,10 +689,10 @@ class BranchField:
             basis[j] = u @ series_matrix(factor).T
         return np.ascontiguousarray(basis)
 
-    def _basis(self, x: float, order: int, proj=None) -> np.ndarray:
+    def _basis(self, x: float, order: int) -> np.ndarray:
         # at order 0 the values, `_reference(x)`
         return self._gram_schmidt(x, self._reference(x) if order
-                                  else self._frame(x), order, proj)
+                                  else self._frame(x), order)
 
     def basis_jets(self, x: float, order: int) -> tuple:
         """Orthonormal basis jets of the branch's eigenspace.
@@ -702,14 +708,20 @@ class BranchField:
         return int(self._members(self._ranked_values(x), x).sum())
 
     def branch(self, x: float, order: int) -> EigenBranch:
-        """The branch at x to `order`, from one eigen-solve: everything the
-        correction engine reads of a point (see `EigenBranch`)."""
-        qsq, proj, res = self._eigen_jets(x, order)
-        q = self._q(x, qsq)
-        eps0 = _eps0(qsq, self.prob.a_jet, x, order - 2) if order > 1 else None
+        """The branch at x to `order`, from one eigen-solve at x (a complex
+        Kato gauge adds its phase integral's): everything the correction
+        engine reads of a point (see `EigenBranch`).  At a turning point
+        Q and eps0 are None, and Q**2 and s0 are still there."""
+        qsq, proj, res = self._eigen_jets(x, order)     # kept by the memo
+        q = eps0 = None
+        if not lead_is_zero(qsq):
+            q = self._q(x, qsq)
+            if order > 1:
+                eps0 = _eps0(qsq, self.prob.a_jet, x, order - 2)
         d = round(np.trace(proj[0]).real)           # P's trace is its rank
-        basis = self._basis(x, order, proj) if 1 < d < self.n else None
-        s0 = self._s0(x, order, proj, basis)
+        basis = self._basis(x, order) if 1 < d < self.n else None
+        s0 = (self._s0(x, order) if basis is None or self._theta1 is not None
+              else self._gauged(x, order, basis[0]))    # `_s0`, basis reused
         # (l, s0) = (s0, P s0) = (s0, s0)
         left = (np.einsum("sji,jts->it", proj.conj(), series_matrix(s0))
                 if self._oblique else s0)

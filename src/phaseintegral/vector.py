@@ -105,9 +105,8 @@ class _Point:
     in Y, s_perp and b (staged) and in s and c_par (finished)."""
 
     x: float
-    branch: EigenBranch        # Q**2, Q, eps0, s0, S, ... to order K
+    branch: EigenBranch        # Q**2, Q, eps0, s0, S, basis, ... to order K
     perp: np.ndarray           # -2 Q^2 S, matrix coefficients
-    basis: np.ndarray | None   # cluster basis (1 < d < N), basis[0] = s0
     work: PointWork            # the recurrence's tables
     Y: np.ndarray              # (levels, K + 1), work.Y
     s: np.ndarray              # (levels, N, K + 1), work.s
@@ -198,8 +197,7 @@ class CorrectionEngine:
         self._conserving = variant in _CONSERVING and d < prob.n
         # a cluster short of the whole space has its own basis and Kato
         # coordinates; the whole space (P = I) is the scalar theory
-        self._degenerate = 1 < d < prob.n
-        if self._degenerate:
+        if 1 < d < prob.n:
             if hint != "real_symmetric":
                 raise UnsupportedDegeneracy(
                     "degenerate eigenvalues are only supported for real "
@@ -255,14 +253,15 @@ class CorrectionEngine:
     def _base_point(self, x: float) -> _Point:
         K = self.K
         br = self.field.branch(x, K)
+        if br.Q is None:
+            raise TurningPoint(f"Q**2 vanishes at x = {x}")
         perp = np.einsum("ts,ijs->tij",                 # -2 Q^2 S
                          series_matrix(-2.0 * br.Qsq), br.S)
         # a degenerate cluster (real symmetric) runs on its unit basis
-        basis = br.basis if self._degenerate else None
-        s0 = br.s0 if basis is None else basis[0]
+        s0 = br.s0 if br.basis is None else br.basis[0]
         levels = self.m_max + 1
         work = PointWork(br.Q, br.eps0, s0, levels, K)
-        return _Point(x, br, perp, basis, work,
+        return _Point(x, br, perp, work,
                       Y=work.Y, s=work.s, b=work.b,
                       s_perp=np.zeros((levels,) + s0.shape, dtype=complex),
                       c_par=np.zeros((levels, K + 1), dtype=complex))
@@ -291,10 +290,11 @@ class CorrectionEngine:
                                    + self._cpar_boundary(pt, m, k))
             coefs.append(pt.c_par[m, :k + 1])
             vecs.append(pt.s[0, :, :k + 1])
-        if pt.basis is not None:
-            for i in range(1, len(pt.basis)):
+        basis = pt.branch.basis
+        if basis is not None:
+            for i in range(1, len(basis)):
                 coefs.append(self._anchored(pt, m, i, k))
-                vecs.append(pt.basis[i][:, :k + 1])
+                vecs.append(basis[i][:, :k + 1])
         pt.s[m, :, :k + 1] = pt.s_perp[m, :, :k + 1]
         if coefs:
             pt.s[m, :, :k + 1] += series_contract(np.array(coefs),
@@ -333,7 +333,7 @@ class CorrectionEngine:
         subtracts s0 (s0, s_perp) / (s0, s0), which makes (s0, s_m) = 0 (P
         may be oblique there)."""
         s0, (N, n) = pt.s[0], pt.s.shape[1:]
-        left = pt.branch.left if pt.basis is None else s0
+        left = pt.branch.left if pt.branch.basis is None else s0
         if pt.over_norm0 is None:         # one series quotient per point
             pt.over_norm0 = series_div(series_const(1.0, n),
                                        series_inner(s0, s0))
@@ -405,7 +405,7 @@ class CorrectionEngine:
 
     # ------------------------------------------------------------------
     # degenerate-subspace coordinates (real symmetric, 1 < d < N); the
-    # basis comes from BranchField.basis_jets
+    # basis comes from BranchField.branch
     # ------------------------------------------------------------------
 
     def _coord_f(self, pt: _Point, m: int, i: int, k: int) -> np.ndarray:
@@ -414,17 +414,18 @@ class CorrectionEngine:
         btilde = self._compute_b(pt, m + 1, k, stop=m)
         inner = (_times(1.0j * pt.branch.Q[:k + 1], btilde)
                  - _diff(pt.s_perp[m])[:, :k + 1])
-        return series_inner(pt.basis[i], inner)
+        return series_inner(pt.branch.basis[i], inner)
 
     def compatibility_residual(self, x: float, m: int) -> float:
         """Residual of the order-(m+1) constraint for k > 1 (1 < d < N
         only)."""
         pt = self._point(float(x), m)
-        if pt.basis is None:
+        basis = pt.branch.basis
+        if basis is None:
             return 0.0
         btilde = self._compute_b(pt, m + 1, 0, stop=m)
         inner = _diff(pt.s[m])[:, :1] - 1.0j * complex(pt.branch.Q[0]) * btilde
-        return max(abs(series_inner(e_k, inner)[0]) for e_k in pt.basis[1:])
+        return max(abs(series_inner(e_k, inner)[0]) for e_k in basis[1:])
 
     # ------------------------------------------------------------------
     # applicability monitor

@@ -685,6 +685,30 @@ class TestSchwartzianAndEps0:
         with pytest.raises(TurningPoint):
             fld.eps0_jet(0.0, 2)
 
+    @pytest.mark.parametrize("g, gauge, s0", [
+        ([["x"]], "normalized", [1.0]),
+        ([["x + 1", "1"], ["1", "1"]], "normalized", [2 ** -0.5, -2 ** -0.5]),
+        ([["x + 1", "1"], ["1", "1"]], "kato", [2 ** -0.5, -2 ** -0.5]),
+        ([["x + 1", "1"], ["1", "1"]], "raw", [1.0, -1.0]),
+    ], ids=["scalar", "normalized", "kato", "raw"])
+    def test_track_through_turning_point(self, g, gauge, s0):
+        """Q**2 = 0 is a regular point of the branch: tracking returns it
+        with its eigenvector; only the correction engine, which needs Q,
+        refuses it."""
+        rows = tuple(tuple(map(parse_expr, row)) for row in g)
+        spec = ProblemSpec(len(rows), "reduced", rows, None, {},
+                           (-1.0, 1.0), "real_symmetric")
+        prob = split_R(spec, 1.0, None)
+        gauge_g = parse_expr("1") if gauge == "raw" else None
+        track = eigen_track(prob, [-0.5, 0.0, 0.5], 0, 2, gauge, gauge_g)
+        g0 = np.ones((2, 2)) if len(rows) == 2 else np.zeros((1, 1))
+        assert track[1].eigen_residual(g0) < 1e-14
+        assert_allclose(track[1].s0_values(), s0, atol=1e-14)
+        fld = BranchField(prob, 0, gauge, gauge_g, anchor=-0.5)
+        engine = CorrectionEngine(prob, fld, "simplified_hermitian", 2, -0.5)
+        with pytest.raises(TurningPoint):
+            engine.at(0.0)
+
 
 class TestErrorPaths:
     def test_degenerate_parameterization(self):
