@@ -157,17 +157,14 @@ def _field(args, prob, x_ref, anchor):
     gauge_opt = args.gauge
     if gauge_opt is None:
         gauge_opt = "normalized" if theory != "non_hermitian" else "raw"
+    g = None
     if gauge_opt == "raw" or gauge_opt.startswith("raw:"):
         g = parse_expr(gauge_opt[4:] if gauge_opt != "raw" else "1")
-        field = BranchField(prob, rank, "raw", g, anchor=anchor)
+        gauge_opt = "raw"
     elif gauge_opt not in ("normalized", "kato"):
         raise InputError(f"bad --gauge {gauge_opt!r} "
                          "(expected normalized, kato or raw[:g])")
-    else:
-        gauge = "kato" if (gauge_opt == "normalized"
-                           and prob.hermitian_hint == "hermitian") else gauge_opt
-        field = BranchField(prob, rank, gauge, None, anchor=anchor)
-    return field, theory
+    return BranchField(prob, rank, gauge_opt, g, anchor=anchor), theory
 
 
 def _engine(args, prob, grid):

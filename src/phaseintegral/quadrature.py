@@ -1,9 +1,10 @@
 """Anchored indefinite integrals for the correction recurrences.
 
-The conserving coordinates c_m, the degenerate Kato coordinates, the Kato
-phase and the wave phase are indefinite integrals anchored at a
-user-chosen point (integration constant 0 there).  Their integrands are
-available as Taylor jets, so :class:`JetChainIntegral` integrates them with
+The conserving coordinates c_m, the degenerate Kato coordinates and the
+wave phase are indefinite integrals anchored at a user-chosen point
+(integration constant 0 there); the Kato phase of a continuation step is
+anchored at the step's start.  Their integrands are available as Taylor
+jets, so :class:`JetChainIntegral` integrates them with
 the two-point Hermite (Obreshkov) rule on the endpoint jets and keeps one
 partial sum per rung of a fixed quarter-unit ladder, so a value depends on
 x alone.

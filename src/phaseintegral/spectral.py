@@ -34,21 +34,22 @@ Gauges:
              g e/e_1 (g e/e_2, the row-swapped analogue, when G12 is the
              smaller off-diagonal entry); g(x) times the unit eigenvector
              for N > 2;
-  normalized unit eigenvector with sign/phase continued from the anchor;
-  kato       normalized with (e1, e1') = 0; equal to `normalized` for real
-             eigenvectors, otherwise exp(i theta1) times the section pinned
-             at the anchor, theta1 = i * int (e~, e~') dx along it.
+  normalized unit eigenvector with sign/phase continued from the anchor,
+             in the Kato gauge for a complex one of a hermitian G;
+  kato       normalized with (e1, e1') = 0: a complex unit eigenvector takes
+             exp(i theta) on each walk step, theta = i int (e~, e~') dx
+             along the step's Gram-Schmidt e~ of P.
 
 The continuation walk runs on values (P from the closed form on complex
 numbers, or from the eigen-solve); Q**2, P, S and the eigenbasis at order
 >= 1 run on coefficient arrays.  `BranchField.branch` returns a point's
-snapshot as arrays, from one eigen-solve at x (a complex Kato gauge adds
-its phase integral's); `qsq_jet`, `q_jet`, `eps0_jet`, `s0_jets` and
-`basis_jets` are Jet views of the same computation.
+snapshot as arrays, from one eigen-solve at x (a Kato phase adds order-5
+solves); `qsq_jet`, `q_jet`, `eps0_jet`, `s0_jets` and `basis_jets` are
+Jet views of the same computation.
 
 A `BranchField` keeps one point: G(x) and the eigen-jets of the last x
 asked.  What else it holds is bounded by the interval it has walked (the
-continued frames, theta1 for a complex Kato gauge, and the sibling fields
+continued frames with a Kato phase integral each, and the sibling fields
 of `complement_jets`), not by the number of points asked.
 """
 
@@ -103,10 +104,6 @@ class EigenBranch:
     left: np.ndarray            # P^H s0 (s0 itself for an orthogonal P)
     S: np.ndarray               # reduced resolvent, (N, N, n)
     basis: Optional[np.ndarray]  # (d, N, n) for a cluster with 1 < d < N
-    degeneracy: int
-    gauge: str                # "raw" | "normalized" | "kato"
-    branch_id: int
-    gauge_g: Optional[Expression] = None
 
     @property
     def n(self) -> int:
@@ -241,15 +238,18 @@ class BranchField:
         self._oblique = prob.hermitian_hint not in ("real_symmetric",
                                                     "hermitian")
         self._frames: dict[int, list] = {}
-        self._theta1: JetChainIntegral | None = None
+        self._phases: dict[int, JetChainIntegral] = {}  # see `_step`
+        # complex unit vectors (d = 1, set at the anchor's frame) take the
+        # Kato phase: an orthogonal P's in a unit gauge, an oblique one's
+        # in the kato gauge
+        self._phased = not self._real_vectors and (
+            gauge == "kato" or gauge == "normalized" and not self._oblique)
         self._siblings: dict[int, "BranchField"] = {}
         self._scalar_matrix = _is_scalar_matrix(prob.G)
         self._gval: tuple = (None,)       # x and `_g_point` of the last x
         self._eig: tuple = (None,)        # x and `_cluster` of the last x
         self._projs: tuple | None = None  # (x, order, _eigen_jets result)
         self._d: int | None = None        # cluster size at the anchor
-        if gauge == "kato" and not self._real_vectors:
-            self._theta1 = JetChainIntegral(self._theta1_jet, self.anchor)
 
     # -- G at one point ------------------------------------------------------
 
@@ -336,8 +336,6 @@ class BranchField:
             return s0
         if self.gauge == "raw" and self.n == 2:
             return self._s0_raw(x, order)
-        if self._theta1 is not None:
-            return self._kato(x, self._section(x, order))
         return self._gauged(x, order, self._basis(x, order)[0])
 
     def _gauged(self, x: float, order: int, unit: np.ndarray) -> np.ndarray:
@@ -373,23 +371,22 @@ class BranchField:
 
     def _reference(self, x: float) -> list:
         """The continued eigenbasis at x: d columns of N complex values."""
-        return self._carry(x, self._frame(x))
+        return self._step(self._frame(x), x)
 
-    def _frame(self, x: float) -> list:
-        """Continued eigenbasis at the last alignment step between the
-        anchor and x, as `_reference` gives it.
+    def _frame(self, x: float) -> int:
+        """Key of the last alignment step between the anchor and x, whose
+        frame `_frames[key]` (at anchor + key _ALIGN_STEP) it walks to.
 
         The walk starts from the eigenvectors at the anchor, each with its
         largest component made real and positive, and moves outward in
-        steps of _ALIGN_STEP, each step continuing the last (`_carry`).
+        steps of _ALIGN_STEP, each step continuing the last (`_step`).
         """
         k = int(math.floor(abs(_finite(x) - self.anchor) / _ALIGN_STEP
                            + 1e-12))
-        sgn = 1.0 if x >= self.anchor else -1.0
-        key = int(k * sgn)
-        got = self._frames.get(key)
-        if got is not None:
-            return got
+        sgn = 1 if x >= self.anchor else -1
+        key = k * sgn
+        if key in self._frames:
+            return key
         if 0 not in self._frames:
             if self.n == 2 and self._oblique:
                 # eig may order a conjugate pair by round-off; P does not
@@ -401,14 +398,37 @@ class BranchField:
                 v = vecs[:, inside]      # unit columns from eigh / eig
             self._frames[0] = [(c * self._lead_phase(c)).tolist()
                                for c in v.T]
+            self._phased &= v.shape[1] == 1     # no abelian phase for d > 1
         # walk outward from the largest cached step on this side
         have = max((abs(j) for j in self._frames
                     if j == 0 or (j > 0) == (sgn > 0)), default=0)
-        frame = self._frames[int(have * sgn)]
         for j in range(have + 1, k + 1):
-            frame = self._carry(self.anchor + sgn * j * _ALIGN_STEP, frame)
-            self._frames[int(j * sgn)] = frame
-        return self._frames[key]
+            self._frames[j * sgn] = self._step(
+                (j - 1) * sgn, self.anchor + sgn * j * _ALIGN_STEP)
+        return key
+
+    def _step(self, key: int, t: float) -> list:
+        """The frame `key` continued to t (`_carry`), times exp(i theta) if
+        the field is `_phased`: theta = i int (e~, e~') from the frame's x,
+        e~ the Gram-Schmidt of P through the frame.  The integral is kept
+        per frame, so its start jet is made once."""
+        ref = self._frames[key]
+        basis = self._carry(t, ref)
+        if not self._phased:
+            return basis
+        theta = self._phases.get(key)
+        if theta is None:
+            theta = self._phases[key] = JetChainIntegral(
+                lambda s: self._phase_jet(s, ref),
+                self.anchor + key * _ALIGN_STEP)
+        phase = cmath.exp(1j * theta.value(t))
+        return [[a * phase for a in basis[0]]]
+
+    def _phase_jet(self, t: float, ref: list) -> Jet:
+        """i (e~, e~') at t, e~ the order-5 Gram-Schmidt of P(t) ref (real:
+        e~ is unit), P solved apart from the point memo of `_eigen_jets`."""
+        e = self._gram_schmidt(t, ref, self._solve(t, 5)[1])[0]
+        return Jet._raw(float(t), series_inner(e, _derivative(e)) * 1j)
 
     def _lead_phase(self, v: np.ndarray) -> complex:
         """Phase that makes the largest component of v real and positive."""
@@ -456,37 +476,13 @@ class BranchField:
             basis.append(v)
         return basis
 
-    # -- Kato phase for complex non-degenerate vectors ----------------------
-
-    def _theta1_jet(self, t: float):
-        e = self._section(t, 5)
-        ip = [series_mul(c.conj()[:5], c[1:] * np.arange(1, 6)) for c in e]
-        return Jet._raw(float(t), sum(ip[1:], ip[0]) * 1j)  # real: e is unit
-
-    def _section(self, x: float, order: int) -> np.ndarray:
-        """The unit vector the Kato phase multiplies: the Gram-Schmidt of P
-        applied to the anchor's basis, one smooth section pinned there."""
-        return self._gram_schmidt(x, self._frame(self.anchor), order)[0]
-
-    def _kato(self, x: float, unit: np.ndarray) -> np.ndarray:
-        """exp(i theta) times the section `unit`, theta its phase
-        integrated from the anchor.  Refused where it has turned away from
-        the continued eigenvector: past a quarter turn from the anchor the
-        section P e_anchor has vanished and changed sign."""
+    def _kato(self, unit: np.ndarray) -> np.ndarray:
+        """The Kato vector's jets through the value of `unit`, (N, n): unit
+        times exp(i theta), theta = i int (e, e') from x, zero at x."""
         n = unit.shape[1]
-        w = self._reference(x)[0]       # before theta1 walks elsewhere
-        theta0 = self._theta1.value(x)
-        if n == 1:
-            out = unit * cmath.exp(1j * theta0)
-        else:
-            ips = sum(series_mul(c.conj()[:n - 1], c[1:] * np.arange(1, n))
-                      for c in unit)                # (e, e')
-            theta = np.concatenate(([theta0], ips * 1j / np.arange(1, n)))
-            factor = series_exp(theta * 1j)
-            out = np.array([series_mul(c, factor) for c in unit])
-        if _inner(w, out[:, 0].tolist()).real <= 0.0:
-            raise _breakdown(x)
-        return out
+        i_theta = np.zeros(n, dtype=complex)        # -int (e, e') from x
+        i_theta[1:] = -series_inner(unit, _derivative(unit)) / np.arange(1, n)
+        return unit @ series_matrix(series_exp(i_theta)).T
 
     # -- eigenprojection jets -----------------------------------------------
 
@@ -582,14 +578,17 @@ class BranchField:
         memo = self._projs
         if memo is not None and memo[0] == x and memo[1] >= order:
             return tuple(a[:order + 1] for a in memo[2])
-        if self._scalar_matrix:
-            got = self._whole_space(x, order)
-        elif self.n == 2:
-            got = self._closed_form(x, order)
-        else:
-            got = self._reduction(x, order)
+        got = self._solve(x, order)
         self._projs = (x, order, got)
         return got
+
+    def _solve(self, x: float, order: int):
+        """`_eigen_jets` at x, solved anew."""
+        if self._scalar_matrix:
+            return self._whole_space(x, order)
+        if self.n == 2:
+            return self._closed_form(x, order)
+        return self._reduction(x, order)
 
     def _whole_space(self, x: float, order: int):
         """G = c(x) I (N = 1 included): the cluster is the whole space, so
@@ -661,9 +660,9 @@ class BranchField:
             wt[k] = -wt[0] @ np.einsum(chain, mt[1:k + 1], wt[k - 1::-1])
         return qsq, vecs @ pt @ left, vecs @ (wt - pt) @ left
 
-    def _gram_schmidt(self, x: float, ref: list, order: int):
-        """Gram-Schmidt of P ref: the eigenbasis continuing the columns
-        `ref`, d x N x (order + 1) coefficients (values at order 0).
+    def _gram_schmidt(self, x: float, ref: list, proj: np.ndarray):
+        """Gram-Schmidt of P ref, P the coefficients `proj` at x: the
+        eigenbasis continuing the columns `ref`, d x N x (order + 1).
 
         Each column e_j has (ref_j, e_j) real and positive.  For an
         orthogonal projector Gram-Schmidt gives that already; for an oblique
@@ -671,10 +670,9 @@ class BranchField:
         For u the projected column, e_j = u sqrt(1/(u, u)), or with the
         phase u sqrt(conj(w)/(w (u, u))), w = (ref_j, u).
         """
-        if order == 0:
-            return np.array(self._carry(x, ref))[:, :, None]
+        order = len(proj) - 1
         ref = np.array(ref)
-        basis = np.einsum("tij,cj->cit", self._eigen_jets(x, order)[1], ref)
+        basis = np.einsum("tij,cj->cit", proj, ref)
         for j, u in enumerate(basis):
             if j:
                 ips = np.array([series_inner(e, u) for e in basis[:j]])
@@ -690,9 +688,13 @@ class BranchField:
         return np.ascontiguousarray(basis)
 
     def _basis(self, x: float, order: int) -> np.ndarray:
-        # at order 0 the values, `_reference(x)`
-        return self._gram_schmidt(x, self._reference(x) if order
-                                  else self._frame(x), order)
+        """The continued eigenbasis at x (`_reference`) with its jets: the
+        Gram-Schmidt of P through it, times the Kato phase if `_phased`."""
+        ref = self._reference(x)
+        if not order:
+            return np.array(ref)[:, :, None]
+        basis = self._gram_schmidt(x, ref, self._eigen_jets(x, order)[1])
+        return self._kato(basis[0])[None] if self._phased else basis
 
     def basis_jets(self, x: float, order: int) -> tuple:
         """Orthonormal basis jets of the branch's eigenspace.
@@ -708,10 +710,10 @@ class BranchField:
         return int(self._members(self._ranked_values(x), x).sum())
 
     def branch(self, x: float, order: int) -> EigenBranch:
-        """The branch at x to `order`, from one eigen-solve at x (a complex
-        Kato gauge adds its phase integral's): everything the correction
-        engine reads of a point (see `EigenBranch`).  At a turning point
-        Q and eps0 are None, and Q**2 and s0 are still there."""
+        """The branch at x to `order`, from one eigen-solve at x (a Kato
+        phase adds order-5 solves): everything the correction engine reads
+        of a point (see `EigenBranch`).  At a turning point Q and eps0 are
+        None, and Q**2 and s0 are still there."""
         qsq, proj, res = self._eigen_jets(x, order)     # kept by the memo
         q = eps0 = None
         if not lead_is_zero(qsq):
@@ -720,14 +722,13 @@ class BranchField:
                 eps0 = _eps0(qsq, self.prob.a_jet, x, order - 2)
         d = round(np.trace(proj[0]).real)           # P's trace is its rank
         basis = self._basis(x, order) if 1 < d < self.n else None
-        s0 = (self._s0(x, order) if basis is None or self._theta1 is not None
+        s0 = (self._s0(x, order) if basis is None
               else self._gauged(x, order, basis[0]))    # `_s0`, basis reused
         # (l, s0) = (s0, P s0) = (s0, s0)
         left = (np.einsum("sji,jts->it", proj.conj(), series_matrix(s0))
                 if self._oblique else s0)
         return EigenBranch(x, qsq, q, eps0, s0, left, res.transpose(1, 2, 0),
-                           basis, d, self.gauge, self.rank,
-                           self.gauge_g if self.gauge == "raw" else None)
+                           basis)
 
     def complement_jets(self, x: float, order: int) -> tuple:
         """Orthonormal-complement vectors: the eigenvectors of the other
@@ -772,15 +773,16 @@ def _inner(a: list, b: list) -> complex:
     return sum(map(mul, map(complex.conjugate, a), b))
 
 
-def _breakdown(x: float) -> GramSchmidtBreakdown:
-    return GramSchmidtBreakdown(
-        f"eigenbasis continuation degenerates at x = {x}; "
-        "evaluate on a subinterval anchored closer to it")
+def _derivative(v: np.ndarray) -> np.ndarray:
+    """The derivative of an (N, n) vector series, one order short."""
+    return v[:, 1:] * np.arange(1, v.shape[1])
 
 
 def _guard_breakdown(norm_sq: complex, x: float):
     if abs(norm_sq) < 1e-24:
-        raise _breakdown(x)
+        raise GramSchmidtBreakdown(
+            f"eigenbasis continuation degenerates at x = {x}; "
+            "evaluate on a subinterval anchored closer to it")
 
 
 # --------------------------------------------------------------------------
@@ -815,7 +817,9 @@ def eigen_track(prob: ReducedProblem, grid: Sequence[float], rank: int,
 
 
 def kato_gauge(field: BranchField, anchor: float) -> BranchField:
-    """Kato-gauged copy of a branch field (theta1 accumulated from anchor)."""
+    """Kato-gauged copy of a branch field, continued from `anchor`: its
+    unit eigenvector has (e, e') = 0, the phase carried by each walk step.
+    A complex cluster (d > 1) has no such phase and is refused."""
     if field.gauge == "kato" and field.anchor == anchor:
         return field
     d = field.degeneracy(anchor)

@@ -169,13 +169,9 @@ class CorrectionEngine:
                 "real_symmetric", "hermitian"):
             raise GaugeNotFixed(
                 f"{variant} requires a hermitian matrix (hint={hint!r})")
-        if variant in _CONSERVING:
-            kato_ok = branch.gauge == "kato" or (
-                branch.gauge == "normalized" and hint == "real_symmetric")
-            if not kato_ok:
-                raise GaugeNotFixed(
-                    f"{variant} requires the Kato gauge; got "
-                    f"gauge={branch.gauge!r} with hint={hint!r}")
+        if variant in _CONSERVING and branch.gauge == "raw":
+            raise GaugeNotFixed(f"{variant} requires the Kato gauge "
+                                "(normalized or kato), not raw")
         self.prob = prob
         self.field = branch
         self.variant = variant

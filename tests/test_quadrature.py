@@ -323,10 +323,13 @@ class TestAgainstMpmath:
         self._check(engine._coords[(1, 0)])
 
     def test_kato_phase(self):
-        from test_spectral import _complex_pair_rows, _hermitian
-        fld = BranchField(_hermitian(_complex_pair_rows()), 0, "kato", None,
-                          anchor=2.45)
-        self._check(fld._theta1, (2.1, 2.8))
+        # i (e~, e~') along the section pinned at the anchor, on order-5
+        # jets, as a Kato phase integral takes it within a quarter turn
+        from test_spectral import (_complex_pair_rows, _hermitian,
+                                   _pinned_section, _section_phase_rate)
+        section = _pinned_section(_hermitian(_complex_pair_rows()), 0, 2.45)
+        self._check(JetChainIntegral(
+            lambda t: _section_phase_rate(section(t, 5)), 2.45), (2.1, 2.8))
 
     def test_degenerate_coordinates(self, deg3):
         fld = BranchField(deg3, 0, "normalized", None, anchor=2.0)

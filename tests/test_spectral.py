@@ -152,9 +152,10 @@ class TestKatoGauge:
         assert_allclose(restored.imag, 0.0, atol=1e-12)
 
     def test_quadrature_against_independent_oracle(self):
-        # The applied Kato phase must match an independent adaptive
-        # quadrature of i (e~, e~') for the section theta1 integrates: the
-        # Gram-Schmidt of P applied to the anchor's eigenvector.
+        # Within a quarter turn, the Kato vector is exp(i theta) times the
+        # section pinned at the anchor, P(x) e(anchor) normalized, with
+        # theta = i int (e~, e~') along it: an independent adaptive
+        # quadrature on the section's closed-form jets.
         g12 = parse_expr("(x - 1)*cos(x)*sin(x)*exp(i*x)")
         g21 = parse_expr("(x - 1)*cos(x)*sin(x)*exp(-i*x)")
         spec = ProblemSpec(2, "reduced",
@@ -163,17 +164,15 @@ class TestKatoGauge:
                            None, {}, (2.0, 2.9), "hermitian")
         prob = split_R(spec, 1.0, None)
         fld = BranchField(prob, 0, "kato", None, anchor=2.2)
-        # the section's coefficients, (N, order + 1)
-        section = BranchField(prob, 0, "kato", None, anchor=2.2)._section
+        section = _pinned_section(prob, 0, 2.2)
 
         def integrand(t):
-            e = section(t, 1)
-            return 1j * sum(c[0].conjugate() * c[1] for c in e)
+            return _section_phase_rate(section(t, 1)).value
 
         theta = quad(integrand, 2.2, 2.7)
-        assert abs(theta.imag) < 1e-10        # theta1 is real
+        assert abs(theta.imag) < 1e-10        # theta is real
         e_kato = np.array([c.value for c in fld.s0_jets(2.7, 0)])
-        e_section = section(2.7, 0)[:, 0]
+        e_section = _values(section(2.7, 0))
         ratio = e_kato / e_section
         assert_allclose(ratio, np.full(2, ratio[0]), atol=1e-10)
         assert_allclose(ratio[0], cmath.exp(1j * theta), atol=1e-9)
@@ -204,45 +203,140 @@ def _hermitian(rows):
     return split_R(spec, 1.0, None)
 
 
-def _quarter_turn_field():
-    """G = U diag(1, 3) U^H, U = [[cos x, -sin x w], [sin x conj(w), cos x]]
-    with w = exp(0.7i): eigenvectors with a constant complex phase that
-    turn at unit rate, so the Kato section P(x) e(1) vanishes at 1 + pi/2."""
-    rows = [["cos(x)^2 + 3*sin(x)^2", "-2*cos(x)*sin(x)*exp(0.7*i)"],
-            ["-2*cos(x)*sin(x)*exp(-0.7*i)", "sin(x)^2 + 3*cos(x)^2"]]
+def _pinned_section(prob, rank, anchor):
+    """(t, order) -> the jets of P(t) e / |P(t) e|, e the branch's unit
+    eigenvector at the anchor: a section pinned there, smooth within a
+    quarter turn of it.  P = (G - mu)/(Q**2 - mu) is the N = 2 closed form
+    on G's jets and the two branches' Q**2 (mu the other's), so no
+    eigenvector path of the library enters."""
+    fields = [BranchField(prob, r, "normalized", None, anchor=anchor)
+              for r in (0, 1)]
+    e = _values(fields[rank].s0_jets(anchor, 0))
+
+    def section(t, order):
+        qsq = fields[rank].qsq_jet(t, order)
+        mu = fields[1 - rank].qsq_jet(t, order)
+        g = prob.G_jet(t, order)
+        pe = [(g[i][0] * e[0] + g[i][1] * e[1] - mu * e[i]) / (qsq - mu)
+              for i in (0, 1)]
+        norm = jets.jet_sqrt(pe[0].conj() * pe[0] + pe[1].conj() * pe[1])
+        return [c / norm for c in pe]
+    return section
+
+
+def _section_phase_rate(e):
+    """i (e, e') of a unit vector of jets, one order short."""
+    return 1j * sum(c.truncated(c.order - 1).conj() * c.diff() for c in e)
+
+
+def _turning_field(phase):
+    """G = U diag(1, 3) U^H, U = [[cos x, -sin x w], [sin x conj(w),
+    cos x]], w = exp(i phase): its eigenvectors turn at unit rate, so a
+    section pinned at 1 vanishes at 1 + pi/2."""
+    rows = [["cos(x)^2 + 3*sin(x)^2", f"-2*cos(x)*sin(x)*exp(i*({phase}))"],
+            [f"-2*cos(x)*sin(x)*exp(-i*({phase}))", "sin(x)^2 + 3*cos(x)^2"]]
     return {"n": 2, "form": "reduced", "R": rows, "params": {},
             "domain": [-2.0, 8.0], "hermitian_hint": "hermitian",
             "lambda": 1.0}
 
 
-class TestKatoQuarterTurn:
-    """Past a quarter turn from the anchor the Kato section has changed
-    sign; the gauge is refused there, never returned flipped."""
+def _rotated_vector(x, phase, rank):
+    """The columns of U (`_turning_field`) as jets: rank 0 (cos x, sin x
+    conj(w)), rank 1 (-sin x w, cos x)."""
+    w = jets.jet_exp(1j * phase)
+    c, s = jets.jet_cos(x), jets.jet_sin(x)
+    return (c, s * w.conj()) if rank == 0 else (-1.0 * s * w, c)
+
+
+def _one_phase_off(fld, vector, anchor, xs):
+    """Largest difference of the field's s0 coefficients, orders 0-3 at
+    xs, from those of vector(x) times the one constant phase that matches
+    the two at the anchor."""
+    def coeffs(vec):
+        return np.array([c.coeffs for c in vec])
+    alpha = np.vdot(_values(vector(anchor)), _values(fld.s0_jets(anchor, 0)))
+    assert abs(abs(alpha) - 1.0) < 1e-12
+    return max(np.max(np.abs(coeffs(fld.s0_jets(x, 3))
+                             - alpha * coeffs(vector(x)))) for x in xs)
+
+
+class TestKatoOracles:
+    """The Kato vector against closed forms, on both sides of a quarter
+    turn from the anchor: each walk step carries its own phase, so no
+    section pinned at the anchor is there to vanish."""
+
+    XS = [float(x) for x in np.linspace(-1.5, 7.9, 48)]
+
+    @pytest.mark.parametrize("gauge", ["kato", "normalized"])
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_berry_phase(self, gauge, rank):
+        # w = exp(ix): the Kato vectors are exp(+-i theta) times the columns
+        # of U, with theta = int_1^x sin^2 = (x - 1)/2 - (sin 2x - sin 2)/4,
+        # up to one constant phase; a complex unit vector is the Kato
+        # vector in either gauge
+        spec, lam, a = load_problem(_turning_field("x"))
+        fld = BranchField(split_R(spec, lam, a), rank, gauge, None,
+                          anchor=1.0)
+
+        def kato(x):
+            t = jet_variable(x, 3)
+            theta = (t - 1.0) * 0.5 - (jets.jet_sin(2.0 * t)
+                                       - math.sin(2.0)) * 0.25
+            turn = jets.jet_exp((1j if rank == 0 else -1j) * theta)
+            return [turn * c for c in _rotated_vector(t, t, rank)]
+
+        assert _one_phase_off(fld, kato, 1.0, self.XS) <= 1e-12
 
     @pytest.mark.parametrize("rank", [0, 1])
-    def test_refused_past_the_turn(self, rank):
-        spec, lam, a = load_problem(_quarter_turn_field())
-        prob = split_R(spec, lam, a)
-        kato = BranchField(prob, rank, "kato", None, anchor=1.0)
-        plain = BranchField(prob, rank, "normalized", None, anchor=1.0)
-        before = _values(kato.s0_jets(2.565, 0))
-        assert_allclose(before, _values(plain.s0_jets(2.565, 0)), atol=1e-3)
-        for x in (1.0 + math.pi / 2, 2.575, 3.0, 4.5):
-            with pytest.raises(GramSchmidtBreakdown, match="anchored closer"):
-                kato.s0_jets(x, 0)
-            with pytest.raises(GramSchmidtBreakdown):
-                kato.s0_jets(x, 3)
+    def test_quarter_turn(self, rank):
+        # w = exp(0.7i): (e, e') = 0 for the columns of U themselves, so
+        # the Kato vector is one of them times a constant phase, on both
+        # sides of 1 + pi/2
+        spec, lam, a = load_problem(_turning_field("0.7"))
+        fld = BranchField(split_R(spec, lam, a), rank, "kato", None,
+                          anchor=1.0)
+        assert _one_phase_off(fld, lambda x: _rotated_vector(
+            jet_variable(x, 3), jet_const(0.7, x, 3), rank), 1.0,
+            self.XS) <= 1e-12
 
-    def test_cli_exits_3(self, capsys, tmp_path):
+    def test_cli_past_the_quarter_turn(self, capsys, tmp_path):
         from phaseintegral.cli import main
         path = tmp_path / "turn.json"
-        path.write_text(json.dumps(_quarter_turn_field()))
+        path.write_text(json.dumps(_turning_field("0.7")))
         code = main(["corrections", "--problem", str(path), "--branch", "0",
                      "--theory", "simplified", "--order", "1", "--at", "3",
                      "--anchor", "1"])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err.startswith("evaluation error: GramSchmidtBreakdown:")
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert out
+
+
+class TestObliqueKato:
+    """The nonhermitian example is D Fex1 D^-1 with D = diag(1, -i/2):
+    rank 0's eigenvector above the crossing at 1 is (sin x, i cos x/2),
+    real up to the constant i in its second component, so (e, e') = 0 for
+    it normalized, and it is the Kato vector up to one constant phase."""
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_against_closed_form(self, rank):
+        # rank 1's is (cos x, -i sin x/2); below 1 the walk from 2.0 meets
+        # the crossing
+        prob = split_R(*load_problem(example_problem("nonhermitian")))
+        fld = BranchField(prob, rank, "kato", None, anchor=2.0)
+
+        def kato(x):
+            t = jet_variable(x, 3)
+            c, s = jets.jet_cos(t), jets.jet_sin(t)
+            u = (s, 0.5j * c) if rank == 0 else (c, -0.5j * s)
+            norm = jets.jet_sqrt(u[0] * u[0] + u[1].conj() * u[1])
+            return [v / norm for v in u]
+
+        xs = [float(x) for x in np.linspace(0.25, 11.95, 60)]
+        for x in xs[:4]:
+            with pytest.raises(CrossingPoint):
+                fld.s0_jets(x, 3)
+        assert xs[3] < 1.0 < xs[4]
+        assert _one_phase_off(fld, kato, 2.0, xs[4:]) <= 1e-12
 
 
 class TestKatoGaugeBlock3:
@@ -277,7 +371,7 @@ class TestKatoGaugeBlock3:
     @pytest.mark.parametrize("rank", [0, 1])
     def test_matches_n2_engine(self, probs, rank):
         # Y_m, the conserving coordinates and s_m are the N = 2 Kato
-        # engine's: both integrate theta1 on the same section
+        # engine's: both walk the same steps with the same phases
         from phaseintegral.vector import CorrectionEngine
         prob2, prob3 = probs
         engines = [CorrectionEngine(p, BranchField(p, rank, "kato", None,
@@ -985,6 +1079,30 @@ class TestWorkCounts:
         assert counts == {"jets": 0, "jet_ops": 0, "G_jet": 0,
                           "reductions": [], "sqrt": 0, "quotient": 0}
 
+    @pytest.mark.parametrize("name, gauge", [
+        ("fex1", "normalized"), ("fex4", "normalized"), ("fex4", "raw"),
+        ("complex", "normalized")])
+    def test_phase_integrals(self, name, gauge, request, monkeypatch):
+        # real vectors, and an oblique P outside the kato gauge, take no
+        # Kato phase and build no integral; a complex unit vector builds
+        # one per frame walked, for the step from it
+        made = []
+
+        class Spy(spectral.JetChainIntegral):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+        monkeypatch.setattr(spectral, "JetChainIntegral", Spy)
+        prob = (_hermitian(_complex_pair_rows()) if name == "complex"
+                else request.getfixturevalue(name))
+        fld = BranchField(prob, 1, gauge, None, anchor=2.5)
+        for x in np.linspace(2.5, 5.5, 300):
+            fld.s0_jets(float(x), 2)
+        if name == "complex":
+            assert len(made) == len(fld._frames) == 31
+        else:
+            assert not made
+
 
 # --------------------------------------------------------------------------
 # walked stretches
@@ -1099,7 +1217,7 @@ class TestFieldMemory:
     @pytest.mark.parametrize("name, gauge, anchor, span", [
         ("fex1", "normalized", 3.0, (2.5, 3.5)),
         ("block3", "normalized", 3.0, (2.5, 3.5)),
-        # the Kato phase theta1 is an anchored integral
+        # the Kato phase: one anchored integral per walk step
         ("complex", "kato", 2.45, (2.1, 2.8)),
     ], ids=["fex1", "block3", "complex-kato"])
     def test_sweep_runs_in_flat_memory(self, name, gauge, anchor, span,
