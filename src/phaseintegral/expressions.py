@@ -23,10 +23,11 @@ Each AST, or list of ASTs, is compiled once into a tape (`JetTape`), a
 straight-line list of instructions written out as the source of two Python
 functions: a value program (`eval_expr`), which also takes a complex x,
 and a jet program of coefficient recurrences (`eval_expr_jet`), each
-compiled on its first run.  The tree walk through `Jet` arithmetic,
-`_eval`, is kept as the oracle the tape is tested against: the value
-program reproduces its order-0 jet bit for bit, and the jet program its
-coefficients.
+compiled on its first run; the value program's source, run with array
+kernels, is a third, over a vector of real x (`JetTape.grid_values`).  The
+tree walk through `Jet` arithmetic, `_eval`, is kept as the oracle the tape
+is tested against: the value program reproduces its order-0 jet bit for
+bit, and the jet program its coefficients.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import jets
 from .errors import (
     BranchPointEvaluation,
@@ -43,10 +46,12 @@ from .errors import (
     EvaluationSingularity,
     ExpressionSyntaxError,
     OrderExceeded,
+    PhaseIntegralError,
     UnboundParameter,
     UnknownFunction,
 )
-from .jets import Jet, jet_const, jet_variable, lead_is_zero, quotient
+from .jets import (LEAD_RTOL, Jet, jet_const, jet_variable, lead_is_zero,
+                   quotient)
 
 __all__ = [
     "Expression", "Const", "Var", "Param", "Neg", "Add", "Sub", "Mul", "Div",
@@ -674,6 +679,36 @@ _FUNC_KERNELS = {
 }
 
 
+# The array kernels of value kernels, for the instructions whose operand
+# depends on x.  An element that fails a check stops the run, as a numpy
+# floating-point error does, and the value program then runs x by x.
+# numpy's complex exp, sin, cos and division give cmath's and `quotient`'s
+# bits; its log and power do not, so any other kernel (ln, sqrt, a power
+# other than a whole one) runs the value kernel on each element (`_each`).
+
+def _checked(v: np.ndarray) -> np.ndarray:
+    """v, refused if an element is (near) zero, as `lead_is_zero` tests."""
+    mag = np.abs(v)
+    if np.any(mag < LEAD_RTOL * (1.0 + mag)):
+        raise FloatingPointError("an element is on a pole or branch point")
+    return v
+
+
+def _each(kernel):
+    return lambda v, *args: np.array([kernel(z, *args) for z in v.tolist()],
+                                     dtype=complex)
+
+
+_ARRAY_KERNELS = {
+    _div: lambda a, b: a / _checked(b),
+    _sincos: lambda v: (np.sin(v), np.cos(v)),
+    cmath.exp: np.exp,
+    _pow_real: lambda b, alpha: (
+        _ipow(b, int(alpha)) if alpha == int(alpha) and alpha >= 0
+        else _each(_pow_real)(b, alpha)),
+}
+
+
 def _param(p: Mapping[str, complex], name: str) -> complex:
     try:
         return complex(p[name])
@@ -693,14 +728,15 @@ class JetTape:
     `tape(x0, order, params)` returns one `Jet` per expression and
     `tape.values(x0, params)` one complex value per expression, at a real
     or complex x0; both raise EvaluationSingularity where `eval_expr_jet`
-    does.  Each program is generated as the source of one Python function,
+    does; `tape.grid_values(xs, params)` gives them at each x of a real
+    array.  Each program is generated as the source of one Python function,
     a line per instruction and a local variable per register, and compiled
     on its first run; constants, kernels and parameter names are bound in
     the function's namespace, never written into its source.  The tape
     holds no parameter values; they are read at every call.
     """
 
-    _value_program = _jet_program = None      # compiled on first run
+    _value_program = _jet_program = _array_program = None  # on first run
 
     def __init__(self, exprs):
         self._values: list = []        # the value program, a line each
@@ -710,6 +746,7 @@ class JetTape:
         self._ns: dict = {"_param": _param, "_raw": Jet._raw,
                           "_variable": jets.series_variable,
                           "_const": jets.series_const}
+        self._array_kernels: dict = {}  # kernel name -> its array kernel
         self._memo: dict = {}          # exact _ast_key -> register
         self._outs = [self._node(e) for e in exprs]
         del self._memo
@@ -740,10 +777,28 @@ class JetTape:
             raise EvaluationSingularity(
                 f"expression singular at x = {x0}: {exc}") from exc
 
+    def grid_values(self, xs: np.ndarray,
+                    params: Mapping[str, complex] | None = None) -> np.ndarray:
+        """`values` at each x of a 1-D float array, (len(xs), outputs), from
+        one run of the array program: bit for bit, but for products of two
+        non-real factors, which numpy may fuse.  On a failed check or a
+        numpy floating-point error the value program runs x by x instead,
+        so the error is the one `values` raises at the first x in order."""
+        run = self._array_program or self._compile_program(True, True)
+        out = np.empty((len(xs), len(self._outs)), dtype=complex)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                for j, v in enumerate(run(xs.astype(complex),
+                                          params or _NO_PARAMS)):
+                    out[:, j] = v
+        except (ArithmeticError, ValueError, PhaseIntegralError):
+            out[:] = [self._run_values(x, params) for x in xs.tolist()]
+        return out
+
     # -- compilation -------------------------------------------------------
 
-    def _compile_program(self, values: bool):
-        """The value or the jet program as one function, kept on the tape."""
+    def _compile_program(self, values: bool, arrays: bool = False):
+        """The value, jet or array program as one function, on the tape."""
         reg, ns = self._reg, self._ns
         ns.update((f"c{i}", v) for i, v in enumerate(self._init)
                   if v is not None)
@@ -759,9 +814,11 @@ class JetTape:
                          + [f"    {line}\n" for line in lines]
                          + [f"    return {out}\n"])
         made: dict = {}
-        exec(compile(source, "<JetTape>", "exec"), ns, made)
+        exec(compile(source, "<JetTape>", "exec"),
+             {**ns, **self._array_kernels} if arrays else ns, made)
         run = made["run"]
-        setattr(self, "_value_program" if values else "_jet_program", run)
+        setattr(self, "_array_program" if arrays else
+                "_value_program" if values else "_jet_program", run)
         return run
 
     def _reg(self, i: int) -> str:
@@ -776,7 +833,7 @@ class JetTape:
         self._values.append(value_line)
         self._steps.append(jet_line)
 
-    def _line(self, out: int, width: int, kernel, args) -> str:
+    def _line(self, out: int, width: int, kernel, args, batched=False) -> str:
         """The line that sets registers out.. to `kernel` of `args`."""
         operands = [self._reg(a) for a in args]
         if kernel in _INLINE:
@@ -784,6 +841,9 @@ class JetTape:
         else:
             name = f"k{len(self._ns)}"
             self._ns[name] = kernel
+            if batched:                 # a value kernel on an x operand
+                self._array_kernels[name] = (_ARRAY_KERNELS.get(kernel)
+                                             or _each(kernel))
             expr = f"{name}({', '.join(operands)})"
         targets = ", ".join(f"r{i}" for i in range(out, out + width))
         return f"{targets} = {expr}"
@@ -804,7 +864,7 @@ class JetTape:
             else:
                 self._init[out:out + width] = got if width > 1 else [got]
                 return out
-        self._append(self._line(out, width, value, args),
+        self._append(self._line(out, width, value, args, series),
                      self._line(out, width, jet if series else value, args))
         return out
 

@@ -132,9 +132,22 @@ class ReducedProblem:
             object.__setattr__(self, key, tape)
         return tape
 
+    def G_entries(self, x: float) -> tuple:
+        """G(x) row by row as n*n complex numbers, no array made."""
+        return self._tape().values(x, self.params)
+
     def G_value(self, x: float) -> np.ndarray:
-        return np.array(self._tape().values(x, self.params),
-                        dtype=complex).reshape(self.n, self.n)
+        return np.array(self.G_entries(x), dtype=complex).reshape(self.n,
+                                                                  self.n)
+
+    def G_values(self, xs) -> np.ndarray:
+        """`G_value` at each of the finite real abscissae xs, (len(xs), n,
+        n), from one run of the tape over xs (`JetTape.grid_values`)."""
+        xs = np.asarray(xs)
+        if xs.ndim != 1 or np.iscomplexobj(xs) or not np.isfinite(xs).all():
+            raise InvalidInput("G_values takes finite real abscissae")
+        return self._tape().grid_values(xs.astype(float), self.params
+                                        ).reshape(-1, self.n, self.n)
 
     def G_jet(self, x: float, order: int) -> list:
         """Jets of the n x n entries from the tape over all of them."""
@@ -152,9 +165,10 @@ class ReducedProblem:
         """R = lambda**-2 G + a I, optionally at an overridden lambda."""
         lam = self.lam if lam is None else lam
         *g, a = self._tape(with_a=True).values(x, self.params)
-        r = np.array(g, dtype=complex) / lam**2     # G row by row
-        r[::self.n + 1] += a
-        return r.reshape(self.n, self.n)
+        inv = 1.0 / lam**2          # numpy's scaled division by lambda**2
+        r = [v * inv for v in g]    # G row by row
+        r[::self.n + 1] = [v + a for v in r[::self.n + 1]]
+        return np.array(r, dtype=complex).reshape(self.n, self.n)
 
     def with_lambda(self, lam: float) -> "ReducedProblem":
         """Same G and a, rebound small parameter (R changes accordingly)."""

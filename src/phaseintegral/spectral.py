@@ -259,29 +259,29 @@ class BranchField:
                          for row in self.prob.G_jet(_finite(x), order)])
 
     def _g_point(self, x: float) -> tuple:
-        """(G(x), its rows as lists of complex numbers, `_cluster_tol` at
-        G(x)), kept for the last x only: an eigen-solve asks for them
-        several times in a row (ranked values, guard, cluster mask).  A G
-        that is not finite is refused here, before any solve."""
+        """(G(x) as rows of complex numbers, `_cluster_tol` at G(x)), kept
+        for the last x only: an eigen-solve asks for them several times in a
+        row (ranked values, guard, cluster mask), and only one for N != 2
+        makes an array of them.  A G that is not finite is refused here."""
         if self._gval[0] != x:
-            g = self.prob.G_value(_finite(x))
-            rows = g.tolist()
+            flat, n = self.prob.G_entries(_finite(x)), self.n
+            rows = [flat[i:i + n] for i in range(0, n * n, n)]
             tol = _cluster_tol(rows)
             if not math.isfinite(tol):      # G has an inf or NaN entry
                 raise EvaluationSingularity(f"G is not finite at x = {x}")
-            self._gval = (x, (g, rows, tol))
+            self._gval = (x, (rows, tol))
         return self._gval[1]
 
     # -- eigenvalue -------------------------------------------------------
 
     def _ranked_values(self, x: float) -> np.ndarray:
-        g, rows, _ = self._g_point(x)
+        rows = self._g_point(x)[0]
         if self.n == 2:         # the closed form's roots, ranked by _upper
             tr, delta = _discriminant(rows)
             root = cmath.sqrt(delta)
             root = root if _upper(root) else -root
             return np.array([tr - root, tr + root]) * 0.5
-        vals = np.linalg.eigvals(g)
+        vals = np.linalg.eigvals(np.array(rows, dtype=complex))
         return vals[_rank_order(vals)]
 
     def qsq_value(self, x: float) -> complex:
@@ -357,7 +357,7 @@ class BranchField:
         """
         proj = self._eigen_jets(x, order)[1]    # refuses a crossing first
         g = self._g_point(x)[0]
-        g12, g21 = abs(g[0, 1]), abs(g[1, 0])
+        g12, g21 = abs(g[0][1]), abs(g[1][0])
         if max(g12, g21) <= 1e-13 * (1.0 + max(g12, g21)):
             raise DegenerateParameterization(
                 f"both off-diagonal entries vanish at x = {x}")
@@ -492,7 +492,7 @@ class BranchField:
         kept for the last x only, as `_g_point` keeps G(x)."""
         if self._eig[0] == x:
             return self._eig[1]
-        g = self._g_point(x)[0]
+        g = np.array(self._g_point(x)[0], dtype=complex)
         if self._real_vectors:
             vals, vecs = np.linalg.eigh(g.real)
             left = vecs.T
@@ -516,7 +516,7 @@ class BranchField:
         cluster; an eigenvalue outside the cluster that close to a member
         is a crossing.
         """
-        tol = self._g_point(x)[2]
+        tol = self._g_point(x)[1]
         inside = np.abs(vals - vals[self.rank]) <= tol
         gaps = np.abs(vals[inside][:, None] - vals[~inside][None, :])
         if gaps.size and gaps.min() <= tol:
@@ -554,7 +554,7 @@ class BranchField:
         if self._scalar_matrix:
             return np.eye(self.n, dtype=complex).tolist()
         if self.n == 2:         # the closed form of `_closed_form`
-            _, g, tol = self._g_point(x)        # G's entries read once
+            g, tol = self._g_point(x)           # G's entries read once
             (g00, g01), (g10, g11) = g
             tr, delta = _discriminant(g)
             root = cmath.sqrt(delta)
@@ -608,7 +608,7 @@ class BranchField:
         g = self._g_coeffs(x, order)
         tr, delta = _discriminant(g, series_mul)
         delta0 = complex(delta[0])
-        tol = self._g_point(x)[2]
+        tol = self._g_point(x)[1]
         minus = self._minus_root(x, delta0, cmath.sqrt(delta0), tol)
         root = -series_sqrt(delta) if minus else series_sqrt(delta)
         qsq = (tr + root) * 0.5

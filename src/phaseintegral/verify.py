@@ -8,7 +8,9 @@ boundary quadrature noise).
 
 `Wave` and `WaveSample` live here: the phase integral waves and the
 reference trajectories are both sampled into them, and this module does
-not import the engine.
+not import the engine.  The crossing scan reads G on its grid from one
+`G_values` run and takes the N = 2 gap in closed form; the reference
+solve reads R once per right-hand side.
 """
 
 from __future__ import annotations
@@ -169,18 +171,24 @@ def reference_integrate(R_eval: Callable[[float], np.ndarray], x_start: float,
     u0 = np.asarray(u0, dtype=complex)
     du0 = np.asarray(du0, dtype=complex)
     n = u0.size
+    r0 = R_eval(x_start)
     # scipy's first-step guess turns a NaN here into a step search that
     # never ends, so bad start data is refused before integrating.
-    if not (np.all(np.isfinite(R_eval(x_start))) and np.all(np.isfinite(u0))
+    if not (np.all(np.isfinite(r0)) and np.all(np.isfinite(u0))
             and np.all(np.isfinite(du0))):
         raise EvaluationSingularity(
             f"non-finite R, u0 or du0 at x_start = {x_start}")
+    r_mat = R_eval if np.ndim(r0) == 2 else (     # N = 1: R may be a number
+        lambda x: np.atleast_2d(R_eval(x)))
 
     last = [x_start]            # the latest x at which R was evaluated
 
     def rhs(x, y):
         last[0] = x
-        return np.concatenate([y[n:], -(np.atleast_2d(R_eval(x)) @ y[:n])])
+        dy = np.empty(2 * n, dtype=complex)    # scipy keeps it as f(t_new)
+        dy[:n] = y[n:]
+        dy[n:] = -(r_mat(x) @ y[:n])
+        return dy
 
     # t_eval must be strictly monotone along the integration; samples are
     # mapped back to the points as given.
@@ -239,13 +247,18 @@ def order_scaling(make_wave: Callable[[float], Wave],
     return OrderScalingResult(lambdas, res, slope, True)
 
 
-def _eigen_gaps(prob: ReducedProblem, xs) -> np.ndarray:
-    """Minimal eigenvalue gap of G at each x (inf for N = 1), neighbours
-    taken in the (real, imaginary) order of the eigenvalues."""
-    n = prob.n
-    gs = np.array([prob.G_value(float(x)) for x in xs]).reshape(-1, n, n)
+def _gaps(gs: np.ndarray) -> np.ndarray:
+    """Minimal eigenvalue gap of each G in a (B, N, N) stack: inf for N = 1,
+    |sqrt((a - d)**2 + 4 b c)| for N = 2, else the least gap between
+    neighbours in the (real, imaginary) order of the eigenvalues."""
+    if not np.isfinite(gs).all():
+        raise EvaluationSingularity("G is not finite on the crossing scan")
+    n = gs.shape[-1]
     if n == 1:
         return np.full(len(gs), np.inf)
+    if n == 2:
+        diff = gs[:, 0, 0] - gs[:, 1, 1]
+        return np.abs(np.sqrt(diff * diff + 4.0 * (gs[:, 0, 1] * gs[:, 1, 0])))
     vals = np.sort(np.linalg.eigvals(gs), axis=-1)
     return np.abs(np.diff(vals, axis=-1)).min(axis=-1)
 
@@ -260,11 +273,11 @@ def crossing_diagnostics(prob: ReducedProblem, lo: float, hi: float) -> list:
     if not np.isfinite([lo, hi]).all():
         raise InvalidInput(f"crossing scan over [{lo}, {hi}] is not finite")
 
-    def gap(x: float) -> float:
-        return float(_eigen_gaps(prob, [x])[0])
+    def gap(*xs) -> np.ndarray:         # one G_value per refinement point
+        return _gaps(np.array([prob.G_value(x) for x in xs]))
 
     xs = np.linspace(lo, hi, _SCAN_POINTS)
-    gaps = _eigen_gaps(prob, xs)
+    gaps = _gaps(prob.G_values(xs))
     scale = max(1.0, float(np.median(gaps)))
     out = []
     for i in range(1, len(xs) - 1):
@@ -274,17 +287,17 @@ def crossing_diagnostics(prob: ReducedProblem, lo: float, hi: float) -> list:
             for _ in range(80):          # ternary refinement
                 m1 = a + (b - a) / 3.0
                 m2 = b - (b - a) / 3.0
-                g1, g2 = _eigen_gaps(prob, [m1, m2])    # one batched solve
+                g1, g2 = gap(m1, m2)
                 if g1 < g2:
                     b = m2
                 else:
                     a = m1
             x_cr = 0.5 * (a + b)
-            if gap(x_cr) > 1e-5 * scale:
+            if gap(x_cr)[0] > 1e-5 * scale:
                 continue
             eps = max(1e-4, 1e-6 * (1 + abs(x_cr)))
             ds = np.array([eps * 2.0 ** j for j in range(6)])
-            gs = np.array([gap(x_cr + d) for d in ds])
+            gs = gap(*(x_cr + ds))
             if np.any(gs <= 0):
                 continue
             p = float(np.polyfit(np.log(ds), np.log(gs), 1)[0])

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -411,3 +412,124 @@ def test_R_value_bit_identical_to_eye_formula(name):
             lam = prob.lam if lv is None else lv
             old = prob.G_value(x) / lam**2 + prob.a_value(x) * np.eye(prob.n)
             assert prob.R_value(x, lv).tobytes() == old.tobytes(), (name, x, lv)
+
+
+def _rotated(rate: int, third: str | None = None) -> dict:
+    """Fex1 with its eigenvectors rotating `rate` times as fast, and
+    diag(that, third) when `third` is given."""
+    c, s = f"cos({rate}*x)", f"sin({rate}*x)"
+    rows = [[f"x*{c}^2 + {s}^2", f"(x - 1)*{c}*{s}"],
+            [f"(x - 1)*{c}*{s}", f"x*{s}^2 + {c}^2"]]
+    if third is not None:
+        rows = [r + ["0"] for r in rows] + [["0", "0", third]]
+    return {"n": len(rows), "R": rows, "domain": [0.2, 12.0],
+            "hermitian_hint": "real_symmetric"}
+
+
+# every value kernel, parameters, and outputs free of x
+_WITH_PARAMS = {
+    "n": 3, "params": {"k": 0.7, "w": 1.3}, "domain": [0.5, 5.0],
+    "R": [["k*x^2.5 + w*cos(x)", "w*sin(k*x) + 1/(x + 3)", "k^2"],
+          ["w*sin(k*x) + 1/(x + 3)", "exp(-k*x)*sqrt(x + 1) + ln(x + 2)",
+           "0"],
+          ["k^2", "0", "3 - i*x^-2*w"]]}
+
+
+def _grid_problem(name):
+    if name in ("diag(fex1, 9)", "fex1 at 40x", "params"):
+        data = {"diag(fex1, 9)": _rotated(1, "9"),
+                "fex1 at 40x": _rotated(40), "params": _WITH_PARAMS}[name]
+    else:
+        data = example_problem(name)
+    spec, lam, a = load_problem(data)
+    return split_R(spec, lam, a)
+
+
+class TestGValues:
+    """G over a grid from one run of the tape's array program."""
+
+    @pytest.mark.parametrize("name", [
+        "fulling-pos", "fulling-neg", "nonhermitian", "bec-vortex",
+        "scalar-quadratic", "diag(fex1, 9)", "fex1 at 40x", "params"])
+    def test_batch_equals_per_x(self, name, monkeypatch):
+        prob = _grid_problem(name)
+        lo, hi = prob.domain
+        xs = np.linspace(lo, hi, 801)
+        per_x = []          # the value program's runs: none, no rerun
+        run_values = JetTape._run_values
+        monkeypatch.setattr(JetTape, "_run_values", lambda self, x, p: (
+            per_x.append(x), run_values(self, x, p))[1])
+        got = prob.G_values(xs)
+        assert per_x == []
+        monkeypatch.undo()
+        want = np.array([prob.G_value(float(x)) for x in xs])
+        assert got.shape == (801, prob.n, prob.n)
+        assert got.tobytes() == want.tobytes()
+
+    def test_element_equals_single_point(self):
+        prob = _grid_problem("params")
+        xs = np.linspace(0.6, 4.9, 37)
+        got = prob.G_values(xs)
+        for k in (0, 11, 36):
+            one = prob.G_values(xs[k:k + 1])
+            assert one.shape == (1, 3, 3)
+            assert one[0].tobytes() == got[k].tobytes()
+            assert got[k].tobytes() == prob.G_value(float(xs[k])).tobytes()
+
+    def test_empty_grid(self, fex1):
+        assert fex1.G_values([]).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("xs", [
+        [1.0, 2.0 + 0.5j], np.array([1.0 + 0j]), [1.0, math.nan],
+        [math.inf], [[1.0, 2.0]]])
+    def test_refuses_complex_and_non_finite(self, fex1, xs):
+        with pytest.raises(InvalidInput, match="finite real abscissae"):
+            fex1.G_values(xs)
+
+    @pytest.mark.parametrize("entry, xs", [
+        ("1/(x - 2)", np.linspace(0.0, 5.0, 11)),
+        ("sqrt(x - 3)", np.linspace(0.0, 5.0, 11)),
+        ("ln(x - 4)", np.linspace(0.0, 5.0, 11)),
+        ("1/(x - 2) + sqrt(x - 3) + ln(x - 4)", np.linspace(0.0, 5.0, 11)),
+        ("1/(x - 2) + sqrt(x - 3) + ln(x - 4)", np.linspace(5.0, 0.0, 11)),
+        ("sqrt(x - 3)*ln(x - 4)", np.linspace(2.5, 4.5, 5))])
+    def test_errors_in_grid_order(self, entry, xs):
+        # the class and message of the first per-x G_value that fails,
+        # naming its x, and no numpy warning on the way
+        e = parse_expr
+        spec = ProblemSpec(2, "reduced",
+                           ((e(entry), e("x")), (e("1"), e("x^2"))),
+                           None, {}, (0.0, 5.0), "general")
+        prob = split_R(spec, 1.0, None)
+        first = None
+        for x in xs:
+            try:
+                prob.G_value(float(x))
+            except Exception as exc:        # noqa: BLE001
+                first = exc
+                break
+        assert first is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(first)) as info:
+                prob.G_values(xs)
+        assert str(info.value) == str(first)
+
+    def test_overflow_reruns_per_x(self):
+        # numpy flags the overflow of x^8 where Python's complex product
+        # gives inf quietly: the grid then takes the per-x values
+        spec = ProblemSpec(1, "reduced", ((parse_expr("x^8"),),), None, {},
+                           (0.0, 1e50), "general")
+        prob = split_R(spec, 1.0, None)
+        xs = np.array([1.0, 1e30, 1e40, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = prob.G_values(xs)
+        want = np.array([prob.G_value(float(x)) for x in xs])
+        assert got.tobytes() == want.tobytes() and np.isinf(got[2, 0, 0])
+
+    def test_G_value_is_G_entries(self, fex4):
+        entries = fex4.G_entries(2.3)
+        assert isinstance(entries, tuple) and len(entries) == 4
+        assert fex4.G_value(2.3).tobytes() == \
+            np.array(entries, dtype=complex).reshape(2, 2).tobytes()

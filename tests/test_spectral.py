@@ -870,13 +870,13 @@ class TestFullDegeneracy:
         if lam != 1.0:      # off-diagonal entries are Mul(lambda^2, 0)
             assert prob.G[0][1] != ZERO
         calls = [0]
-        value = type(prob).G_value
+        value = type(prob).G_entries      # under G_value too
 
         def counted(self, x):
             calls[0] += 1
             return value(self, x)
 
-        monkeypatch.setattr(type(prob), "G_value", counted)
+        monkeypatch.setattr(type(prob), "G_entries", counted)
         fld = BranchField(prob, 0, "normalized", None, anchor=1.0)
         assert all(fld.full_degeneracy_region(x) for x in (0.7, 1.0, 2.9))
         assert calls[0] == 0
@@ -1066,12 +1066,12 @@ class TestWorkCounts:
         fld._frame(3.55)
         counts = request.getfixturevalue("counts")
         calls = []
-        g_value = ReducedProblem.G_value
+        g_entries = ReducedProblem.G_entries    # the step reads G's numbers
 
         def counted(self, x):
             calls.append(x)
-            return g_value(self, x)
-        monkeypatch.setattr(ReducedProblem, "G_value", counted)
+            return g_entries(self, x)
+        monkeypatch.setattr(ReducedProblem, "G_entries", counted)
         fld._frame(3.65)
         assert len(calls) == 1 and len(fld._frames) == 12
         fld._reference(3.62)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -7,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from phaseintegral.errors import (EvaluationSingularity, GridMismatch,
                                   InvalidInput, StepSizeUnderflow)
-from phaseintegral.expressions import parse_expr
-from phaseintegral.problem import ProblemSpec, split_R
+from phaseintegral.expressions import JetTape, parse_expr
+from phaseintegral.problem import ProblemSpec, ReducedProblem, split_R
 from phaseintegral.spectral import BranchField, eigen_track
 from phaseintegral.vector import CorrectionEngine, assemble_vector_wave
 from phaseintegral import verify as V
@@ -264,6 +265,34 @@ class TestReferenceIntegrate:
             V.reference_integrate(lambda x: np.array([[1.0 / (x - 1.0)**3]]),
                                   0.0, [1.0], [0.0], 2.0)
 
+    def test_scalar_R_eval_for_one_component(self):
+        # an N = 1 R_eval may give R as a number
+        as_array = V.reference_integrate(lambda x: np.array([[1.0 + x]]),
+                                         0.0, [1.0], [0.5j], 2.0,
+                                         dense_points=[0.5, 2.0])
+        as_number = V.reference_integrate(lambda x: 1.0 + x, 0.0, [1.0],
+                                          [0.5j], 2.0, dense_points=[0.5, 2.0])
+        for a, b in zip(as_array, as_number):
+            assert a.u.tobytes() == b.u.tobytes()
+            assert a.u_prime.tobytes() == b.u_prime.tobytes()
+
+    @pytest.mark.parametrize("lam", [1.0, 0.1])
+    def test_right_hand_side_is_u_prime_and_minus_R_u(self, fex1, lam):
+        # the samples of the (u', -R u) written per call, bit for bit those
+        # of the same integration with the vector concatenated
+        from scipy.integrate import solve_ivp
+        pts = [float(v) for v in np.linspace(3.0, 6.0, 13)]
+        got = V.reference_integrate(lambda x: fex1.R_value(x, lam), 3.0,
+                                    [1.0, 0.5j], [0.3j, -2.0], 6.0,
+                                    tol=1e-11, dense_points=pts)
+        sol = solve_ivp(lambda x, y: np.concatenate(
+            [y[2:], -(fex1.R_value(x, lam) @ y[:2])]), (3.0, 6.0),
+            np.array([1.0, 0.5j, 0.3j, -2.0]), method="DOP853", rtol=1e-11,
+            atol=1e-13, t_eval=pts)
+        for i, smp in enumerate(got):
+            assert smp.u.tobytes() == sol.y[:2, i].tobytes()
+            assert smp.u_prime.tobytes() == sol.y[2:, i].tobytes()
+
     def test_work_count(self, fex1):
         # R evaluations of the benchmark's reference solve: about 3200 when
         # the interpolant is built only on steps that hold a dense point
@@ -341,7 +370,8 @@ class TestCrossingDiagnostics:
         ("fex1", 0.2, 12.0), ("fex4", 0.5, 7.0), ("scalar_quadratic", -2, 2),
         ("complex3", -3.0, 3.0)])
     def test_stacked_gaps_equal_loop(self, request, name, lo, hi):
-        # the one-matrix-at-a-time scan, neighbours in lexsort order
+        # the one-matrix-at-a-time scan: the closed form |sqrt(D)| for
+        # N = 2, neighbours in lexsort order for N > 2
         if name == "complex3":
             # eigenvalues x +- i and x^2/4: ties in the real part, and
             # changes of order
@@ -358,13 +388,16 @@ class TestCrossingDiagnostics:
         def loop_gap(x):
             if prob.n == 1:
                 return math.inf
+            if prob.n == 2:
+                (a, b), (c, d) = prob.G_value(x).tolist()
+                return abs(cmath.sqrt((a - d) * (a - d) + 4.0 * (b * c)))
             vals = np.linalg.eigvals(prob.G_value(x))
             vals = vals[np.lexsort((vals.imag, vals.real))]
             return min(abs(vals[i + 1] - vals[i])
                        for i in range(len(vals) - 1))
 
         xs = np.linspace(lo, hi, 801)
-        got = V._eigen_gaps(prob, xs)
+        got = V._gaps(prob.G_values(xs))
         want = [loop_gap(float(x)) for x in xs]
         if name == "complex3":
             # numpy's complex abs on an array and on a scalar may take
@@ -372,6 +405,56 @@ class TestCrossingDiagnostics:
             assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
         else:
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name, lo, hi, want", [
+        ("fex1", 0.2, 12.0, [{"x_cr": 1.0, "p": 1}]),
+        ("fex3", 0.2, 12.0, [{"x_cr": 1.0, "p": 1}]),
+        ("fex4", 0.2, 12.0, [{"x_cr": 1.0, "p": 1}]),
+        ("bec", 10.0, 200.0, []),
+        ("block3", 0.2, 12.0, [{"x_cr": 1.0, "p": 1}, {"x_cr": 9.0, "p": 1}])])
+    def test_crossing_lists(self, request, name, lo, hi, want):
+        if name == "block3":        # diag(Fex1, 9): eigenvalues 1, x and 9
+            e = parse_expr
+            fex1 = request.getfixturevalue("fex1")
+            rows = [list(r) + [e("0")] for r in fex1.G]
+            spec = ProblemSpec(3, "reduced", (*map(tuple, rows),
+                                              (e("0"), e("0"), e("9"))),
+                               None, {}, (lo, hi), "real_symmetric")
+            prob = split_R(spec, 1.0, None)
+        else:
+            prob = request.getfixturevalue(name)
+        assert V.crossing_diagnostics(prob, lo, hi) == want
+
+    def test_n2_gap_is_the_closed_form(self, fex1):
+        # Fex1's eigenvalues are 1 and x
+        xs = np.linspace(0.2, 12.0, 801)
+        assert_allclose(V._gaps(fex1.G_values(xs)), np.abs(xs - 1.0),
+                        rtol=0, atol=1e-14)
+
+    def test_one_batch_run_for_the_grid(self, fex1, monkeypatch):
+        # the grid is one run of the tape's array program; the ternary
+        # refinement (two points a round for 80 rounds), the check at x_cr
+        # and the six fit points are one G_value each
+        runs, points = [], []
+        grid_values = JetTape.grid_values
+        g_value = ReducedProblem.G_value
+        monkeypatch.setattr(JetTape, "grid_values", lambda self, xs, p: (
+            runs.append(len(xs)), grid_values(self, xs, p))[1])
+        monkeypatch.setattr(ReducedProblem, "G_value", lambda self, x: (
+            points.append(x), g_value(self, x))[1])
+        assert len(V.crossing_diagnostics(fex1, 0.2, 12.0)) == 1
+        assert runs == [801]
+        assert len(points) == 2 * 80 + 1 + 6
+
+    def test_non_finite_G_on_the_grid(self):
+        # x^8 overflows to inf at x = 1e40: no gap is made of it
+        e = parse_expr
+        spec = ProblemSpec(2, "reduced",
+                           ((e("x^8"), e("0")), (e("0"), e("1"))),
+                           None, {}, (0.0, 1e40), "general")
+        prob = split_R(spec, 1.0, None)
+        with pytest.raises(EvaluationSingularity, match="not finite"):
+            V.crossing_diagnostics(prob, 0.0, 1e40)
 
     def test_linear_pair(self):
         spec = ProblemSpec(2, "reduced",
