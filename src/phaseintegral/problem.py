@@ -137,8 +137,8 @@ class ReducedProblem:
         return self._tape().values(x, self.params)
 
     def G_value(self, x: float) -> np.ndarray:
-        return np.array(self.G_entries(x), dtype=complex).reshape(self.n,
-                                                                  self.n)
+        n = self.n
+        return np.array(self.G_entries(x), dtype=complex).reshape(n, n)
 
     def G_values(self, xs) -> np.ndarray:
         """`G_value` at each of the finite real abscissae xs, (len(xs), n,

@@ -261,8 +261,8 @@ class BranchField:
     def _g_point(self, x: float) -> tuple:
         """(G(x) as rows of complex numbers, `_cluster_tol` at G(x)), kept
         for the last x only: an eigen-solve asks for them several times in a
-        row (ranked values, guard, cluster mask), and only one for N != 2
-        makes an array of them.  A G that is not finite is refused here."""
+        row (ranked values, guard, cluster mask); only one for N != 2 makes
+        an array of the rows.  A G that is not finite is refused here."""
         if self._gval[0] != x:
             flat, n = self.prob.G_entries(_finite(x)), self.n
             rows = [flat[i:i + n] for i in range(0, n * n, n)]

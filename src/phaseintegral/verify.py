@@ -9,8 +9,7 @@ boundary quadrature noise).
 `Wave` and `WaveSample` live here: the phase integral waves and the
 reference trajectories are both sampled into them, and this module does
 not import the engine.  The crossing scan reads G on its grid from one
-`G_values` run and takes the N = 2 gap in closed form; the reference
-solve reads R once per right-hand side.
+`G_values` run and takes the N = 2 gap in closed form.
 """
 
 from __future__ import annotations
