@@ -436,11 +436,8 @@ _WITH_PARAMS = {
 
 
 def _grid_problem(name):
-    if name in ("diag(fex1, 9)", "fex1 at 40x", "params"):
-        data = {"diag(fex1, 9)": _rotated(1, "9"),
-                "fex1 at 40x": _rotated(40), "params": _WITH_PARAMS}[name]
-    else:
-        data = example_problem(name)
+    data = {"diag(fex1, 9)": _rotated(1, "9"), "fex1 at 40x": _rotated(40),
+            "params": _WITH_PARAMS}.get(name) or example_problem(name)
     spec, lam, a = load_problem(data)
     return split_R(spec, lam, a)
 
