@@ -510,7 +510,7 @@ def eval_expr(e: Expression, x0: float,
     program of the tape compiled from `e` on first use.
     """
     tape = e._jet_fn or _compile_tape(e)
-    return tape._run_values(x0, params)[0]
+    return tape.values(x0, params)[0]
 
 
 def eval_expr_jet(e: Expression, x0: float, order: int,
@@ -716,6 +716,15 @@ def _param(p: Mapping[str, complex], name: str) -> complex:
         raise UnboundParameter(f"parameter {name!r} not bound") from None
 
 
+# what a kernel raises at a pole or branch point, and the error a program
+# raises for it
+_SINGULAR = (DivisionByZeroLeadCoefficient, BranchPointEvaluation)
+
+
+def _singular(x0, exc: Exception) -> EvaluationSingularity:
+    return EvaluationSingularity(f"expression singular at x = {x0}: {exc}")
+
+
 # the pure-operator kernels, written into a program as their arithmetic
 _INLINE = {operator.add: "{} + {}", operator.sub: "{} - {}",
            operator.neg: "-{}", _mul: "0j + {} * {}",
@@ -728,12 +737,13 @@ class JetTape:
     `tape(x0, order, params)` returns one `Jet` per expression and
     `tape.values(x0, params)` one complex value per expression, at a real
     or complex x0; both raise EvaluationSingularity where `eval_expr_jet`
-    does; `tape.grid_values(xs, params)` gives them at each x of a real
-    array.  Each program is generated as the source of one Python function,
-    a line per instruction and a local variable per register, and compiled
-    on its first run; constants, kernels and parameter names are bound in
-    the function's namespace, never written into its source.  The tape
-    holds no parameter values; they are read at every call.
+    does, and `tape.value_program()` is the compiled function that
+    `values` calls; `tape.grid_values(xs, params)` gives them at each x of
+    a real array.  Each program is generated as the source of one Python
+    function, a line per instruction and a local variable per register,
+    and compiled on its first run; constants, kernels and parameter names
+    are bound in the function's namespace, never written into its source.
+    The tape holds no parameter values; they are read at every call.
     """
 
     _value_program = _jet_program = _array_program = None  # on first run
@@ -743,7 +753,8 @@ class JetTape:
         self._steps: list = []         # the jet program, line for line
         self._init: list = []          # folded constants; None: computed
         self._series: list = []        # register holds an array in jets?
-        self._ns: dict = {"_param": _param, "_raw": Jet._raw,
+        self._ns: dict = {"_param": _param, "_singular": _singular,
+                          "_SINGULAR": _SINGULAR, "_raw": Jet._raw,
                           "_variable": jets.series_variable,
                           "_const": jets.series_const}
         self._array_kernels: dict = {}  # kernel name -> its array kernel
@@ -760,22 +771,18 @@ class JetTape:
         run = self._jet_program or self._compile_program(False)
         try:
             return run(x0, n, params or _NO_PARAMS)
-        except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
-            raise EvaluationSingularity(
-                f"expression singular at x = {x0}: {exc}") from exc
+        except _SINGULAR as exc:
+            raise _singular(x0, exc) from exc
 
     def values(self, x0: complex,
                params: Mapping[str, complex] | None = None) -> Sequence:
-        return self._run_values(x0, params)
+        return self.value_program()(x0, params or _NO_PARAMS)
 
-    def _run_values(self, x0: complex, params) -> tuple:
-        """The outputs of the value program at x0."""
-        run = self._value_program or self._compile_program(True)
-        try:
-            return run(complex(x0), params or _NO_PARAMS)
-        except (DivisionByZeroLeadCoefficient, BranchPointEvaluation) as exc:
-            raise EvaluationSingularity(
-                f"expression singular at x = {x0}: {exc}") from exc
+    def value_program(self):
+        """The value program, `run(x0, params)`: the outputs at x0 as a
+        tuple, or `EvaluationSingularity` naming x0.  `params` must be a
+        mapping.  Compiled on first use."""
+        return self._value_program or self._compile_program(True)
 
     def grid_values(self, xs: np.ndarray,
                     params: Mapping[str, complex] | None = None) -> np.ndarray:
@@ -785,14 +792,15 @@ class JetTape:
         numpy floating-point error the value program runs x by x instead,
         so the error is the one `values` raises at the first x in order."""
         run = self._array_program or self._compile_program(True, True)
+        params = params or _NO_PARAMS
         out = np.empty((len(xs), len(self._outs)), dtype=complex)
         try:
             with np.errstate(all="raise", under="ignore"):
-                for j, v in enumerate(run(xs.astype(complex),
-                                          params or _NO_PARAMS)):
+                for j, v in enumerate(run(xs.astype(complex), params)):
                     out[:, j] = v
         except (ArithmeticError, ValueError, PhaseIntegralError):
-            out[:] = [self._run_values(x, params) for x in xs.tolist()]
+            run = self.value_program()
+            out[:] = [run(x, params) for x in xs.tolist()]
         return out
 
     # -- compilation -------------------------------------------------------
@@ -810,9 +818,14 @@ class JetTape:
             out = "[" + ", ".join(
                 f"_raw(x, {reg(i)})" if self._series[i]
                 else f"_raw(x, _const({reg(i)}, n))" for i in self._outs) + "]"
-        source = "".join([f"def run({head}):\n"]
-                         + [f"    {line}\n" for line in lines]
-                         + [f"    return {out}\n"])
+        body = [f"    {line}\n" for line in lines] + [f"    return {out}\n"]
+        if values and not arrays:       # errors name x0 as it was given
+            head = "x0, p"
+            body = (["    x = complex(x0)\n", "    try:\n"]
+                    + ["    " + line for line in body]
+                    + ["    except _SINGULAR as exc:\n",
+                       "        raise _singular(x0, exc) from exc\n"])
+        source = "".join([f"def run({head}):\n"] + body)
         made: dict = {}
         exec(compile(source, "<JetTape>", "exec"),
              {**ns, **self._array_kernels} if arrays else ns, made)

@@ -115,9 +115,19 @@ class ReducedProblem:
                     f"hermitian_hint=real_symmetric but G not real at x={x}")
 
     def __getstate__(self):
-        # the tapes are compiled on first use, never pickled
+        # the tapes and their programs are made on first use, never pickled
         return {k: v for k, v in self.__dict__.items()
-                if not k.endswith("_tape")}
+                if not k.startswith("_")}
+
+    def __getattr__(self, name: str):
+        # `_G_program` and `_R_program`, the value programs of the two
+        # tapes, are bound on first use; the evaluators call them directly
+        if name not in ("_G_program", "_R_program"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        run = self._tape(with_a=name == "_R_program").value_program()
+        object.__setattr__(self, name, run)
+        return run
 
     # -- evaluators -------------------------------------------------------
 
@@ -134,11 +144,12 @@ class ReducedProblem:
 
     def G_entries(self, x: float) -> tuple:
         """G(x) row by row as n*n complex numbers, no array made."""
-        return self._tape().values(x, self.params)
+        return self._G_program(x, self.params)
 
     def G_value(self, x: float) -> np.ndarray:
         n = self.n
-        return np.array(self.G_entries(x), dtype=complex).reshape(n, n)
+        return np.array(self._G_program(x, self.params),
+                        dtype=complex).reshape(n, n)
 
     def G_values(self, xs) -> np.ndarray:
         """`G_value` at each of the finite real abscissae xs, (len(xs), n,
@@ -164,7 +175,7 @@ class ReducedProblem:
     def R_value(self, x: float, lam: float | None = None) -> np.ndarray:
         """R = lambda**-2 G + a I, optionally at an overridden lambda."""
         lam = self.lam if lam is None else lam
-        *g, a = self._tape(with_a=True).values(x, self.params)
+        *g, a = self._R_program(x, self.params)
         inv = 1.0 / lam**2          # numpy's scaled division by lambda**2
         r = [v * inv for v in g]    # G row by row
         r[::self.n + 1] = [v + a for v in r[::self.n + 1]]

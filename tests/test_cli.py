@@ -408,3 +408,16 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_crossings_command_leaves_numpy_ma_unloaded():
+    # np.median would import numpy.ma, 10-14 ms of a fresh command here
+    src = str(Path(phaseintegral.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from phaseintegral.cli import main; "
+            "code = main(['verify', '--example', 'fulling-pos', "
+            "'--check', 'crossings']); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"

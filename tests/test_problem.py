@@ -350,8 +350,8 @@ class TestPickle:
         bec = split_R(spec, lam, a)
         before = bec.G_value(55.0)
         bec.a_value(55.0)
-        assert "_G_tape" in vars(bec)
-        assert "_G_tape" not in bec.__getstate__()
+        assert "_G_tape" in vars(bec) and "_G_program" in vars(bec)
+        assert not {"_G_tape", "_G_program"} & set(bec.__getstate__())
         again = pickle.loads(pickle.dumps(bec))
         assert "_G_tape" not in vars(again) and again == bec
         assert again.G == bec.G
@@ -361,8 +361,8 @@ class TestPickle:
         # R_value runs its own tape over G's entries and a: that one is a
         # cache too
         before = bec.R_value(55.0, 0.1)
-        assert "_R_tape" in vars(bec)
-        assert "_R_tape" not in bec.__getstate__()
+        assert "_R_tape" in vars(bec) and "_R_program" in vars(bec)
+        assert not {"_R_tape", "_R_program"} & set(bec.__getstate__())
         again = pickle.loads(pickle.dumps(bec))
         assert "_R_tape" not in vars(again) and again == bec
         assert again.R_value(55.0, 0.1).tobytes() == before.tobytes()
@@ -381,23 +381,39 @@ class TestPickle:
                 assert jb.coeffs.tobytes() == ja.coeffs.tobytes()
 
 
+def _spy_value_programs(monkeypatch) -> list:
+    """Every value program a tape hands out from now on logs each run as
+    (outputs, x) in the list returned."""
+    runs = []
+    value_program = JetTape.value_program
+
+    def spied(tape):
+        run = value_program(tape)
+        return lambda x0, params: (runs.append((len(tape._outs), x0)),
+                                   run(x0, params))[1]
+    monkeypatch.setattr(JetTape, "value_program", spied)
+    return runs
+
+
 def test_R_value_runs_one_tape(monkeypatch):
     # R's n x n entries of G and a(x) come from one run of one value
-    # program, and G_value's program leaves a out
+    # program, and G_value's program leaves a out; each is bound once
+    runs = _spy_value_programs(monkeypatch)
     spec, lam, _ = load_problem(example_problem("fulling-pos"))
     prob = split_R(spec, lam, parse_expr("1/x^2"))
-    runs = []
-    run_values = JetTape._run_values
-
-    def counted(self, x0, params):
-        runs.append(len(self._outs))
-        return run_values(self, x0, params)
-    monkeypatch.setattr(JetTape, "_run_values", counted)
+    runs.clear()                # the real_symmetric probe of G
     prob.R_value(2.0, 0.1)
-    assert runs == [5]
+    assert runs == [(5, 2.0)]
     runs.clear()
     prob.G_value(2.0)
-    assert runs == [4]
+    assert runs == [(4, 2.0)]
+    bound = JetTape.value_program
+    monkeypatch.setattr(JetTape, "value_program", None)
+    runs.clear()
+    prob.R_value(2.5)
+    prob.G_entries(2.5)
+    assert runs == [(5, 2.5), (4, 2.5)]
+    monkeypatch.setattr(JetTape, "value_program", bound)
 
 
 @pytest.mark.parametrize("name", ["fulling-pos", "fulling-neg", "nonhermitian",
@@ -452,10 +468,7 @@ class TestGValues:
         prob = _grid_problem(name)
         lo, hi = prob.domain
         xs = np.linspace(lo, hi, 801)
-        per_x = []          # the value program's runs: none, no rerun
-        run_values = JetTape._run_values
-        monkeypatch.setattr(JetTape, "_run_values", lambda self, x, p: (
-            per_x.append(x), run_values(self, x, p))[1])
+        per_x = _spy_value_programs(monkeypatch)    # none: no rerun
         got = prob.G_values(xs)
         assert per_x == []
         monkeypatch.undo()
@@ -512,16 +525,18 @@ class TestGValues:
                 prob.G_values(xs)
         assert str(info.value) == str(first)
 
-    def test_overflow_reruns_per_x(self):
+    def test_overflow_reruns_per_x(self, monkeypatch):
         # numpy flags the overflow of x^8 where Python's complex product
         # gives inf quietly: the grid then takes the per-x values
         spec = ProblemSpec(1, "reduced", ((parse_expr("x^8"),),), None, {},
                            (0.0, 1e50), "general")
         prob = split_R(spec, 1.0, None)
         xs = np.array([1.0, 1e30, 1e40, 2.0])
+        per_x = _spy_value_programs(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = prob.G_values(xs)
+        assert per_x == [(1, x) for x in xs.tolist()]
         want = np.array([prob.G_value(float(x)) for x in xs])
         assert got.tobytes() == want.tobytes() and np.isinf(got[2, 0, 0])
 

@@ -154,6 +154,19 @@ def _assert_airy(samples, x0, rel):
         assert np.linalg.norm(smp.u_prime - du) <= rel * np.linalg.norm(du)
 
 
+@pytest.mark.parametrize("v", [
+    [3.0], [2.0, -1.0], [5.0, 1.0, 4.0, 1.0], [0.1, 0.7, 0.2, 0.3, 1e300],
+    [1.0, math.nan, 2.0], [math.nan], [-math.inf, 1.0, math.inf, 2.0],
+    list(np.random.default_rng(3).standard_normal(801))])
+def test_median_is_numpys(v):
+    # the middle element or the mean of the two middle ones, NaN from a NaN
+    v = np.array(v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = V._median(v)
+    assert np.array_equal(got, np.median(v), equal_nan=True)
+
+
 class TestReferenceIntegrate:
     def test_harmonic(self):
         out = V.reference_integrate(lambda x: np.array([[1.0]]), 0.0,
@@ -249,9 +262,13 @@ class TestReferenceIntegrate:
             V.reference_integrate(r_eval, 0.5, [u0], [du0], 2.0)
 
     def test_non_finite_R_on_path_names_x(self):
-        # R turns NaN past x = 1: the rejected steps shrink until they
-        # underflow, and the error names a point where R was not finite
+        # R turns NaN past x = 1: the first step whose error is not finite
+        # names the first of its stages where R was not finite, without
+        # a step search (scipy's own loop makes 977 R evaluations here)
+        calls = []
+
         def r_eval(x):
+            calls.append(x)
             return np.array([[1.0 if x <= 1.0 else math.nan]])
 
         with np.errstate(all="ignore"), pytest.raises(
@@ -259,6 +276,7 @@ class TestReferenceIntegrate:
             V.reference_integrate(r_eval, 0.0, [1.0], [0.0], 2.0, tol=1e-10)
         x_bad = float(str(info.value).split("x = ")[1].split(":")[0])
         assert 1.0 < x_bad <= 2.0
+        assert len(calls) < 100 and calls[-1] == x_bad
 
     def test_pole_on_path_underflows(self):
         with np.errstate(all="ignore"), pytest.raises(StepSizeUnderflow):
@@ -276,22 +294,49 @@ class TestReferenceIntegrate:
             assert a.u.tobytes() == b.u.tobytes()
             assert a.u_prime.tobytes() == b.u_prime.tobytes()
 
-    @pytest.mark.parametrize("lam", [1.0, 0.1])
-    def test_right_hand_side_is_u_prime_and_minus_R_u(self, fex1, lam):
-        # the samples of the (u', -R u) written per call, bit for bit those
-        # of the same integration with the vector concatenated
+    @pytest.mark.parametrize("case", [
+        1.0, 0.1, "backward", "unsorted repeated points", "number for N = 1",
+        "rejected steps"])
+    def test_right_hand_side_is_u_prime_and_minus_R_u(self, fex1, case):
+        # the samples are bit for bit those of scipy's solve_ivp on the
+        # (u', -R u) of the same R, from the same number of R evaluations
         from scipy.integrate import solve_ivp
-        pts = [float(v) for v in np.linspace(3.0, 6.0, 13)]
-        got = V.reference_integrate(lambda x: fex1.R_value(x, lam), 3.0,
-                                    [1.0, 0.5j], [0.3j, -2.0], 6.0,
-                                    tol=1e-11, dense_points=pts)
-        sol = solve_ivp(lambda x, y: np.concatenate(
-            [y[2:], -(fex1.R_value(x, lam) @ y[:2])]), (3.0, 6.0),
-            np.array([1.0, 0.5j, 0.3j, -2.0]), method="DOP853", rtol=1e-11,
-            atol=1e-13, t_eval=pts)
-        for i, smp in enumerate(got):
-            assert smp.u.tobytes() == sol.y[:2, i].tobytes()
-            assert smp.u_prime.tobytes() == sol.y[2:, i].tobytes()
+        grid = [float(v) for v in np.linspace(3.0, 6.0, 13)]
+        x0, u0, du0, x1, tol, pts = 3.0, [1.0, 0.5j], [0.3j, -2.0], 6.0, \
+            1e-11, grid
+        lam = case if isinstance(case, float) else 0.1     # fex1's lambda
+        R = lambda x: fex1.R_value(x, lam)
+        if case == "backward":
+            x0, x1 = 6.0, 3.0
+        elif case == "unsorted repeated points":
+            pts = [5.5, 3.2, 6.0, 3.2, 4.4, 3.0, 5.5]
+        elif case == "number for N = 1":
+            R, u0, du0 = (lambda x: 1.0 + x * x), [1.0], [0.5j]
+        elif case == "rejected steps":
+            R = lambda x: 1.0 + 1e4 * math.exp(-((x - 1.0) / 0.01) ** 2)
+            x0, u0, du0, x1, tol = 0.0, [1.0], [1j], 2.0, 1e-8
+            pts = [0.0, 0.5, 0.99, 1.0, 1.01, 1.7, 2.0]
+        calls = []
+        got = V.reference_integrate(lambda x: (calls.append(x), R(x))[1], x0,
+                                    u0, du0, x1, tol=tol, dense_points=pts)
+        n = len(u0)
+
+        def rhs(x, y):
+            return np.concatenate([y[n:], -(np.atleast_2d(R(x)) @ y[:n])])
+        xs, y0 = np.unique(pts), np.array(u0 + du0, dtype=complex)
+        sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=tol,
+                        atol=tol * 1e-2,
+                        t_eval=xs if x1 > x0 else xs[::-1])
+        ys = sol.y if x1 > x0 else sol.y[:, ::-1]
+        assert [s.x for s in got] == sorted(pts)
+        for smp, i in zip(got, np.searchsorted(xs, sorted(pts))):
+            assert smp.u.tobytes() == ys[:n, i].tobytes()
+            assert smp.u_prime.tobytes() == ys[n:, i].tobytes()
+        assert len(calls) == sol.nfev + 1           # and the start check
+        if case == "rejected steps":    # 13 of scipy's steps are rejected
+            steps = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=tol,
+                              atol=tol * 1e-2)
+            assert (steps.nfev - 2) // 12 - (len(steps.t) - 1) == 13
 
     def test_work_count(self, fex1):
         # R evaluations of the benchmark's reference solve: about 3200 when
