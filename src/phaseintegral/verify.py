@@ -209,6 +209,7 @@ def reference_integrate(R_eval: Callable[[float], np.ndarray], x_start: float,
                 raise EvaluationSingularity(
                     f"non-finite R at x = {float(x)}: no step passes it")
 
+    # one sample per distinct x, mapped back to the points as given
     xs = np.unique(np.asarray(pts, dtype=float))
     y0 = np.concatenate([u0, du0])
     if x_end == x_start:

@@ -407,13 +407,11 @@ def test_R_value_runs_one_tape(monkeypatch):
     runs.clear()
     prob.G_value(2.0)
     assert runs == [(4, 2.0)]
-    bound = JetTape.value_program
-    monkeypatch.setattr(JetTape, "value_program", None)
+    monkeypatch.setattr(JetTape, "value_program", None)    # no new binding
     runs.clear()
     prob.R_value(2.5)
     prob.G_entries(2.5)
     assert runs == [(5, 2.5), (4, 2.5)]
-    monkeypatch.setattr(JetTape, "value_program", bound)
 
 
 @pytest.mark.parametrize("name", ["fulling-pos", "fulling-neg", "nonhermitian",
