@@ -621,14 +621,15 @@ def _off_branch(v: complex, what: str) -> complex:
     return v
 
 
-def _ipow(b: complex, n: int) -> complex:
-    # Squaring in the multiplication order of jets._compose_pow.
+def _ipow(b: complex, n: int, mul=None) -> complex:
+    # Squaring in the multiplication order of jets._compose_pow; on arrays
+    # each product is `mul`.
     out = 1 + 0j
     while n:
         if n & 1:
-            out = 0j + out * b
+            out = 0j + out * b if mul is None else mul(out, b)
         if n > 1:
-            b = 0j + b * b
+            b = 0j + b * b if mul is None else mul(b, b)
         n >>= 1
     return out
 
@@ -685,6 +686,16 @@ _FUNC_KERNELS = {
 # numpy's complex exp, sin, cos and division give cmath's and `quotient`'s
 # bits; its log and power do not, so any other kernel (ln, sqrt, a power
 # other than a whole one) runs the value kernel on each element (`_each`).
+# Its complex multiply may fuse a multiply and an add, so a product on
+# arrays is `_cmul`, the four real products of CPython's.
+
+def _cmul(a, b) -> np.ndarray:
+    """0j + a * b, where a or b is an array, with CPython's bits."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag + 0.0
+    out.imag = a.real * b.imag + a.imag * b.real + 0.0
+    return out
+
 
 def _checked(v: np.ndarray) -> np.ndarray:
     """v, refused if an element is (near) zero, as `lead_is_zero` tests."""
@@ -704,7 +715,7 @@ _ARRAY_KERNELS = {
     _sincos: lambda v: (np.sin(v), np.cos(v)),
     cmath.exp: np.exp,
     _pow_real: lambda b, alpha: (
-        _ipow(b, int(alpha)) if alpha == int(alpha) and alpha >= 0
+        _ipow(b, int(alpha), _cmul) if alpha == int(alpha) and alpha >= 0
         else _each(_pow_real)(b, alpha)),
 }
 
@@ -729,6 +740,8 @@ def _singular(x0, exc: Exception) -> EvaluationSingularity:
 _INLINE = {operator.add: "{} + {}", operator.sub: "{} - {}",
            operator.neg: "-{}", _mul: "0j + {} * {}",
            _square: "0j + (1 + 0j) * (0j + {0} * {0})"}
+# their array forms, for the products on arrays (`_cmul`)
+_EXACT = {_mul: "_cmul({}, {})", _square: "0j + (1 + 0j) * _cmul({0}, {0})"}
 
 
 class JetTape:
@@ -757,7 +770,8 @@ class JetTape:
                           "_SINGULAR": _SINGULAR, "_raw": Jet._raw,
                           "_variable": jets.series_variable,
                           "_const": jets.series_const}
-        self._array_kernels: dict = {}  # kernel name -> its array kernel
+        self._array_kernels: dict = {"_cmul": _cmul}  # name -> array kernel
+        self._arrays: list = []        # the array program, line for line
         self._memo: dict = {}          # exact _ast_key -> register
         self._outs = [self._node(e) for e in exprs]
         del self._memo
@@ -811,7 +825,7 @@ class JetTape:
         ns.update((f"c{i}", v) for i, v in enumerate(self._init)
                   if v is not None)
         if values:
-            head, lines = "x, p", self._values
+            head, lines = "x, p", self._arrays if arrays else self._values
             out = "(" + "".join(f"{reg(i)}, " for i in self._outs) + ")"
         else:
             head, lines = "x, n, p", self._steps
@@ -844,6 +858,7 @@ class JetTape:
 
     def _append(self, value_line: str, jet_line: str) -> None:
         self._values.append(value_line)
+        self._arrays.append(value_line)
         self._steps.append(jet_line)
 
     def _line(self, out: int, width: int, kernel, args, batched=False) -> str:
@@ -879,6 +894,9 @@ class JetTape:
                 return out
         self._append(self._line(out, width, value, args, series),
                      self._line(out, width, jet if series else value, args))
+        if series and value in _EXACT:
+            self._arrays[-1] = f"r{out} = " + _EXACT[value].format(
+                *map(self._reg, args))
         return out
 
     def _node(self, e: Expression) -> int:

@@ -40,12 +40,14 @@ Gauges:
              exp(i theta) on each walk step, theta = i int (e~, e~') dx
              along the step's Gram-Schmidt e~ of P.
 
-The continuation walk runs on values (P from the closed form on complex
-numbers, or from the eigen-solve); Q**2, P, S and the eigenbasis at order
->= 1 run on coefficient arrays.  `BranchField.branch` returns a point's
-snapshot as arrays, from one eigen-solve at x (a Kato phase adds order-5
-solves); `qsq_jet`, `q_jet`, `eps0_jet`, `s0_jets` and `basis_jets` are
-Jet views of the same computation.
+The continuation walk runs on values: an N = 2 step reads G's four numbers
+once and carries its column through the closed-form P on them (N > 2: P
+from the eigen-solve), and an order-0 eigenvector is the carried values.
+Q**2, P, S and the eigenbasis at order >= 1 run on coefficient arrays.
+`BranchField.branch` returns a point's snapshot as arrays, from one
+eigen-solve at x (a Kato phase adds order-5 solves); `qsq_jet`, `q_jet`,
+`eps0_jet`, `s0_jets` and `basis_jets` are Jet views of the same
+computation.
 
 A `BranchField` keeps one point: G(x) and the eigen-jets of the last x
 asked.  What else it holds is bounded by the interval it has walked (the
@@ -125,14 +127,16 @@ class ComplementBasis:
     vectors: tuple            # (N - d) tuples of N jets
 
 
-def _cluster_tol(rows) -> float:
-    """The one crossing tolerance at G(x), from its rows of complex
-    numbers (see `BranchField._members`)."""
+def _cluster_tol(entries, x: float) -> float:
+    """The one crossing tolerance at G(x), from its entries row by row
+    (see `BranchField._members`); a G that is not finite is refused."""
     total = 1.0
-    for row in rows:
-        for z in row:
-            total += z.real * z.real + z.imag * z.imag
-    return math.sqrt(1e-8 * total)
+    for z in entries:
+        total += z.real * z.real + z.imag * z.imag
+    tol = math.sqrt(1e-8 * total)
+    if not math.isfinite(tol):          # G has an inf or NaN entry
+        raise EvaluationSingularity(f"G is not finite at x = {x}")
+    return tol
 
 
 def _finite(x: float, what: str = "x") -> float:
@@ -246,7 +250,10 @@ class BranchField:
             gauge == "kato" or gauge == "normalized" and not self._oblique)
         self._siblings: dict[int, "BranchField"] = {}
         self._scalar_matrix = _is_scalar_matrix(prob.G)
+        self._closed = self.n == 2 and not self._scalar_matrix  # `_n2_step`
         self._gval: tuple = (None,)       # x and `_g_point` of the last x
+        self._phase_p: tuple = (None, None)  # t and P(t), see `_phase_jet`
+        self._phase_end: float | None = None  # t of the last phased step
         self._eig: tuple = (None,)        # x and `_cluster` of the last x
         self._projs: tuple | None = None  # (x, order, _eigen_jets result)
         self._d: int | None = None        # cluster size at the anchor
@@ -261,15 +268,11 @@ class BranchField:
     def _g_point(self, x: float) -> tuple:
         """(G(x) as rows of complex numbers, `_cluster_tol` at G(x)), kept
         for the last x only: an eigen-solve asks for them several times in a
-        row (ranked values, guard, cluster mask); only one for N != 2 makes
-        an array of the rows.  A G that is not finite is refused here."""
+        row (ranked values, guard, cluster mask)."""
         if self._gval[0] != x:
             flat, n = self.prob.G_entries(_finite(x)), self.n
             rows = [flat[i:i + n] for i in range(0, n * n, n)]
-            tol = _cluster_tol(rows)
-            if not math.isfinite(tol):      # G has an inf or NaN entry
-                raise EvaluationSingularity(f"G is not finite at x = {x}")
-            self._gval = (x, (rows, tol))
+            self._gval = (x, (rows, _cluster_tol(flat, x)))
         return self._gval[1]
 
     # -- eigenvalue -------------------------------------------------------
@@ -323,6 +326,8 @@ class BranchField:
     # -- eigenvector --------------------------------------------------------
 
     def s0_jets(self, x: float, order: int) -> tuple:
+        if not order and self.gauge != "raw" and not self._scalar_matrix:
+            return _value_jets(x, self._reference(x)[0])    # `_s0` at order 0
         return row_jets(x, self._s0(x, order))
 
     def _s0(self, x: float, order: int) -> np.ndarray:
@@ -408,12 +413,14 @@ class BranchField:
         return key
 
     def _step(self, key: int, t: float) -> list:
-        """The frame `key` continued to t (`_carry`), times exp(i theta) if
-        the field is `_phased`: theta = i int (e~, e~') from the frame's x,
+        """The frame `key` continued to t (`_n2_step` for one column of an
+        N = 2 field, else `_carry`), times exp(i theta) if the field is
+        `_phased`: theta = i int (e~, e~') from the frame's x,
         e~ the Gram-Schmidt of P through the frame.  The integral is kept
         per frame, so its start jet is made once."""
         ref = self._frames[key]
-        basis = self._carry(t, ref)
+        basis = (self._n2_step(t, ref[0]) if self._closed and len(ref) == 1
+                 else self._carry(t, ref))
         if not self._phased:
             return basis
         theta = self._phases.get(key)
@@ -421,13 +428,20 @@ class BranchField:
             theta = self._phases[key] = JetChainIntegral(
                 lambda s: self._phase_jet(s, ref),
                 self.anchor + key * _ALIGN_STEP)
+        self._phase_end = t
         phase = cmath.exp(1j * theta.value(t))
         return [[a * phase for a in basis[0]]]
 
     def _phase_jet(self, t: float, ref: list) -> Jet:
         """i (e~, e~') at t, e~ the order-5 Gram-Schmidt of P(t) ref (real:
-        e~ is unit), P solved apart from the point memo of `_eigen_jets`."""
-        e = self._gram_schmidt(t, ref, self._solve(t, 5)[1])[0]
+        e~ is unit), P solved apart from the point memo of `_eigen_jets`.
+        P at the last step's end is kept: the next step starts there."""
+        kept, proj = self._phase_p
+        if kept != t:
+            proj = self._solve(t, 5)[1]
+            if t == self._phase_end:
+                self._phase_p = (t, proj)
+        e = self._gram_schmidt(t, ref, proj)[0]
         return Jet._raw(float(t), series_inner(e, _derivative(e)) * 1j)
 
     def _lead_phase(self, v: np.ndarray) -> complex:
@@ -441,24 +455,6 @@ class BranchField:
         """The eigenbasis at t that continues the columns `prev`: order 0
         of `_gram_schmidt`, in plain complex arithmetic."""
         rows = self._projector(t)
-        if self.n == 2 and len(prev) == 1:
-            # the loop below written out for one column of two components:
-            # the same sums in the same order, so the same bits
-            (p00, p01), (p10, p11) = rows
-            (r0, r1), = prev
-            v0 = 0 + p00 * r0 + p01 * r1
-            v1 = 0 + p10 * r0 + p11 * r1
-            # (v, v): the real part of conj(a) a is a.real**2 + a.imag**2
-            norm_sq = (0 + (v0.real * v0.real + v0.imag * v0.imag)
-                       + (v1.real * v1.real + v1.imag * v1.imag))
-            _guard_breakdown(norm_sq, t)
-            scale = 1.0 / math.sqrt(norm_sq)
-            v0, v1 = v0 * scale, v1 * scale
-            if self._oblique:
-                z = 0 + r0.conjugate() * v0 + r1.conjugate() * v1
-                phase = cmath.sqrt(z.conjugate() / z)
-                v0, v1 = v0 * phase, v1 * phase
-            return [[v0, v1]]
         basis = []
         for ref in prev:
             v = [sum(map(mul, row, ref)) for row in rows]
@@ -475,6 +471,39 @@ class BranchField:
                 v = [a * phase for a in v]
             basis.append(v)
         return basis
+
+    def _n2_step(self, t: float, ref: list | None = None) -> list:
+        """N = 2: the column `ref` continued to t, or P(t) as rows, from one
+        read of G(t): `_closed_form`'s P, then `_carry`'s loop written out
+        for one column (the same sums in the same order, so the same bits)."""
+        flat = self.prob.G_entries(_finite(t))
+        tol = _cluster_tol(flat, t)
+        g00, g01, g10, g11 = flat
+        diff = g00 - g11
+        delta = diff * diff + 4.0 * (g01 * g10)     # `_discriminant`
+        root = cmath.sqrt(delta)
+        if self._minus_root(t, delta, root, tol):
+            root = -root
+        qsq = (g00 + g11 + root) * 0.5
+        inv = 1.0 / root
+        p00, p01 = (qsq - g11) * inv, g01 * inv
+        p10, p11 = g10 * inv, (qsq - g00) * inv
+        if ref is None:
+            return [[p00, p01], [p10, p11]]
+        r0, r1 = ref
+        v0 = 0 + p00 * r0 + p01 * r1
+        v1 = 0 + p10 * r0 + p11 * r1
+        # (v, v): the real part of conj(a) a is a.real**2 + a.imag**2
+        norm_sq = (0 + (v0.real * v0.real + v0.imag * v0.imag)
+                   + (v1.real * v1.real + v1.imag * v1.imag))
+        _guard_breakdown(norm_sq, t)
+        scale = 1.0 / math.sqrt(norm_sq)
+        v0, v1 = v0 * scale, v1 * scale
+        if self._oblique:
+            z = 0 + r0.conjugate() * v0 + r1.conjugate() * v1
+            phase = cmath.sqrt(z.conjugate() / z)
+            v0, v1 = v0 * phase, v1 * phase
+        return [[v0, v1]]
 
     def _kato(self, unit: np.ndarray) -> np.ndarray:
         """The Kato vector's jets through the value of `unit`, (N, n): unit
@@ -504,8 +533,9 @@ class BranchField:
             idx = _rank_order(vals)
             vals, vecs = vals[idx], vecs[:, idx]
             left = np.linalg.inv(vecs)
-        vals = vals.astype(complex)
-        self._eig = (x, (vals, vecs.astype(complex), left.astype(complex),
+        vals = vals.astype(complex)         # copies only what is real
+        self._eig = (x, (vals, vecs.astype(complex, copy=False),
+                         left.astype(complex, copy=False),
                          self._members(vals, x)))
         return self._eig[1]
 
@@ -517,11 +547,12 @@ class BranchField:
         is a crossing.
         """
         tol = self._g_point(x)[1]
-        inside = np.abs(vals - vals[self.rank]) <= tol
-        gaps = np.abs(vals[inside][:, None] - vals[~inside][None, :])
-        if gaps.size and gaps.min() <= tol:
+        vals = vals.tolist()                # at most N numbers: no arrays
+        inside = [abs(v - vals[self.rank]) <= tol for v in vals]
+        if any(abs(v - w) <= tol for v, i in zip(vals, inside) if i
+               for w, j in zip(vals, inside) if not j):
             raise CrossingPoint(f"eigenvalue gap too small at x = {x}")
-        return inside
+        return np.array(inside)
 
     def _branch_cluster(self, x: float):
         """`_cluster` at x, refused where the branch's cluster is not the
@@ -553,17 +584,8 @@ class BranchField:
         """P at x as rows of complex numbers: the walk's order-0 solve."""
         if self._scalar_matrix:
             return np.eye(self.n, dtype=complex).tolist()
-        if self.n == 2:         # the closed form of `_closed_form`
-            g, tol = self._g_point(x)           # G's entries read once
-            (g00, g01), (g10, g11) = g
-            tr, delta = _discriminant(g)
-            root = cmath.sqrt(delta)
-            if self._minus_root(x, delta, root, tol):
-                root = -root
-            qsq = (tr + root) * 0.5
-            inv = 1.0 / root
-            return [[(qsq - g11) * inv, g01 * inv],
-                    [g10 * inv, (qsq - g00) * inv]]
+        if self.n == 2:
+            return self._n2_step(x)
         _, vecs, left, inside = self._branch_cluster(x)
         return (vecs[:, inside] @ left[inside]).tolist()
 
@@ -702,6 +724,8 @@ class BranchField:
         One unit eigenvector for d = 1; d vectors inside a degenerate
         cluster, each continued from the anchor.
         """
+        if not order:                       # `_basis` at order 0
+            return tuple(_value_jets(x, v) for v in self._reference(x))
         return tuple(row_jets(x, v) for v in self._basis(x, order))
 
     # -- public assembly ------------------------------------------------------
@@ -766,6 +790,12 @@ def _is_scalar_matrix(G) -> bool:
     return all(G[i][i] == G[0][0] for i in range(n)) and all(
         constant_value(G[i][j]) == 0 for i in range(n) for j in range(n)
         if i != j)
+
+
+def _value_jets(x: float, values: list) -> tuple:
+    """Order-0 jets of complex values, as `row_jets` makes them."""
+    x = float(x)
+    return tuple([Jet._raw(x, np.array([v])) for v in values])
 
 
 def _inner(a: list, b: list) -> complex:

@@ -449,9 +449,17 @@ _WITH_PARAMS = {
           ["k^2", "0", "3 - i*x^-2*w"]]}
 
 
+# products of two non-real factors, which numpy's complex multiply may fuse
+_NON_REAL_PRODUCTS = {
+    "n": 2, "domain": [0.2, 12.0], "hermitian_hint": "general",
+    "R": [["(1 + 2*i)*x*exp(i*x)", "(1 + 2*i)*x^2"],
+          ["(1 + 2*i)*x^2", "(1 + 2*i)*x*cos(x)"]]}
+
+
 def _grid_problem(name):
     data = {"diag(fex1, 9)": _rotated(1, "9"), "fex1 at 40x": _rotated(40),
-            "params": _WITH_PARAMS}.get(name) or example_problem(name)
+            "params": _WITH_PARAMS, "non-real products": _NON_REAL_PRODUCTS,
+            }.get(name) or example_problem(name)
     spec, lam, a = load_problem(data)
     return split_R(spec, lam, a)
 
@@ -461,7 +469,8 @@ class TestGValues:
 
     @pytest.mark.parametrize("name", [
         "fulling-pos", "fulling-neg", "nonhermitian", "bec-vortex",
-        "scalar-quadratic", "diag(fex1, 9)", "fex1 at 40x", "params"])
+        "scalar-quadratic", "diag(fex1, 9)", "fex1 at 40x", "params",
+        "non-real products"])
     def test_batch_equals_per_x(self, name, monkeypatch):
         prob = _grid_problem(name)
         lo, hi = prob.domain

@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 from conftest import cauchy_coeffs
 from phaseintegral import jets, spectral
 from phaseintegral.errors import (
-    CrossingPoint, EvaluationSingularity, GramSchmidtBreakdown, TurningPoint)
+    CrossingPoint, EvaluationSingularity, GramSchmidtBreakdown, InvalidInput,
+    TurningPoint)
 from phaseintegral.examples import example_problem
 from phaseintegral.expressions import parse_expr
 from phaseintegral.jets import Jet, jet_const, jet_pow, jet_variable
@@ -978,6 +979,12 @@ class TestOrderZero:
 # work counts
 # --------------------------------------------------------------------------
 
+def _refused(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
 class TestWorkCounts:
     """The work of the branch data, counted at the Jet constructors and
     operators, at `G_jet` and `_reduction`, and at the series root and
@@ -1072,12 +1079,21 @@ class TestWorkCounts:
             calls.append(x)
             return g_entries(self, x)
         monkeypatch.setattr(ReducedProblem, "G_entries", counted)
+        # the step reads G's numbers itself: no projector rows, no G point
+        for method in ("_projector", "_g_point"):
+            monkeypatch.setattr(BranchField, method, _refused(method))
+        monkeypatch.setattr(spectral, "row_jets", _refused("row_jets"))
         fld._frame(3.65)
         assert len(calls) == 1 and len(fld._frames) == 12
         fld._reference(3.62)
         assert calls[1:] == [3.62]
         assert counts == {"jets": 0, "jet_ops": 0, "G_jet": 0,
                           "reductions": [], "sqrt": 0, "quotient": 0}
+        # order-0 queries: a Jet per component of the carried values, and
+        # no (N, 1) array split by row_jets
+        assert len(fld.s0_jets(3.52, 0)) == len(fld.basis_jets(3.47, 0)[0]) \
+            == 2
+        assert calls[2:] == [3.52, 3.47] and counts["jets"] == 4
 
     @pytest.mark.parametrize("name, gauge", [
         ("fex1", "normalized"), ("fex4", "normalized"), ("fex4", "raw"),
@@ -1204,6 +1220,100 @@ class TestWalkStretch:
             fld = BranchField(fex1, rank, "normalized", None, anchor=1.0)
             with pytest.raises(GramSchmidtBreakdown):
                 fld.s0_jets(x, 0)
+
+
+class TestOrderZeroStep:
+    """One N = 2 walk step reads G(t) once and carries the column on the
+    four numbers; order-0 queries read the carried values.  Same bits and
+    same refusals as the projector rows and the (N, 1) arrays they
+    replace."""
+
+    @pytest.mark.parametrize("name, gauge", [
+        ("fex1", "normalized"), ("fex4", "normalized"),
+        ("complex", "normalized"), ("block3", "normalized"),
+        ("fex4", "raw")])
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_same_bits_as_the_arrays(self, name, gauge, rank, request):
+        # fex4: an oblique P; complex: a Kato-phased field; block3: N = 3;
+        # raw: s0 off the unit vector, its path unchanged
+        prob = (_block3() if name == "block3"
+                else _hermitian(_complex_pair_rows()) if name == "complex"
+                else request.getfixturevalue(name))
+        fld = BranchField(prob, rank, gauge, None, anchor=2.5)
+        for x in np.linspace(2.1, 2.9, 9).tolist() + [3.33, 2.5]:
+            s0, basis = fld.s0_jets(x, 0), fld.basis_jets(x, 0)
+            assert [j.coeffs.tobytes() for j in s0] \
+                == [c.tobytes() for c in fld._s0(x, 0)]
+            assert [[j.coeffs.tobytes() for j in v] for v in basis] \
+                == [[c.tobytes() for c in v] for v in fld._basis(x, 0)]
+            assert all(j.center == x and j.coeffs.dtype == complex
+                       for j in s0 + basis[0])
+
+    @staticmethod
+    def _general(entry):
+        e = parse_expr
+        spec = ProblemSpec(2, "reduced", ((e(entry), e("x - 1")),
+                                          (e("x - 1"), e("3"))),
+                           None, {}, (0.5, 5.0), "general")
+        return split_R(spec, 1.0, None)
+
+    @pytest.mark.parametrize("case, anchor, x, error, message", [
+        # a pole of G on a walk step, at 2.0 + 3 * 0.1
+        ("x + 1/(x - 2.3)", 2.0, 2.65, EvaluationSingularity,
+         "expression singular at x = 2.3: divisor jet value 0j below lead "
+         "tolerance"),
+        # |G|**2 in the tolerance overflows to inf past x = 3.28
+        ("x + 1e150*x^8", 3.0, 3.45, EvaluationSingularity,
+         "G is not finite at x = 3.3"),
+        # fulling-pos: the eigenvalues x and 1 cross at 1
+        ("fex1", 2.2, 0.6, CrossingPoint,
+         "eigenvalues cross within guard radius at x = 1.0"),
+        ("fex1", 2.2, math.nan, InvalidInput, "x = nan is not finite"),
+        ("fex1", 2.2, math.inf, InvalidInput, "x = inf is not finite")])
+    @pytest.mark.parametrize("query", ["s0_jets", "basis_jets"])
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_same_refusals(self, case, anchor, x, error, message, query,
+                           rank, request):
+        prob = (request.getfixturevalue(case) if case == "fex1"
+                else self._general(case))
+        fld = BranchField(prob, rank, "normalized", None, anchor=anchor)
+        for order in (0, 2):
+            with pytest.raises(error) as info:
+                getattr(fld, query)(x, order)
+            assert str(info.value) == message
+
+    def test_phase_solve_is_kept_for_the_next_step(self, monkeypatch):
+        # the complex-Kato wave: fulling_current m_max 2, rank 1, anchor 3,
+        # 5 points of [3, 5], lambda 0.1.  A walk step's end and the next
+        # step's start share one order-5 solve (213 solves with none kept),
+        # and the wave keeps its bits
+        from phaseintegral.vector import assemble_vector_wave
+        prob = _hermitian(_complex_pair_rows())
+
+        def wave():
+            engine = CorrectionEngine(
+                prob, BranchField(prob, 1, "kato", None, anchor=3.0),
+                "fulling_current", 2, 3.0)
+            return [(s.x, s.u.tobytes(), s.u_prime.tobytes(), s.phase)
+                    for s in assemble_vector_wave(
+                        engine, +1, np.linspace(3, 5, 5).tolist(), 3.0, 0.1)]
+        calls = []
+        closed_form = BranchField._closed_form
+
+        def counted(self, x, order):
+            calls.append(order)
+            return closed_form(self, x, order)
+        monkeypatch.setattr(BranchField, "_closed_form", counted)
+        kept = wave()
+        assert len(calls) == 197 and sorted(set(calls)) == [5, 6]
+
+        def uncached(self, t, ref):         # every order-5 solve made anew
+            e = self._gram_schmidt(t, ref, self._solve(t, 5)[1])[0]
+            return Jet._raw(float(t), spectral.series_inner(
+                e, spectral._derivative(e)) * 1j)
+        monkeypatch.setattr(BranchField, "_phase_jet", uncached)
+        calls.clear()
+        assert wave() == kept and len(calls) == 213
 
 
 # --------------------------------------------------------------------------
